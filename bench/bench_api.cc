@@ -5,9 +5,8 @@
 // the sorted index serves with a binary search) is executed N times two
 // ways:
 //
-//   reparse    sql::Engine::Execute on a freshly formatted SQL string per
-//              execution — parse, bind, snapshot, advise every time (the
-//              pre-api cost every statement of bench_throughput paid)
+//   reparse    Connection::Query on a freshly formatted SQL string per
+//              execution — parse, bind, snapshot, advise every time
 //   prepared   api::PreparedStatement::Execute({key}) — parsed/bound once;
 //              per execution only the snapshot is re-captured and the
 //              advisor re-runs on cached column statistics
@@ -20,6 +19,14 @@
 // (bounded ChunkQueue, backpressure). Reported: peak resident result bytes
 // each — the cursor's peak is the queue bound, not the result size.
 //
+// Panel 3 — standalone sessions. One session per worker count (1, 2, 4)
+// runs two prepared statements: the point query of panel 1 (one morsel, so
+// it runs inline at every worker count) and a small selection over four
+// chunk windows (2048 rows out; several morsels, so above one worker it
+// runs on the session's pool). Reported: p50 and p95 latency per query and
+// worker count — the price of handing a small query to a pool. Checksums
+// must match the 1-worker session's.
+//
 // Machine-readable output: BENCH_api.json.
 //
 //   ./build/bench_api --runs=3
@@ -29,7 +36,6 @@
 
 #include "api/connection.h"
 #include "bench_common.h"
-#include "sql/engine.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -40,7 +46,9 @@ namespace {
 
 constexpr size_t kPointRows = 50000;   // hot working set for point queries
 constexpr size_t kScanRows = 1000000;  // large result for the cursor panel
+constexpr size_t kSmallRows = 4 * kChunkPositions;  // several morsels
 constexpr int kPointQueries = 2000;
+constexpr int kSmallQueries = 500;
 
 /// Total bytes a materialized TupleChunk holds resident.
 uint64_t ChunkBytes(const exec::TupleChunk& t) {
@@ -84,12 +92,20 @@ int main(int argc, char** argv) {
     CSTORE_CHECK_OK(
         db->RegisterTable("scans", {{"a", "scans.a"}, {"b", "scans.b"}}));
   }
+  {
+    // small(a): sorted runs of 256, so each morsel's scan is cheap and the
+    // hand-off to workers is a visible share of the query.
+    std::vector<Value> a(kSmallRows);
+    for (size_t i = 0; i < kSmallRows; ++i) a[i] = static_cast<Value>(i / 256);
+    CSTORE_CHECK_OK(db->CreateColumn("small.a", codec::Encoding::kRle, a));
+    CSTORE_CHECK_OK(db->RegisterTable("small", {{"a", "small.a"}}));
+  }
 
-  sql::Engine engine(db.get());
+  api::Connection reparse_conn(db.get());
   api::Connection conn(db.get());
   {  // calibrate the cost model + warm the buffer pool outside the timing
-    auto warm_engine = engine.Execute("SELECT a FROM points WHERE a = 0");
-    CSTORE_CHECK(warm_engine.ok()) << warm_engine.status().ToString();
+    auto warm_reparse = reparse_conn.Query("SELECT a FROM points WHERE a = 0");
+    CSTORE_CHECK(warm_reparse.ok()) << warm_reparse.status().ToString();
     auto warm_conn = conn.Query("SELECT a, b FROM points WHERE b < 0");
     CSTORE_CHECK(warm_conn.ok()) << warm_conn.status().ToString();
   }
@@ -119,7 +135,7 @@ int main(int argc, char** argv) {
       std::string sql = "SELECT a FROM points WHERE a >= " +
                         std::to_string(keys[i]) +
                         " AND a <= " + std::to_string(keys[i]);
-      auto r = engine.Execute(sql);
+      auto r = reparse_conn.Query(sql);
       CSTORE_CHECK(r.ok()) << r.status().ToString();
       rows += r->stats.output_tuples;
       checksum += r->stats.checksum;
@@ -200,10 +216,69 @@ int main(int argc, char** argv) {
       .Int("peak_bytes", cursor_bytes).Num("wall_ms", cursor_best)
       .Int("rows", cursor_rows);
 
+  // --- Panel 3: standalone sessions at 1, 2 and 4 workers ----------------
+  struct SessionQuery {
+    const char* name;
+    const char* sql;
+    bool point;
+    uint64_t serial_checksum = 0;  // the 1-worker session's
+  };
+  SessionQuery session_queries[] = {
+      {"point", "SELECT a FROM points WHERE a >= ? AND a <= ?", true},
+      {"small-selection", "SELECT a FROM small WHERE a < ?", false},
+  };
+  int session_mismatches = 0;
+  for (int workers : {1, 2, 4}) {
+    api::Connection::Settings settings;
+    settings.num_workers = workers;
+    api::Connection session(db.get(), nullptr, settings);
+    session.ShareCostCache(conn);
+    for (SessionQuery& q : session_queries) {
+      auto prepared = session.Prepare(q.sql);
+      CSTORE_CHECK(prepared.ok()) << prepared.status().ToString();
+      auto params = [&](int i) {
+        return q.point ? std::vector<Value>{keys[i], keys[i]}
+                       : std::vector<Value>{8};
+      };
+      CSTORE_CHECK(prepared->Execute(params(0)).ok());  // warm the session
+      const int executions = q.point ? kPointQueries : kSmallQueries;
+      std::vector<double> lat_us;
+      uint64_t checksum = 0;
+      for (int run = 0; run < opts.runs; ++run) {
+        checksum = 0;
+        for (int i = 0; i < executions; ++i) {
+          Stopwatch w;
+          auto r = prepared->Execute(params(i));
+          lat_us.push_back(w.ElapsedMicros());
+          CSTORE_CHECK(r.ok()) << r.status().ToString();
+          checksum += r->stats.checksum;
+        }
+      }
+      if (workers == 1) q.serial_checksum = checksum;
+      if (checksum != q.serial_checksum) {
+        std::fprintf(stderr,
+                     "MISMATCH: %s at %d workers: checksum %llx != "
+                     "1-worker %llx\n",
+                     q.name, workers,
+                     static_cast<unsigned long long>(checksum),
+                     static_cast<unsigned long long>(q.serial_checksum));
+        ++session_mismatches;
+      }
+      const double p50 = Percentile(lat_us, 0.5);
+      const double p95 = Percentile(lat_us, 0.95);
+      const std::string mode = std::string(q.name) + " w=" +
+                               std::to_string(workers);
+      table.AddRow({"standalone", mode, "p50_us", Fmt(p50, 1)});
+      table.AddRow({"standalone", mode, "p95_us", Fmt(p95, 1)});
+      json.AddRow().Str("panel", "standalone").Str("query", q.name)
+          .Int("workers", workers).Num("p50_us", p50).Num("p95_us", p95);
+    }
+  }
+
   std::printf(
       "# fig=api client-API costs (point_rows=%zu, scan_rows=%zu, "
-      "point_queries=%d)\n",
-      kPointRows, kScanRows, kPointQueries);
+      "small_rows=%zu, point_queries=%d)\n",
+      kPointRows, kScanRows, kSmallRows, kPointQueries);
   table.Print();
   json.WriteAndReport();
 
@@ -220,6 +295,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(prepared_checksum));
     ++failures;
   }
+  failures += session_mismatches;
   if (fetchall_rows != cursor_rows) {
     std::fprintf(stderr, "MISMATCH: fetchall rows %llu != cursor rows %llu\n",
                  static_cast<unsigned long long>(fetchall_rows),

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "tpch/loader.h"
 #include "util/logging.h"
@@ -160,10 +161,11 @@ inline double TimeSelection(db::Database* db, const plan::SelectionQuery& q,
                             plan::Strategy s, int runs,
                             const plan::PlanConfig& config = {},
                             plan::RunStats* last_stats = nullptr) {
+  api::Connection conn(db);
   double best = 1e100;
   for (int r = 0; r < runs; ++r) {
     db->DropCaches();
-    auto result = db->RunSelection(q, s, config);
+    auto result = conn.Query(plan::PlanTemplate::Selection(q, s, config));
     CSTORE_CHECK(result.ok()) << result.status().ToString();
     best = std::min(best, result->stats.TotalMillis());
     if (last_stats) *last_stats = result->stats;
@@ -175,10 +177,11 @@ inline double TimeAgg(db::Database* db, const plan::AggQuery& q,
                       plan::Strategy s, int runs,
                       const plan::PlanConfig& config = {},
                       plan::RunStats* last_stats = nullptr) {
+  api::Connection conn(db);
   double best = 1e100;
   for (int r = 0; r < runs; ++r) {
     db->DropCaches();
-    auto result = db->RunAgg(q, s, config);
+    auto result = conn.Query(plan::PlanTemplate::Agg(q, s, config));
     CSTORE_CHECK(result.ok()) << result.status().ToString();
     best = std::min(best, result->stats.TotalMillis());
     if (last_stats) *last_stats = result->stats;
@@ -189,10 +192,11 @@ inline double TimeAgg(db::Database* db, const plan::AggQuery& q,
 inline double TimeJoin(db::Database* db, const plan::JoinQuery& q,
                        exec::JoinRightMode mode, int runs,
                        plan::RunStats* last_stats = nullptr) {
+  api::Connection conn(db);
   double best = 1e100;
   for (int r = 0; r < runs; ++r) {
     db->DropCaches();
-    auto result = db->RunJoin(q, mode);
+    auto result = conn.Query(plan::PlanTemplate::Join(q, mode));
     CSTORE_CHECK(result.ok()) << result.status().ToString();
     best = std::min(best, result->stats.TotalMillis());
     if (last_stats) *last_stats = result->stats;

@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
                                         "EM-parallel", "LM-parallel",
                                         "LM-pipelined"};
     TablePrinter table(headers);
+    api::Connection conn(db.get());
     for (int workers : opts.worker_sweep) {
       plan::PlanConfig config;
       config.num_workers = workers;
@@ -120,7 +121,8 @@ int main(int argc, char** argv) {
         double best_wall = 1e100;
         for (int r = 0; r < opts.runs; ++r) {
           db->DropCaches();
-          auto result = db->RunSelection(q, s, config);
+          auto result =
+              conn.Query(plan::PlanTemplate::Selection(q, s, config));
           CSTORE_CHECK(result.ok()) << result.status().ToString();
           best_wall = std::min(best_wall, result->stats.wall_micros / 1000.0);
         }

@@ -5,8 +5,8 @@
 // per-query strategy choice actually matters — and runs it two ways at each
 // (worker count, concurrency) point:
 //
-//   back-to-back  each query through plan::ExecuteParallel with W workers,
-//                 one after another (PR 1's best effort for a batch)
+//   back-to-back  each query on a standalone api::Connection's W-worker
+//                 session pool, one after another
 //   shared-pool   all K queries submitted at once to one sched::Scheduler
 //                 with W workers, interleaving at morsel granularity
 //

@@ -10,9 +10,8 @@
 //
 // Server mode (--serve=PORT; 0 = ephemeral) loads the warehouse tables and
 // serves them to many concurrent clients over HTTP (see server/server.h
-// for routes). Knobs: --pool=N (scheduler width), --dispatch=rr|fifo|srw
-// (morsel dispatch policy), --max-inflight=N and --max-buffered-mb=N
-// (admission control caps; 0 disables a cap).
+// for routes). Knobs: --pool=N (scheduler width), --max-inflight=N and
+// --max-buffered-mb=N (admission control caps; 0 disables a cap).
 //
 // Client mode (--connect=HOST:PORT) drives a remote daemon with the same
 // machinery as the local modes: one-shot statements, the REPL (\metrics,
@@ -362,7 +361,6 @@ int RunScript(db::Database* db, const std::string& path, int pool_workers) {
 struct NetOptions {
   int serve_port = -1;          // >= 0: run the daemon
   std::string connect;          // host:port: run as client
-  std::string dispatch = "rr";  // rr | fifo | srw
   int max_inflight = 32;        // admission in-flight cap (0 = off)
   int max_buffered_mb = 64;     // admission output-byte cap (0 = off)
   std::string format = "csv";   // client-side /query encoding
@@ -370,15 +368,9 @@ struct NetOptions {
 };
 
 int RunServe(db::Database* db, const NetOptions& net, int pool_workers) {
-  auto dispatch = sched::ParseDispatchPolicy(net.dispatch);
-  if (!dispatch.ok()) {
-    std::fprintf(stderr, "%s\n", dispatch.status().ToString().c_str());
-    return 1;
-  }
   server::Server::Options opts;
   opts.port = net.serve_port;
   opts.pool_workers = pool_workers;
-  opts.dispatch = *dispatch;
   opts.admission.max_inflight = net.max_inflight;
   opts.admission.max_buffered_bytes =
       static_cast<int64_t>(net.max_buffered_mb) << 20;
@@ -390,11 +382,11 @@ int RunServe(db::Database* db, const NetOptions& net, int pool_workers) {
     return 1;
   }
   std::printf(
-      "serving SQL on http://127.0.0.1:%d  (pool=%d dispatch=%s "
+      "serving SQL on http://127.0.0.1:%d  (pool=%d "
       "max-inflight=%d max-buffered=%d MiB; ctrl-c to stop)\n"
       "routes: /health /metrics /query /queries /log\n",
-      srv.port(), srv.scheduler()->num_workers(), net.dispatch.c_str(),
-      net.max_inflight, net.max_buffered_mb);
+      srv.port(), srv.scheduler()->num_workers(), net.max_inflight,
+      net.max_buffered_mb);
   std::fflush(stdout);
   for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
 }
@@ -581,8 +573,6 @@ int main(int argc, char** argv) {
       net.serve_port = std::atoi(a.c_str() + 8);
     } else if (a.rfind("--connect=", 0) == 0) {
       net.connect = a.substr(10);
-    } else if (a.rfind("--dispatch=", 0) == 0) {
-      net.dispatch = a.substr(11);
     } else if (a.rfind("--max-inflight=", 0) == 0) {
       net.max_inflight = std::atoi(a.c_str() + 15);
     } else if (a.rfind("--max-buffered-mb=", 0) == 0) {

@@ -17,9 +17,9 @@ using namespace cstore;  // NOLINT
 
 namespace {
 
-void RunSelectionAt(db::Database* db, api::Connection* conn,
-                    const tpch::LineitemColumns& li,
-                    const char* date, Value threshold) {
+void ShowSelectionAt(db::Database* db, api::Connection* conn,
+                     const tpch::LineitemColumns& li,
+                     const char* date, Value threshold) {
   plan::SelectionQuery q;
   q.columns.push_back({li.shipdate, codec::Predicate::LessThan(threshold)});
   q.columns.push_back({li.linenum_rle, codec::Predicate::LessThan(7)});
@@ -39,9 +39,9 @@ void RunSelectionAt(db::Database* db, api::Connection* conn,
   }
 }
 
-void RunAggAt(db::Database* db, api::Connection* conn,
-              const tpch::LineitemColumns& li,
-              const char* date, Value threshold) {
+void ShowAggAt(db::Database* db, api::Connection* conn,
+               const tpch::LineitemColumns& li,
+               const char* date, Value threshold) {
   plan::AggQuery q;
   q.selection.columns.push_back(
       {li.shipdate, codec::Predicate::LessThan(threshold)});
@@ -104,10 +104,10 @@ int main(int argc, char** argv) {
   Value selective = tpch::StringToDay("1992-06-01");
   Value permissive = tpch::StringToDay("1998-01-01");
 
-  RunSelectionAt(db.get(), &conn, li, "1992-06-01", selective);
-  RunSelectionAt(db.get(), &conn, li, "1998-01-01", permissive);
-  RunAggAt(db.get(), &conn, li, "1992-06-01", selective);
-  RunAggAt(db.get(), &conn, li, "1998-01-01", permissive);
+  ShowSelectionAt(db.get(), &conn, li, "1992-06-01", selective);
+  ShowSelectionAt(db.get(), &conn, li, "1998-01-01", permissive);
+  ShowAggAt(db.get(), &conn, li, "1992-06-01", selective);
+  ShowAggAt(db.get(), &conn, li, "1998-01-01", permissive);
 
   std::printf(
       "\nRule of thumb (paper Section 6): aggregation, selective predicates\n"

@@ -5,6 +5,7 @@
 
 #include "api/statement_cache.h"
 #include "exec/chunk_pool.h"
+#include "exec/morsel_source.h"
 #include "model/calibrate.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -32,18 +33,24 @@ Connection::Connection(db::Database* db, sched::Scheduler* scheduler,
       settings_(std::move(settings)),
       cost_cache_(std::make_shared<CostCache>()) {}
 
+Connection::~Connection() = default;
+
 int Connection::EffectiveWorkers(int per_call) const {
   if (per_call > 0) return per_call;
   if (scheduler_ != nullptr) return scheduler_->num_workers();
   return std::max(1, settings_.num_workers);
 }
 
-int Connection::SubmitWorkers() const {
-  // Submitted queries run on the session's scheduler or, for standalone
-  // sessions, the process-wide default pool — advise the strategy for the
-  // pool that will actually execute it.
-  return (scheduler_ != nullptr ? scheduler_ : sched::Scheduler::Default())
-      ->num_workers();
+sched::Scheduler* Connection::PoolFor(int workers) {
+  if (scheduler_ != nullptr) return scheduler_;
+  workers = std::max(1, workers);
+  std::lock_guard<std::mutex> lock(pools_mu_);
+  std::unique_ptr<sched::Scheduler>& pool = pools_[workers];
+  if (pool == nullptr) {
+    pool = std::make_unique<sched::Scheduler>(
+        sched::Scheduler::Options{workers});
+  }
+  return pool.get();
 }
 
 const model::CostParams& Connection::Params() {
@@ -224,72 +231,40 @@ Result<QueryResult> Connection::ExecuteWrite(
 
 namespace {
 
-/// Query-log record for the standalone (schedulerless) execution path; the
-/// pooled path records inside sched::Scheduler's finalize, with the same
-/// field mapping. No queue on this path, so queue wait is 0 and exec time
-/// equals total time.
-void RecordStandaloneQuery(const plan::PlanTemplate& tmpl,
-                           const std::string& label,
-                           const plan::RunStats& stats, bool ok,
-                           int workers) {
-  obs::QueryLog& log = obs::QueryLog::Global();
-  if (!log.enabled()) return;
-  obs::QueryLogEntry e;
-  e.query_id = obs::NextQueryId();
-  if (label.empty()) {
-    using Kind = plan::PlanTemplate::Kind;
-    e.label = tmpl.kind == Kind::kSelection ? "plan:selection"
-              : tmpl.kind == Kind::kAgg     ? "plan:agg"
-              : tmpl.kind == Kind::kSort    ? "plan:sort"
-                                            : "plan:join";
-  } else {
-    e.label = label;
-  }
-  e.strategy = tmpl.kind == plan::PlanTemplate::Kind::kJoin    ? "join"
-               : tmpl.kind == plan::PlanTemplate::Kind::kSort
-                   ? "sort"
-                   : plan::StrategyName(tmpl.strategy);
-  e.status = ok ? "ok" : "error";
-  e.workers = workers;
-  e.priority = 1;
-  e.queue_wait_usec = 0;
-  e.exec_usec = static_cast<uint64_t>(stats.wall_micros);
-  e.total_usec = e.exec_usec;
-  e.rows_out = stats.output_tuples;
-  e.cache_hits = stats.io.cache_hits;
-  e.physical_reads = stats.io.physical_reads;
-  e.bytes_read = (e.cache_hits + e.physical_reads) * kPageSize;
-  e.pool_lock_acquisitions = stats.io.pool_lock_acquisitions;
-  e.pool_lock_contended = stats.io.pool_lock_contended;
-  e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
-  e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
-  e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
-  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
-  log.Record(std::move(e));
+/// True when a standalone run of `tmpl` has work for more than one worker:
+/// it asks for several and its position space splits into several morsels.
+bool RunsParallel(const plan::PlanTemplate& tmpl) {
+  const int workers = tmpl.config.num_workers;
+  if (workers <= 1) return false;
+  const exec::MorselSource morsels(tmpl.TotalPositions(),
+                                   tmpl.MorselPositions(workers));
+  return morsels.num_morsels() > 1;
 }
 
 }  // namespace
 
 Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
                                                 const std::string& label) {
-  if (scheduler_ != nullptr) {
+  if (scheduler_ != nullptr || RunsParallel(tmpl)) {
     Runnable run;
     run.tmpl = tmpl;
     run.strategy = tmpl.strategy;
     run.label = label;
     return SubmitRunnable(run).Wait();
   }
+  // One worker: inline on this thread. A 1-worker pool gives the same rows
+  // and row order, but the hand-off to its thread more than doubles a
+  // point query's latency.
   QueryResult result;
   bool first = true;
-  // The sink runs serialized (ExecuteParallel locks around it), so plain
-  // appends are safe even with multiple workers.
-  Status st = plan::ExecuteParallel(
+  Status st = plan::ExecuteInline(
       tmpl, db_->pool(), &result.stats,
       [&](const exec::TupleChunk& chunk) {
         AppendChunk(&result.tuples, &first, chunk);
       });
-  RecordStandaloneQuery(tmpl, label, result.stats, st.ok(),
-                        std::max(1, tmpl.config.num_workers));
+  sched::RecordQueryLog(obs::NextQueryId(), label, &tmpl, st, /*workers=*/1,
+                        settings_.priority, /*queue_wait_usec=*/0,
+                        result.stats);
   CSTORE_RETURN_IF_ERROR(st);
   return result;
 }
@@ -305,8 +280,7 @@ Result<QueryResult> Connection::RunRunnableSync(const Runnable& run) {
 
 PendingResult Connection::SubmitRunnable(const Runnable& run,
                                          bool materialize) {
-  sched::Scheduler* scheduler =
-      scheduler_ != nullptr ? scheduler_ : sched::Scheduler::Default();
+  sched::Scheduler* scheduler = PoolFor(run.tmpl.config.num_workers);
   PendingResult pending;
   pending.engaged_ = true;
   pending.early_ = Status::OK();
@@ -345,9 +319,10 @@ Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
 
   sched::Scheduler* scheduler = scheduler_;
   if (scheduler == nullptr) {
-    // Standalone session: a private pool sized to the statement keeps the
-    // stream independent of other sessions (and serial chunk order intact
-    // at one worker).
+    // Standalone session: a private pool per stream, not the session pool.
+    // A consumer that stops reading parks the producing workers in
+    // ChunkQueue::Push; on the session pool, the next statement this
+    // session runs while it holds the cursor would wait for them forever.
     sched::Scheduler::Options so;
     so.num_workers = std::max(1, run.tmpl.config.num_workers);
     cursor.own_scheduler_ = std::make_shared<sched::Scheduler>(so);
@@ -432,7 +407,7 @@ PendingResult Connection::Submit(const std::string& sql,
       // result, like a write.
       CSTORE_ASSIGN_OR_RETURN(
           QueryResult result,
-          ExplainStatement(stmt, strategy, SubmitWorkers(), {}));
+          ExplainStatement(stmt, strategy, EffectiveWorkers(0), {}));
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
@@ -454,7 +429,7 @@ PendingResult Connection::Submit(const std::string& sql,
     {
       obs::SpanTimer span("plan", "sql");
       CSTORE_ASSIGN_OR_RETURN(
-          run, MakeRunnable(&bound, resolved, strategy, SubmitWorkers()));
+          run, MakeRunnable(&bound, resolved, strategy, EffectiveWorkers(0)));
     }
     run.label = sql;
     pending = SubmitRunnable(run);
@@ -920,7 +895,7 @@ PendingResult Connection::SubmitPrepared(PreparedStatement* stmt,
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
-    CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, SubmitWorkers()));
+    CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
     Runnable run;
     run.tmpl = stmt->template_;
     run.output_slots = stmt->bound_.output_slots;

@@ -13,17 +13,25 @@
 //   Query/Submit/Stream(plan::PlanTemplate) — the typed-plan path the
 //                   paper-figure benches use (no SQL, no projection)
 //
-// Standalone connections (no scheduler) run synchronous queries through
-// plan::ExecuteParallel with the session's worker count — bit-identical to
-// the pre-api engine, including serial chunk order at num_workers = 1 —
-// and create a private scheduler per streaming query. Pooled connections
-// run everything on the shared scheduler, interleaving with other
-// sessions' queries at morsel granularity.
+// A query runs by one of two routes. Pooled connections run everything on
+// the shared scheduler, interleaving with other sessions' queries at morsel
+// granularity. Standalone connections (no scheduler) own long-lived
+// session pools instead — one sched::Scheduler per worker count the
+// session runs at, created on first use — and run every Submit, and every
+// synchronous query with work for more than one worker, there. Two things
+// stay off the session pools on purpose:
 //
-// The legacy surfaces are thin wrappers over this class: Database::Run*
-// and Database::Submit delegate here, and sql::Engine is a compatibility
-// facade (Execute → Query, SubmitAll → Submit). One execution path, one
-// behavior.
+//   * A 1-worker synchronous query runs inline on the caller's thread
+//     (plan::ExecuteInline). A 1-worker pool gives the same rows and order,
+//     but the hand-off to its thread more than doubles a point query's
+//     latency.
+//   * A stream gets a private pool per cursor (RowCursor::own_scheduler_).
+//     A consumer that stops reading blocks the producing worker in
+//     ChunkQueue::Push; on a shared session pool, a session that runs
+//     another statement while it holds an undrained cursor would deadlock.
+//
+// Destroying a standalone Connection waits for its submitted queries, so
+// their PendingResults still resolve afterwards.
 //
 // Thread safety: a Connection may be shared across threads for Query /
 // Submit / Stream of *independent* statements (the underlying catalog and
@@ -36,6 +44,7 @@
 #define CSTORE_API_CONNECTION_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,9 +68,10 @@ class StatementCache;
 class Connection {
  public:
   struct Settings {
-    // Worker threads for synchronous execution on a standalone connection
-    // (also the advisor's parallelism input there). Pooled connections take
-    // parallelism from the scheduler's pool width.
+    // Worker count of a standalone connection's queries: its session pool
+    // width (1 = synchronous queries run inline) and the advisor's
+    // parallelism input. Pooled connections take parallelism from the
+    // scheduler's pool width.
     int num_workers = 1;
     // Session-wide strategy override; the advisor picks when unset.
     // Per-call overrides win over this.
@@ -80,12 +90,16 @@ class Connection {
     std::atomic<int64_t>* stream_byte_account = nullptr;
   };
 
-  /// `scheduler == nullptr` makes a standalone session (private execution);
+  /// `scheduler == nullptr` makes a standalone session (session pools);
   /// otherwise every query runs on the shared pool. Neither `db` nor
   /// `scheduler` is owned; both must outlive the Connection.
   explicit Connection(db::Database* db, sched::Scheduler* scheduler = nullptr);
   Connection(db::Database* db, sched::Scheduler* scheduler,
              Settings settings);
+  /// Waits for every query submitted to the session pools.
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   db::Database* database() const { return db_; }
   sched::Scheduler* scheduler() const { return scheduler_; }
@@ -104,7 +118,7 @@ class Connection {
 
   /// Parses, binds, and strategy-advises now (errors are carried in the
   /// handle); execution proceeds concurrently on the session's scheduler
-  /// (the process-wide default pool if the session is standalone). Write
+  /// (a standalone session's pool of settings().num_workers). Write
   /// statements execute at submit time, so later statements observe them.
   PendingResult Submit(const std::string& sql,
                        std::optional<plan::Strategy> strategy = {});
@@ -156,10 +170,11 @@ class Connection {
   // --- Typed plans ------------------------------------------------------
 
   /// Runs a typed plan template. Standalone sessions honour
-  /// `tmpl.config.num_workers` exactly as plan::ExecuteParallel does;
-  /// pooled sessions let the pool decide parallelism. `materialize = false`
-  /// skips output buffering entirely — Wait() returns stats and an empty
-  /// tuple chunk (what benches measuring QPS/latency want).
+  /// `tmpl.config.num_workers` (the session pool of that width; 1 runs
+  /// Query inline); pooled sessions let the pool decide parallelism.
+  /// `materialize = false` skips output buffering entirely — Wait() returns
+  /// stats and an empty tuple chunk (what benches measuring QPS/latency
+  /// want).
   Result<QueryResult> Query(const plan::PlanTemplate& tmpl);
   PendingResult Submit(const plan::PlanTemplate& tmpl,
                        bool materialize = true);
@@ -193,9 +208,10 @@ class Connection {
   };
 
   int EffectiveWorkers(int per_call) const;
-  /// Worker count of the pool Submit actually targets (session scheduler
-  /// or the process-wide default) — the advisor's parallelism input there.
-  int SubmitWorkers() const;
+  /// The pool a query of `workers` runs on: the shared scheduler of a
+  /// pooled session, else the session pool of that width (created on
+  /// first use).
+  sched::Scheduler* PoolFor(int workers);
   const model::CostParams& Params();
   model::SelectionModelInput ModelInputFor(const plan::SelectionQuery& scan,
                                            int num_workers);
@@ -251,6 +267,10 @@ class Connection {
   Settings settings_;
   std::shared_ptr<CostCache> cost_cache_;
   StatementCache* stmt_cache_ = nullptr;  // not owned; may be null
+  // Standalone session pools, keyed by worker count; destroying a pool
+  // drains the queries submitted to it.
+  std::mutex pools_mu_;
+  std::map<int, std::unique_ptr<sched::Scheduler>> pools_;
 };
 
 }  // namespace api

@@ -1,11 +1,9 @@
 // Unified client-facing result types of the api:: layer.
 //
 // Every way of running a query — sync api::Connection::Query, async
-// Submit, streaming Stream, a PreparedStatement execution, or the legacy
-// Database::Run* / sql::Engine wrappers — resolves to the same
-// api::QueryResult. One result shape, one waitable handle
-// (api::PendingResult, which replaced the near-duplicate db::PendingQuery
-// and sql::Engine::Pending), one streaming cursor (api::RowCursor).
+// Submit, streaming Stream, or a PreparedStatement execution — resolves to
+// the same api::QueryResult. One result shape, one waitable handle
+// (api::PendingResult), one streaming cursor (api::RowCursor).
 //
 // RowCursor is the bounded-memory path: output chunks flow from the
 // scheduler's workers through a bounded ChunkQueue straight to the
@@ -33,11 +31,6 @@
 #include "util/status.h"
 
 namespace cstore {
-
-namespace db {
-class Database;
-}  // namespace db
-
 namespace api {
 
 class Connection;
@@ -153,7 +146,6 @@ class PendingResult {
  private:
   friend class Connection;
   friend class PreparedStatement;
-  friend class ::cstore::db::Database;
 
   Status early_ = Status::Internal("default-constructed PendingResult");
   bool engaged_ = false;  // set by every Submit path
@@ -227,8 +219,9 @@ class RowCursor {
 
   std::shared_ptr<ChunkQueue> queue_;
   sched::QueryTicket ticket_;
-  // Standalone (schedulerless) connections park the query's private
-  // scheduler here so it outlives the stream.
+  // A standalone connection's stream runs on a private pool parked here,
+  // not on the session pool: see Connection's header for the deadlock a
+  // shared pool would risk.
   std::shared_ptr<sched::Scheduler> own_scheduler_;
   std::vector<uint32_t> output_slots_;
   std::vector<std::string> column_names_;

@@ -13,9 +13,9 @@
 //            predicates, and (only if a compaction swapped the table's
 //            generation since bind) re-resolve the readers.
 //
-// sql::Engine::Execute re-binds every statement; api::PreparedStatement
-// binds once and resolves per execution — that is the whole difference
-// bench_api measures.
+// Connection::Query re-binds every statement; api::PreparedStatement binds
+// once and resolves per execution — that is the whole difference bench_api
+// measures.
 
 #ifndef CSTORE_API_STATEMENT_H_
 #define CSTORE_API_STATEMENT_H_

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <thread>
 
-#include "api/connection.h"
 #include "exec/chunk_pool.h"
 #include "exec/sys_scan.h"
 #include "sched/scheduler.h"
@@ -468,7 +467,7 @@ Result<uint64_t> Database::DeleteWhere(
   config.snapshot = snap;
   std::vector<Position> positions;
   plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteParallel(
+  CSTORE_RETURN_IF_ERROR(plan::ExecuteInline(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
       pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
@@ -547,7 +546,7 @@ Result<uint64_t> Database::UpdateWhere(
   std::vector<Position> positions;
   std::vector<std::vector<Value>> rows;
   plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteParallel(
+  CSTORE_RETURN_IF_ERROR(plan::ExecuteInline(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
       pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
@@ -736,42 +735,6 @@ Status Database::EnableTupleMover(sched::Scheduler* scheduler,
 }
 
 void Database::DisableTupleMover() { mover_.reset(); }
-
-// ---------------------------------------------------------------------------
-// Query execution
-// ---------------------------------------------------------------------------
-
-PendingQuery Database::Submit(const plan::PlanTemplate& tmpl,
-                              sched::Scheduler* scheduler, int priority) {
-  api::Connection::Settings settings;
-  settings.priority = priority;
-  api::Connection conn(this, scheduler, settings);
-  return conn.Submit(tmpl);
-}
-
-Result<QueryResult> Database::ExecuteTemplate(const plan::PlanTemplate& tmpl) {
-  api::Connection conn(this);
-  return conn.Query(tmpl);
-}
-
-Result<QueryResult> Database::RunSelection(const plan::SelectionQuery& query,
-                                           plan::Strategy strategy,
-                                           const plan::PlanConfig& config) {
-  return ExecuteTemplate(
-      plan::PlanTemplate::Selection(query, strategy, config));
-}
-
-Result<QueryResult> Database::RunAgg(const plan::AggQuery& query,
-                                     plan::Strategy strategy,
-                                     const plan::PlanConfig& config) {
-  return ExecuteTemplate(plan::PlanTemplate::Agg(query, strategy, config));
-}
-
-Result<QueryResult> Database::RunJoin(const plan::JoinQuery& query,
-                                      exec::JoinRightMode mode,
-                                      const plan::PlanConfig& config) {
-  return ExecuteTemplate(plan::PlanTemplate::Join(query, mode, config));
-}
 
 }  // namespace db
 }  // namespace cstore

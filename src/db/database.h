@@ -1,7 +1,6 @@
 // Database facade: owns the storage stack (file manager, disk model, buffer
 // pool), a catalog of loaded columns and tables, and the per-table write
-// stores. Runs queries through the plan layer. This is the top-level entry
-// point a library user sees.
+// stores. Queries run through api::Connection, the one client surface.
 //
 // Reads and writes compose through snapshots: every query captures a
 // WriteSnapshot of its table at plan-build/submit time and sees exactly
@@ -21,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "api/result.h"
 #include "codec/column_reader.h"
 #include "codec/column_writer.h"
 #include "plan/executor.h"
@@ -38,12 +36,6 @@
 
 namespace cstore {
 namespace db {
-
-/// The unified result/handle types live in api/ now; these aliases keep the
-/// historical db:: names working (db::QueryResult used to carry tuples +
-/// stats only — api::QueryResult is a strict superset).
-using QueryResult = api::QueryResult;
-using PendingQuery = api::PendingResult;
 
 class Database {
  public:
@@ -185,30 +177,6 @@ class Database {
   /// Drops all cached pages (for cold-cache measurements).
   void DropCaches() { pool_->Clear(); }
 
-  /// Convenience wrappers: build + execute in one call — thin shims over
-  /// api::Connection (kept for the paper-figure benches; new code should
-  /// talk to api::Connection directly). With `config.num_workers > 1` the
-  /// query runs morsel-parallel; result bags (tuples, checksum, aggregate
-  /// groups) are identical for every worker count, but selection tuple
-  /// order is only deterministic at 1 worker.
-  Result<QueryResult> RunSelection(const plan::SelectionQuery& query,
-                                   plan::Strategy strategy,
-                                   const plan::PlanConfig& config = {});
-  Result<QueryResult> RunAgg(const plan::AggQuery& query,
-                             plan::Strategy strategy,
-                             const plan::PlanConfig& config = {});
-  Result<QueryResult> RunJoin(const plan::JoinQuery& query,
-                              exec::JoinRightMode mode,
-                              const plan::PlanConfig& config = {});
-
-  /// Submits a query to `scheduler`'s shared worker pool and returns
-  /// immediately. Many submitted queries interleave at morsel granularity;
-  /// call PendingQuery::Wait() for the materialized result. `priority >= 1`
-  /// gives the query that many consecutive morsel claims per scheduler
-  /// rotation.
-  PendingQuery Submit(const plan::PlanTemplate& tmpl,
-                      sched::Scheduler* scheduler, int priority = 1);
-
  private:
   struct TableInfo {
     // Ordered (column name, file name) pairs — the current generation.
@@ -219,7 +187,6 @@ class Database {
 
   Database() = default;
 
-  Result<QueryResult> ExecuteTemplate(const plan::PlanTemplate& tmpl);
   /// Builds the synthetic snapshot serving one system table.
   Result<std::shared_ptr<const write::WriteSnapshot>> SystemSnapshot(
       const std::string& table);

@@ -256,12 +256,14 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
 // ---------------------------------------------------------------------------
 
 DS4ScanMerge::DS4ScanMerge(TupleOp* input, const codec::ColumnReader* reader,
-                           codec::Predicate pred, ExecStats* stats)
+                           codec::Predicate pred, ExecStats* stats,
+                           position::Range scan_range)
     : input_(input),
       reader_(reader),
       pred_(pred),
       stats_(stats),
-      in_(AcquireChunk(stats)) {}
+      in_(AcquireChunk(stats)),
+      window_(reader, kChunkPositions, scan_range) {}
 
 Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   TupleChunk& in = *in_;
@@ -274,20 +276,26 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   emitter_.Bind(out);
   row_buf_.resize(in_width + 1);
 
+  // Blocks of this window that hold at least one input position; the rest
+  // are skipped. Counting per window, as DS1PipelinedScan does, keeps the
+  // count independent of where morsel boundaries fall.
+  uint64_t used_blocks = 0;
+  uint64_t last_used = UINT64_MAX;
   for (size_t i = 0; i < in.num_tuples(); ++i) {
     Position pos = in.position(i);
     // Advance the block cursor; intermediate blocks with no input positions
     // are never fetched.
     if (cur_block_ == nullptr || pos >= cur_block_->view.end_pos()) {
       uint64_t target = reader_->BlockContaining(pos);
-      if (cur_block_no_ != UINT64_MAX && target > cur_block_no_ + 1) {
-        stats_->blocks_skipped += target - cur_block_no_ - 1;
-      }
       CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
                               reader_->FetchBlock(target));
       ++stats_->blocks_fetched;
       cur_block_ = std::make_shared<codec::EncodedBlock>(std::move(blk));
       cur_block_no_ = target;
+    }
+    if (cur_block_no_ != last_used) {
+      ++used_blocks;
+      last_used = cur_block_no_;
     }
     Value v = cur_block_->view.ValueAt(pos);
     ++stats_->predicate_evals;
@@ -299,6 +307,12 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
       sink_->Emit(pos, row_buf_.data());
     }
   }
+  CSTORE_DCHECK(!window_.done()) << "input yielded more chunks than windows";
+  uint64_t first;
+  uint64_t last;
+  window_.BlockRange(&first, &last);
+  stats_->blocks_skipped += last - first + 1 - used_blocks;
+  window_.Advance();
   stats_->tuples_constructed += out->num_tuples();
   return true;
 }

@@ -120,11 +120,13 @@ class DS2Scan : public TupleOp {
 /// DS Case 4: consumes EM tuples, jumps to each tuple's position in the
 /// column, applies the predicate, and emits the input tuple extended with
 /// the column value when it passes. Blocks with no input positions are
-/// skipped entirely (EM-pipelined's win for selective predicates).
+/// skipped entirely (EM-pipelined's win for selective predicates). The
+/// input yields one chunk per window of `scan_range`, as DS2Scan does.
 class DS4ScanMerge : public TupleOp {
  public:
   DS4ScanMerge(TupleOp* input, const codec::ColumnReader* reader,
-               codec::Predicate pred, ExecStats* stats);
+               codec::Predicate pred, ExecStats* stats,
+               position::Range scan_range = kFullScanRange);
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "ds4-scan-merge"; }
@@ -135,6 +137,9 @@ class DS4ScanMerge : public TupleOp {
   codec::Predicate pred_;
   ExecStats* stats_;
   PooledChunk in_;  // input staging, recycled per instance
+  // The window of the current input chunk (never fetches); its block range
+  // is what blocks_skipped counts against.
+  WindowCursor window_;
   // Current block cursor (input positions ascend monotonically).
   std::shared_ptr<codec::EncodedBlock> cur_block_;
   uint64_t cur_block_no_ = UINT64_MAX;

@@ -12,7 +12,10 @@ namespace exec {
 struct ExecStats {
   // Blocks fetched by data-source operators (block iterator getNext calls).
   uint64_t blocks_fetched = 0;
-  // Blocks skipped entirely by pipelined strategies (no valid positions).
+  // Blocks skipped entirely by pipelined strategies: per chunk window, the
+  // blocks overlapping the window that hold none of its valid positions.
+  // Counted per window, so the total is the same for every worker count
+  // and morsel size.
   uint64_t blocks_skipped = 0;
   // Individual predicate evaluations (per value or per run).
   uint64_t predicate_evals = 0;

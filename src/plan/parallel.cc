@@ -5,7 +5,6 @@
 #include "exec/gather.h"
 #include "exec/morsel_source.h"
 #include "position/position_set.h"
-#include "sched/scheduler.h"
 #include "util/logging.h"
 
 namespace cstore {
@@ -296,6 +295,13 @@ Position PlanTemplate::TotalPositions() const {
   return 0;
 }
 
+Position PlanTemplate::MorselPositions(int workers) const {
+  if (config.morsel_positions != exec::kDefaultMorselPositions) {
+    return config.morsel_positions;
+  }
+  return exec::AutoMorselPositions(TotalPositions(), workers);
+}
+
 std::unique_ptr<BuildPipeline> PlanTemplate::MakeBuildPipeline(
     int pool_workers) const {
   CSTORE_CHECK(NeedsBuildPhase());
@@ -335,16 +341,6 @@ std::unique_ptr<BuildPipeline> PlanTemplate::MakeBuildPipeline(
                                               inner_total, ntasks);
 }
 
-Result<std::shared_ptr<const exec::JoinBuildTable>> PlanTemplate::BuildShared(
-    exec::ExecStats* stats) const {
-  CSTORE_CHECK(kind == Kind::kJoin);
-  CSTORE_ASSIGN_OR_RETURN(exec::JoinBuildTable::Spec spec,
-                          JoinBuildSpec(join, join_mode, config));
-  CSTORE_ASSIGN_OR_RETURN(std::unique_ptr<exec::JoinBuildTable> table,
-                          exec::JoinBuildTable::Build(spec, stats));
-  return std::shared_ptr<const exec::JoinBuildTable>(std::move(table));
-}
-
 Result<std::unique_ptr<Plan>> PlanTemplate::Instantiate(
     position::Range morsel, const exec::JoinBuildTable* shared) const {
   PlanConfig cfg = config;
@@ -362,57 +358,24 @@ Result<std::unique_ptr<Plan>> PlanTemplate::Instantiate(
   return Status::Internal("unreachable template kind");
 }
 
-Status ExecuteParallel(const PlanTemplate& tmpl, storage::BufferPool* pool,
-                       RunStats* stats,
-                       const std::function<void(const exec::TupleChunk&)>&
-                           sink) {
-  const int requested = std::max(1, tmpl.config.num_workers);
-  const Position total = tmpl.TotalPositions();
-  Position morsel = tmpl.config.morsel_positions;
-  if (morsel == exec::kDefaultMorselPositions) {
-    morsel = exec::AutoMorselPositions(total, requested);
-  }
-  // One worker per morsel at most (joins partition their outer side, so
-  // they scale like scans; build-pipeline tasks ride on the same pool).
-  const uint64_t num_morsels = exec::MorselSource(total, morsel).num_morsels();
-  const int workers = static_cast<int>(
-      std::min<uint64_t>(requested, std::max<uint64_t>(num_morsels, 1)));
-
-  if (workers == 1) {
-    // Serial pull loop over the full position space: bit-identical to the
-    // pre-parallel executor, including output chunk order.
-    storage::IoStats build_io;
-    Result<std::unique_ptr<Plan>> plan = [&] {
-      // Plan construction may touch blocks (index boundary lookups);
-      // attribute that I/O to this query too, as the pooled path does.
-      storage::BufferPool::ScopedIoAttribution attribution(&build_io);
-      return tmpl.Instantiate(exec::kFullScanRange);
-    }();
-    CSTORE_RETURN_IF_ERROR(plan.status());
-    if (tmpl.config.profile) (*plan)->EnableProfiling();
-    CSTORE_RETURN_IF_ERROR(ExecutePlan(plan->get(), pool, stats, sink));
-    if (tmpl.config.profile) {
-      (*plan)->FlushProfile(tmpl.config.profile.get());
-    }
-    stats->io += build_io;
-    stats->charged_io_micros = stats->io.charged_io_micros;
-    return Status::OK();
-  }
-
-  // Submit-and-wait on an ephemeral pool sized to the request, so
-  // config.num_workers keeps meaning exactly what it says (worker-count
-  // sweeps in the benches stay honest). Batch workloads that want one
-  // process-wide pool submit to a shared sched::Scheduler directly.
-  sched::Scheduler scheduler({workers});
-  sched::Scheduler::SubmitOptions options;
-  options.sink = sink;
-  // The caller (Connection's standalone path) logs this query itself,
-  // with its real label; the ephemeral pool must not log it a second time.
-  options.record_query_log = false;
-  sched::QueryTicket ticket = scheduler.Submit(tmpl, pool, std::move(options));
-  const sched::ExecResult& result = ticket.Wait();
-  *stats = result.stats;
-  return result.status;
+Status ExecuteInline(const PlanTemplate& tmpl, storage::BufferPool* pool,
+                     RunStats* stats,
+                     const std::function<void(const exec::TupleChunk&)>&
+                         sink) {
+  storage::IoStats build_io;
+  Result<std::unique_ptr<Plan>> plan = [&] {
+    // Plan construction may touch blocks (index boundary lookups);
+    // attribute that I/O to this query too, as the scheduler does.
+    storage::BufferPool::ScopedIoAttribution attribution(&build_io);
+    return tmpl.Instantiate(exec::kFullScanRange);
+  }();
+  CSTORE_RETURN_IF_ERROR(plan.status());
+  if (tmpl.config.profile) (*plan)->EnableProfiling();
+  CSTORE_RETURN_IF_ERROR(ExecutePlan(plan->get(), pool, stats, sink));
+  if (tmpl.config.profile) (*plan)->FlushProfile(tmpl.config.profile.get());
+  stats->io += build_io;
+  stats->charged_io_micros = stats->io.charged_io_micros;
+  return Status::OK();
 }
 
 }  // namespace plan

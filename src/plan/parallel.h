@@ -1,47 +1,42 @@
-// Morsel-driven parallel plan execution.
+// Plan templates and the inline executor.
 //
 // A PlanTemplate is the reusable description of a query (query shape +
 // strategy + config); a *plan instance* is one operator tree built from the
-// template by the existing BuildSelectionPlan/BuildAggPlan/BuildJoinPlan
-// factories, restricted to one morsel of the position space.
+// template by the BuildSelectionPlan/BuildAggPlan/BuildJoinPlan/
+// BuildSortPlan factories, restricted to one morsel of the position space.
 //
-// ExecuteParallel is a thin submit-and-wait over the sched/ subsystem: it
-// spins up a sched::Scheduler with exactly `config.num_workers` workers,
-// submits the one query, and blocks on its ticket. The scheduler's workers
-// claim morsels, instantiate and drain a plan per morsel, and merge the
-// results:
+// A query reaches its operators by one of two routes:
 //
-//   * counters       — summed (ExecStats::Merge, order-independent)
-//   * checksum       — wrapping addition of per-tuple digests, so the merged
-//                      digest is bit-identical to a serial run's
-//   * output tuples  — buffered per worker and handed to the sink once, at
-//                      finalization, with no lock on the emit path (bag
-//                      semantics: chunk *order* across workers is not
-//                      deterministic)
-//   * aggregations   — per-morsel partial GroupAccumulators are merged and
-//                      final groups emitted once, exactly as a serial
-//                      aggregation over the same rows would
-//   * I/O stats      — snapshotted around the whole run from the (atomic)
-//                      buffer-pool counters
+//   * ExecuteInline (below) builds one plan instance over the full position
+//     space and pulls it on the caller's thread: the classic serial
+//     executor, including its output chunk order. A join instance builds
+//     its hash table on first pull. Standalone api::Connection sessions run
+//     their 1-worker synchronous queries this way, and
+//     Database::DeleteWhere/UpdateWhere their row-finding scans.
+//   * sched::Scheduler runs everything else — a server's shared pool, or a
+//     standalone session's long-lived pools. Its workers claim morsels,
+//     instantiate and drain a plan per morsel, and merge the results:
 //
-// num_workers == 1 bypasses all of this and runs the classic serial pull
-// executor over the full position space — bit-identical to the
-// pre-parallel-refactor engine, including chunk order. Joins are two-phase:
-// a BuildPipeline constructs the shared inner-side hash table
-// (JoinBuildTable) behind the scheduler's phase barrier — either as one
-// serial task (small inners, radix_bits = 0) or as N radix partition-scan
-// tasks, a barrier, 1 << radix_bits per-partition build tasks, and a merge
-// — then probe morsels partition the outer side exactly like scan morsels.
-// The scheduler gates probe claims on pipeline completion (see
-// sched::Scheduler's phase dependency); the serial path simply builds the
-// table inside the plan on first pull. Sorts are two-phase the other way
-// round: every morsel forms a sorted run (SortOp with final emit disabled),
-// and the scheduler's finalize k-way merges the runs into globally ordered
-// output.
+//       * counters       — summed (ExecStats::Merge, order-independent)
+//       * checksum       — wrapping addition of per-tuple digests, so the
+//                          merged digest is bit-identical to a serial run's
+//       * output tuples  — buffered per worker and handed to the sink once,
+//                          at finalization, with no lock on the emit path
+//                          (bag semantics: chunk *order* across workers is
+//                          not deterministic)
+//       * aggregations   — per-morsel partial GroupAccumulators are merged
+//                          and final groups emitted once, exactly as a
+//                          serial aggregation over the same rows would
+//       * I/O stats      — attributed per (query, worker) and summed
 //
-// Batch workloads should not call this in a loop: submit every query to one
-// shared sched::Scheduler (see Database::Submit / Engine::SubmitAll) so the
-// queries interleave on one pool instead of each spinning up its own.
+//     Joins are two-phase: a BuildPipeline constructs the shared inner-side
+//     hash table (JoinBuildTable) behind the scheduler's phase barrier —
+//     either as one serial task (small inners, radix_bits = 0) or as N
+//     radix partition-scan tasks, a barrier, 1 << radix_bits per-partition
+//     build tasks, and a merge — then probe morsels partition the outer
+//     side exactly like scan morsels. Sorts are two-phase the other way
+//     round: every morsel forms a sorted run (SortOp with final emit
+//     disabled), and the scheduler's finalize k-way merges the runs.
 
 #ifndef CSTORE_PLAN_PARALLEL_H_
 #define CSTORE_PLAN_PARALLEL_H_
@@ -117,17 +112,16 @@ struct PlanTemplate {
   /// row count — for joins, the *outer* side's, write-store tail included).
   Position TotalPositions() const;
 
+  /// Positions per morsel on a pool of `workers`: config.morsel_positions,
+  /// or sized from TotalPositions() and the pool width when left at the
+  /// default.
+  Position MorselPositions(int workers) const;
+
   /// True when the template needs a build phase before any morsel can run
   /// (joins: the shared hash build). The scheduler runs the pipeline from
   /// MakeBuildPipeline behind its phase barrier and hands the product to
   /// every Instantiate.
   bool NeedsBuildPhase() const { return kind == Kind::kJoin; }
-
-  /// Executes the whole build phase serially (the inner-side hash build),
-  /// recording its work in `stats`. Only valid when NeedsBuildPhase().
-  /// Equivalent to running the serial pipeline's one task + Finish.
-  Result<std::shared_ptr<const exec::JoinBuildTable>> BuildShared(
-      exec::ExecStats* stats) const;
 
   /// Creates the build-phase pipeline for a pool of `pool_workers`, honoring
   /// config.radix_bits (-1 auto / 0 serial / k forced). Only valid when
@@ -144,18 +138,16 @@ struct PlanTemplate {
       const exec::JoinBuildTable* shared = nullptr) const;
 };
 
-/// Runs the templated query with `template.config.num_workers` workers and
-/// fills `stats` with the merged RunStats. `sink` (optional) receives every
-/// output chunk; with multiple workers it is invoked sequentially after the
-/// last morsel completes (per-worker buffers, concatenated in worker order)
-/// and the chunk order is unspecified. For aggregations the sink receives
-/// exactly one chunk: the final merged groups. On error the sink is never
-/// invoked with multiple workers (serial runs may have streamed chunks
-/// before failing).
-Status ExecuteParallel(const PlanTemplate& tmpl, storage::BufferPool* pool,
-                       RunStats* stats,
-                       const std::function<void(const exec::TupleChunk&)>&
-                           sink = nullptr);
+/// Runs the templated query inline on the calling thread — one plan
+/// instance over the full position space, whatever config.num_workers
+/// says — and fills `stats` with its RunStats. `sink` (optional) receives
+/// every output chunk in the serial executor's order; for aggregations,
+/// exactly one chunk of final groups. A failing run may have passed chunks
+/// to the sink before the error.
+Status ExecuteInline(const PlanTemplate& tmpl, storage::BufferPool* pool,
+                     RunStats* stats,
+                     const std::function<void(const exec::TupleChunk&)>&
+                         sink = nullptr);
 
 }  // namespace plan
 }  // namespace cstore

@@ -126,7 +126,7 @@ Result<exec::TupleOp*> BuildEarlyTupleStream(const SelectionQuery& query,
   for (uint32_t c = 1; c < query.columns.size(); ++c) {
     stream = plan->Own(std::make_unique<exec::DS4ScanMerge>(
         stream, query.columns[c].reader, query.columns[c].pred,
-        &plan->stats()));
+        &plan->stats(), config.scan_range));
   }
   return stream;
 }

@@ -84,18 +84,20 @@ struct PlanConfig {
   bool use_sorted_index = true;
 
   // --- Morsel-driven parallel execution -----------------------------------
-  // Worker threads used by ExecuteParallel. 1 runs the classic serial pull
-  // loop (bit-identical to the pre-parallel executor). Values > 1 split
-  // the scan — for joins, the outer probe side, behind a serial hash-build
-  // task — into morsels executed by a pool of threads; result *bags*
-  // (output_tuples, checksum, aggregate groups) are identical for every
-  // worker count, but selection chunk order is not.
+  // Worker count of a standalone api::Connection's run of this plan: 1
+  // runs a synchronous query inline on the caller's thread (the classic
+  // serial pull loop); values > 1 run it on the session's pool of that
+  // width, whose workers split the scan — for joins, the outer probe side,
+  // after a build phase — into morsels. Result *bags* (output_tuples,
+  // checksum, aggregate groups) are identical for every worker count, but
+  // selection chunk order is not. A shared sched::Scheduler ignores it:
+  // its own width decides.
   int num_workers = 1;
   // Positions per morsel; rounded up to a multiple of kChunkPositions so
   // worker-local chunk windows coincide with the serial executor's.
   Position morsel_positions = exec::kDefaultMorselPositions;
-  // Scan restriction [begin, end) used internally by the parallel executor
-  // to hand one morsel to one plan instance. `begin` must be
+  // Scan restriction [begin, end) used internally by the scheduler to hand
+  // one morsel to one plan instance. `begin` must be
   // kChunkPositions-aligned; the default covers the whole column.
   position::Range scan_range = exec::kFullScanRange;
   // Radix partitioning of the join hash build on the scheduler pool:

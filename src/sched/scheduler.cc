@@ -19,26 +19,6 @@
 namespace cstore {
 namespace sched {
 
-const char* DispatchPolicyName(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kWeightedRoundRobin:
-      return "rr";
-    case DispatchPolicy::kFifoPriority:
-      return "fifo";
-    case DispatchPolicy::kShortestRemaining:
-      return "srw";
-  }
-  return "?";
-}
-
-Result<DispatchPolicy> ParseDispatchPolicy(const std::string& name) {
-  if (name == "rr") return DispatchPolicy::kWeightedRoundRobin;
-  if (name == "fifo") return DispatchPolicy::kFifoPriority;
-  if (name == "srw") return DispatchPolicy::kShortestRemaining;
-  return Status::InvalidArgument("unknown dispatch policy '" + name +
-                                 "' (rr|fifo|srw)");
-}
-
 namespace {
 
 /// Hot-path metric pointers, resolved once per process (stable for the
@@ -198,7 +178,6 @@ struct QueryState {
   // after every worker completed) recorded into system.query_log.
   uint64_t query_id = 0;
   std::string label;
-  bool record_query_log = true;
   std::shared_ptr<obs::LiveQuery> live;
   uint64_t queue_wait_us = 0;
 
@@ -252,20 +231,9 @@ int ResolveWorkers(int requested) {
 Scheduler::Scheduler() : Scheduler(Options{}) {}
 
 Scheduler::Scheduler(Options options)
-    : num_workers_(ResolveWorkers(options.num_workers)),
-      dispatch_(options.dispatch) {
+    : num_workers_(ResolveWorkers(options.num_workers)) {
   pool_ = std::make_unique<WorkerPool>(
       num_workers_, [this](int id) { WorkerLoop(id); });
-}
-
-void Scheduler::set_dispatch_policy(DispatchPolicy policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dispatch_ = policy;
-}
-
-DispatchPolicy Scheduler::dispatch_policy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dispatch_;
 }
 
 Scheduler::~Scheduler() {
@@ -275,13 +243,6 @@ Scheduler::~Scheduler() {
   }
   cv_.notify_all();
   pool_.reset();  // joins; workers drain all remaining queries first
-}
-
-Scheduler* Scheduler::Default() {
-  // Intentionally leaked: worker threads must outlive every static-duration
-  // ticket holder, and there is no safe destruction order at process exit.
-  static Scheduler* shared = new Scheduler(Options{});
-  return shared;
 }
 
 QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
@@ -312,10 +273,7 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
     // task, no build phase.
     q->single_task = true;
   } else {
-    Position morsel = q->tmpl.config.morsel_positions;
-    if (morsel == exec::kDefaultMorselPositions) {
-      morsel = exec::AutoMorselPositions(total, num_workers_);
-    }
+    const Position morsel = q->tmpl.MorselPositions(num_workers_);
     q->source = std::make_unique<exec::MorselSource>(total, morsel);
     q->needs_build = q->tmpl.NeedsBuildPhase();
     uint64_t build_tasks = 0;
@@ -333,7 +291,6 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
   q->label = options.label.empty()
                  ? std::string("plan:") + PlanKindName(q->tmpl.kind)
                  : std::move(options.label);
-  q->record_query_log = options.record_query_log;
   q->live = RegisterLive(q->query_id, q->label, q->priority, morsels_total);
   SchedMetrics& m = SchedMetrics::Get();
   m.queries_total->Inc();
@@ -424,84 +381,7 @@ Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
   return Claim::kClaimed;
 }
 
-Scheduler::Claim Scheduler::PeekClaimLocked(
-    const internal::QueryState* q) const {
-  if (q->single_task) {
-    return (q->single_claimed || !q->error.ok()) ? Claim::kExhausted
-                                                 : Claim::kClaimed;
-  }
-  if (q->needs_build && !q->build_done) {
-    if (!q->error.ok()) return Claim::kExhausted;
-    return q->build_next_task >= q->build_stage_tasks ? Claim::kWaiting
-                                                      : Claim::kClaimed;
-  }
-  return q->source->Exhausted() ? Claim::kExhausted : Claim::kClaimed;
-}
-
-namespace {
-
-/// Remaining-work estimate for shortest-remaining dispatch: morsels not yet
-/// started, from the live registry's progress counters (the same numbers
-/// system.queries shows). Relaxed read — an off-by-a-morsel estimate only
-/// perturbs ordering, never correctness.
-uint64_t RemainingMorsels(const QueryState* q) {
-  const uint64_t total = q->live->morsels_total;
-  const uint64_t done = q->live->morsels_done.load(std::memory_order_relaxed);
-  return total > done ? total - done : 0;
-}
-
-}  // namespace
-
 bool Scheduler::TryClaimLocked(Task* out) {
-  if (dispatch_ == DispatchPolicy::kWeightedRoundRobin) {
-    return TryClaimRoundRobinLocked(out);
-  }
-  // Policy scan, two passes over the submit-ordered rotation. First prune:
-  // drop every query that will never offer work again (the round-robin
-  // loop does this inline; the scan must too, or finished queries with
-  // in-flight morsels would pin the rotation).
-  bool pruned = false;
-  for (size_t i = 0; i < active_.size();) {
-    if (PeekClaimLocked(active_[i].get()) == Claim::kExhausted) {
-      active_.erase(active_.begin() + i);
-      pruned = true;
-    } else {
-      ++i;
-    }
-  }
-  if (pruned) {
-    SchedMetrics::Get().queue_depth->Set(static_cast<int64_t>(active_.size()));
-    rr_ = 0;  // keep the cursor valid for a later policy switch back to RR
-    credits_ = 0;
-  }
-  // Then select the policy's best claimable candidate. active_ is
-  // submit-ordered and `best` only moves on a strict improvement, so ties
-  // go to the oldest submission — FIFO within a priority level, and a
-  // stable tie-break for equal remaining work.
-  size_t best = active_.size();
-  for (size_t i = 0; i < active_.size(); ++i) {
-    const QueryState* q = active_[i].get();
-    if (PeekClaimLocked(q) != Claim::kClaimed) continue;  // build in flight
-    if (best == active_.size()) {
-      best = i;
-      continue;
-    }
-    const QueryState* b = active_[best].get();
-    if (dispatch_ == DispatchPolicy::kFifoPriority) {
-      if (q->priority > b->priority) best = i;
-    } else {  // kShortestRemaining
-      if (RemainingMorsels(q) < RemainingMorsels(b)) best = i;
-    }
-  }
-  if (best == active_.size()) return false;  // all waiting (or empty)
-  if (ClaimFromLocked(active_[best].get(), out) != Claim::kClaimed) {
-    return false;  // unreachable by peek's contract; retry on next wake
-  }
-  out->query = active_[best];
-  return true;
-}
-
-bool Scheduler::TryClaimRoundRobinLocked(Task* out) {
   // One skip per build-blocked query: when a full pass yields only waiting
   // queries there is nothing runnable until a build completes (its worker
   // notifies), so the caller sleeps instead of spinning.
@@ -815,41 +695,11 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
         static_cast<uint64_t>(result.stats.wall_micros));
   }
   obs::LiveQueryRegistry::Global().Unregister(q->query_id);
-  if (q->record_query_log) {
-    // One row per finished query into the always-on log, carrying exactly
-    // the RunStats this finalize publishes on the ticket.
-    obs::QueryLogEntry e;
-    e.query_id = q->query_id;
-    e.label = q->label;
-    e.strategy = q->job ? "job"
-                 : q->tmpl.kind == plan::PlanTemplate::Kind::kJoin ? "join"
-                 : q->tmpl.kind == plan::PlanTemplate::Kind::kSort
-                     ? "sort"
-                     : plan::StrategyName(q->tmpl.strategy);
-    e.status = result.status.ok()          ? "ok"
-               : result.status.IsCancelled() ? "cancelled"
-                                             : "error";
-    e.workers = num_workers_;
-    e.priority = q->priority;
-    const uint64_t total_us =
-        static_cast<uint64_t>(result.stats.wall_micros);
-    e.queue_wait_usec = queue_wait_us;
-    e.exec_usec = total_us >= queue_wait_us ? total_us - queue_wait_us : 0;
-    e.total_usec = total_us;
-    e.rows_out = result.stats.output_tuples;
-    e.cache_hits = result.stats.io.cache_hits;
-    e.physical_reads = result.stats.io.physical_reads;
-    e.bytes_read = (result.stats.io.cache_hits +
-                    result.stats.io.physical_reads) *
-                   kPageSize;
-    e.pool_lock_acquisitions = result.stats.io.pool_lock_acquisitions;
-    e.pool_lock_contended = result.stats.io.pool_lock_contended;
-    e.pool_lock_wait_ns = result.stats.io.pool_lock_wait_ns;
-    e.chunk_pool_acquires = result.stats.exec.chunk_pool_acquires;
-    e.chunk_pool_reuses = result.stats.exec.chunk_pool_reuses;
-    e.chunk_pool_allocs = result.stats.exec.chunk_pool_allocs;
-    obs::QueryLog::Global().Record(std::move(e));
-  }
+  // One row per finished query into the always-on log, carrying exactly
+  // the RunStats this finalize publishes on the ticket.
+  RecordQueryLog(q->query_id, q->label, q->job ? nullptr : &q->tmpl,
+                 result.status, num_workers_, q->priority, queue_wait_us,
+                 result.stats);
   {
     std::lock_guard<std::mutex> lock(q->done_mu);
     q->result = std::move(result);
@@ -857,6 +707,44 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   }
   q->done_cv.notify_all();
   if (q->on_complete) q->on_complete();
+}
+
+void RecordQueryLog(uint64_t query_id, const std::string& label,
+                    const plan::PlanTemplate* tmpl, const Status& status,
+                    int workers, int priority, uint64_t queue_wait_usec,
+                    const plan::RunStats& stats) {
+  obs::QueryLog& log = obs::QueryLog::Global();
+  if (!log.enabled()) return;
+  obs::QueryLogEntry e;
+  e.query_id = query_id;
+  e.label = label.empty() && tmpl != nullptr
+                ? std::string("plan:") + PlanKindName(tmpl->kind)
+                : label;
+  e.strategy = tmpl == nullptr                              ? "job"
+               : tmpl->kind == plan::PlanTemplate::Kind::kJoin ? "join"
+               : tmpl->kind == plan::PlanTemplate::Kind::kSort
+                   ? "sort"
+                   : plan::StrategyName(tmpl->strategy);
+  e.status = status.ok()            ? "ok"
+             : status.IsCancelled() ? "cancelled"
+                                    : "error";
+  e.workers = workers;
+  e.priority = priority;
+  e.total_usec = static_cast<uint64_t>(stats.wall_micros);
+  e.queue_wait_usec = queue_wait_usec;
+  e.exec_usec =
+      e.total_usec >= queue_wait_usec ? e.total_usec - queue_wait_usec : 0;
+  e.rows_out = stats.output_tuples;
+  e.cache_hits = stats.io.cache_hits;
+  e.physical_reads = stats.io.physical_reads;
+  e.bytes_read = (e.cache_hits + e.physical_reads) * kPageSize;
+  e.pool_lock_acquisitions = stats.io.pool_lock_acquisitions;
+  e.pool_lock_contended = stats.io.pool_lock_contended;
+  e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
+  e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
+  e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
+  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
+  log.Record(std::move(e));
 }
 
 void EnsureSchedMetricsRegistered() { SchedMetrics::Get(); }

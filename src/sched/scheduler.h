@@ -1,11 +1,10 @@
 // Shared-pool query scheduler: many concurrent queries, one worker pool.
 //
-// PR 1's ExecuteParallel parallelized a single query — N threads drain one
-// query's morsels, then return. Under the north star's heavy-traffic
-// workload that shape serializes *queries*: a mixed batch runs back-to-back
-// even though its selections, aggregations, and joins (each with its own
-// best materialization strategy) could share the machine. The Scheduler
-// fixes that:
+// Every multi-worker query runs on a Scheduler: a server's or application's
+// shared pool, or one of a standalone api::Connection's long-lived session
+// pools. Without it, a mixed batch would run back-to-back even though its
+// selections, aggregations, and joins (each with its own best
+// materialization strategy) could share the machine:
 //
 //   * Submit(PlanTemplate) enqueues a query and immediately returns a
 //     QueryTicket — a waitable handle resolving to the query's ExecResult
@@ -20,13 +19,13 @@
 //     are dispatched like morsels (claimed by any worker, concurrently),
 //     a barrier separates consecutive stages, and after the last stage the
 //     finishing worker merges/publishes the product; only then do the
-//     query's probe morsels become runnable. The PR-5 serial build is the
+//     query's probe morsels become runnable. The serial build is the
 //     one-stage/one-task special case. Sorts invert the shape: every
 //     morsel forms a sorted run, and finalization k-way merges the runs.
 //     While one query's phase tasks are exhausted-but-incomplete the
 //     rotation simply skips it — other queries' morsels keep the pool
 //     busy, so barriers cost the query latency, never the pool throughput.
-//   * Results merge exactly as in the single-query executor: per-(query,
+//   * Results merge exactly as in the inline executor: per-(query,
 //     worker) partials — checksum, tuple counts, ExecStats, aggregation
 //     accumulators, buffered output chunks — are combined once when the
 //     query's last morsel completes. No lock is taken on the output path
@@ -50,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "plan/parallel.h"
@@ -65,33 +65,6 @@ struct ExecResult {
   Status status;
   plan::RunStats stats;
 };
-
-/// How workers pick the next query to take a morsel from. All policies
-/// claim at morsel granularity and produce bit-identical per-query results
-/// (they reorder work, never drop or duplicate it); they differ only in
-/// whose morsel runs next:
-///
-///   kWeightedRoundRobin — the default since PR 2: fair interleaving, a
-///       query with priority p takes p consecutive morsels per rotation.
-///   kFifoPriority — strict priority, FIFO within a priority level: the
-///       oldest submitted query of the highest claimable priority runs to
-///       the next morsel boundary. Minimizes high-priority latency;
-///       starvation of low priorities is possible under saturation (the
-///       server's admission control bounds how long that can last).
-///   kShortestRemaining — shortest-remaining-work-first: the query with the
-///       fewest unstarted+unfinished morsels (live registry progress:
-///       morsels_total − morsels_done) goes first, ties to the oldest.
-///       Approximates SJF at morsel granularity, cutting mean latency when
-///       short interactive queries share the pool with long scans.
-enum class DispatchPolicy {
-  kWeightedRoundRobin,
-  kFifoPriority,
-  kShortestRemaining,
-};
-
-const char* DispatchPolicyName(DispatchPolicy policy);
-/// Parses "rr" | "fifo" | "srw" (the --dispatch flag spellings).
-Result<DispatchPolicy> ParseDispatchPolicy(const std::string& name);
 
 namespace internal {
 struct QueryState;
@@ -127,8 +100,6 @@ class Scheduler {
   struct Options {
     // Worker threads in the pool. 0 = hardware concurrency.
     int num_workers = 0;
-    // Initial dispatch policy; switchable at runtime (set_dispatch_policy).
-    DispatchPolicy dispatch = DispatchPolicy::kWeightedRoundRobin;
   };
 
   /// Receives every output chunk of one query, invoked sequentially (no
@@ -160,10 +131,6 @@ class Scheduler {
     // Human-readable identity of the query in system.queries /
     // system.query_log: SQL text for SQL paths, "plan:<kind>" otherwise.
     std::string label;
-    // The standalone execution path runs multi-worker plans on an
-    // ephemeral pool and records its own query-log row (with the caller's
-    // label); it sets this false so the query isn't logged twice.
-    bool record_query_log = true;
   };
 
   Scheduler();  // Options() — hardware-sized pool
@@ -199,17 +166,6 @@ class Scheduler {
 
   int num_workers() const { return num_workers_; }
 
-  /// Switches the dispatch policy at runtime (the server's latency knob).
-  /// Takes effect on the next claim; morsels already running finish where
-  /// they are. Safe to call concurrently with submissions.
-  void set_dispatch_policy(DispatchPolicy policy);
-  DispatchPolicy dispatch_policy() const;
-
-  /// Process-wide shared instance sized to the hardware (created on first
-  /// use, never destroyed). The default pool for callers that don't manage
-  /// their own scheduler lifetime, e.g. Engine::SubmitAll(nullptr).
-  static Scheduler* Default();
-
  private:
   struct Task {
     std::shared_ptr<internal::QueryState> query;
@@ -230,18 +186,11 @@ class Scheduler {
   };
 
   void WorkerLoop(int worker_id);
-  /// Claims the next task under the current dispatch policy. Removes
-  /// exhausted queries from the rotation; queries waiting on their build
-  /// barrier are skipped but stay. Caller holds mu_.
+  /// Claims the next task in weighted round-robin order. Removes exhausted
+  /// queries from the rotation; queries waiting on their build barrier are
+  /// skipped but stay. Caller holds mu_.
   bool TryClaimLocked(Task* out);
-  /// The round-robin claim loop (the kWeightedRoundRobin body of
-  /// TryClaimLocked). Caller holds mu_.
-  bool TryClaimRoundRobinLocked(Task* out);
   Claim ClaimFromLocked(internal::QueryState* q, Task* out);
-  /// Non-mutating twin of ClaimFromLocked: what would that call return?
-  /// The policy scan uses it to rank candidates without burning claim
-  /// state. Caller holds mu_.
-  Claim PeekClaimLocked(const internal::QueryState* q) const;
   /// Executes one morsel into the worker's partial. Lock-free.
   void RunTask(int worker_id, const Task& task);
   /// Runs the build pipeline's Finish (merge/publish) step off-lock, after
@@ -256,9 +205,8 @@ class Scheduler {
 
   const int num_workers_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  DispatchPolicy dispatch_;  // guarded by mu_
   // Submit-ordered rotation of queries that still have unclaimed morsels.
   std::vector<std::shared_ptr<internal::QueryState>> active_;
   size_t rr_ = 0;      // rotation cursor into active_
@@ -269,6 +217,16 @@ class Scheduler {
   // everything above, so the pool must be destroyed (joined) first.
   std::unique_ptr<WorkerPool> pool_;
 };
+
+/// Appends one finished query's row to obs::QueryLog::Global(): the one
+/// mapping from RunStats to a system.query_log entry, shared by scheduler
+/// finalization and a standalone session's inline runs. `tmpl` is null for
+/// background jobs; an empty `label` becomes "plan:<kind>". The exec time
+/// logged is stats.wall_micros minus `queue_wait_usec`.
+void RecordQueryLog(uint64_t query_id, const std::string& label,
+                    const plan::PlanTemplate* tmpl, const Status& status,
+                    int workers, int priority, uint64_t queue_wait_usec,
+                    const plan::RunStats& stats);
 
 /// Registers the scheduler's metric families (queue depth, latency
 /// histograms, ...) without creating a pool. system.metrics calls this so

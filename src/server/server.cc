@@ -49,12 +49,7 @@ std::string ParamOr(const HttpRequest& req, const std::string& name,
 Server::Server(db::Database* db, Options options)
     : db_(db),
       options_(options),
-      scheduler_([&] {
-        sched::Scheduler::Options s;
-        s.num_workers = options.pool_workers;
-        s.dispatch = options.dispatch;
-        return s;
-      }()),
+      scheduler_(sched::Scheduler::Options{options.pool_workers}),
       admission_(options.admission, &output_bytes_) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   requests_total_ = reg.GetCounter("cstore_server_requests_total",

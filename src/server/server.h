@@ -24,9 +24,9 @@
 //
 // Admission control (admission.h) runs before any statement is parsed:
 // requests shed with HTTP 503 + Retry-After once the engine passes the
-// in-flight or buffered-output caps for their priority class. The
-// dispatch policy knob (sched::DispatchPolicy) selects how the shared
-// pool orders work under that load.
+// in-flight or buffered-output caps for their priority class. The shared
+// pool interleaves admitted queries in weighted round-robin order, a
+// request's priority class setting its weight.
 
 #ifndef CSTORE_SERVER_SERVER_H_
 #define CSTORE_SERVER_SERVER_H_
@@ -64,9 +64,6 @@ class Server {
     int port = 0;
     // Shared scheduler pool width; 0 = hardware concurrency.
     int pool_workers = 0;
-    // How the pool orders morsels across concurrent clients.
-    sched::DispatchPolicy dispatch =
-        sched::DispatchPolicy::kWeightedRoundRobin;
     AdmissionController::Options admission;
     // Per-session RowCursor depth (see Connection::Settings).
     size_t stream_queue_chunks = 4;

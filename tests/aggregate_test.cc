@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "exec/aggregate.h"
 #include "test_util.h"
@@ -127,8 +128,10 @@ TEST_F(AggPlanTest, RunZipAgreesWithGeneralPath) {
     plain_q.selection.columns[0].reader = g_pl;
     plain_q.selection.columns[1].reader = v_pl;
 
-    auto zip = db_->RunAgg(rle_q, Strategy::kLmParallel);
-    auto gen = db_->RunAgg(plain_q, Strategy::kLmParallel);
+    auto zip = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Agg(rle_q, Strategy::kLmParallel));
+    auto gen = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Agg(plain_q, Strategy::kLmParallel));
     ASSERT_TRUE(zip.ok() && gen.ok());
     ASSERT_EQ(zip->tuples.num_tuples(), gen->tuples.num_tuples())
         << AggFuncName(func);
@@ -166,7 +169,7 @@ TEST_F(AggPlanTest, GlobalAggregationAllStrategies) {
   q.func = AggFunc::kSum;
 
   for (Strategy s : plan::kAllStrategies) {
-    auto r = db_->RunAgg(q, s);
+    auto r = api::Connection(db_.get()).Query(plan::PlanTemplate::Agg(q, s));
     ASSERT_TRUE(r.ok()) << StrategyName(s) << ": "
                         << r.status().ToString();
     ASSERT_EQ(r->tuples.num_tuples(), 1u) << StrategyName(s);
@@ -174,7 +177,8 @@ TEST_F(AggPlanTest, GlobalAggregationAllStrategies) {
   }
 
   q.func = AggFunc::kCount;
-  auto r = db_->RunAgg(q, Strategy::kLmParallel);
+  auto r = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Agg(q, Strategy::kLmParallel));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->tuples.value(0, 1), static_cast<Value>(count));
 }
@@ -195,10 +199,12 @@ TEST_F(AggPlanTest, GlobalRleFastPathAgreesWithPlain) {
   q.agg_index = 0;
   q.global = true;
   q.func = AggFunc::kSum;
-  auto rle_r = db_->RunAgg(q, Strategy::kLmParallel);
+  auto rle_r = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Agg(q, Strategy::kLmParallel));
 
   q.selection.columns[0].reader = v_pl;
-  auto pl_r = db_->RunAgg(q, Strategy::kLmParallel);
+  auto pl_r = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Agg(q, Strategy::kLmParallel));
   ASSERT_TRUE(rle_r.ok() && pl_r.ok());
   EXPECT_EQ(rle_r->tuples.value(0, 1), pl_r->tuples.value(0, 1));
 }
@@ -223,7 +229,7 @@ TEST_F(AggPlanTest, AggregationOverEveryEncodingAgrees) {
     q.selection.columns.push_back({rv, Predicate::LessThan(6)});
     q.func = AggFunc::kSum;
     for (Strategy s : {Strategy::kEmParallel, Strategy::kLmParallel}) {
-      auto r = db_->RunAgg(q, s);
+      auto r = api::Connection(db_.get()).Query(plan::PlanTemplate::Agg(q, s));
       ASSERT_TRUE(r.ok()) << codec::EncodingName(enc);
       ASSERT_EQ(r->tuples.num_tuples(), expected.size())
           << codec::EncodingName(enc) << " " << StrategyName(s);
@@ -247,7 +253,7 @@ TEST_F(AggPlanTest, EmptyInputProducesNoGroups) {
   q.selection.columns.push_back({rg, Predicate::LessThan(-100)});
   q.selection.columns.push_back({rv, Predicate::True()});
   for (Strategy s : plan::kAllStrategies) {
-    auto r = db_->RunAgg(q, s);
+    auto r = api::Connection(db_.get()).Query(plan::PlanTemplate::Agg(q, s));
     ASSERT_TRUE(r.ok()) << StrategyName(s);
     EXPECT_EQ(r->tuples.num_tuples(), 0u) << StrategyName(s);
   }

@@ -2,10 +2,10 @@
 // PreparedStatement with `?` parameters (including re-execution across a
 // concurrent compaction), RowCursor backpressure and cancellation, the
 // UPDATE statement end to end, the join-side snapshot merge, EXPLAIN with
-// `?` parameters, the non-blocking cursor poll (TryNext), and equivalence
-// with the legacy wrappers (db::Database::Run*, sql::Engine) — which must
-// stay bit-identical to the api:: paths they now delegate to.
+// `?` parameters, the non-blocking cursor poll (TryNext), and the
+// standalone routing: inline at 1 worker, long-lived session pools above.
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <map>
@@ -20,7 +20,6 @@
 #include "db/database.h"
 #include "obs/query_log.h"
 #include "plan/executor.h"
-#include "sql/engine.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -79,9 +78,9 @@ class ApiTest : public ::testing::Test {
 
 // --- Connection: sync / async / typed equivalence ---------------------------
 
-TEST_F(ApiTest, QueryMatchesEngineExecute) {
+TEST_F(ApiTest, QueryMatchesSecondSession) {
   api::Connection conn(db_.get());
-  sql::Engine engine(db_.get());
+  api::Connection other(db_.get());
   const char* statements[] = {
       "SELECT a, b FROM t WHERE a < 100 AND b < 6",
       "SELECT b FROM t WHERE a < 50",
@@ -94,17 +93,17 @@ TEST_F(ApiTest, QueryMatchesEngineExecute) {
     // calibrates its own cost model by timing real loops), but the result
     // bags must be identical regardless.
     ASSERT_OK_AND_ASSIGN(api::QueryResult via_conn, conn.Query(sql));
-    ASSERT_OK_AND_ASSIGN(sql::SqlResult via_engine, engine.Execute(sql));
-    EXPECT_EQ(via_conn.column_names, via_engine.column_names) << sql;
-    EXPECT_EQ(via_conn.tuples.num_tuples(), via_engine.tuples.num_tuples())
+    ASSERT_OK_AND_ASSIGN(api::QueryResult via_other, other.Query(sql));
+    EXPECT_EQ(via_conn.column_names, via_other.column_names) << sql;
+    EXPECT_EQ(via_conn.tuples.num_tuples(), via_other.tuples.num_tuples())
         << sql;
-    EXPECT_EQ(via_conn.stats.checksum, via_engine.stats.checksum) << sql;
-    // With an explicit strategy the two surfaces must agree exactly.
+    EXPECT_EQ(via_conn.stats.checksum, via_other.stats.checksum) << sql;
+    // With an explicit strategy the two sessions must agree exactly.
     ASSERT_OK_AND_ASSIGN(
         api::QueryResult c2,
         conn.Query(sql, plan::Strategy::kLmParallel));
-    ASSERT_OK_AND_ASSIGN(sql::SqlResult e2,
-                         engine.Execute(sql, plan::Strategy::kLmParallel));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult e2,
+                         other.Query(sql, plan::Strategy::kLmParallel));
     EXPECT_EQ(c2.strategy, e2.strategy) << sql;
     EXPECT_EQ(c2.stats.checksum, e2.stats.checksum) << sql;
   }
@@ -146,7 +145,137 @@ TEST_F(ApiTest, PooledConnectionRunsOnSharedScheduler) {
   EXPECT_EQ(p.tuples.num_tuples(), s.tuples.num_tuples());
 }
 
-TEST_F(ApiTest, TypedTemplateMatchesLegacyRun) {
+// --- Standalone routing: inline at 1 worker, session pools above ----------
+
+/// The rows of `r` as a sorted bag.
+std::vector<std::vector<Value>> Bag(const api::QueryResult& r) {
+  std::vector<std::vector<Value>> rows;
+  for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+    rows.emplace_back(r.tuples.tuple(i), r.tuples.tuple(i) + r.tuples.width());
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Worker count the query log recorded for the latest run of `label`.
+int LoggedWorkers(const std::string& label) {
+  int workers = 0;
+  for (const obs::QueryLogEntry& e : obs::QueryLog::Global().Snapshot()) {
+    if (e.label == label) workers = e.workers;
+  }
+  return workers;
+}
+
+TEST_F(ApiTest, TwoWorkerSessionMatchesOneWorker) {
+  // Several chunk windows, so a 2-worker run splits into several morsels
+  // and goes to the session pool.
+  const size_t n = 5 * kChunkPositions;
+  std::vector<Value> k(n), v(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<Value>(i % 1000);
+    v[i] = static_cast<Value>(i % 7);
+  }
+  ASSERT_OK(db_->CreateColumn("w.k", codec::Encoding::kUncompressed, k));
+  ASSERT_OK(db_->CreateColumn("w.v", codec::Encoding::kUncompressed, v));
+  ASSERT_OK(db_->RegisterTable("w", {{"k", "w.k"}, {"v", "w.v"}}));
+
+  api::Connection one(db_.get());
+  api::Connection::Settings settings;
+  settings.num_workers = 2;
+  api::Connection two(db_.get(), nullptr, settings);
+  two.ShareCostCache(one);
+
+  const char* statements[] = {
+      "SELECT k, v FROM w WHERE k < 40 AND v < 3",
+      "SELECT v, SUM(k) FROM w WHERE k < 500 GROUP BY v",
+      "SELECT k, v FROM w WHERE v = 2 ORDER BY k DESC LIMIT 100",
+  };
+  for (const char* sql : statements) {
+    ASSERT_OK_AND_ASSIGN(api::QueryResult want, one.Query(sql));
+    EXPECT_EQ(LoggedWorkers(sql), 1) << sql;
+    ASSERT_GT(want.tuples.num_tuples(), 0u) << sql;
+    ASSERT_OK_AND_ASSIGN(api::QueryResult query, two.Query(sql));
+    EXPECT_EQ(LoggedWorkers(sql), 2) << sql << ": not on the session pool";
+    EXPECT_EQ(Bag(query), Bag(want)) << sql;
+    EXPECT_EQ(query.stats.checksum, want.stats.checksum) << sql;
+    ASSERT_OK_AND_ASSIGN(api::QueryResult submitted, two.Submit(sql).Wait());
+    EXPECT_EQ(Bag(submitted), Bag(want)) << sql;
+    EXPECT_EQ(submitted.column_names, want.column_names) << sql;
+  }
+
+  const char* param_sql = "SELECT k, v FROM w WHERE k < ? AND v < ?";
+  ASSERT_OK_AND_ASSIGN(api::PreparedStatement p1, one.Prepare(param_sql));
+  ASSERT_OK_AND_ASSIGN(api::PreparedStatement p2, two.Prepare(param_sql));
+  for (Value klim : {Value{10}, Value{600}}) {
+    ASSERT_OK_AND_ASSIGN(api::QueryResult want, p1.Execute({klim, 5}));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult got, p2.Execute({klim, 5}));
+    EXPECT_EQ(Bag(got), Bag(want)) << "k < " << klim;
+  }
+
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rk, db_->GetColumn("w.k"));
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rv, db_->GetColumn("w.v"));
+  plan::SelectionQuery q;
+  q.columns.push_back({rk, codec::Predicate::LessThan(30)});
+  q.columns.push_back({rv, codec::Predicate::LessThan(4)});
+  for (plan::Strategy s : plan::kAllStrategies) {
+    plan::PlanConfig config;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult want,
+        one.Query(plan::PlanTemplate::Selection(q, s, config)));
+    config.num_workers = 2;
+    const plan::PlanTemplate tmpl = plan::PlanTemplate::Selection(q, s, config);
+    ASSERT_OK_AND_ASSIGN(api::QueryResult query, two.Query(tmpl));
+    EXPECT_EQ(Bag(query), Bag(want)) << plan::StrategyName(s);
+    ASSERT_OK_AND_ASSIGN(api::QueryResult submitted,
+                         two.Submit(tmpl).Wait());
+    EXPECT_EQ(Bag(submitted), Bag(want)) << plan::StrategyName(s);
+  }
+}
+
+TEST_F(ApiTest, PendingResultOutlivesStandaloneSession) {
+  MakeBigTable();
+  const char* sql = "SELECT x FROM big WHERE x < 10";
+  api::Connection::Settings settings;
+  settings.num_workers = 2;
+  api::PendingResult pending;
+  api::QueryResult want;
+  {
+    api::Connection conn(db_.get(), nullptr, settings);
+    ASSERT_OK_AND_ASSIGN(want, conn.Query(sql));
+    pending = conn.Submit(sql);
+  }  // the session and its pools are gone
+  ASSERT_OK_AND_ASSIGN(api::QueryResult got, pending.Wait());
+  EXPECT_EQ(got.tuples.num_tuples(), want.tuples.num_tuples());
+  EXPECT_EQ(got.stats.checksum, want.stats.checksum);
+}
+
+TEST_F(ApiTest, UndrainedCursorLeavesSessionPoolFree) {
+  // Streams run on their own pool: a session holding a cursor whose
+  // producers are parked on a full queue can still run statements.
+  const size_t n = MakeBigTable();
+  api::Connection::Settings settings;
+  settings.num_workers = 2;
+  settings.stream_queue_chunks = 1;  // the producers WILL block
+  api::Connection conn(db_.get(), nullptr, settings);
+  ASSERT_OK_AND_ASSIGN(api::RowCursor cursor,
+                       conn.Stream("SELECT x FROM big"));
+  exec::TupleChunk chunk;
+  ASSERT_OK_AND_ASSIGN(bool has, cursor.Next(&chunk));
+  ASSERT_TRUE(has);
+  uint64_t streamed = chunk.num_tuples();
+
+  const char* sql = "SELECT x FROM big WHERE x < 10";
+  ASSERT_OK_AND_ASSIGN(api::QueryResult query, conn.Query(sql));
+  EXPECT_EQ(query.tuples.num_tuples(), n / 100);
+  ASSERT_OK_AND_ASSIGN(api::QueryResult submitted, conn.Submit(sql).Wait());
+  EXPECT_EQ(submitted.stats.checksum, query.stats.checksum);
+
+  ASSERT_OK_AND_ASSIGN(api::QueryResult rest, cursor.FetchAll());
+  streamed += rest.tuples.num_tuples();
+  EXPECT_EQ(streamed, n);
+}
+
+TEST_F(ApiTest, TypedTemplateMatchesFreshSession) {
   api::Connection conn(db_.get());
   ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* ra, db_->GetColumn("t.a"));
   ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rb, db_->GetColumn("t.b"));
@@ -156,7 +285,9 @@ TEST_F(ApiTest, TypedTemplateMatchesLegacyRun) {
   for (plan::Strategy s : plan::kAllStrategies) {
     ASSERT_OK_AND_ASSIGN(api::QueryResult via_api,
                          conn.Query(plan::PlanTemplate::Selection(q, s)));
-    ASSERT_OK_AND_ASSIGN(api::QueryResult via_db, db_->RunSelection(q, s));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult via_db,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Selection(q, s)));
     EXPECT_EQ(via_api.stats.checksum, via_db.stats.checksum);
     EXPECT_EQ(via_api.tuples.num_tuples(), via_db.tuples.num_tuples());
   }
@@ -319,7 +450,7 @@ TEST_F(ApiTest, DroppedCursorUnregistersAndLogsCancelled) {
 
 TEST_F(ApiTest, PreparedMatchesUnpreparedAcrossParams) {
   api::Connection conn(db_.get());
-  sql::Engine engine(db_.get());
+  api::Connection other(db_.get());
   ASSERT_OK_AND_ASSIGN(
       api::PreparedStatement prepared,
       conn.Prepare("SELECT a, b FROM t WHERE a < ? AND b < ?"));
@@ -333,7 +464,7 @@ TEST_F(ApiTest, PreparedMatchesUnpreparedAcrossParams) {
       std::string sql = "SELECT a, b FROM t WHERE a < " +
                         std::to_string(alim) + " AND b < " +
                         std::to_string(blim);
-      ASSERT_OK_AND_ASSIGN(sql::SqlResult u, engine.Execute(sql));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult u, other.Query(sql));
       EXPECT_EQ(p.tuples.num_tuples(), u.tuples.num_tuples()) << sql;
       EXPECT_EQ(p.stats.checksum, u.stats.checksum) << sql;
       EXPECT_EQ(p.tuples.num_tuples(), CountRef(alim, blim)) << sql;
@@ -420,9 +551,9 @@ TEST_F(ApiTest, PreparedAcrossConcurrentCompaction) {
   ASSERT_GT(deleted, 0u);
 
   // Ground truth from a quiesced serial run.
-  sql::Engine engine(db_.get());
+  api::Connection serial(db_.get());
   const char* sql_form = "SELECT a, b FROM t WHERE a < 250 AND b < 5";
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult truth, engine.Execute(sql_form));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult truth, serial.Query(sql_form));
 
   for (int workers : kWorkerCounts) {
     api::Connection::Settings settings;
@@ -637,9 +768,10 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
 
   // Empty snapshot: bit-identical to no snapshot at all.
   ASSERT_OK_AND_ASSIGN(join.right_snapshot, db_->SnapshotTable("customer"));
-  ASSERT_OK_AND_ASSIGN(
-      api::QueryResult clean,
-      db_->RunJoin(join, exec::JoinRightMode::kMaterialized));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult clean,
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Join(
+                               join, exec::JoinRightMode::kMaterialized)));
   EXPECT_EQ(clean.tuples.num_tuples(), o_cust.size());
 
   // UPDATE moves customer 5's row to the write-store tail (old position
@@ -658,7 +790,9 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
   for (exec::JoinRightMode mode :
        {exec::JoinRightMode::kMaterialized, exec::JoinRightMode::kMultiColumn,
         exec::JoinRightMode::kSingleColumn}) {
-    ASSERT_OK_AND_ASSIGN(api::QueryResult r, db_->RunJoin(join, mode));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Join(join, mode)));
     // One order row (custkey 4) lost its match; key 5 now maps to 99.
     EXPECT_EQ(r.tuples.num_tuples(), o_cust.size() - 1)
         << JoinRightModeName(mode);
@@ -683,8 +817,9 @@ TEST_F(ApiTest, JoinMergesInnerSnapshotWithPendingWrites) {
   // Without the snapshot the build still reads the read store alone.
   join.right_snapshot.reset();
   ASSERT_OK_AND_ASSIGN(api::QueryResult stale,
-                       db_->RunJoin(join,
-                                    exec::JoinRightMode::kMaterialized));
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Join(
+                               join, exec::JoinRightMode::kMaterialized)));
   EXPECT_EQ(stale.tuples.num_tuples(), o_cust.size());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "test_util.h"
 
@@ -41,8 +42,10 @@ TEST(DatabaseTest, CreateAndQueryColumn) {
 
   plan::SelectionQuery q;
   q.columns.push_back({reader, Predicate::LessThan(10)});
-  ASSERT_OK_AND_ASSIGN(db::QueryResult result,
-                       db->RunSelection(q, Strategy::kLmParallel));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult result,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kLmParallel)));
   EXPECT_EQ(result.stats.output_tuples,
             testing::NaiveMatches(vals, Predicate::LessThan(10)).size());
   EXPECT_EQ(result.tuples.num_tuples(), result.stats.output_tuples);
@@ -104,15 +107,24 @@ TEST(DatabaseTest, DropCachesForcesPhysicalReads) {
   plan::SelectionQuery q;
   q.columns.push_back({reader, Predicate::True()});
 
-  ASSERT_OK_AND_ASSIGN(auto r1, db->RunSelection(q, Strategy::kEmParallel));
+  ASSERT_OK_AND_ASSIGN(auto r1,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kEmParallel)));
   EXPECT_GT(r1.stats.io.physical_reads, 0u);
   // Warm: no physical reads.
-  ASSERT_OK_AND_ASSIGN(auto r2, db->RunSelection(q, Strategy::kEmParallel));
+  ASSERT_OK_AND_ASSIGN(auto r2,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kEmParallel)));
   EXPECT_EQ(r2.stats.io.physical_reads, 0u);
   EXPECT_GT(r2.stats.io.cache_hits, 0u);
   // Cold again after dropping caches.
   db->DropCaches();
-  ASSERT_OK_AND_ASSIGN(auto r3, db->RunSelection(q, Strategy::kEmParallel));
+  ASSERT_OK_AND_ASSIGN(auto r3,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kEmParallel)));
   EXPECT_EQ(r3.stats.io.physical_reads, r1.stats.io.physical_reads);
 }
 
@@ -130,7 +142,10 @@ TEST(DatabaseTest, DiskModelChargesAppearInStats) {
 
   plan::SelectionQuery q;
   q.columns.push_back({reader, Predicate::True()});
-  ASSERT_OK_AND_ASSIGN(auto r, db->RunSelection(q, Strategy::kEmParallel));
+  ASSERT_OK_AND_ASSIGN(auto r,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kEmParallel)));
   // 7 blocks cold at 1500us each.
   EXPECT_DOUBLE_EQ(r.stats.charged_io_micros,
                    1500.0 * r.stats.io.physical_reads);
@@ -204,8 +219,14 @@ TEST(DatabaseTest, ResultTuplesMatchAcrossStrategies) {
   q.columns.push_back({ra, Predicate::LessThan(20)});
   q.columns.push_back({rb, Predicate::LessThan(6)});
 
-  ASSERT_OK_AND_ASSIGN(auto em, db->RunSelection(q, Strategy::kEmPipelined));
-  ASSERT_OK_AND_ASSIGN(auto lm, db->RunSelection(q, Strategy::kLmPipelined));
+  ASSERT_OK_AND_ASSIGN(auto em,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kEmPipelined)));
+  ASSERT_OK_AND_ASSIGN(auto lm,
+                       api::Connection(db.get()).Query(
+                           plan::PlanTemplate::Selection(
+                               q, Strategy::kLmPipelined)));
   ASSERT_EQ(em.tuples.num_tuples(), lm.tuples.num_tuples());
   for (size_t i = 0; i < em.tuples.num_tuples(); ++i) {
     EXPECT_EQ(em.tuples.position(i), lm.tuples.position(i));

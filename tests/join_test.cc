@@ -110,7 +110,8 @@ TEST_F(JoinTest, AllModesMatchNaiveJoin) {
     t.query.left_pred = Predicate::LessThan(x);
     auto expected = NaiveJoin(t, x);
     for (JoinRightMode mode : kAllModes) {
-      auto result = db_->RunJoin(t.query, mode);
+      auto result = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Join(t.query, mode));
       ASSERT_TRUE(result.ok())
           << JoinRightModeName(mode) << ": " << result.status().ToString();
       std::multiset<std::pair<Value, Value>> got;
@@ -130,7 +131,8 @@ TEST_F(JoinTest, ModesAgreeOnChecksum) {
   uint64_t checksum = 0;
   bool first = true;
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(t.query, mode);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Join(t.query, mode));
     ASSERT_TRUE(result.ok());
     if (first) {
       checksum = result->stats.checksum;
@@ -144,8 +146,10 @@ TEST_F(JoinTest, ModesAgreeOnChecksum) {
 TEST_F(JoinTest, MaterializedConstructsInnerTuplesAtBuild) {
   Tables t = MakeTables(50000, 5000, 3);
   t.query.left_pred = Predicate::LessThan(1);  // empty probe result
-  auto mat = db_->RunJoin(t.query, JoinRightMode::kMaterialized);
-  auto sc = db_->RunJoin(t.query, JoinRightMode::kSingleColumn);
+  auto mat = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Join(t.query, JoinRightMode::kMaterialized));
+  auto sc = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Join(t.query, JoinRightMode::kSingleColumn));
   ASSERT_TRUE(mat.ok() && sc.ok());
   // Even with no output, the materialized mode built all inner tuples.
   EXPECT_GE(mat->stats.exec.tuples_constructed, 5000u);
@@ -165,7 +169,8 @@ TEST_F(JoinTest, DanglingForeignKeysDropped) {
   q.right_payload = Load("dq", Encoding::kUncompressed, rp);
   q.left_pred = Predicate::True();
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(q, mode);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Join(q, mode));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->tuples.num_tuples(), 3u) << JoinRightModeName(mode);
     EXPECT_EQ(result->tuples.value(0, 0), 10);
@@ -202,7 +207,8 @@ TEST_F(JoinTest, RleLeftPayloadWorks) {
     if (lk[i] < 2000) expected.emplace(lp[i], rp[lk[i] - 1]);
   }
   for (JoinRightMode mode : kAllModes) {
-    auto result = db_->RunJoin(q, mode);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Join(q, mode));
     ASSERT_TRUE(result.ok());
     std::multiset<std::pair<Value, Value>> got;
     for (size_t i = 0; i < result->tuples.num_tuples(); ++i) {
@@ -220,7 +226,8 @@ TEST_F(JoinTest, EarlyLeftModeAgreesWithLate) {
     for (JoinRightMode mode : kAllModes) {
       plan::JoinQuery early = t.query;
       early.left_mode = exec::JoinLeftMode::kEarly;
-      auto result = db_->RunJoin(early, mode);
+      auto result = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Join(early, mode));
       ASSERT_TRUE(result.ok())
           << JoinRightModeName(mode) << ": " << result.status().ToString();
       std::multiset<std::pair<Value, Value>> got;
@@ -242,8 +249,10 @@ TEST_F(JoinTest, EarlyLeftScansEverythingLateSkips) {
   plan::JoinQuery late = t.query;
   plan::JoinQuery early = t.query;
   early.left_mode = exec::JoinLeftMode::kEarly;
-  auto late_r = db_->RunJoin(late, JoinRightMode::kMaterialized);
-  auto early_r = db_->RunJoin(early, JoinRightMode::kMaterialized);
+  auto late_r = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Join(late, JoinRightMode::kMaterialized));
+  auto early_r = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Join(early, JoinRightMode::kMaterialized));
   ASSERT_TRUE(late_r.ok() && early_r.ok());
   EXPECT_EQ(late_r->stats.output_tuples, early_r->stats.output_tuples);
   // Early scans both outer columns fully; late never touches the payload.
@@ -278,7 +287,8 @@ TEST_F(JoinTest, ParallelJoinBitIdenticalAcrossWorkers) {
       uint64_t serial_checksum = 0;
       uint64_t serial_tuples = 0;
       for (int workers : kWorkerCounts) {
-        auto r = db_->RunJoin(q, mode, JoinWorkerConfig(workers));
+        auto r = api::Connection(db_.get()).Query(
+            plan::PlanTemplate::Join(q, mode, JoinWorkerConfig(workers)));
         ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
                             << workers << ": " << r.status().ToString();
         if (workers == 1) {
@@ -308,13 +318,15 @@ TEST_F(JoinTest, RadixBuildBitIdenticalToSerial) {
   for (JoinRightMode mode : kAllModes) {
     plan::PlanConfig serial_config = JoinWorkerConfig(1);
     serial_config.radix_bits = 0;
-    auto serial = db_->RunJoin(t.query, mode, serial_config);
+    auto serial = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Join(t.query, mode, serial_config));
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (int bits : {-1, 0, 2, 4}) {
       for (int workers : kWorkerCounts) {
         plan::PlanConfig config = JoinWorkerConfig(workers);
         config.radix_bits = bits;
-        auto r = db_->RunJoin(t.query, mode, config);
+        auto r = api::Connection(db_.get()).Query(
+            plan::PlanTemplate::Join(t.query, mode, config));
         ASSERT_TRUE(r.ok())
             << JoinRightModeName(mode) << " bits=" << bits
             << " workers=" << workers << ": " << r.status().ToString();
@@ -339,7 +351,8 @@ TEST_F(JoinTest, PooledSchedulerJoinMatchesSerial) {
 
   std::vector<uint64_t> serial_sums;
   for (JoinRightMode mode : kAllModes) {
-    auto r = db_->RunJoin(t.query, mode);
+    auto r = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Join(t.query, mode));
     ASSERT_TRUE(r.ok());
     serial_sums.push_back(r->stats.checksum);
   }
@@ -518,7 +531,8 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
         for (int workers : kWorkerCounts) {
           plan::PlanConfig config = JoinWorkerConfig(workers);
           config.snapshot = orders_snap;
-          auto r = db_->RunJoin(q, mode, config);
+          auto r = api::Connection(db_.get()).Query(
+              plan::PlanTemplate::Join(q, mode, config));
           ASSERT_TRUE(r.ok())
               << JoinRightModeName(mode) << " workers=" << workers << ": "
               << r.status().ToString();
@@ -554,8 +568,9 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
     plan::PlanConfig config = JoinWorkerConfig(2);
     config.snapshot = orders_snap;  // captured before the two inserts
     ASSERT_OK_AND_ASSIGN(auto r,
-                         db_->RunJoin(q, JoinRightMode::kMaterialized,
-                                      config));
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Join(
+                                 q, JoinRightMode::kMaterialized, config)));
     auto expected =
         RefJoin(orders, customer, static_cast<Value>(n_cust + 500));
     EXPECT_EQ(r.stats.output_tuples, expected.size());
@@ -621,7 +636,9 @@ TEST_F(JoinWriteTest, RadixBuildUnderWritesMatchesSerial) {
     plan::PlanConfig serial_config = JoinWorkerConfig(1);
     serial_config.snapshot = orders_snap;
     serial_config.radix_bits = 0;
-    ASSERT_OK_AND_ASSIGN(auto serial, db_->RunJoin(q, mode, serial_config));
+    ASSERT_OK_AND_ASSIGN(auto serial,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Join(q, mode, serial_config)));
     EXPECT_EQ(serial.stats.output_tuples, expected.size())
         << JoinRightModeName(mode);
     for (int bits : {2, 4}) {
@@ -629,7 +646,9 @@ TEST_F(JoinWriteTest, RadixBuildUnderWritesMatchesSerial) {
         plan::PlanConfig config = JoinWorkerConfig(workers);
         config.snapshot = orders_snap;
         config.radix_bits = bits;
-        ASSERT_OK_AND_ASSIGN(auto r, db_->RunJoin(q, mode, config));
+        ASSERT_OK_AND_ASSIGN(auto r,
+                             api::Connection(db_.get()).Query(
+                                 plan::PlanTemplate::Join(q, mode, config)));
         EXPECT_EQ(r.stats.checksum, serial.stats.checksum)
             << JoinRightModeName(mode) << " bits=" << bits
             << " workers=" << workers;
@@ -646,8 +665,10 @@ TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
   // pre-write-path plan.
   Tables t = MakeTables(100000, 4000, 37);
   t.query.left_pred = Predicate::LessThan(2000);
-  ASSERT_OK_AND_ASSIGN(auto baseline, db_->RunJoin(t.query,
-                                                   JoinRightMode::kMaterialized));
+  ASSERT_OK_AND_ASSIGN(auto baseline,
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Join(
+                               t.query, JoinRightMode::kMaterialized)));
   MakeWritableTable("jw_empty", {1, 2, 3}, {4, 5, 6});
   ASSERT_OK_AND_ASSIGN(auto snap, db_->SnapshotTable("jw_empty"));
   // An empty snapshot of an unrelated table attaches harmlessly on the
@@ -655,7 +676,9 @@ TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
   plan::JoinQuery q = t.query;
   q.right_snapshot = snap;
   ASSERT_OK_AND_ASSIGN(auto with_snap,
-                       db_->RunJoin(q, JoinRightMode::kMaterialized));
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Join(
+                               q, JoinRightMode::kMaterialized)));
   EXPECT_EQ(with_snap.stats.checksum, baseline.stats.checksum);
   EXPECT_EQ(with_snap.stats.output_tuples, baseline.stats.output_tuples);
 }

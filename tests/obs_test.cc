@@ -310,8 +310,9 @@ TEST_F(ObsTest, PlanProfileActualsMatchRunStats) {
   config.profile = profile;
   plan::PlanTemplate tmpl = plan::PlanTemplate::Selection(
       Selection(), Strategy::kLmParallel, config);
-  plan::RunStats stats;
-  ASSERT_OK(plan::ExecuteParallel(tmpl, db_->pool(), &stats));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult result,
+                       api::Connection(db_).Query(tmpl));
+  const plan::RunStats& stats = result.stats;
   ASSERT_GT(stats.output_tuples, 0u);
 
   auto rows = profile->rows();
@@ -557,17 +558,23 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
 
 TEST_F(ObsTest, QueryLogRecordsSqlTextAndStandalonePath) {
   obs::QueryLog& log = obs::QueryLog::Global();
-  log.Clear();
   api::Connection conn(db_);  // standalone: no scheduler
   const std::string sql =
       "SELECT shipdate FROM lineitem WHERE shipdate < '1995-01-01'";
-  ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(sql, {}, 2));
-  std::vector<obs::QueryLogEntry> entries = log.Snapshot();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].label, sql);
-  EXPECT_EQ(entries[0].status, "ok");
-  EXPECT_EQ(entries[0].queue_wait_usec, 0u);  // no queue on this path
-  EXPECT_EQ(entries[0].rows_out, r.stats.output_tuples);
+  // One row per statement on both standalone routes: inline at 1 worker,
+  // the session pool at 2 (where the query waits in a real queue).
+  for (int workers : {1, 2}) {
+    log.Clear();
+    ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(sql, {}, workers));
+    std::vector<obs::QueryLogEntry> entries = log.Snapshot();
+    ASSERT_EQ(entries.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(entries[0].label, sql);
+    EXPECT_EQ(entries[0].status, "ok");
+    EXPECT_EQ(entries[0].queue_wait_usec + entries[0].exec_usec,
+              entries[0].total_usec)
+        << "workers=" << workers;
+    EXPECT_EQ(entries[0].rows_out, r.stats.output_tuples);
+  }
 }
 
 TEST_F(ObsTest, SystemTablesAnswerThroughAllStrategies) {

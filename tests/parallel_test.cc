@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "exec/morsel_source.h"
 #include "plan/executor.h"
@@ -74,19 +75,72 @@ class ParallelTest : public ::testing::Test {
 TEST_F(ParallelTest, SelectionDeterministicAcrossWorkerCounts) {
   plan::SelectionQuery q = MidSelectivityQuery();
   for (Strategy s : plan::kAllStrategies) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                         db_->RunSelection(q, s, WorkerConfig(1)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Selection(q, s,
+                                                           WorkerConfig(1))));
     EXPECT_GT(serial.stats.output_tuples, 0u) << StrategyName(s);
     for (int workers : {2, 4}) {
-      ASSERT_OK_AND_ASSIGN(
-          db::QueryResult parallel,
-          db_->RunSelection(q, s, WorkerConfig(workers)));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult parallel,
+                           api::Connection(db_.get()).Query(
+                               plan::PlanTemplate::Selection(
+                                   q, s, WorkerConfig(workers))));
       EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(parallel.tuples.num_tuples(), serial.tuples.num_tuples())
           << StrategyName(s) << " workers=" << workers;
+    }
+  }
+}
+
+TEST_F(ParallelTest, SelectionWorkCountersIdenticalAcrossWorkerCounts) {
+  // Morsels split the scan at chunk-window boundaries and every work
+  // counter is kept per window, so a selection does the same counted work
+  // at every worker count. One named exception: EM-pipelined's DS4 merge
+  // refetches the block that straddles each morsel boundary — real extra
+  // work, so its blocks_fetched may only grow. The chunk-pool counters
+  // (scratch-buffer recycling per plan instance) are not work counters.
+  const Value mid =
+      (li_.shipdate->meta().min_value + li_.shipdate->meta().max_value) / 2;
+  std::vector<plan::SelectionQuery> queries = {MidSelectivityQuery()};
+  for (codec::Encoding e : {codec::Encoding::kUncompressed,
+                            codec::Encoding::kRle,
+                            codec::Encoding::kBitVector}) {
+    plan::SelectionQuery q;
+    q.columns.push_back({li_.shipdate, codec::Predicate::LessThan(mid)});
+    q.columns.push_back({li_.linenum(e), codec::Predicate::LessThan(5)});
+    queries.push_back(q);
+  }
+  api::Connection conn(db_.get());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (Strategy s : plan::kAllStrategies) {
+      Result<api::QueryResult> serial = conn.Query(
+          plan::PlanTemplate::Selection(queries[qi], s, WorkerConfig(1)));
+      if (serial.status().IsNotSupported()) continue;  // LM-pipelined on BV
+      ASSERT_OK(serial.status());
+      const exec::ExecStats& want = serial->stats.exec;
+      for (int workers : {2, 4}) {
+        ASSERT_OK_AND_ASSIGN(
+            api::QueryResult parallel,
+            conn.Query(plan::PlanTemplate::Selection(queries[qi], s,
+                                                     WorkerConfig(workers))));
+        const exec::ExecStats& got = parallel.stats.exec;
+        const std::string where = std::string(StrategyName(s)) + " query " +
+                                  std::to_string(qi) + " workers=" +
+                                  std::to_string(workers);
+        if (s == Strategy::kEmPipelined) {
+          EXPECT_GE(got.blocks_fetched, want.blocks_fetched) << where;
+        } else {
+          EXPECT_EQ(got.blocks_fetched, want.blocks_fetched) << where;
+        }
+        EXPECT_EQ(got.blocks_skipped, want.blocks_skipped) << where;
+        EXPECT_EQ(got.predicate_evals, want.predicate_evals) << where;
+        EXPECT_EQ(got.values_gathered, want.values_gathered) << where;
+        EXPECT_EQ(got.tuples_constructed, want.tuples_constructed) << where;
+        EXPECT_EQ(got.position_ands, want.position_ands) << where;
+      }
     }
   }
 }
@@ -107,8 +161,10 @@ TEST_F(ParallelTest, SingleWorkerMatchesDirectSerialExecutor) {
                                   }
                                 }));
 
-    ASSERT_OK_AND_ASSIGN(db::QueryResult via_template,
-                         db_->RunSelection(q, s, WorkerConfig(1)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult via_template,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Selection(q, s,
+                                                           WorkerConfig(1))));
     EXPECT_EQ(via_template.stats.output_tuples, direct.output_tuples)
         << StrategyName(s);
     EXPECT_EQ(via_template.stats.checksum, direct.checksum)
@@ -132,12 +188,15 @@ TEST_F(ParallelTest, AggregationDeterministicAcrossWorkerCounts) {
   q.agg_index = 1;    // SUM(quantity)
   q.func = exec::AggFunc::kSum;
   for (Strategy s : plan::kAllStrategies) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                         db_->RunAgg(q, s, WorkerConfig(1)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Agg(q, s, WorkerConfig(1))));
     EXPECT_GT(serial.stats.output_tuples, 0u) << StrategyName(s);
     for (int workers : {2, 4}) {
-      ASSERT_OK_AND_ASSIGN(db::QueryResult parallel,
-                           db_->RunAgg(q, s, WorkerConfig(workers)));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult parallel,
+                           api::Connection(db_.get()).Query(
+                               plan::PlanTemplate::Agg(q, s,
+                                                       WorkerConfig(workers))));
       EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
@@ -161,12 +220,14 @@ TEST_F(ParallelTest, AllAggFunctionsMergeExactly) {
     q.group_index = 0;
     q.agg_index = 1;
     q.func = func;
-    ASSERT_OK_AND_ASSIGN(
-        db::QueryResult serial,
-        db_->RunAgg(q, Strategy::kLmParallel, WorkerConfig(1)));
-    ASSERT_OK_AND_ASSIGN(
-        db::QueryResult parallel,
-        db_->RunAgg(q, Strategy::kLmParallel, WorkerConfig(4)));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Agg(q, Strategy::kLmParallel,
+                                                     WorkerConfig(1))));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult parallel,
+                         api::Connection(db_.get()).Query(
+                             plan::PlanTemplate::Agg(q, Strategy::kLmParallel,
+                                                     WorkerConfig(4))));
     EXPECT_EQ(parallel.stats.checksum, serial.stats.checksum)
         << exec::AggFuncName(func);
     EXPECT_EQ(parallel.stats.output_tuples, serial.stats.output_tuples)
@@ -180,11 +241,14 @@ TEST_F(ParallelTest, GlobalAggregationMergesAcrossWorkers) {
   q.agg_index = 1;
   q.func = exec::AggFunc::kSum;
   q.global = true;
-  ASSERT_OK_AND_ASSIGN(db::QueryResult serial,
-                       db_->RunAgg(q, Strategy::kEmParallel, WorkerConfig(1)));
-  ASSERT_OK_AND_ASSIGN(
-      db::QueryResult parallel,
-      db_->RunAgg(q, Strategy::kEmParallel, WorkerConfig(4)));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Agg(q, Strategy::kEmParallel,
+                                                   WorkerConfig(1))));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult parallel,
+                       api::Connection(db_.get()).Query(
+                           plan::PlanTemplate::Agg(q, Strategy::kEmParallel,
+                                                   WorkerConfig(4))));
   ASSERT_EQ(serial.tuples.num_tuples(), 1u);
   ASSERT_EQ(parallel.tuples.num_tuples(), 1u);
   EXPECT_EQ(parallel.tuples.value(0, 1), serial.tuples.value(0, 1));

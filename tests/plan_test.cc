@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
@@ -104,7 +105,8 @@ TEST_P(StrategyEquivalenceTest, AllStrategiesAgree) {
     plan::PlanConfig config;
     config.use_sorted_index = use_index;
     for (Strategy s : plan::kAllStrategies) {
-      auto result = db_->RunSelection(q, s, config);
+      auto result = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Selection(q, s, config));
       if (!result.ok()) {
         // LM-pipelined legitimately refuses bit-vector position filtering
         // (unless the sorted index answers the predicate without values).
@@ -182,7 +184,8 @@ TEST_F(PlanTest, ThreeColumnSelection) {
   uint64_t checksum = 0;
   bool first = true;
   for (Strategy s : plan::kAllStrategies) {
-    auto result = db_->RunSelection(q, s);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s));
     ASSERT_TRUE(result.ok()) << StrategyName(s);
     EXPECT_EQ(result->stats.output_tuples, expected) << StrategyName(s);
     if (first) {
@@ -201,7 +204,8 @@ TEST_F(PlanTest, SingleColumnSelection) {
   q.columns.push_back({ra, Predicate::LessThan(30)});
   uint64_t expected = testing::NaiveMatches(a, Predicate::LessThan(30)).size();
   for (Strategy s : plan::kAllStrategies) {
-    auto result = db_->RunSelection(q, s);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s));
     ASSERT_TRUE(result.ok()) << StrategyName(s);
     EXPECT_EQ(result->stats.output_tuples, expected) << StrategyName(s);
   }
@@ -216,7 +220,8 @@ TEST_F(PlanTest, EmptyResult) {
   q.columns.push_back({ra, Predicate::LessThan(-1)});
   q.columns.push_back({rb, Predicate::True()});
   for (Strategy s : plan::kAllStrategies) {
-    auto result = db_->RunSelection(q, s);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s));
     ASSERT_TRUE(result.ok()) << StrategyName(s);
     EXPECT_EQ(result->stats.output_tuples, 0u) << StrategyName(s);
   }
@@ -243,7 +248,8 @@ TEST_F(PlanTest, AggregationStrategiesAgree) {
   }
 
   for (Strategy s : plan::kAllStrategies) {
-    auto result = db_->RunAgg(q, s);
+    auto result = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Agg(q, s));
     ASSERT_TRUE(result.ok()) << StrategyName(s) << ": "
                              << result.status().ToString();
     ASSERT_EQ(result->tuples.num_tuples(), expected.size())
@@ -295,8 +301,10 @@ TEST_F(PlanTest, AggregationFunctions) {
       }
     }
 
-    auto em = db_->RunAgg(q, Strategy::kEmParallel);
-    auto lm = db_->RunAgg(q, Strategy::kLmParallel);
+    auto em = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Agg(q, Strategy::kEmParallel));
+    auto lm = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Agg(q, Strategy::kLmParallel));
     ASSERT_TRUE(em.ok() && lm.ok());
     ASSERT_EQ(em->tuples.num_tuples(), expected.size());
     ASSERT_EQ(lm->tuples.num_tuples(), expected.size());
@@ -332,8 +340,10 @@ TEST_F(PlanTest, MulticolumnOffStillCorrect) {
   without_mc.use_multicolumn = false;
 
   for (Strategy s : {Strategy::kLmParallel, Strategy::kLmPipelined}) {
-    auto r1 = db_->RunSelection(q, s, with_mc);
-    auto r2 = db_->RunSelection(q, s, without_mc);
+    auto r1 = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s, with_mc));
+    auto r2 = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s, without_mc));
     ASSERT_TRUE(r1.ok() && r2.ok());
     EXPECT_EQ(r1->stats.checksum, r2->stats.checksum) << StrategyName(s);
     EXPECT_EQ(r1->stats.output_tuples, r2->stats.output_tuples);
@@ -356,7 +366,8 @@ TEST_F(PlanTest, PipelinedSkipsBlocksAtLowSelectivity) {
   q.columns.push_back({ra, Predicate::LessThan(50)});
   q.columns.push_back({rb, Predicate::LessThan(6)});
 
-  auto result = db_->RunSelection(q, Strategy::kLmPipelined);
+  auto result = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Selection(q, Strategy::kLmPipelined));
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.exec.blocks_skipped, 0u);
   // The pipelined plan must touch far fewer of b's blocks than a full scan
@@ -384,8 +395,10 @@ TEST_F(PlanTest, SortedIndexProducesSameResultsWithFewerFetches) {
   no_index.use_sorted_index = false;
 
   for (Strategy s : {Strategy::kLmParallel, Strategy::kLmPipelined}) {
-    auto r1 = db_->RunSelection(q, s, with_index);
-    auto r2 = db_->RunSelection(q, s, no_index);
+    auto r1 = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s, with_index));
+    auto r2 = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s, no_index));
     ASSERT_TRUE(r1.ok() && r2.ok()) << StrategyName(s);
     EXPECT_EQ(r1->stats.checksum, r2->stats.checksum) << StrategyName(s);
     EXPECT_EQ(r1->stats.output_tuples, r2->stats.output_tuples);
@@ -409,7 +422,8 @@ TEST_F(PlanTest, SortedIndexAllowsLmPipelinedOverBitVector) {
   q.columns.push_back({ra, Predicate::LessThan(25)});
   q.columns.push_back({rb, Predicate::LessThan(4)});
 
-  auto result = db_->RunSelection(q, Strategy::kLmPipelined);
+  auto result = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Selection(q, Strategy::kLmPipelined));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   uint64_t expected = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -426,7 +440,8 @@ TEST_F(PlanTest, LmPipelinedRejectsBitVectorSecondColumn) {
   plan::SelectionQuery q;
   q.columns.push_back({ra, Predicate::LessThan(5)});
   q.columns.push_back({rb, Predicate::LessThan(6)});
-  auto result = db_->RunSelection(q, Strategy::kLmPipelined);
+  auto result = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Selection(q, Strategy::kLmPipelined));
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotSupported());
 }

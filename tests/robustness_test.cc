@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "test_util.h"
 
@@ -67,7 +68,8 @@ TEST_F(RobustnessTest, CorruptBlockMagicSurfacesAsStatus) {
   q.columns.push_back({col, Predicate::True()});
   for (Strategy s : plan::kAllStrategies) {
     db_->DropCaches();
-    auto r = db_->RunSelection(q, s);
+    auto r = api::Connection(db_.get()).Query(
+        plan::PlanTemplate::Selection(q, s));
     ASSERT_FALSE(r.ok()) << StrategyName(s);
     EXPECT_TRUE(r.status().IsCorruption())
         << StrategyName(s) << ": " << r.status().ToString();
@@ -121,7 +123,8 @@ TEST_F(RobustnessTest, TinyBufferPoolFailsCleanly) {
 
   plan::SelectionQuery q;
   q.columns.push_back({col, Predicate::True()});
-  auto r = tiny->RunSelection(q, Strategy::kLmParallel);
+  auto r = api::Connection(tiny.get()).Query(
+      plan::PlanTemplate::Selection(q, Strategy::kLmParallel));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal)
       << r.status().ToString();
@@ -139,7 +142,8 @@ TEST_F(RobustnessTest, ZeroMatchEveryEncodingEveryStrategy) {
     plan::SelectionQuery q;
     q.columns.push_back({col, Predicate::GreaterThan(1000)});
     for (Strategy s : plan::kAllStrategies) {
-      auto r = db_->RunSelection(q, s);
+      auto r = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Selection(q, s));
       ASSERT_TRUE(r.ok()) << StrategyName(s);
       EXPECT_EQ(r->stats.output_tuples, 0u)
           << codec::EncodingName(enc) << " " << StrategyName(s);
@@ -213,7 +217,8 @@ TEST_F(RobustnessTest, RandomizedQueriesAgreeWithNaive) {
     uint64_t checksum = 0;
     bool first = true;
     for (Strategy s : plan::kAllStrategies) {
-      auto r = db_->RunSelection(q, s);
+      auto r = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Selection(q, s));
       if (!r.ok()) {
         EXPECT_TRUE(r.status().IsNotSupported())
             << "round " << round << " " << StrategyName(s) << ": "

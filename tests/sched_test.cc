@@ -15,11 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "exec/morsel_source.h"
 #include "plan/parallel.h"
 #include "sched/scheduler.h"
-#include "sql/engine.h"
 #include "test_util.h"
 #include "tpch/loader.h"
 
@@ -107,7 +107,7 @@ class SchedTest : public ::testing::Test {
   static plan::RunStats SerialRun(plan::PlanTemplate tmpl) {
     tmpl.config.num_workers = 1;
     plan::RunStats stats;
-    Status st = plan::ExecuteParallel(tmpl, db_->pool(), &stats);
+    Status st = plan::ExecuteInline(tmpl, db_->pool(), &stats);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return stats;
   }
@@ -135,13 +135,14 @@ TEST_F(SchedTest, ConcurrentMixedQueriesMatchSerialRuns) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  std::vector<db::PendingQuery> pending;
+  api::Connection conn(db_, &scheduler);
+  std::vector<api::PendingResult> pending;
   pending.reserve(templates.size());
   for (const plan::PlanTemplate& tmpl : templates) {
-    pending.push_back(db_->Submit(tmpl, &scheduler));
+    pending.push_back(conn.Submit(tmpl));
   }
   for (size_t i = 0; i < pending.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(db::QueryResult result, pending[i].Wait());
+    ASSERT_OK_AND_ASSIGN(api::QueryResult result, pending[i].Wait());
     EXPECT_EQ(result.stats.checksum, serial[i].checksum) << "query " << i;
     EXPECT_EQ(result.stats.output_tuples, serial[i].output_tuples)
         << "query " << i;
@@ -368,8 +369,8 @@ TEST_F(SchedTest, SchedulerDestructorDrainsUnwaitedTickets) {
   EXPECT_EQ(r.stats.checksum, checksum);
 }
 
-TEST_F(SchedTest, EngineSubmitAllMatchesSynchronousExecute) {
-  sql::Engine engine(db_);
+TEST_F(SchedTest, PooledSubmitMatchesSynchronousQuery) {
+  api::Connection conn(db_);
   const std::vector<std::string> sqls = {
       "SELECT shipdate, quantity FROM lineitem WHERE quantity < 30",
       "SELECT shipdate, SUM(quantity) FROM lineitem WHERE quantity < 40 "
@@ -377,19 +378,20 @@ TEST_F(SchedTest, EngineSubmitAllMatchesSynchronousExecute) {
       "SELECT SUM(quantity) FROM lineitem WHERE linenum < 4",
       "SELECT bogus FROM nowhere",  // binds must fail, ticket must drain
   };
-  std::vector<Result<sql::SqlResult>> serial;
+  std::vector<Result<api::QueryResult>> serial;
   for (const std::string& sql : sqls) {
-    serial.push_back(engine.Execute(sql));
+    serial.push_back(conn.Query(sql));
   }
 
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  std::vector<sql::Engine::Pending> pending =
-      engine.SubmitAll(sqls, &scheduler);
+  api::Connection pooled(db_, &scheduler);
+  std::vector<api::PendingResult> pending;
+  for (const std::string& sql : sqls) pending.push_back(pooled.Submit(sql));
   ASSERT_EQ(pending.size(), sqls.size());
   for (size_t i = 0; i < pending.size(); ++i) {
-    Result<sql::SqlResult> batch = pending[i].Wait();
+    Result<api::QueryResult> batch = pending[i].Wait();
     ASSERT_EQ(batch.ok(), serial[i].ok()) << sqls[i];
     if (!batch.ok()) continue;
     EXPECT_EQ(batch->stats.checksum, serial[i]->stats.checksum) << sqls[i];
@@ -399,82 +401,6 @@ TEST_F(SchedTest, EngineSubmitAllMatchesSynchronousExecute) {
     EXPECT_EQ(batch->tuples.num_tuples(), serial[i]->tuples.num_tuples())
         << sqls[i];
   }
-}
-
-TEST_F(SchedTest, DispatchPoliciesBitIdenticalToRoundRobin) {
-  // The dispatch policy reorders work; it must never change results. Every
-  // policy runs the same mixed batch (varying priorities, so FIFO-priority
-  // actually reorders) and must reproduce the serial checksums exactly.
-  std::vector<plan::PlanTemplate> templates = MixedTemplates();
-  std::vector<plan::RunStats> serial;
-  serial.reserve(templates.size());
-  for (const plan::PlanTemplate& tmpl : templates) {
-    serial.push_back(SerialRun(tmpl));
-  }
-  const sched::DispatchPolicy policies[] = {
-      sched::DispatchPolicy::kWeightedRoundRobin,
-      sched::DispatchPolicy::kFifoPriority,
-      sched::DispatchPolicy::kShortestRemaining,
-  };
-  for (sched::DispatchPolicy policy : policies) {
-    sched::Scheduler::Options opts;
-    opts.num_workers = 4;
-    opts.dispatch = policy;
-    sched::Scheduler scheduler(opts);
-    EXPECT_EQ(scheduler.dispatch_policy(), policy);
-    std::vector<sched::QueryTicket> tickets;
-    for (size_t i = 0; i < templates.size(); ++i) {
-      tickets.push_back(scheduler.Submit(templates[i], db_->pool(), nullptr,
-                                         /*priority=*/1 + (i % 3)));
-    }
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      const sched::ExecResult r = tickets[i].Wait();
-      ASSERT_TRUE(r.status.ok())
-          << sched::DispatchPolicyName(policy) << " query " << i << ": "
-          << r.status.ToString();
-      EXPECT_EQ(r.stats.checksum, serial[i].checksum)
-          << sched::DispatchPolicyName(policy) << " query " << i;
-      EXPECT_EQ(r.stats.output_tuples, serial[i].output_tuples)
-          << sched::DispatchPolicyName(policy) << " query " << i;
-    }
-  }
-}
-
-TEST_F(SchedTest, DispatchPolicySwitchesSafelyMidBatch) {
-  // The server flips the knob at runtime; queries in flight across the
-  // switch must complete correctly.
-  std::vector<plan::PlanTemplate> templates = MixedTemplates();
-  std::vector<uint64_t> checksums;
-  for (const plan::PlanTemplate& tmpl : templates) {
-    checksums.push_back(SerialRun(tmpl).checksum);
-  }
-  sched::Scheduler::Options opts;
-  opts.num_workers = 2;
-  sched::Scheduler scheduler(opts);
-  std::vector<sched::QueryTicket> tickets;
-  for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
-  }
-  scheduler.set_dispatch_policy(sched::DispatchPolicy::kShortestRemaining);
-  for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
-  }
-  scheduler.set_dispatch_policy(sched::DispatchPolicy::kFifoPriority);
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    const sched::ExecResult r = tickets[i].Wait();
-    ASSERT_TRUE(r.status.ok()) << "query " << i;
-    EXPECT_EQ(r.stats.checksum, checksums[i % checksums.size()])
-        << "query " << i;
-  }
-}
-
-TEST(DispatchPolicyTest, ParseAndNameRoundTrip) {
-  for (const char* name : {"rr", "fifo", "srw"}) {
-    auto p = sched::ParseDispatchPolicy(name);
-    ASSERT_TRUE(p.ok()) << name;
-    EXPECT_STREQ(sched::DispatchPolicyName(*p), name);
-  }
-  EXPECT_FALSE(sched::ParseDispatchPolicy("sjf").ok());
 }
 
 TEST(AutoMorselTest, SmallTablesGetMoreThanOneMorsel) {

@@ -474,37 +474,6 @@ TEST_F(ServerTest, LowPriorityNotStarvedByHighPriorityFlood) {
   srv.Stop();
 }
 
-TEST_F(ServerTest, DispatchPolicyKnobKeepsResultsIdentical) {
-  // Same queries under each dispatch policy, over the wire: identical
-  // checksums (the policy reorders work, never results).
-  const std::string sql = "SELECT a, b FROM t WHERE a < 250 AND b < 6";
-  long long want_sum = 0;
-  uint64_t want_rows = 0;
-  Reference(sql, &want_sum, &want_rows);
-  const sched::DispatchPolicy policies[] = {
-      sched::DispatchPolicy::kWeightedRoundRobin,
-      sched::DispatchPolicy::kFifoPriority,
-      sched::DispatchPolicy::kShortestRemaining,
-  };
-  for (sched::DispatchPolicy policy : policies) {
-    server::Server::Options opts;
-    opts.pool_workers = 2;
-    opts.dispatch = policy;
-    server::Server srv(db_.get(), opts);
-    ASSERT_OK(srv.Start());
-    server::HttpClient client;
-    ASSERT_OK(client.Connect("localhost", srv.port()));
-    ASSERT_OK_AND_ASSIGN(server::HttpResponse r, client.Query(sql, "csv"));
-    ASSERT_EQ(r.status, 200);
-    long long sum = 0;
-    uint64_t rows = 0;
-    CsvChecksum(r.body, &sum, &rows);
-    EXPECT_EQ(sum, want_sum) << sched::DispatchPolicyName(policy);
-    EXPECT_EQ(rows, want_rows) << sched::DispatchPolicyName(policy);
-    srv.Stop();
-  }
-}
-
 TEST(AdmissionTest, HeadroomFractionsOrderClasses) {
   std::atomic<int64_t> bytes{0};
   server::AdmissionController::Options opts;

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
-#include "sql/engine.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "test_util.h"
@@ -16,7 +16,6 @@ namespace cstore {
 namespace {
 
 using sql::Condition;
-using sql::Engine;
 using sql::Parse;
 using sql::ParsedQuery;
 using sql::TokenType;
@@ -185,18 +184,18 @@ class SqlEngineTest : public ::testing::Test {
     ASSERT_OK(db_->CreateColumn("t.c", codec::Encoding::kUncompressed, c_));
     ASSERT_OK(db_->RegisterTable(
         "t", {{"a", "t.a"}, {"b", "t.b"}, {"c", "t.c"}}));
-    engine_ = std::make_unique<Engine>(db_.get());
+    conn_ = std::make_unique<api::Connection>(db_.get());
   }
 
   TempDir dir_;
   std::unique_ptr<db::Database> db_;
   std::vector<Value> a_, b_, c_;
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<api::Connection> conn_;
 };
 
 TEST_F(SqlEngineTest, SelectionEndToEnd) {
-  auto r = engine_->Execute("SELECT a, b FROM t WHERE a < 100 AND b < 6",
-                            plan::Strategy::kLmParallel);
+  auto r = conn_->Query("SELECT a, b FROM t WHERE a < 100 AND b < 6",
+                        plan::Strategy::kLmParallel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->column_names, (std::vector<std::string>{"a", "b"}));
   uint64_t expected = 0;
@@ -207,8 +206,8 @@ TEST_F(SqlEngineTest, SelectionEndToEnd) {
 }
 
 TEST_F(SqlEngineTest, WhereOnlyColumnsProjectedOut) {
-  auto r = engine_->Execute("SELECT b FROM t WHERE a < 50",
-                            plan::Strategy::kEmParallel);
+  auto r = conn_->Query("SELECT b FROM t WHERE a < 50",
+                        plan::Strategy::kEmParallel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->tuples.width(), 1u);
   size_t j = 0;
@@ -223,14 +222,14 @@ TEST_F(SqlEngineTest, WhereOnlyColumnsProjectedOut) {
 }
 
 TEST_F(SqlEngineTest, StarExpandsAllColumns) {
-  auto r = engine_->Execute("SELECT * FROM t WHERE a = 0");
+  auto r = conn_->Query("SELECT * FROM t WHERE a = 0");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->column_names, (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(r->tuples.width(), 3u);
 }
 
 TEST_F(SqlEngineTest, RangeConditionsMergeIntoBetween) {
-  auto r = engine_->Execute(
+  auto r = conn_->Query(
       "SELECT a FROM t WHERE a >= 100 AND a < 200",
       plan::Strategy::kLmParallel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -242,7 +241,7 @@ TEST_F(SqlEngineTest, RangeConditionsMergeIntoBetween) {
 }
 
 TEST_F(SqlEngineTest, AggregateEndToEnd) {
-  auto r = engine_->Execute(
+  auto r = conn_->Query(
       "SELECT a, SUM(b) FROM t WHERE b < 6 GROUP BY a");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::map<Value, int64_t> expected;
@@ -259,7 +258,7 @@ TEST_F(SqlEngineTest, AggregateEndToEnd) {
 }
 
 TEST_F(SqlEngineTest, AggregateColumnOrderFollowsSelectList) {
-  auto r = engine_->Execute(
+  auto r = conn_->Query(
       "SELECT COUNT(b), a FROM t GROUP BY a");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->column_names[0], "agg(b)");
@@ -306,7 +305,7 @@ TEST_F(SqlEngineTest, GlobalAggregates) {
     for (plan::Strategy s :
          {plan::Strategy::kEmParallel, plan::Strategy::kLmParallel,
           plan::Strategy::kLmPipelined}) {
-      auto r = engine_->Execute(c.sql, s);
+      auto r = conn_->Query(c.sql, s);
       ASSERT_TRUE(r.ok()) << c.sql << ": " << r.status().ToString();
       ASSERT_EQ(r->tuples.num_tuples(), 1u) << c.sql;
       EXPECT_EQ(r->tuples.value(0, 0), c.expected)
@@ -316,8 +315,8 @@ TEST_F(SqlEngineTest, GlobalAggregates) {
 }
 
 TEST_F(SqlEngineTest, AvgWithGroupBy) {
-  auto r = engine_->Execute("SELECT a, AVG(c) FROM t GROUP BY a",
-                            plan::Strategy::kLmParallel);
+  auto r = conn_->Query("SELECT a, AVG(c) FROM t GROUP BY a",
+                        plan::Strategy::kLmParallel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::map<Value, std::pair<int64_t, int64_t>> acc;  // sum, count
   for (size_t i = 0; i < a_.size(); ++i) {
@@ -335,39 +334,39 @@ TEST_F(SqlEngineTest, AvgWithGroupBy) {
 
 TEST_F(SqlEngineTest, GlobalAggregateRejectsExtraItems) {
   EXPECT_TRUE(
-      engine_->Execute("SELECT a, SUM(b) FROM t").status().IsNotSupported());
-  EXPECT_TRUE(engine_->Execute("SELECT SUM(a), SUM(b) FROM t")
+      conn_->Query("SELECT a, SUM(b) FROM t").status().IsNotSupported());
+  EXPECT_TRUE(conn_->Query("SELECT SUM(a), SUM(b) FROM t")
                   .status()
                   .IsNotSupported());
 }
 
 TEST_F(SqlEngineTest, AutoStrategyRunsAndAgreesWithExplicit) {
   const char* query = "SELECT a, b FROM t WHERE a < 250 AND b < 7";
-  auto auto_r = engine_->Execute(query);
+  auto auto_r = conn_->Query(query);
   ASSERT_TRUE(auto_r.ok()) << auto_r.status().ToString();
-  auto explicit_r = engine_->Execute(query, plan::Strategy::kEmParallel);
+  auto explicit_r = conn_->Query(query, plan::Strategy::kEmParallel);
   ASSERT_TRUE(explicit_r.ok());
   EXPECT_EQ(auto_r->stats.checksum, explicit_r->stats.checksum);
   EXPECT_EQ(auto_r->tuples.num_tuples(), explicit_r->tuples.num_tuples());
 }
 
 TEST_F(SqlEngineTest, ErrorsSurfaceCleanly) {
-  EXPECT_TRUE(engine_->Execute("SELECT a FROM missing").status().IsNotFound());
+  EXPECT_TRUE(conn_->Query("SELECT a FROM missing").status().IsNotFound());
   EXPECT_TRUE(
-      engine_->Execute("SELECT ghost FROM t").status().IsNotFound());
+      conn_->Query("SELECT ghost FROM t").status().IsNotFound());
   // A quoted literal that isn't a date binds as a string literal (interned
   // at >= 1 << 40 for the system.* string columns), so comparing it against
   // an integer column succeeds and simply matches every row below the id —
   // not an error. Equality with a never-interned-in-data string matches
   // nothing.
-  auto str_eq = engine_->Execute("SELECT a FROM t WHERE a = 'not-a-date'");
+  auto str_eq = conn_->Query("SELECT a FROM t WHERE a = 'not-a-date'");
   ASSERT_TRUE(str_eq.ok()) << str_eq.status().ToString();
   EXPECT_EQ(str_eq->tuples.num_tuples(), 0u);
-  EXPECT_TRUE(engine_->Execute("SELECT SUM(a), SUM(b) FROM t GROUP BY a")
+  EXPECT_TRUE(conn_->Query("SELECT SUM(a), SUM(b) FROM t GROUP BY a")
                   .status()
                   .IsNotSupported());
   EXPECT_FALSE(
-      engine_->Execute("SELECT b, SUM(b) FROM t GROUP BY a").ok());
+      conn_->Query("SELECT b, SUM(b) FROM t GROUP BY a").ok());
 }
 
 TEST_F(SqlEngineTest, SelectivityEstimates) {
@@ -376,31 +375,31 @@ TEST_F(SqlEngineTest, SelectivityEstimates) {
   meta.min_value = 0;
   meta.max_value = 99;  // width 100
   meta.num_distinct = 100;
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta,
-                                          codec::Predicate::LessThan(50)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta,
+                                       codec::Predicate::LessThan(50)),
               0.5, 1e-9);
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta,
-                                          codec::Predicate::GreaterEqual(90)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta,
+                                       codec::Predicate::GreaterEqual(90)),
               0.1, 1e-9);
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta, codec::Predicate::Equal(5)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta, codec::Predicate::Equal(5)),
               0.01, 1e-9);
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta,
-                                          codec::Predicate::Between(10, 19)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta,
+                                       codec::Predicate::Between(10, 19)),
               0.1, 1e-9);
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta, codec::Predicate::True()),
+  EXPECT_NEAR(api::EstimateSelectivity(meta, codec::Predicate::True()),
               1.0, 1e-9);
   // Out-of-domain thresholds clamp.
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta,
-                                          codec::Predicate::LessThan(-5)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta,
+                                       codec::Predicate::LessThan(-5)),
               0.0, 1e-9);
-  EXPECT_NEAR(Engine::EstimateSelectivity(meta,
-                                          codec::Predicate::LessThan(1000)),
+  EXPECT_NEAR(api::EstimateSelectivity(meta,
+                                       codec::Predicate::LessThan(1000)),
               1.0, 1e-9);
 }
 
 TEST_F(SqlEngineTest, ExplainReportsAllStrategies) {
   auto report =
-      engine_->Explain("SELECT a, b FROM t WHERE a < 100 AND b < 6");
+      conn_->Explain("SELECT a, b FROM t WHERE a < 100 AND b < 6");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   for (plan::Strategy s : plan::kAllStrategies) {
     EXPECT_NE(report->find(StrategyName(s)), std::string::npos)
@@ -410,38 +409,38 @@ TEST_F(SqlEngineTest, ExplainReportsAllStrategies) {
   EXPECT_NE(report->find("inputs:"), std::string::npos);
 
   auto agg_report =
-      engine_->Explain("SELECT a, SUM(b) FROM t GROUP BY a");
+      conn_->Explain("SELECT a, SUM(b) FROM t GROUP BY a");
   ASSERT_TRUE(agg_report.ok());
   EXPECT_NE(agg_report->find("groups:"), std::string::npos);
 
-  EXPECT_FALSE(engine_->Explain("SELECT nope FROM t").ok());
+  EXPECT_FALSE(conn_->Explain("SELECT nope FROM t").ok());
 }
 
-TEST_F(SqlEngineTest, UpdateThroughEngine) {
-  // The legacy Engine facade speaks UPDATE too (it delegates to api::).
+TEST_F(SqlEngineTest, UpdateThroughSql) {
+  // UPDATE through the SQL front end.
   uint64_t expected = 0;
   for (size_t i = 0; i < a_.size(); ++i) {
     if (a_[i] < 5) ++expected;
   }
-  auto upd = engine_->Execute("UPDATE t SET c = 12345 WHERE a < 5");
+  auto upd = conn_->Query("UPDATE t SET c = 12345 WHERE a < 5");
   ASSERT_TRUE(upd.ok()) << upd.status().ToString();
   EXPECT_TRUE(upd->is_write);
   EXPECT_EQ(upd->rows_affected, expected);
-  auto check = engine_->Execute("SELECT COUNT(c) FROM t WHERE c = 12345");
+  auto check = conn_->Query("SELECT COUNT(c) FROM t WHERE c = 12345");
   ASSERT_TRUE(check.ok());
   ASSERT_EQ(check->tuples.num_tuples(), 1u);
   EXPECT_EQ(static_cast<uint64_t>(check->tuples.value(0, 0)), expected);
 }
 
 TEST_F(SqlEngineTest, ParameterizedStatementsNeedPrepare) {
-  EXPECT_TRUE(engine_->Execute("SELECT a FROM t WHERE a < ?")
+  EXPECT_TRUE(conn_->Query("SELECT a FROM t WHERE a < ?")
                   .status()
                   .IsInvalidArgument());
 }
 
 TEST_F(SqlEngineTest, DateLiteralBinding) {
   // a's domain is 0..499 (day offsets); '1993-01-01' = day 366.
-  auto r = engine_->Execute(
+  auto r = conn_->Query(
       "SELECT a FROM t WHERE a < '1993-01-01'",
       plan::Strategy::kLmParallel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -14,10 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/connection.h"
 #include "db/database.h"
 #include "plan/executor.h"
 #include "plan/parallel.h"
-#include "sql/engine.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "write/tuple_mover.h"
@@ -155,7 +155,8 @@ class WriteTest : public ::testing::Test {
         plan::PlanConfig config;
         config.num_workers = workers;
         config.snapshot = snap;
-        auto r = db_->RunSelection(query, s, config);
+        auto r = api::Connection(db_.get()).Query(
+            plan::PlanTemplate::Selection(query, s, config));
         ASSERT_TRUE(r.ok()) << context << " " << StrategyName(s) << ": "
                             << r.status().ToString();
         EXPECT_EQ(r->stats.output_tuples, expected.first)
@@ -183,7 +184,8 @@ class WriteTest : public ::testing::Test {
         plan::PlanConfig config;
         config.num_workers = workers;
         config.snapshot = snap;
-        auto r = db_->RunAgg(query, s, config);
+        auto r = api::Connection(db_.get()).Query(
+            plan::PlanTemplate::Agg(query, s, config));
         ASSERT_TRUE(r.ok()) << context << " " << StrategyName(s) << ": "
                             << r.status().ToString();
         EXPECT_EQ(r->stats.output_tuples, expected.first)
@@ -386,9 +388,10 @@ TEST_F(WriteScenarioTest, ConcurrentWritersMoverAndScans) {
     plan::PlanConfig config;
     config.num_workers = 1 + round % 4;
     config.snapshot = snap;
-    std::vector<db::PendingQuery> pending;
-    pending.push_back(db_->Submit(
-        plan::PlanTemplate::Selection(query, s, config), &scheduler));
+    std::vector<api::PendingResult> pending;
+    pending.push_back(api::Connection(db_.get(), &scheduler)
+                          .Submit(plan::PlanTemplate::Selection(query, s,
+                                                                config)));
     for (auto& p : pending) {
       auto r = p.Wait();
       ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -406,15 +409,17 @@ TEST_F(WriteScenarioTest, ConcurrentWritersMoverAndScans) {
   plan::SelectionQuery query = MakeSelection(readers, Preds());
   plan::PlanConfig base_config;
   base_config.snapshot = snap;
-  auto baseline = db_->RunSelection(query, plan::Strategy::kLmParallel,
-                                    base_config);
+  auto baseline = api::Connection(db_.get()).Query(
+      plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
+                                    base_config));
   ASSERT_TRUE(baseline.ok());
   for (plan::Strategy s : plan::kAllStrategies) {
     for (int workers : kWorkerCounts) {
       plan::PlanConfig config;
       config.num_workers = workers;
       config.snapshot = snap;
-      auto r = db_->RunSelection(query, s, config);
+      auto r = api::Connection(db_.get()).Query(
+          plan::PlanTemplate::Selection(query, s, config));
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r->stats.checksum, baseline->stats.checksum)
           << StrategyName(s) << " workers=" << workers;
@@ -508,16 +513,16 @@ TEST_F(WriteTest, SqlInsertDeleteSelect) {
   RefTable ref(2);
   for (size_t i = 0; i < a.size(); ++i) ref.Append({{a[i], b[i]}});
 
-  sql::Engine engine(db_.get());
+  api::Connection conn(db_.get());
   ASSERT_OK_AND_ASSIGN(
-      sql::SqlResult ins,
-      engine.Execute("INSERT INTO s VALUES (7, 3), (8, 4), (7, 5)"));
+      api::QueryResult ins,
+      conn.Query("INSERT INTO s VALUES (7, 3), (8, 4), (7, 5)"));
   EXPECT_TRUE(ins.is_write);
   EXPECT_EQ(ins.rows_affected, 3u);
   ref.Append({{7, 3}, {8, 4}, {7, 5}});
 
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult del,
-                       engine.Execute("DELETE FROM s WHERE b = 4"));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult del,
+                       conn.Query("DELETE FROM s WHERE b = 4"));
   EXPECT_TRUE(del.is_write);
   EXPECT_EQ(del.rows_affected, ref.DeleteWhere(1, codec::Predicate::Equal(4)));
 
@@ -525,8 +530,8 @@ TEST_F(WriteTest, SqlInsertDeleteSelect) {
       ref.ExpectedSelection({codec::Predicate::True(),
                              codec::Predicate::True()});
   for (plan::Strategy s : plan::kAllStrategies) {
-    ASSERT_OK_AND_ASSIGN(sql::SqlResult sel,
-                         engine.Execute("SELECT a, b FROM s", s));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult sel,
+                         conn.Query("SELECT a, b FROM s", s));
     EXPECT_EQ(sel.stats.output_tuples, expected.first) << StrategyName(s);
     EXPECT_EQ(sel.stats.checksum, expected.second) << StrategyName(s);
   }
@@ -536,19 +541,18 @@ TEST_F(WriteTest, SqlInsertDeleteSelect) {
   for (size_t i = 0; i < ref.rows(); ++i) {
     if (!ref.deleted[i]) sums[ref.cols[1][i]] += ref.cols[0][i];
   }
-  ASSERT_OK_AND_ASSIGN(
-      sql::SqlResult agg,
-      engine.Execute("SELECT b, SUM(a) FROM s GROUP BY b"));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult agg,
+                       conn.Query("SELECT b, SUM(a) FROM s GROUP BY b"));
   ASSERT_EQ(agg.stats.output_tuples, sums.size());
 
   // DELETE FROM without WHERE empties the table.
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult wipe, engine.Execute("DELETE FROM s"));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult wipe, conn.Query("DELETE FROM s"));
   EXPECT_GT(wipe.rows_affected, 0u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult none, engine.Execute("SELECT a FROM s"));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult none, conn.Query("SELECT a FROM s"));
   EXPECT_EQ(none.stats.output_tuples, 0u);
 
   // Arity errors are reported.
-  auto bad = engine.Execute("INSERT INTO s VALUES (1)");
+  auto bad = conn.Query("INSERT INTO s VALUES (1)");
   EXPECT_FALSE(bad.ok());
 }
 
@@ -556,22 +560,24 @@ TEST_F(WriteTest, SqlBatchSeesSubmitOrderSnapshots) {
   OpenDb();
   MakeTable("s2", {{"a", codec::Encoding::kUncompressed,
                     std::vector<Value>{1, 2, 3}}});
-  sql::Engine engine(db_.get());
   sched::Scheduler scheduler({2});
-  std::vector<sql::Engine::Pending> batch = engine.SubmitAll(
-      {"SELECT a FROM s2", "INSERT INTO s2 VALUES (4), (5)",
-       "SELECT a FROM s2", "DELETE FROM s2 WHERE a < 3", "SELECT a FROM s2"},
-      &scheduler);
+  api::Connection conn(db_.get(), &scheduler);
+  std::vector<api::PendingResult> batch;
+  for (const char* sql :
+       {"SELECT a FROM s2", "INSERT INTO s2 VALUES (4), (5)",
+        "SELECT a FROM s2", "DELETE FROM s2 WHERE a < 3", "SELECT a FROM s2"}) {
+    batch.push_back(conn.Submit(sql));
+  }
   ASSERT_EQ(batch.size(), 5u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult r0, batch[0].Wait());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r0, batch[0].Wait());
   EXPECT_EQ(r0.stats.output_tuples, 3u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult r1, batch[1].Wait());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r1, batch[1].Wait());
   EXPECT_EQ(r1.rows_affected, 2u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult r2, batch[2].Wait());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r2, batch[2].Wait());
   EXPECT_EQ(r2.stats.output_tuples, 5u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult r3, batch[3].Wait());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r3, batch[3].Wait());
   EXPECT_EQ(r3.rows_affected, 2u);
-  ASSERT_OK_AND_ASSIGN(sql::SqlResult r4, batch[4].Wait());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult r4, batch[4].Wait());
   EXPECT_EQ(r4.stats.output_tuples, 3u);
 }
 
