@@ -262,9 +262,10 @@ Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
       [&](const exec::TupleChunk& chunk) {
         AppendChunk(&result.tuples, &first, chunk);
       });
-  sched::RecordQueryLog(obs::NextQueryId(), label, &tmpl, st, /*workers=*/1,
-                        settings_.priority, /*queue_wait_usec=*/0,
-                        result.stats);
+  result.stats.query_id = obs::NextQueryId();
+  sched::RecordQueryLog(result.stats.query_id, label, &tmpl, st,
+                        /*workers=*/1, settings_.priority,
+                        /*queue_wait_usec=*/0, result.stats);
   CSTORE_RETURN_IF_ERROR(st);
   return result;
 }
@@ -344,43 +345,61 @@ Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
 
 // --- SQL entry points -------------------------------------------------------
 
-Result<QueryResult> Connection::Query(const std::string& sql,
-                                      std::optional<plan::Strategy> strategy,
-                                      int num_workers) {
+Result<Connection::PlannedSelect> Connection::PlanSelect(
+    const sql::ParsedStatement& stmt, std::optional<plan::Strategy> strategy,
+    int num_workers, const std::vector<Value>& params) {
+  PlannedSelect planned;
+  {
+    obs::SpanTimer span("bind", "sql");
+    CSTORE_ASSIGN_OR_RETURN(planned.bound,
+                            internal::BindSelect(db_, stmt.select));
+    CSTORE_ASSIGN_OR_RETURN(
+        planned.resolved,
+        internal::ResolveSelect(db_, &planned.bound, params,
+                                planned.bound.bind_snapshot));
+  }
+  obs::SpanTimer span("plan", "sql");
+  CSTORE_ASSIGN_OR_RETURN(planned.run,
+                          MakeRunnable(&planned.bound, planned.resolved,
+                                       strategy, num_workers));
+  return planned;
+}
+
+Result<sql::ParsedStatement> Connection::FrontEnd(
+    const std::string& sql, std::optional<plan::Strategy> strategy,
+    int num_workers, PlannedSelect* planned) {
   Result<sql::ParsedStatement> parsed = [&] {
     obs::SpanTimer span("parse", "sql");
     return sql::ParseStatement(sql);
   }();
   CSTORE_RETURN_IF_ERROR(parsed.status());
-  sql::ParsedStatement& stmt = *parsed;
-  if (stmt.param_count > 0) {
+  if (parsed->param_count > 0) {
     return Status::InvalidArgument(
         "statement has ? parameters; use Connection::Prepare");
   }
+  if (parsed->explain == sql::ParsedStatement::Explain::kNone &&
+      parsed->kind == sql::ParsedStatement::Kind::kSelect) {
+    CSTORE_ASSIGN_OR_RETURN(*planned,
+                            PlanSelect(*parsed, strategy, num_workers, {}));
+    planned->run.label = sql;
+  }
+  return parsed;
+}
+
+Result<QueryResult> Connection::Query(const std::string& sql,
+                                      std::optional<plan::Strategy> strategy,
+                                      int num_workers) {
+  const int workers = EffectiveWorkers(num_workers);
+  PlannedSelect planned;
+  CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
+                          FrontEnd(sql, strategy, workers, &planned));
   if (stmt.explain != sql::ParsedStatement::Explain::kNone) {
-    return ExplainStatement(stmt, strategy, EffectiveWorkers(num_workers),
-                            {});
+    return ExplainStatement(stmt, strategy, workers, {});
   }
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
     return ExecuteWrite(stmt, {});
   }
-  BoundSelect bound;
-  ResolvedSelect resolved;
-  {
-    obs::SpanTimer span("bind", "sql");
-    CSTORE_ASSIGN_OR_RETURN(bound, internal::BindSelect(db_, stmt.select));
-    CSTORE_ASSIGN_OR_RETURN(
-        resolved,
-        internal::ResolveSelect(db_, &bound, {}, bound.bind_snapshot));
-  }
-  Runnable run;
-  {
-    obs::SpanTimer span("plan", "sql");
-    CSTORE_ASSIGN_OR_RETURN(run, MakeRunnable(&bound, resolved, strategy,
-                                              EffectiveWorkers(num_workers)));
-  }
-  run.label = sql;
-  return RunRunnableSync(run);
+  return RunRunnableSync(planned.run);
 }
 
 PendingResult Connection::Submit(const std::string& sql,
@@ -391,23 +410,16 @@ PendingResult Connection::Submit(const std::string& sql,
   PendingResult pending;
   pending.engaged_ = true;
   pending.early_ = [&]() -> Status {
-    Result<sql::ParsedStatement> parsed = [&] {
-      obs::SpanTimer span("parse", "sql");
-      return sql::ParseStatement(sql);
-    }();
-    CSTORE_RETURN_IF_ERROR(parsed.status());
-    sql::ParsedStatement& stmt = *parsed;
-    if (stmt.param_count > 0) {
-      return Status::InvalidArgument(
-          "statement has ? parameters; use Connection::Prepare");
-    }
+    const int workers = EffectiveWorkers(0);
+    PlannedSelect planned;
+    CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
+                            FrontEnd(sql, strategy, workers, &planned));
     if (stmt.explain != sql::ParsedStatement::Explain::kNone) {
       // EXPLAIN [ANALYZE] runs to completion here (its product is a
       // report, not a stream of chunks) and rides back as an immediate
       // result, like a write.
-      CSTORE_ASSIGN_OR_RETURN(
-          QueryResult result,
-          ExplainStatement(stmt, strategy, EffectiveWorkers(0), {}));
+      CSTORE_ASSIGN_OR_RETURN(QueryResult result,
+                              ExplainStatement(stmt, strategy, workers, {}));
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
@@ -416,23 +428,7 @@ PendingResult Connection::Submit(const std::string& sql,
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
-    BoundSelect bound;
-    ResolvedSelect resolved;
-    {
-      obs::SpanTimer span("bind", "sql");
-      CSTORE_ASSIGN_OR_RETURN(bound, internal::BindSelect(db_, stmt.select));
-      CSTORE_ASSIGN_OR_RETURN(
-          resolved,
-          internal::ResolveSelect(db_, &bound, {}, bound.bind_snapshot));
-    }
-    Runnable run;
-    {
-      obs::SpanTimer span("plan", "sql");
-      CSTORE_ASSIGN_OR_RETURN(
-          run, MakeRunnable(&bound, resolved, strategy, EffectiveWorkers(0)));
-    }
-    run.label = sql;
-    pending = SubmitRunnable(run);
+    pending = SubmitRunnable(planned.run);
     return Status::OK();
   }();
   return pending;
@@ -440,12 +436,10 @@ PendingResult Connection::Submit(const std::string& sql,
 
 Result<RowCursor> Connection::Stream(const std::string& sql,
                                      std::optional<plan::Strategy> strategy) {
-  CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
-                          sql::ParseStatement(sql));
-  if (stmt.param_count > 0) {
-    return Status::InvalidArgument(
-        "statement has ? parameters; use Connection::Prepare");
-  }
+  PlannedSelect planned;
+  CSTORE_ASSIGN_OR_RETURN(
+      sql::ParsedStatement stmt,
+      FrontEnd(sql, strategy, EffectiveWorkers(0), &planned));
   if (stmt.explain != sql::ParsedStatement::Explain::kNone) {
     return Status::InvalidArgument(
         "cannot stream EXPLAIN output; use Query");
@@ -453,16 +447,7 @@ Result<RowCursor> Connection::Stream(const std::string& sql,
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
     return Status::InvalidArgument("cannot stream a write statement");
   }
-  CSTORE_ASSIGN_OR_RETURN(BoundSelect bound,
-                          internal::BindSelect(db_, stmt.select));
-  CSTORE_ASSIGN_OR_RETURN(
-      ResolvedSelect resolved,
-      internal::ResolveSelect(db_, &bound, {}, bound.bind_snapshot));
-  CSTORE_ASSIGN_OR_RETURN(
-      Runnable run,
-      MakeRunnable(&bound, resolved, strategy, EffectiveWorkers(0)));
-  run.label = sql;
-  return StreamRunnable(run);
+  return StreamRunnable(planned.run);
 }
 
 Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
@@ -620,21 +605,11 @@ std::string Connection::PressureReport() const {
 Result<QueryResult> Connection::ExplainStatement(
     const sql::ParsedStatement& stmt, std::optional<plan::Strategy> strategy,
     int num_workers, const std::vector<Value>& params) {
-  BoundSelect bound;
-  ResolvedSelect resolved;
-  {
-    obs::SpanTimer span("bind", "sql");
-    CSTORE_ASSIGN_OR_RETURN(bound, internal::BindSelect(db_, stmt.select));
-    CSTORE_ASSIGN_OR_RETURN(
-        resolved,
-        internal::ResolveSelect(db_, &bound, params, bound.bind_snapshot));
-  }
-  Runnable run;
-  {
-    obs::SpanTimer span("plan", "sql");
-    CSTORE_ASSIGN_OR_RETURN(
-        run, MakeRunnable(&bound, resolved, strategy, num_workers));
-  }
+  CSTORE_ASSIGN_OR_RETURN(PlannedSelect planned,
+                          PlanSelect(stmt, strategy, num_workers, params));
+  const BoundSelect& bound = planned.bound;
+  const ResolvedSelect& resolved = planned.resolved;
+  Runnable& run = planned.run;
 
   // The model's predictions — what EXPLAIN without ANALYZE reports.
   model::SelectionModelInput input =

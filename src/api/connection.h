@@ -227,6 +227,27 @@ class Connection {
                                 std::optional<plan::Strategy> per_call,
                                 int num_workers);
 
+  /// A SELECT through the SQL front end: bound, resolved and planned.
+  struct PlannedSelect {
+    internal::BoundSelect bound;
+    internal::ResolvedSelect resolved;
+    Runnable run;
+  };
+  /// Binds and resolves a parsed SELECT with `params` (span "bind"), then
+  /// plans it (span "plan").
+  Result<PlannedSelect> PlanSelect(const sql::ParsedStatement& stmt,
+                                   std::optional<plan::Strategy> strategy,
+                                   int num_workers,
+                                   const std::vector<Value>& params);
+  /// The SQL front end of Query/Submit/Stream(sql): parses `sql` (span
+  /// "parse") and rejects `?` parameters. A plain SELECT is then planned
+  /// into `*planned`, labelled with its SQL text; EXPLAIN and write
+  /// statements come back unplanned for the caller to dispatch.
+  Result<sql::ParsedStatement> FrontEnd(const std::string& sql,
+                                        std::optional<plan::Strategy> strategy,
+                                        int num_workers,
+                                        PlannedSelect* planned);
+
   /// Executes a write statement immediately (all kinds but kSelect).
   Result<QueryResult> ExecuteWrite(const sql::ParsedStatement& stmt,
                                    const std::vector<Value>& params);

@@ -49,7 +49,7 @@ struct QueryResult {
   uint64_t rows_affected = 0;  // writes: rows inserted/deleted/updated
   // EXPLAIN / EXPLAIN ANALYZE: the rendered report (predictions, and for
   // ANALYZE the executed plan's per-operator actuals). Empty otherwise.
-  // stats.trace_query_id correlates the run with a TraceRecorder export.
+  // stats.query_id keys the run's system.query_log row and its trace spans.
   std::string explain_text;
 };
 

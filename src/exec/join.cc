@@ -189,15 +189,10 @@ Result<Value> JoinBuildTable::FetchPayload(Position pos) const {
 // JoinProbeOp
 // ---------------------------------------------------------------------------
 
-JoinProbeOp::JoinProbeOp(const Spec& spec, const JoinBuildTable* shared,
-                         std::optional<JoinBuildTable::Spec> own_build,
+JoinProbeOp::JoinProbeOp(const Spec& spec, const JoinBuildTable& table,
                          ExecStats* stats)
-    : spec_(spec),
-      table_(shared),
-      own_build_(std::move(own_build)),
-      stats_(stats) {
+    : spec_(spec), table_(&table), stats_(stats) {
   CSTORE_CHECK((spec_.pos_input != nullptr) != (spec_.tuple_input != nullptr));
-  CSTORE_CHECK(shared != nullptr || own_build_.has_value());
 }
 
 Status JoinProbeOp::ProbeChunk(const MultiColumnChunk& chunk,
@@ -342,14 +337,6 @@ Status JoinProbeOp::ProbeEarlyChunk(const TupleChunk& in, TupleChunk* out) {
 }
 
 Result<bool> JoinProbeOp::NextImpl(TupleChunk* out) {
-  if (table_ == nullptr) {
-    // Serial path: no scheduler ran a build phase for us — build our own
-    // table here, at execution time, exactly where the pre-refactor join
-    // built its hash table (so build I/O and stats land on this run).
-    CSTORE_ASSIGN_OR_RETURN(own_table_,
-                            JoinBuildTable::Build(*own_build_, stats_));
-    table_ = own_table_.get();
-  }
   if (spec_.tuple_input != nullptr) {
     TupleChunk in;
     CSTORE_ASSIGN_OR_RETURN(bool has, spec_.tuple_input->Next(&in));

@@ -4,15 +4,17 @@
 // scheduler pool:
 //
 //   JoinBuildTable — the build phase's product: an immutable hash table over
-//       the inner table, constructed once per query (a single scheduler task
-//       behind a build barrier) and then shared read-only by every probe
-//       morsel. The build merges the inner table's WriteSnapshot when one is
-//       attached: deleted positions are masked out and write-store tail rows
-//       are folded into the table (and, for kMultiColumn, the snapshot's
-//       synthetic tail blocks extend the pinned payload mini-column).
+//       the inner table, constructed once per query before any probe runs
+//       (the scheduler's build phase behind its barrier, or
+//       plan::ExecuteInline on the caller's thread) and then shared
+//       read-only by every probe morsel. The build merges the inner table's
+//       WriteSnapshot when one is attached: deleted positions are masked
+//       out and write-store tail rows are folded into the table (and, for
+//       kMultiColumn, the snapshot's synthetic tail blocks extend the
+//       pinned payload mini-column).
 //   JoinProbeOp — the probe phase: consumes one morsel's outer-side stream
 //       (positions + key mini-column for JoinLeftMode::kLate, constructed
-//       tuples for kEarly), probes the shared table, and emits joined
+//       tuples for kEarly), probes the built table, and emits joined
 //       (left_payload, right_payload) tuples. Each morsel's probe work —
 //       including the kSingleColumn mode's out-of-order inner payload
 //       fetches — is morsel-local, so per-(query,worker) partials merge
@@ -43,7 +45,6 @@
 #define CSTORE_EXEC_JOIN_H_
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -202,12 +203,9 @@ class JoinProbeOp : public TupleOp {
     const codec::ColumnReader* left_payload = nullptr;
   };
 
-  /// `shared` (may be null) is the scheduler-built table every probe morsel
-  /// borrows. When null — the serial path — the op builds its own table
-  /// from `own_build` on first Next(), exactly where the pre-refactor join
-  /// built its hash table.
-  JoinProbeOp(const Spec& spec, const JoinBuildTable* shared,
-              std::optional<JoinBuildTable::Spec> own_build,
+  /// `table` is the query's built hash table, borrowed by every probe
+  /// morsel; it must outlive the op.
+  JoinProbeOp(const Spec& spec, const JoinBuildTable& table,
               ExecStats* stats);
 
   Result<bool> NextImpl(TupleChunk* out) override;
@@ -218,9 +216,7 @@ class JoinProbeOp : public TupleOp {
   Status ProbeEarlyChunk(const TupleChunk& in, TupleChunk* out);
 
   Spec spec_;
-  const JoinBuildTable* table_;  // shared, or own_table_ once built
-  std::optional<JoinBuildTable::Spec> own_build_;
-  std::unique_ptr<JoinBuildTable> own_table_;
+  const JoinBuildTable* table_;
   ExecStats* stats_;
 
   // Per-chunk scratch.

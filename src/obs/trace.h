@@ -79,11 +79,6 @@ class TraceRecorder {
             .count());
   }
 
-  /// Monotonic id for correlating one query's spans across threads.
-  uint64_t NextQueryId() {
-    return next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   /// Appends `event` to the calling thread's buffer (tid is filled in).
   /// Callers should gate on enabled() themselves — Record always records.
   void Record(TraceEvent event);
@@ -137,7 +132,6 @@ class TraceRecorder {
 
   std::atomic<bool> enabled_{false};
   std::atomic<size_t> max_events_per_thread_{kDefaultMaxEventsPerThread};
-  std::atomic<uint64_t> next_query_id_{0};
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;  // guards buffers_ (registration + iteration)

@@ -26,13 +26,15 @@ struct RunStats {
   uint64_t checksum = 0;
   exec::ExecStats exec;
   storage::IoStats io;
-  // Id correlating this run's spans in a TraceRecorder export ("query" arg
-  // on morsel/build/finalize spans). 0 when tracing was off at submit.
-  uint64_t trace_query_id = 0;
+  // Id of the query's system.query_log row, also the "query" arg on its
+  // trace spans (queue wait, build, morsels, finalize). Set by
+  // api::Connection and sched::Scheduler; 0 for a bare ExecuteInline run.
+  uint64_t query_id = 0;
   // Two-phase queries only (zero otherwise). build_wall_micros: wall time
-  // spent in build-pipeline tasks (join partition/build stages) summed
-  // across workers, plus the publish/merge step. merge_wall_micros: wall
-  // time of the finalize merge (the sort's k-way run merge). EXPLAIN
+  // of the join's build phase, part of wall_micros on either route — on a
+  // pool from its first build task's claim to the table's publication,
+  // inline the pipeline's run on the caller's thread. merge_wall_micros:
+  // wall time of the finalize merge (the sort's k-way run merge). EXPLAIN
   // ANALYZE prints these next to the model's phase predictions.
   uint64_t build_wall_micros = 0;
   uint64_t merge_wall_micros = 0;

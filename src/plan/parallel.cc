@@ -6,6 +6,7 @@
 #include "exec/morsel_source.h"
 #include "position/position_set.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 
 namespace cstore {
 namespace plan {
@@ -305,8 +306,7 @@ Position PlanTemplate::MorselPositions(int workers) const {
 std::unique_ptr<BuildPipeline> PlanTemplate::MakeBuildPipeline(
     int pool_workers) const {
   CSTORE_CHECK(NeedsBuildPhase());
-  Result<exec::JoinBuildTable::Spec> spec =
-      JoinBuildSpec(join, join_mode, config);
+  Result<exec::JoinBuildTable::Spec> spec = JoinBuildSpec(join, join_mode);
   const Position inner_base =
       join.right_key != nullptr ? join.right_key->num_values() : 0;
   const Position inner_tail =
@@ -342,7 +342,7 @@ std::unique_ptr<BuildPipeline> PlanTemplate::MakeBuildPipeline(
 }
 
 Result<std::unique_ptr<Plan>> PlanTemplate::Instantiate(
-    position::Range morsel, const exec::JoinBuildTable* shared) const {
+    position::Range morsel, const exec::JoinBuildTable* table) const {
   PlanConfig cfg = config;
   cfg.scan_range = morsel;
   switch (kind) {
@@ -351,7 +351,10 @@ Result<std::unique_ptr<Plan>> PlanTemplate::Instantiate(
     case Kind::kAgg:
       return BuildAggPlan(agg, strategy, cfg);
     case Kind::kJoin:
-      return BuildJoinPlan(join, join_mode, cfg, shared);
+      if (table == nullptr) {
+        return Status::Internal("join instance without its built table");
+      }
+      return BuildJoinPlan(join, cfg, *table);
     case Kind::kSort:
       return BuildSortPlan(sort, strategy, cfg);
   }
@@ -362,18 +365,38 @@ Status ExecuteInline(const PlanTemplate& tmpl, storage::BufferPool* pool,
                      RunStats* stats,
                      const std::function<void(const exec::TupleChunk&)>&
                          sink) {
-  storage::IoStats build_io;
-  Result<std::unique_ptr<Plan>> plan = [&] {
-    // Plan construction may touch blocks (index boundary lookups);
-    // attribute that I/O to this query too, as the scheduler does.
-    storage::BufferPool::ScopedIoAttribution attribution(&build_io);
-    return tmpl.Instantiate(exec::kFullScanRange);
+  // The join build and plan construction (index boundary lookups) touch
+  // blocks too; attribute that I/O to this query, as the scheduler does.
+  storage::IoStats setup_io;
+  exec::ExecStats build_stats;
+  std::shared_ptr<const exec::JoinBuildTable> table;
+  double build_micros = 0;
+  Result<std::unique_ptr<Plan>> plan = [&]() -> Result<std::unique_ptr<Plan>> {
+    storage::BufferPool::ScopedIoAttribution attribution(&setup_io);
+    if (tmpl.NeedsBuildPhase()) {
+      // The scheduler's build phase, stage by stage on this thread (one
+      // serial task unless config.radix_bits forces partitions).
+      Stopwatch build_timer;
+      std::unique_ptr<BuildPipeline> build =
+          tmpl.MakeBuildPipeline(/*pool_workers=*/1);
+      for (int s = 0; s < build->num_stages(); ++s) {
+        for (int t = 0; t < build->TasksInStage(s); ++t) {
+          CSTORE_RETURN_IF_ERROR(build->RunTask(s, t, &build_stats));
+        }
+      }
+      CSTORE_ASSIGN_OR_RETURN(table, build->Finish(&build_stats));
+      build_micros = build_timer.ElapsedMicros();
+    }
+    return tmpl.Instantiate(exec::kFullScanRange, table.get());
   }();
   CSTORE_RETURN_IF_ERROR(plan.status());
   if (tmpl.config.profile) (*plan)->EnableProfiling();
   CSTORE_RETURN_IF_ERROR(ExecutePlan(plan->get(), pool, stats, sink));
   if (tmpl.config.profile) (*plan)->FlushProfile(tmpl.config.profile.get());
-  stats->io += build_io;
+  stats->wall_micros += build_micros;
+  stats->build_wall_micros = static_cast<uint64_t>(build_micros);
+  stats->exec.Merge(build_stats);
+  stats->io += setup_io;
   stats->charged_io_micros = stats->io.charged_io_micros;
   return Status::OK();
 }

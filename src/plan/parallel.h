@@ -9,10 +9,10 @@
 //
 //   * ExecuteInline (below) builds one plan instance over the full position
 //     space and pulls it on the caller's thread: the classic serial
-//     executor, including its output chunk order. A join instance builds
-//     its hash table on first pull. Standalone api::Connection sessions run
-//     their 1-worker synchronous queries this way, and
-//     Database::DeleteWhere/UpdateWhere their row-finding scans.
+//     executor, including its output chunk order. A join first runs its
+//     build pipeline on that thread, then pulls the probe. Standalone
+//     api::Connection sessions run their 1-worker synchronous queries this
+//     way, and Database::DeleteWhere/UpdateWhere their row-finding scans.
 //   * sched::Scheduler runs everything else — a server's shared pool, or a
 //     standalone session's long-lived pools. Its workers claim morsels,
 //     instantiate and drain a plan per morsel, and merge the results:
@@ -34,7 +34,8 @@
 //     either as one serial task (small inners, radix_bits = 0) or as N
 //     radix partition-scan tasks, a barrier, 1 << radix_bits per-partition
 //     build tasks, and a merge — then probe morsels partition the outer
-//     side exactly like scan morsels. Sorts are two-phase the other way
+//     side exactly like scan morsels (an empty outer side is one task,
+//     still after the build). Sorts are two-phase the other way
 //     round: every morsel forms a sorted run (SortOp with final emit
 //     disabled), and the scheduler's finalize k-way merges the runs.
 
@@ -58,8 +59,9 @@ namespace plan {
 /// *within* a stage run concurrently, and distinct (stage, task) pairs
 /// touch disjoint pipeline state, so RunTask needs no locking. After the
 /// last stage's barrier the scheduler calls Finish() exactly once to merge
-/// and publish the product. The PR-5 "one gated build task" is the
-/// degenerate pipeline: one stage, one task, Finish returns the table.
+/// and publish the product. The serial build is the degenerate pipeline:
+/// one stage, one task, Finish returns the table. ExecuteInline runs a
+/// pipeline's tasks in order on the caller's thread.
 class BuildPipeline {
  public:
   virtual ~BuildPipeline() = default;
@@ -118,9 +120,10 @@ struct PlanTemplate {
   Position MorselPositions(int workers) const;
 
   /// True when the template needs a build phase before any morsel can run
-  /// (joins: the shared hash build). The scheduler runs the pipeline from
-  /// MakeBuildPipeline behind its phase barrier and hands the product to
-  /// every Instantiate.
+  /// (joins: the hash build). Both routes run the pipeline from
+  /// MakeBuildPipeline first — the scheduler behind its phase barrier,
+  /// ExecuteInline on the caller's thread — and hand the product to every
+  /// Instantiate.
   bool NeedsBuildPhase() const { return kind == Kind::kJoin; }
 
   /// Creates the build-phase pipeline for a pool of `pool_workers`, honoring
@@ -130,17 +133,17 @@ struct PlanTemplate {
   std::unique_ptr<BuildPipeline> MakeBuildPipeline(int pool_workers) const;
 
   /// Builds one plan instance restricted to `morsel` (which must be
-  /// kChunkPositions-aligned at its begin, per MorselSource). `shared` is
-  /// the build phase's product for two-phase templates; when null, a join
-  /// instance builds its own table on first pull (the serial path).
+  /// kChunkPositions-aligned at its begin, per MorselSource). Joins need
+  /// `table`, their build phase's product; other kinds ignore it.
   Result<std::unique_ptr<Plan>> Instantiate(
       position::Range morsel,
-      const exec::JoinBuildTable* shared = nullptr) const;
+      const exec::JoinBuildTable* table = nullptr) const;
 };
 
-/// Runs the templated query inline on the calling thread — one plan
-/// instance over the full position space, whatever config.num_workers
-/// says — and fills `stats` with its RunStats. `sink` (optional) receives
+/// Runs the templated query inline on the calling thread — a join's build
+/// pipeline, then one plan instance over the full position space, whatever
+/// config.num_workers says — and fills `stats` with its RunStats, the
+/// build's work, I/O and wall time included. `sink` (optional) receives
 /// every output chunk in the serial executor's order; for aggregations,
 /// exactly one chunk of final groups. A failing run may have passed chunks
 /// to the sink before the error.

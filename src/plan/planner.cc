@@ -346,9 +346,7 @@ Result<size_t> SnapColumnFor(const write::WriteSnapshot& snap,
 }  // namespace
 
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
-                                                 exec::JoinRightMode mode,
-                                                 const PlanConfig& config) {
-  (void)config;
+                                                 exec::JoinRightMode mode) {
   if (query.left_key == nullptr || query.left_payload == nullptr ||
       query.right_key == nullptr || query.right_payload == nullptr) {
     return Status::InvalidArgument("join query has null column readers");
@@ -376,16 +374,8 @@ Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
 }
 
 Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
-                                            exec::JoinRightMode mode,
                                             const PlanConfig& config,
-                                            const exec::JoinBuildTable*
-                                                shared) {
-  // Validates the query (and, when the scheduler already built the shared
-  // table, re-derives the spec it was built from — cheap, and it keeps the
-  // serial and pooled paths behind one set of checks).
-  CSTORE_ASSIGN_OR_RETURN(exec::JoinBuildTable::Spec build_spec,
-                          JoinBuildSpec(query, mode, config));
-
+                                            const exec::JoinBuildTable& table) {
   // Outer-side write state: the probe stream masks the snapshot's deletes
   // and extends over its write-store tail, exactly like a scan. Tail chunks
   // attach the payload as a mini-column too — write-store positions have no
@@ -430,12 +420,8 @@ Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
     spec.pos_input = stream;
     spec.left_payload = query.left_payload;
   }
-  plan->SetRoot(plan->Own(std::make_unique<exec::JoinProbeOp>(
-      spec, shared,
-      shared != nullptr
-          ? std::nullopt
-          : std::optional<exec::JoinBuildTable::Spec>(std::move(build_spec)),
-      &plan->stats())));
+  plan->SetRoot(plan->Own(
+      std::make_unique<exec::JoinProbeOp>(spec, table, &plan->stats())));
   return plan;
 }
 

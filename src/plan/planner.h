@@ -113,24 +113,23 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
                                            Strategy strategy,
                                            const PlanConfig& config);
 
-/// Validates the join query + config and assembles the build-phase spec:
-/// the inner-side readers, mode, and — when JoinQuery::right_snapshot
-/// carries pending rows or deletes — the snapshot column mapping the build
-/// merges. Shared by the scheduler's explicit build phase and the serial
-/// path's lazy in-plan build.
+/// Validates the join query and assembles the build-phase spec: the
+/// inner-side readers, mode, and — when JoinQuery::right_snapshot carries
+/// pending rows or deletes — the snapshot column mapping the build merges.
+/// Every join's build (PlanTemplate::MakeBuildPipeline) starts from it,
+/// before any probe plan exists.
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
-                                                 exec::JoinRightMode mode,
-                                                 const PlanConfig& config);
+                                                 exec::JoinRightMode mode);
 
 /// Builds the join plan's probe side with the chosen inner-table
 /// representation: the outer stream (DS1 or SPC leaf, delete-masked and
 /// extended over the write-store tail when config.snapshot carries state,
-/// restricted to config.scan_range) feeding a JoinProbeOp. `shared` is the
-/// scheduler-built hash table every probe morsel borrows; null makes the
-/// plan build its own table on first pull (the serial path).
-Result<std::unique_ptr<Plan>> BuildJoinPlan(
-    const JoinQuery& query, exec::JoinRightMode mode,
-    const PlanConfig& config, const exec::JoinBuildTable* shared = nullptr);
+/// restricted to config.scan_range) feeding a JoinProbeOp over `table`,
+/// the query's built hash table (its build ran JoinBuildSpec, which
+/// validated `query`). `table` must outlive the plan.
+Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
+                                            const PlanConfig& config,
+                                            const exec::JoinBuildTable& table);
 
 /// Builds the sort plan: the selection pipeline (under `strategy`, restricted
 /// to config.scan_range like any scan) feeding a SortOp that orders rows by

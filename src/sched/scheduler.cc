@@ -119,8 +119,8 @@ struct QueryState {
 
   // Work distribution. Empty scans are one indivisible task; everything
   // else claims chunk-aligned morsels from the source. Two-phase queries
-  // (joins) additionally run their BuildPipeline's staged tasks before any
-  // morsel: the phase dependency below gates morsel claims on build_done.
+  // (joins) additionally run their BuildPipeline's staged tasks first: the
+  // phase dependency below gates every other claim on build_done.
   std::unique_ptr<exec::MorselSource> source;
   bool single_task = false;
   bool single_claimed = false;  // guarded by Scheduler::mu_
@@ -135,6 +135,10 @@ struct QueryState {
   int build_stage_tasks = 0; // tasks in the current stage
   int build_tasks_done = 0;  // completed tasks of the stage
   bool build_done = false;   // guarded by mu_; set before morsel claims
+  // Build-phase wall time: first build task claimed → product published.
+  // Both guarded by mu_.
+  Stopwatch build_timer;
+  uint64_t build_micros = 0;
   int in_flight = 0;         // claimed but not completed; guarded by mu_
   bool finalized = false;    // guarded by mu_
   Status error;              // first failure; guarded by mu_
@@ -158,25 +162,19 @@ struct QueryState {
     std::unique_ptr<exec::GroupAccumulator> acc;  // aggregations only
     std::vector<exec::TupleChunk> chunks;         // selections/joins w/ sink
     std::vector<exec::TupleChunk> sort_runs;      // sorts: per-morsel runs
-    // Wall time this worker spent in build-pipeline tasks (and the finish
-    // step), summed into RunStats::build_wall_micros at finalization.
-    uint64_t phase_micros = 0;
   };
   std::vector<Partial> partials;
 
   Stopwatch timer;  // submit → finalize
 
-  // Trace correlation id ("query" arg on this query's spans); 0 when
-  // tracing was off at submit. first_claimed (guarded by Scheduler::mu_)
-  // gates the one-shot queue-wait sample.
-  uint64_t trace_id = 0;
-  bool first_claimed = false;
-
-  // Introspection identity: process-unique id + display label, the live
-  // entry in system.queries while running, and the measured submit-to-
-  // first-claim wait (guarded by Scheduler::mu_, read by the finalizer
-  // after every worker completed) recorded into system.query_log.
+  // Identity: the process-unique id of the query's system.query_log row,
+  // also the "query" arg on its spans and RunStats::query_id; the display
+  // label; the live entry in system.queries while running; and the measured
+  // submit-to-first-claim wait (guarded by Scheduler::mu_, read by the
+  // finalizer after every worker completed). first_claimed (guarded by
+  // mu_) gates the one-shot queue-wait sample.
   uint64_t query_id = 0;
+  bool first_claimed = false;
   std::string label;
   std::shared_ptr<obs::LiveQuery> live;
   uint64_t queue_wait_us = 0;
@@ -190,13 +188,13 @@ struct QueryState {
   /// True once no further task will ever be handed out (all morsels
   /// claimed, or cancelled by an error). Caller holds Scheduler::mu_.
   bool DrainedLocked() const {
-    if (single_task) return single_claimed;
-    // A pending (or in-flight) build phase will still release morsels once
-    // it completes. On failure the remaining build tasks are never
-    // dispatched (claims return kExhausted) and the source is cancelled,
-    // so the error.ok() guard lets a failed query drain even though
-    // build_done never latches.
+    // A pending (or in-flight) build phase will still release work once it
+    // completes. On failure the remaining build tasks are never dispatched
+    // (claims return kExhausted) and the source is cancelled, so the
+    // error.ok() guards let a failed query drain even though build_done
+    // never latches.
     if (needs_build && !build_done && error.ok()) return false;
+    if (single_task) return single_claimed || !error.ok();
     return source->Exhausted();
   }
 };
@@ -268,23 +266,21 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
   uint64_t morsels_total = 1;
   const Position total = q->tmpl.TotalPositions();
   if (total == 0) {
-    // Nothing to partition (an empty outer side still probes nothing, and
-    // a single-task join instance builds its own table): one indivisible
-    // task, no build phase.
+    // Nothing to partition: one indivisible task (for a join, an empty
+    // outer side, which still runs after the build phase).
     q->single_task = true;
   } else {
     const Position morsel = q->tmpl.MorselPositions(num_workers_);
     q->source = std::make_unique<exec::MorselSource>(total, morsel);
-    q->needs_build = q->tmpl.NeedsBuildPhase();
-    uint64_t build_tasks = 0;
-    if (q->needs_build) {
-      q->pipeline = q->tmpl.MakeBuildPipeline(num_workers_);
-      q->build_stage_tasks = q->pipeline->TasksInStage(0);
-      for (int s = 0; s < q->pipeline->num_stages(); ++s) {
-        build_tasks += static_cast<uint64_t>(q->pipeline->TasksInStage(s));
-      }
+    morsels_total = (total + morsel - 1) / morsel;
+  }
+  q->needs_build = q->tmpl.NeedsBuildPhase();
+  if (q->needs_build) {
+    q->pipeline = q->tmpl.MakeBuildPipeline(num_workers_);
+    q->build_stage_tasks = q->pipeline->TasksInStage(0);
+    for (int s = 0; s < q->pipeline->num_stages(); ++s) {
+      morsels_total += static_cast<uint64_t>(q->pipeline->TasksInStage(s));
     }
-    morsels_total = (total + morsel - 1) / morsel + build_tasks;
   }
   q->timer.Restart();
   q->query_id = obs::NextQueryId();
@@ -295,9 +291,6 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
   SchedMetrics& m = SchedMetrics::Get();
   m.queries_total->Inc();
   m.inflight_queries->Add(1);
-  if (obs::TraceRecorder::Global().enabled()) {
-    q->trace_id = obs::TraceRecorder::Global().NextQueryId();
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_.push_back(q);
@@ -320,9 +313,6 @@ QueryTicket Scheduler::SubmitJob(std::function<Status()> job, int priority) {
   SchedMetrics& m = SchedMetrics::Get();
   m.jobs_total->Inc();
   m.inflight_queries->Add(1);
-  if (obs::TraceRecorder::Global().enabled()) {
-    q->trace_id = obs::TraceRecorder::Global().NextQueryId();
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_.push_back(q);
@@ -334,21 +324,24 @@ QueryTicket Scheduler::SubmitJob(std::function<Status()> job, int priority) {
 
 Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
   out->build = false;
-  if (q->single_task) {
-    if (q->single_claimed || !q->error.ok()) return Claim::kExhausted;
-    q->single_claimed = true;
-    out->morsel = exec::kFullScanRange;
-  } else if (q->needs_build && !q->build_done) {
-    // Phase dependency: the pipeline's stage tasks run before any morsel
-    // (and the next stage's tasks only after this stage's barrier drops).
-    // A failed query dispatches nothing further.
+  if (q->needs_build && !q->build_done) {
+    // Phase dependency: the pipeline's stage tasks run before anything else
+    // of the query (and the next stage's tasks only after this stage's
+    // barrier drops). A failed query dispatches nothing further.
     if (!q->error.ok()) return Claim::kExhausted;
     if (q->build_next_task >= q->build_stage_tasks) {
       return Claim::kWaiting;  // stage fully claimed, not yet complete
     }
+    if (q->build_stage == 0 && q->build_next_task == 0) {
+      q->build_timer.Restart();
+    }
     out->build = true;
     out->build_stage = q->build_stage;
     out->build_task = q->build_next_task++;
+    out->morsel = exec::kFullScanRange;
+  } else if (q->single_task) {
+    if (q->single_claimed || !q->error.ok()) return Claim::kExhausted;
+    q->single_claimed = true;
     out->morsel = exec::kFullScanRange;
   } else {
     position::Range morsel;
@@ -373,7 +366,7 @@ Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
       e.cat = "sched";
       e.phase = 'i';
       e.start_ns = rec.NowNs();
-      e.AddArg("query", static_cast<int64_t>(q->trace_id));
+      e.AddArg("query", static_cast<int64_t>(q->query_id));
       e.AddArg("wait_us", static_cast<int64_t>(wait_us));
       rec.Record(e);
     }
@@ -452,6 +445,8 @@ void Scheduler::WorkerLoop(int worker_id) {
             FinishBuild(worker_id, task.query);
             lock.lock();
             q->build_done = true;
+            q->build_micros =
+                static_cast<uint64_t>(q->build_timer.ElapsedMicros());
             cv_.notify_all();
           }
         } else if (stage_complete) {
@@ -491,7 +486,7 @@ void Scheduler::RunTask(int worker_id, const Task& task) {
 
   if (q->job) {
     obs::SpanTimer span("job", "sched");
-    span.Arg("query", static_cast<int64_t>(q->trace_id));
+    span.Arg("query", static_cast<int64_t>(q->query_id));
     span.Arg("worker", worker_id);
     Status st = q->job();
     if (!st.ok()) FailQuery(q, st);
@@ -504,13 +499,11 @@ void Scheduler::RunTask(int worker_id, const Task& task) {
     // WorkerLoop marks build_done under mu_, so every probe morsel
     // (claimed only after that) reads it race-free.
     obs::SpanTimer span(q->pipeline->StageName(task.build_stage), "sched");
-    span.Arg("query", static_cast<int64_t>(q->trace_id));
+    span.Arg("query", static_cast<int64_t>(q->query_id));
     span.Arg("worker", worker_id);
     span.Arg("task", task.build_task);
-    Stopwatch phase_timer;
     Status st =
         q->pipeline->RunTask(task.build_stage, task.build_task, &partial.exec);
-    partial.phase_micros += static_cast<uint64_t>(phase_timer.ElapsedMicros());
     if (!st.ok()) FailQuery(q, st);
     return;
   }
@@ -520,7 +513,7 @@ void Scheduler::RunTask(int worker_id, const Task& task) {
   // Sort morsels are run formation, not plain scans — named apart so traces
   // show the two-phase shape (runs here, "sort_merge" at finalization).
   obs::SpanTimer span(is_sort ? "sort_run" : "morsel", "exec");
-  span.Arg("query", static_cast<int64_t>(q->trace_id));
+  span.Arg("query", static_cast<int64_t>(q->query_id));
   span.Arg("begin", static_cast<int64_t>(task.morsel.begin));
   span.Arg("end", static_cast<int64_t>(task.morsel.end));
   span.Arg("worker", worker_id);
@@ -584,12 +577,10 @@ void Scheduler::FinishBuild(int worker_id,
   QueryState::Partial& partial = q->partials[worker_id];
   storage::BufferPool::ScopedIoAttribution attribution(&partial.io);
   obs::SpanTimer span(q->pipeline->FinishName(), "sched");
-  span.Arg("query", static_cast<int64_t>(q->trace_id));
+  span.Arg("query", static_cast<int64_t>(q->query_id));
   span.Arg("worker", worker_id);
-  Stopwatch phase_timer;
   Result<std::shared_ptr<const exec::JoinBuildTable>> table =
       q->pipeline->Finish(&partial.exec);
-  partial.phase_micros += static_cast<uint64_t>(phase_timer.ElapsedMicros());
   if (!table.ok()) {
     FailQuery(q, table.status());
     return;
@@ -601,7 +592,7 @@ void Scheduler::FinishBuild(int worker_id,
 
 void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   obs::SpanTimer span("finalize", "sched");
-  span.Arg("query", static_cast<int64_t>(q->trace_id));
+  span.Arg("query", static_cast<int64_t>(q->query_id));
   ExecResult result;
   uint64_t queue_wait_us = 0;
   {
@@ -612,20 +603,18 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
     std::lock_guard<std::mutex> lock(mu_);
     result.status = q->error;
     queue_wait_us = q->queue_wait_us;
+    result.stats.build_wall_micros = q->build_micros;
   }
   uint64_t checksum = 0;
   uint64_t tuples = 0;
-  uint64_t build_micros = 0;
   exec::ExecStats exec_total;
   storage::IoStats io_total;
   for (const QueryState::Partial& p : q->partials) {
     checksum += p.checksum;
     tuples += p.tuples;
-    build_micros += p.phase_micros;
     exec_total.Merge(p.exec);
     io_total += p.io;
   }
-  result.stats.build_wall_micros = build_micros;
   if (result.status.ok() && !q->job) {
     if (q->tmpl.kind == plan::PlanTemplate::Kind::kAgg) {
       exec::GroupAccumulator merged(q->tmpl.agg.func);
@@ -646,7 +635,7 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
       // chunk mid-merge cancels the query cleanly — remaining rows are
       // dropped and the ticket resolves Cancelled.
       obs::SpanTimer merge_span("sort_merge", "sched");
-      merge_span.Arg("query", static_cast<int64_t>(q->trace_id));
+      merge_span.Arg("query", static_cast<int64_t>(q->query_id));
       Stopwatch merge_timer;
       std::vector<const exec::TupleChunk*> runs;
       for (const QueryState::Partial& p : q->partials) {
@@ -684,7 +673,7 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   result.stats.output_tuples = tuples;
   result.stats.checksum = checksum;
   result.stats.exec = exec_total;
-  result.stats.trace_query_id = q->trace_id;
+  result.stats.query_id = q->query_id;
   SchedMetrics& m = SchedMetrics::Get();
   m.inflight_queries->Sub(1);
   if (!q->job) {

@@ -13,15 +13,18 @@
 //     morsel from the active queries in weighted round-robin order (a query
 //     with priority p takes p consecutive morsels per rotation, default 1),
 //     so K queries interleave instead of queueing behind each other. Empty
-//     scans are single-task queries occupying one worker.
+//     scans are single-task queries occupying one worker (a join's runs
+//     after its build phase).
 //   * Two-phase queries carry a lightweight intra-query phase dependency.
 //     Joins run their template's BuildPipeline first: each stage's tasks
 //     are dispatched like morsels (claimed by any worker, concurrently),
 //     a barrier separates consecutive stages, and after the last stage the
 //     finishing worker merges/publishes the product; only then do the
 //     query's probe morsels become runnable. The serial build is the
-//     one-stage/one-task special case. Sorts invert the shape: every
-//     morsel forms a sorted run, and finalization k-way merges the runs.
+//     one-stage/one-task special case. RunStats::build_wall_micros is the
+//     phase's wall time, first build claim to publication. Sorts invert
+//     the shape: every morsel forms a sorted run, and finalization k-way
+//     merges the runs.
 //     While one query's phase tasks are exhausted-but-incomplete the
 //     rotation simply skips it — other queries' morsels keep the pool
 //     busy, so barriers cost the query latency, never the pool throughput.

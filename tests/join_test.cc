@@ -291,6 +291,13 @@ TEST_F(JoinTest, ParallelJoinBitIdenticalAcrossWorkers) {
             plan::PlanTemplate::Join(q, mode, JoinWorkerConfig(workers)));
         ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
                             << workers << ": " << r.status().ToString();
+        // The build phase is reported as a wall time on both routes (inline
+        // at 1 worker, the session pool above), inside the query's own.
+        EXPECT_GT(r->stats.build_wall_micros, 0u)
+            << JoinRightModeName(mode) << " workers=" << workers;
+        EXPECT_LE(static_cast<double>(r->stats.build_wall_micros),
+                  r->stats.wall_micros)
+            << JoinRightModeName(mode) << " workers=" << workers;
         if (workers == 1) {
           serial_checksum = r->stats.checksum;
           serial_tuples = r->stats.output_tuples;
@@ -660,6 +667,109 @@ TEST_F(JoinWriteTest, RadixBuildUnderWritesMatchesSerial) {
   }
 }
 
+TEST_F(JoinWriteTest, EmptySidesJoinCleanly) {
+  // Zero-row tables on either side of the join, at every worker count, on
+  // a standalone session (inline at 1 worker, the session pool above) and
+  // on a shared scheduler. An empty outer side is the scheduler's
+  // single-task path; it still runs after the build.
+  const std::vector<Value> orders_key = {1, 2, 3, 2, 9};
+  const std::vector<Value> orders_payload = {10, 20, 30, 40, 50};
+  const std::vector<Value> customer_key = {1, 2, 3};
+  const std::vector<Value> customer_payload = {7, 8, 9};
+  MakeWritableTable("je_empty", {}, {});
+  MakeWritableTable("je_orders", orders_key, orders_payload);
+  MakeWritableTable("je_customer", customer_key, customer_payload);
+  RefRows orders;
+  RefRows customer;
+  RefRows tail;  // rows inserted into the zero-row table
+  for (size_t i = 0; i < orders_key.size(); ++i) {
+    orders.Append(orders_key[i], orders_payload[i]);
+  }
+  for (size_t i = 0; i < customer_key.size(); ++i) {
+    customer.Append(customer_key[i], customer_payload[i]);
+  }
+
+  plan::JoinQuery empty_outer;
+  ASSERT_OK_AND_ASSIGN(empty_outer.left_key, db_->GetColumn("je_empty_key"));
+  ASSERT_OK_AND_ASSIGN(empty_outer.left_payload,
+                       db_->GetColumn("je_empty_payload"));
+  ASSERT_OK_AND_ASSIGN(empty_outer.right_key,
+                       db_->GetColumn("je_customer_key"));
+  ASSERT_OK_AND_ASSIGN(empty_outer.right_payload,
+                       db_->GetColumn("je_customer_payload"));
+  empty_outer.left_pred = Predicate::True();
+  plan::JoinQuery empty_inner = empty_outer;
+  ASSERT_OK_AND_ASSIGN(empty_inner.left_key, db_->GetColumn("je_orders_key"));
+  ASSERT_OK_AND_ASSIGN(empty_inner.left_payload,
+                       db_->GetColumn("je_orders_payload"));
+  empty_inner.right_key = empty_outer.left_key;
+  empty_inner.right_payload = empty_outer.left_payload;
+
+  // The zero-row read store's snapshot then carries inserted tail rows:
+  // as the inner side it rides in JoinQuery::right_snapshot, as the outer
+  // side in PlanConfig::snapshot.
+  {
+    std::vector<std::vector<Value>> rows;
+    for (Value k : {2, 3, 5}) {
+      rows.push_back({k, 100 + k});
+      tail.Append(k, 100 + k);
+    }
+    ASSERT_OK(db_->Insert("je_empty", rows));
+  }
+  ASSERT_OK_AND_ASSIGN(auto tail_snap, db_->SnapshotTable("je_empty"));
+  plan::JoinQuery tail_inner = empty_inner;
+  tail_inner.right_snapshot = tail_snap;
+  const auto tail_inner_expected = RefJoin(orders, tail, 100);
+  const auto tail_outer_expected = RefJoin(tail, customer, 100);
+  ASSERT_EQ(tail_inner_expected.size(), 3u);
+  ASSERT_EQ(tail_outer_expected.size(), 2u);
+
+  auto rows_of = [](const api::QueryResult& r) {
+    std::multiset<std::pair<Value, Value>> got;
+    for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+      got.emplace(r.tuples.value(i, 0), r.tuples.value(i, 1));
+    }
+    return got;
+  };
+  sched::Scheduler::Options so;
+  so.num_workers = 4;
+  sched::Scheduler scheduler(so);
+  api::Connection standalone(db_.get());
+  api::Connection pooled(db_.get(), &scheduler);
+  for (api::Connection* conn : {&standalone, &pooled}) {
+    const char* route = conn == &standalone ? "standalone" : "pooled";
+    for (JoinRightMode mode : kAllModes) {
+      for (int workers : kWorkerCounts) {
+        plan::PlanConfig config = JoinWorkerConfig(workers);
+        for (const plan::JoinQuery* q : {&empty_outer, &empty_inner}) {
+          auto r = conn->Query(plan::PlanTemplate::Join(*q, mode, config));
+          ASSERT_TRUE(r.ok()) << route << " " << JoinRightModeName(mode)
+                              << " workers=" << workers << ": "
+                              << r.status().ToString();
+          EXPECT_EQ(r->stats.output_tuples, 0u)
+              << route << " " << JoinRightModeName(mode)
+              << (q == &empty_outer ? " empty outer" : " empty inner")
+              << " workers=" << workers;
+          EXPECT_EQ(r->tuples.num_tuples(), 0u);
+        }
+        ASSERT_OK_AND_ASSIGN(
+            api::QueryResult inner_r,
+            conn->Query(plan::PlanTemplate::Join(tail_inner, mode, config)));
+        EXPECT_TRUE(rows_of(inner_r) == tail_inner_expected)
+            << route << " " << JoinRightModeName(mode)
+            << " tail-only inner workers=" << workers;
+        config.snapshot = tail_snap;
+        ASSERT_OK_AND_ASSIGN(
+            api::QueryResult outer_r,
+            conn->Query(plan::PlanTemplate::Join(empty_outer, mode, config)));
+        EXPECT_TRUE(rows_of(outer_r) == tail_outer_expected)
+            << route << " " << JoinRightModeName(mode)
+            << " tail-only outer workers=" << workers;
+      }
+    }
+  }
+}
+
 TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
   // Empty snapshots (tables never written) must build the exact
   // pre-write-path plan.
@@ -684,15 +794,24 @@ TEST_F(JoinWriteTest, EmptySnapshotsKeepJoinIdentical) {
 }
 
 TEST_F(JoinTest, InvalidQueriesRejected) {
+  // The build validates the query before any probe plan exists.
   plan::JoinQuery q;  // all null
-  EXPECT_FALSE(
-      plan::BuildJoinPlan(q, JoinRightMode::kMaterialized, {}).ok());
+  EXPECT_FALSE(plan::JoinBuildSpec(q, JoinRightMode::kMaterialized).ok());
 
   Tables t = MakeTables(1000, 100, 7);
   plan::JoinQuery bad = t.query;
   bad.left_payload = Load("short", Encoding::kUncompressed, {1, 2, 3});
-  EXPECT_FALSE(
-      plan::BuildJoinPlan(bad, JoinRightMode::kMaterialized, {}).ok());
+  EXPECT_FALSE(plan::JoinBuildSpec(bad, JoinRightMode::kMaterialized).ok());
+  // Both routes surface it as the query's error.
+  for (int workers : {1, 2}) {
+    plan::PlanConfig config;
+    config.num_workers = workers;
+    EXPECT_FALSE(api::Connection(db_.get())
+                     .Query(plan::PlanTemplate::Join(
+                         bad, JoinRightMode::kMaterialized, config))
+                     .ok())
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -526,6 +526,9 @@ TEST(TraceCapTest, PerThreadCapDropsAndCounts) {
 TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
   obs::QueryLog& log = obs::QueryLog::Global();
   log.Clear();
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.set_enabled(true);
   sched::Scheduler::Options so;
   so.num_workers = 4;
   sched::Scheduler scheduler(so);
@@ -534,6 +537,7 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
       api::QueryResult r,
       conn.Query(plan::PlanTemplate::Selection(Selection(),
                                                Strategy::kEmParallel)));
+  rec.set_enabled(false);
   std::vector<obs::QueryLogEntry> entries = log.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
   const obs::QueryLogEntry& e = entries[0];
@@ -554,6 +558,69 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
   EXPECT_EQ(e.total_usec, static_cast<uint64_t>(r.stats.wall_micros));
   EXPECT_EQ(e.queue_wait_usec + e.exec_usec, e.total_usec);
   EXPECT_GT(e.query_id, 0u);
+  // One id: the log row, the result's RunStats and the "query" arg of the
+  // traced query's morsel spans.
+  EXPECT_EQ(e.query_id, r.stats.query_id);
+  size_t morsel_spans = 0;
+  for (const obs::TraceEvent& ev : rec.Snapshot()) {
+    if (std::string(ev.name) != "morsel") continue;
+    ++morsel_spans;
+    bool found = false;
+    for (int i = 0; i < ev.num_args; ++i) {
+      if (std::string(ev.arg_keys[i]) == "query") {
+        EXPECT_EQ(ev.arg_vals[i], static_cast<int64_t>(r.stats.query_id));
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "morsel span without a query arg";
+  }
+  EXPECT_GT(morsel_spans, 0u);
+  rec.Clear();
+
+  // The inline route (a standalone 1-worker session) carries its log row's
+  // id too.
+  log.Clear();
+  api::Connection inline_conn(db_);
+  ASSERT_OK_AND_ASSIGN(
+      api::QueryResult ri,
+      inline_conn.Query(plan::PlanTemplate::Selection(
+          Selection(), Strategy::kEmParallel)));
+  entries = log.Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].workers, 1);
+  EXPECT_GT(ri.stats.query_id, 0u);
+  EXPECT_EQ(entries[0].query_id, ri.stats.query_id);
+  EXPECT_NE(ri.stats.query_id, r.stats.query_id);
+}
+
+TEST_F(ObsTest, StreamSqlRecordsFrontEndSpans) {
+  // Stream(sql) is the server's SELECT path: a traced stream shows its
+  // SQL-layer time like Query does.
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.set_enabled(true);
+  {
+    api::Connection conn(db_);
+    ASSERT_OK_AND_ASSIGN(
+        api::RowCursor cursor,
+        conn.Stream("SELECT shipdate FROM lineitem "
+                    "WHERE shipdate < '1995-01-01'"));
+    uint64_t rows = 0;
+    exec::TupleChunk chunk;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(bool has, cursor.Next(&chunk));
+      if (!has) break;
+      rows += chunk.num_tuples();
+    }
+    EXPECT_GT(rows, 0u);
+  }
+  rec.set_enabled(false);
+  std::set<std::string> names;
+  for (const obs::TraceEvent& e : rec.Snapshot()) names.insert(e.name);
+  rec.Clear();
+  EXPECT_TRUE(names.count("parse")) << "no parse span";
+  EXPECT_TRUE(names.count("bind")) << "no bind span";
+  EXPECT_TRUE(names.count("plan")) << "no plan span";
 }
 
 TEST_F(ObsTest, QueryLogRecordsSqlTextAndStandalonePath) {
