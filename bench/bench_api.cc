@@ -232,7 +232,6 @@ int main(int argc, char** argv) {
     api::Connection::Settings settings;
     settings.num_workers = workers;
     api::Connection session(db.get(), nullptr, settings);
-    session.ShareCostCache(conn);
     for (SessionQuery& q : session_queries) {
       auto prepared = session.Prepare(q.sql);
       CSTORE_CHECK(prepared.ok()) << prepared.status().ToString();

@@ -430,7 +430,6 @@ int main(int argc, char** argv) {
     for (int t = 0; t < threads; ++t) {
       pool.emplace_back([&, cached]() {
         api::Connection conn(db.get());
-        conn.ShareCostCache(root);  // calibration is not what we measure
         if (cached) conn.set_statement_cache(&cache);
         for (int i = 0; i < iters; ++i) {
           auto prep = conn.Prepare(sql);

@@ -11,6 +11,7 @@
 #include "obs/profile.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
+#include "plan/planner.h"
 #include "sql/parser.h"
 #include "storage/page.h"
 #include "storage/page_pool.h"
@@ -28,10 +29,7 @@ Connection::Connection(db::Database* db, sched::Scheduler* scheduler)
 
 Connection::Connection(db::Database* db, sched::Scheduler* scheduler,
                        Settings settings)
-    : db_(db),
-      scheduler_(scheduler),
-      settings_(std::move(settings)),
-      cost_cache_(std::make_shared<CostCache>()) {}
+    : db_(db), scheduler_(scheduler), settings_(std::move(settings)) {}
 
 Connection::~Connection() = default;
 
@@ -53,32 +51,28 @@ sched::Scheduler* Connection::PoolFor(int workers) {
   return pool.get();
 }
 
-const model::CostParams& Connection::Params() {
-  std::lock_guard<std::mutex> lock(cost_cache_->mu);
-  if (!cost_cache_->params.has_value()) {
-    model::Calibrator::Options opts;
-    opts.loop_size = 1 << 19;  // quick calibration, done once per cache
-    opts.repetitions = 2;
-    model::Calibrator calibrator(opts);
-    cost_cache_->params = calibrator.Run(*db_->disk_model());
-  }
-  return *cost_cache_->params;
+model::CostParams Connection::Params() const {
+  return model::Calibrator::ForProcess(*db_->disk_model());
 }
 
 model::SelectionModelInput Connection::ModelInputFor(
-    const plan::SelectionQuery& sel, int num_workers) {
-  model::SelectionModelInput input;
-  input.num_workers = num_workers;
-  input.col1 = model::ColumnStats::FromMeta(sel.columns[0].reader->meta());
-  input.sf1 =
-      EstimateSelectivity(sel.columns[0].reader->meta(), sel.columns[0].pred);
-  input.col1_clustered = sel.columns[0].reader->meta().sorted;
-  const auto& second =
+    const plan::SelectionQuery& sel, const plan::PlanConfig& config) {
+  const plan::SelectionQuery::Column& first = sel.columns[0];
+  const plan::SelectionQuery::Column& second =
       sel.columns.size() > 1 ? sel.columns[1] : sel.columns[0];
+  model::SelectionModelInput input;
+  input.num_workers = config.num_workers;
+  input.col1 = model::ColumnStats::FromMeta(first.reader->meta());
+  input.sf1 = EstimateSelectivity(first.reader->meta(), first.pred);
+  input.col1_clustered = first.reader->meta().sorted;
+  input.col1_index = plan::UsesIndex(config, first);
+  input.bounds1 = first.pred.num_bounds();
   input.col2 = model::ColumnStats::FromMeta(second.reader->meta());
   input.sf2 = sel.columns.size() > 1
                   ? EstimateSelectivity(second.reader->meta(), second.pred)
                   : 1.0;
+  input.col2_index = plan::UsesIndex(config, second);
+  input.bounds2 = second.pred.num_bounds();
   return input;
 }
 
@@ -96,7 +90,7 @@ double Connection::GroupEstimateFor(const plan::AggQuery& agg) {
 
 Result<plan::Strategy> Connection::ChooseStrategy(
     const plan::SelectionQuery& scan, const plan::AggQuery* agg,
-    std::optional<plan::Strategy> per_call, int num_workers) {
+    std::optional<plan::Strategy> per_call, const plan::PlanConfig& config) {
   if (per_call.has_value()) return *per_call;
   if (settings_.strategy.has_value()) return *settings_.strategy;
   if (scan.columns.size() == 1 && agg == nullptr) {
@@ -104,7 +98,7 @@ Result<plan::Strategy> Connection::ChooseStrategy(
     // constructing non-matching tuples.
     return plan::Strategy::kLmParallel;
   }
-  model::SelectionModelInput input = ModelInputFor(scan, num_workers);
+  model::SelectionModelInput input = ModelInputFor(scan, config);
   model::Advisor advisor(Params());
   if (agg != nullptr) {
     return advisor.ChooseAggregation(input, GroupEstimateFor(*agg));
@@ -116,14 +110,14 @@ Result<Connection::Runnable> Connection::MakeRunnable(
     BoundSelect* bound, const ResolvedSelect& resolved,
     std::optional<plan::Strategy> per_call, int num_workers) {
   Runnable run;
+  plan::PlanConfig config;
+  config.num_workers = num_workers;
+  config.snapshot = resolved.snapshot;
   CSTORE_ASSIGN_OR_RETURN(
       run.strategy,
       ChooseStrategy(resolved.scan(),
                      resolved.is_aggregate ? &resolved.agg : nullptr,
-                     per_call, num_workers));
-  plan::PlanConfig config;
-  config.num_workers = num_workers;
-  config.snapshot = resolved.snapshot;
+                     per_call, config));
   if (bound->has_order) {
     plan::SortQuery sort;
     sort.selection = resolved.selection;
@@ -531,8 +525,9 @@ Result<std::string> Connection::Explain(const std::string& sql,
   CSTORE_ASSIGN_OR_RETURN(
       ResolvedSelect resolved,
       internal::ResolveSelect(db_, &bound, params, bound.bind_snapshot));
-  model::SelectionModelInput input =
-      ModelInputFor(resolved.scan(), EffectiveWorkers(num_workers));
+  plan::PlanConfig config;
+  config.num_workers = EffectiveWorkers(num_workers);
+  model::SelectionModelInput input = ModelInputFor(resolved.scan(), config);
   model::Advisor advisor(Params());
   std::string report =
       resolved.is_aggregate
@@ -613,7 +608,7 @@ Result<QueryResult> Connection::ExplainStatement(
 
   // The model's predictions — what EXPLAIN without ANALYZE reports.
   model::SelectionModelInput input =
-      ModelInputFor(resolved.scan(), num_workers);
+      ModelInputFor(resolved.scan(), run.tmpl.config);
   model::Advisor advisor(Params());
   std::string report = "strategy: ";
   report += plan::StrategyName(run.strategy);
@@ -842,7 +837,7 @@ Status Connection::PrepareRun(PreparedStatement* stmt,
   tmpl.config.num_workers = num_workers;
   CSTORE_ASSIGN_OR_RETURN(
       tmpl.strategy, ChooseStrategy(scan, is_agg ? &tmpl.agg : nullptr,
-                                    std::nullopt, num_workers));
+                                    std::nullopt, tmpl.config));
   return Status::OK();
 }
 

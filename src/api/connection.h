@@ -33,11 +33,15 @@
 // Destroying a standalone Connection waits for its submitted queries, so
 // their PendingResults still resolve afterwards.
 //
+// Every session prices plans with the same cost-model constants: the CPU
+// constants are calibrated once per process (model::Calibrator::ForProcess)
+// and combined with the database's DiskModel on each call, so two sessions
+// never disagree on a pick.
+//
 // Thread safety: a Connection may be shared across threads for Query /
 // Submit / Stream of *independent* statements (the underlying catalog and
-// scheduler are thread-safe; the lazily calibrated cost-model cache takes
-// its own lock). Session mutation — set_settings, ShareCostCache — belongs
-// to setup, before the Connection is shared. PreparedStatement objects are
+// scheduler are thread-safe). Session mutation — set_settings — belongs to
+// setup, before the Connection is shared. PreparedStatement objects are
 // single-threaded.
 
 #ifndef CSTORE_API_CONNECTION_H_
@@ -180,21 +184,8 @@ class Connection {
                        bool materialize = true);
   Result<RowCursor> Stream(const plan::PlanTemplate& tmpl);
 
-  /// Shares the lazily-calibrated cost-model parameter cache with `other`
-  /// (calibration takes ~tens of ms once; sibling sessions should reuse
-  /// it). Like set_settings, this mutates session state: call it during
-  /// session setup, before the Connection is shared across threads.
-  void ShareCostCache(const Connection& other) {
-    cost_cache_ = other.cost_cache_;
-  }
-
  private:
   friend class PreparedStatement;
-
-  struct CostCache {
-    std::mutex mu;
-    std::optional<model::CostParams> params;
-  };
 
   /// Statement pieces every SQL path shares after binding.
   struct Runnable {
@@ -212,15 +203,17 @@ class Connection {
   /// pooled session, else the session pool of that width (created on
   /// first use).
   sched::Scheduler* PoolFor(int workers);
-  const model::CostParams& Params();
+  model::CostParams Params() const;
+  /// The advisor's view of `scan` as planned under `config` (its worker
+  /// count, and which columns the planner answers from the index).
   model::SelectionModelInput ModelInputFor(const plan::SelectionQuery& scan,
-                                           int num_workers);
+                                           const plan::PlanConfig& config);
   double GroupEstimateFor(const plan::AggQuery& agg);
   /// `agg` may be null for plain selections.
   Result<plan::Strategy> ChooseStrategy(const plan::SelectionQuery& scan,
                                         const plan::AggQuery* agg,
                                         std::optional<plan::Strategy> per_call,
-                                        int num_workers);
+                                        const plan::PlanConfig& config);
   /// Builds the plan template for a resolved statement.
   Result<Runnable> MakeRunnable(internal::BoundSelect* bound,
                                 const internal::ResolvedSelect& resolved,
@@ -286,7 +279,6 @@ class Connection {
   db::Database* db_;
   sched::Scheduler* scheduler_;  // null = standalone session
   Settings settings_;
-  std::shared_ptr<CostCache> cost_cache_;
   StatementCache* stmt_cache_ = nullptr;  // not owned; may be null
   // Standalone session pools, keyed by worker count; destroying a pool
   // drains the queries submitted to it.

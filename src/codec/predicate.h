@@ -47,6 +47,26 @@ class Predicate {
   Value bound_b() const { return b_; }
   bool is_true() const { return op_ == Op::kTrue; }
 
+  /// Finite ends of the selected value range: 2 for = and BETWEEN (and
+  /// the two ranges of !=), 1 for a one-sided comparison, 0 for True. An
+  /// index lookup (ColumnReader::PositionRangeFor) searches once per end.
+  int num_bounds() const {
+    switch (op_) {
+      case Op::kTrue:
+        return 0;
+      case Op::kLess:
+      case Op::kLessEq:
+      case Op::kGreaterEq:
+      case Op::kGreater:
+        return 1;
+      case Op::kEqual:
+      case Op::kNotEqual:
+      case Op::kBetween:
+        return 2;
+    }
+    return 0;
+  }
+
   bool Eval(Value v) const {
     switch (op_) {
       case Op::kTrue:

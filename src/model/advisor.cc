@@ -9,15 +9,19 @@ namespace model {
 namespace {
 
 std::string DescribeInput(const SelectionModelInput& in) {
+  // An index-answered column is marked: LM plans look its positions up
+  // instead of scanning it.
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "inputs: col1{%s, |C|=%.0f, ||C||=%.0f, RL=%.1f, sf=%.3f, "
-                "%s} col2{%s, |C|=%.0f, RL=%.1f, sf=%.3f}\n",
+                "%s%s} col2{%s, |C|=%.0f, RL=%.1f, sf=%.3f%s}\n",
                 codec::EncodingName(in.col1.encoding), in.col1.num_blocks,
                 in.col1.num_tuples, in.col1.run_length, in.sf1,
                 in.col1_clustered ? "clustered" : "unclustered",
+                in.col1_index ? ", index-scan" : "",
                 codec::EncodingName(in.col2.encoding), in.col2.num_blocks,
-                in.col2.run_length, in.sf2);
+                in.col2.run_length, in.sf2,
+                in.col2_index ? ", index-scan" : "");
   std::string out = buf;
   if (in.num_workers > 1) {
     std::snprintf(buf, sizeof(buf),
@@ -65,12 +69,12 @@ std::string Advisor::ExplainAggregation(const SelectionModelInput& input,
 
 namespace {
 
+/// LM-pipelined cannot position-filter bit-vector data (Section 4.1); an
+/// index-answered col2 needs no position filtering, so the planner accepts
+/// it there.
 bool Supported(plan::Strategy s, const SelectionModelInput& in) {
-  if (s == plan::Strategy::kLmPipelined &&
-      in.col2.encoding == codec::Encoding::kBitVector) {
-    return false;
-  }
-  return true;
+  return s != plan::Strategy::kLmPipelined ||
+         in.col2.encoding != codec::Encoding::kBitVector || in.col2_index;
 }
 
 std::vector<StrategyPrediction> Sorted(
@@ -232,7 +236,7 @@ plan::Strategy Advisor::Heuristic(const SelectionModelInput& input,
     // Pipelined LM wins when the first predicate is clustered and highly
     // selective (block skipping); parallel otherwise.
     if (input.col1_clustered && input.sf1 < 0.1 &&
-        input.col2.encoding != codec::Encoding::kBitVector) {
+        Supported(plan::Strategy::kLmPipelined, input)) {
       return plan::Strategy::kLmPipelined;
     }
     return plan::Strategy::kLmParallel;

@@ -18,7 +18,7 @@ namespace model {
 struct StrategyPrediction {
   plan::Strategy strategy;
   Cost cost;
-  bool supported = true;  // LM-pipelined on bit-vector data is not
+  bool supported = true;  // LM-pipelined over a scanned bit-vector col2 is not
 };
 
 struct JoinPrediction {

@@ -112,6 +112,54 @@ double Calibrator::MeasureBlockIter() const {
   return best;
 }
 
+namespace {
+
+/// Copies the I/O constants from `disk` (zero when simulation is off: a warm
+/// page cache makes I/O effectively free relative to the CPU terms).
+void ApplyDisk(const storage::DiskModel& disk, CostParams* p) {
+  if (disk.enabled()) {
+    p->seek = disk.params().seek_micros;
+    p->read = disk.params().read_micros;
+    p->pf = disk.params().prefetch_blocks;
+  } else {
+    p->seek = 0.0;
+    p->read = 0.0;
+    p->pf = 1.0;
+  }
+}
+
+/// Quick calibrations whose per-constant median ForProcess keeps. One run
+/// takes a few ms; single runs in one process spread up to 2x per constant.
+constexpr int kProcessRuns = 5;
+
+/// Each CPU constant's median over `runs` quick calibrations.
+CostParams MedianCpuConstants(int runs) {
+  Calibrator::Options opts;
+  opts.loop_size = 1 << 18;
+  opts.repetitions = 2;
+  Calibrator calibrator(opts);
+  std::vector<double> fc, tic_col, tic_tup, bic;
+  for (int i = 0; i < runs; ++i) {
+    fc.push_back(calibrator.MeasureFunctionCall());
+    tic_col.push_back(calibrator.MeasureColumnIter());
+    tic_tup.push_back(calibrator.MeasureTupleIter());
+    bic.push_back(calibrator.MeasureBlockIter());
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  CostParams p;
+  p.fc = median(fc);
+  p.tic_col = median(tic_col);
+  p.tic_tup = median(tic_tup);
+  p.bic = median(bic);
+  p.word_bits = kWordBits;
+  return p;
+}
+
+}  // namespace
+
 CostParams Calibrator::Run(const storage::DiskModel& disk) const {
   CostParams p;
   p.fc = MeasureFunctionCall();
@@ -119,16 +167,14 @@ CostParams Calibrator::Run(const storage::DiskModel& disk) const {
   p.tic_tup = MeasureTupleIter();
   p.bic = MeasureBlockIter();
   p.word_bits = kWordBits;
-  if (disk.enabled()) {
-    p.seek = disk.params().seek_micros;
-    p.read = disk.params().read_micros;
-    p.pf = disk.params().prefetch_blocks;
-  } else {
-    // Warm page cache: I/O is effectively free relative to CPU terms.
-    p.seek = 0.0;
-    p.read = 0.0;
-    p.pf = 1.0;
-  }
+  ApplyDisk(disk, &p);
+  return p;
+}
+
+CostParams Calibrator::ForProcess(const storage::DiskModel& disk) {
+  static const CostParams cpu = MedianCpuConstants(kProcessRuns);
+  CostParams p = cpu;
+  ApplyDisk(disk, &p);
   return p;
 }
 

@@ -26,8 +26,14 @@ class Calibrator {
   explicit Calibrator(Options options) : options_(options) {}
 
   /// Measures BIC, TIC_TUP, TIC_COL and FC; SEEK/READ/PF are copied from
-  /// `disk` (or the paper's values if disk simulation is off).
+  /// `disk` (zero I/O cost when disk simulation is off).
   CostParams Run(const storage::DiskModel& disk) const;
+
+  /// The process's constants: the CPU constants are measured once, on the
+  /// first call, as each constant's median over a few quick runs, so every
+  /// session (and every advisor pick) in one process prices plans alike;
+  /// SEEK/READ/PF come from `disk` on every call. Thread-safe.
+  static CostParams ForProcess(const storage::DiskModel& disk);
 
   // Individual probes (microseconds per call), exposed for tests.
   double MeasureFunctionCall() const;

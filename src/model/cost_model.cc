@@ -76,6 +76,25 @@ Cost DS4Cost(const ColumnStats& col, double em, double sf,
   return c;
 }
 
+Cost IndexScanCost(const ColumnStats& col, int bounds, const CostParams& p) {
+  Cost c;
+  // One boundary search: FC per probe of the binary search over the block
+  // first values, BIC for the boundary block, FC per probe of the search
+  // over that block's ||C|| / (|C| * RL) runs.
+  const double blocks = std::max(1.0, col.num_blocks);
+  const double runs_per_block =
+      col.num_tuples / (blocks * std::max(1.0, col.run_length));
+  const double search = std::log2(1.0 + col.num_blocks) * p.fc + p.bic +
+                        std::log2(1.0 + runs_per_block) * p.fc;
+  // One range descriptor per window: a column-iterator step and a call.
+  const double windows =
+      std::ceil(col.num_tuples / static_cast<double>(kChunkPositions));
+  c.cpu = bounds * search + windows * (p.tic_col + p.fc);
+  // Cold, each boundary block is one seek and one read.
+  c.io = bounds * (p.seek + p.read) * (1.0 - col.fraction_cached);
+  return c;
+}
+
 Cost AndCost(const std::vector<double>& sizes,
              const std::vector<double>& rl_pos, bool bit_inputs,
              const CostParams& p) {
@@ -131,6 +150,40 @@ double ParallelCpuFactor(int workers) {
 
 namespace {
 
+/// The position-producing leaf of colN in a late-materialized plan: its
+/// index lookup when the planner answers it from the index, else a DS1 scan.
+Cost LateLeaf(const ColumnStats& col, bool from_index, int bounds, double sf,
+              const CostParams& p) {
+  return from_index ? IndexScanCost(col, bounds, p) : DS1Cost(col, sf, p);
+}
+
+/// The top of every late-materialized plan: DS3 extraction of both columns
+/// at the output positions, their MERGE, and the output iteration. A scanned
+/// column's blocks are already pinned as mini-columns (F = 1, Section 3.6);
+/// an index-answered column's are not, so its DS3 pays their I/O.
+struct LateTop {
+  double rl_out = 1;  // RLp of the output positions
+  Cost ds3_1;
+  Cost ds3_2;
+  Cost merge;
+  Cost out_iter;
+  Cost total() const { return ds3_1 + ds3_2 + merge + out_iter; }
+};
+
+LateTop LateMaterialization(const SelectionModelInput& in,
+                            const CostParams& p) {
+  const double sf = in.sf1 * in.sf2;
+  const double num_out = sf * in.col1.num_tuples;
+  LateTop top;
+  top.rl_out = PositionRunLength(in.sf2, num_out,
+                                 in.col1_clustered && in.sf2 >= 1.0);
+  top.ds3_1 = DS3Cost(in.col1, num_out, top.rl_out, sf, !in.col1_index, p);
+  top.ds3_2 = DS3Cost(in.col2, num_out, top.rl_out, sf, !in.col2_index, p);
+  top.merge = MergeCost(num_out, 2, p);
+  top.out_iter.cpu = num_out * p.tic_tup;
+  return top;
+}
+
 /// Serial (1-worker) selection prediction; the public entry point applies
 /// the parallel CPU discount exactly once on top of this.
 Cost PredictSelectionSerial(plan::Strategy strategy,
@@ -138,6 +191,7 @@ Cost PredictSelectionSerial(plan::Strategy strategy,
                             const CostParams& p) {
   const double n = in.col1.num_tuples;
   const double matches1 = in.sf1 * n;
+  const double matches2 = in.sf2 * n;
   const double num_out = in.sf1 * in.sf2 * n;
   Cost out_iter;
   out_iter.cpu = num_out * p.tic_tup;  // final result iteration
@@ -162,51 +216,50 @@ Cost PredictSelectionSerial(plan::Strategy strategy,
       return SpcCost({in.col1, in.col2}, {in.sf1, in.sf2}, p) + out_iter;
     }
     case plan::Strategy::kLmParallel: {
-      const double matches2 = in.sf2 * n;
-      double rl1 = PositionRunLength(in.sf1, matches1, in.col1_clustered);
-      double rl2 = PositionRunLength(in.sf2, matches2, false);
       // Clustered first predicate → ranged list; dense second predicate →
       // effectively bit-mapped. Model the AND with each input in its
-      // natural representation (the mixed Case 3 generalization).
+      // natural representation (the mixed Case 3 generalization); an
+      // index-answered column's input is one range.
+      double rl1 = PositionRunLength(in.sf1, matches1, in.col1_clustered);
+      double rl2 = PositionRunLength(in.sf2, matches2, in.col2_index);
       bool bit_inputs = !in.col1_clustered;
       Cost and_cost =
           AndCost({matches1, matches2}, {rl1, rl2}, bit_inputs, p);
-      double rl_out = PositionRunLength(
-          in.sf2, num_out, in.col1_clustered && in.sf2 >= 1.0);
-      Cost ds3_1 = DS3Cost(in.col1, num_out, rl_out, in.sf1 * in.sf2,
-                           /*already_accessed=*/true, p);
-      Cost ds3_2 = DS3Cost(in.col2, num_out, rl_out, in.sf1 * in.sf2,
-                           /*already_accessed=*/true, p);
-      return DS1Cost(in.col1, in.sf1, p) + DS1Cost(in.col2, in.sf2, p) +
-             and_cost + ds3_1 + ds3_2 + MergeCost(num_out, 2, p) + out_iter;
+      return LateLeaf(in.col1, in.col1_index, in.bounds1, in.sf1, p) +
+             LateLeaf(in.col2, in.col2_index, in.bounds2, in.sf2, p) +
+             and_cost + LateMaterialization(in, p).total();
     }
     case plan::Strategy::kLmPipelined: {
-      Cost ds1 = DS1Cost(in.col1, in.sf1, p);
-      // Pipelined scan of col2 at col1's matching positions: only blocks
-      // containing candidates are read/processed ("entire blocks can be
-      // skipped"); each candidate is an individual jump + predicate
-      // application on the value subset.
-      double touched_blocks =
-          in.col1_clustered
-              ? std::min(in.col2.num_blocks,
-                         std::ceil(in.sf1 * in.col2.num_blocks) +
-                             (in.sf1 > 0 ? 1 : 0))
-              : (in.sf1 > 0 ? in.col2.num_blocks : 0);
-      Cost pipe;
-      pipe.cpu = touched_blocks * p.bic +
-                 matches1 * (p.tic_col + p.fc) +  // jump + extract
-                 matches1 * p.fc +                // predicate on the subset
-                 in.sf2 * matches1 * p.fc;        // emit surviving positions
-      pipe.io = (touched_blocks / p.pf * p.seek + touched_blocks * p.read) *
-                (1.0 - in.col2.fraction_cached);
-      double rl_out = PositionRunLength(
-          in.sf2, num_out, in.col1_clustered && in.sf2 >= 1.0);
-      Cost ds3_1 = DS3Cost(in.col1, num_out, rl_out, in.sf1 * in.sf2,
-                           /*already_accessed=*/true, p);
-      Cost ds3_2 = DS3Cost(in.col2, num_out, rl_out, in.sf1 * in.sf2,
-                           /*already_accessed=*/true, p);
-      return ds1 + pipe + ds3_1 + ds3_2 + MergeCost(num_out, 2, p) +
-             out_iter;
+      Cost leaf = LateLeaf(in.col1, in.col1_index, in.bounds1, in.sf1, p);
+      Cost refine;
+      if (in.col2_index) {
+        // Refinement by col2's index: its range lookup, then one AND of
+        // each window's positions with that range. No col2 block is read.
+        double rl1 = PositionRunLength(in.sf1, matches1, in.col1_clustered);
+        refine = IndexScanCost(in.col2, in.bounds2, p) +
+                 AndCost({matches1, matches2},
+                         {rl1, std::max(1.0, matches2)},
+                         !in.col1_clustered, p);
+      } else {
+        // Pipelined scan of col2 at col1's matching positions: only blocks
+        // containing candidates are read/processed ("entire blocks can be
+        // skipped"); each candidate is an individual jump + predicate
+        // application on the value subset.
+        double touched_blocks =
+            in.col1_clustered
+                ? std::min(in.col2.num_blocks,
+                           std::ceil(in.sf1 * in.col2.num_blocks) +
+                               (in.sf1 > 0 ? 1 : 0))
+                : (in.sf1 > 0 ? in.col2.num_blocks : 0);
+        refine.cpu = touched_blocks * p.bic +
+                     matches1 * (p.tic_col + p.fc) +  // jump + extract
+                     matches1 * p.fc +                // predicate on subset
+                     in.sf2 * matches1 * p.fc;  // emit surviving positions
+        refine.io =
+            (touched_blocks / p.pf * p.seek + touched_blocks * p.read) *
+            (1.0 - in.col2.fraction_cached);
+      }
+      return leaf + refine + LateMaterialization(in, p).total();
     }
   }
   return Cost{};
@@ -242,17 +295,10 @@ Cost PredictAggregation(plan::Strategy strategy,
 
   // LM: position stream as in selection, but the aggregator replaces
   // DS3 + Merge + output iteration, operating directly on compressed data.
+  // The DS3s' I/O stays: the aggregator reads the same blocks.
   Cost sel = PredictSelectionSerial(strategy, in, p);
-  const double matches1 = in.sf1 * n;
-  double rl_out = PositionRunLength(in.sf2, num_out,
-                                    in.col1_clustered && in.sf2 >= 1.0);
-  Cost ds3_1 = DS3Cost(in.col1, num_out, rl_out, in.sf1 * in.sf2, true, p);
-  Cost ds3_2 = DS3Cost(in.col2, num_out, rl_out, in.sf1 * in.sf2, true, p);
-  Cost merge = MergeCost(num_out, 2, p);
-  Cost out_iter;
-  out_iter.cpu = num_out * p.tic_tup;
-  sel.cpu -= ds3_1.cpu + ds3_2.cpu + merge.cpu + out_iter.cpu;
-  (void)matches1;
+  const LateTop top = LateMaterialization(in, p);
+  sel.cpu -= top.total().cpu;
 
   bool both_rle = in.col1.encoding == codec::Encoding::kRle &&
                   in.col2.encoding == codec::Encoding::kRle;
@@ -261,12 +307,12 @@ Cost PredictAggregation(plan::Strategy strategy,
     // Run-zip: one accumulator call per (group-run × agg-run × range)
     // segment.
     double rl_zip = std::min({in.col1.run_length, in.col2.run_length,
-                              std::max(1.0, rl_out)});
+                              std::max(1.0, top.rl_out)});
     double segments = num_out / std::max(1.0, rl_zip);
     agg.cpu = segments * (p.tic_col + 2 * p.fc);
   } else {
     // Gather both columns (per-range extraction) + hash add per row.
-    agg.cpu = ds3_1.cpu + ds3_2.cpu + num_out * 2 * p.fc;
+    agg.cpu = top.ds3_1.cpu + top.ds3_2.cpu + num_out * 2 * p.fc;
   }
   Cost total = sel + agg + group_iter;
   total.cpu *= ParallelCpuFactor(in.num_workers);

@@ -56,6 +56,15 @@ Cost DS3Cost(const ColumnStats& col, double poslist, double rl_pos,
 Cost DS4Cost(const ColumnStats& col, double em, double sf,
              const CostParams& p);
 
+/// Index scan (Section 2.1.1): a sorted column's positions for a value-range
+/// predicate, read off the index without touching the column's values —
+/// what ColumnReader::PositionRangeFor does. Per bound (`bounds` =
+/// Predicate::num_bounds(): two for = and BETWEEN, one for a one-sided
+/// range) a binary search over the |C| block first values, one boundary
+/// block fetch and a binary search inside it; then one range descriptor per
+/// kChunkPositions window. I/O: the boundary blocks only, when cold.
+Cost IndexScanCost(const ColumnStats& col, int bounds, const CostParams& p);
+
 /// AND (Figure 4). One input per position list: `sizes[i]` = ||inpos_i||,
 /// `rl_pos[i]` = RLp_i for range-coded lists. `bit_inputs` selects Case 2
 /// (bit-lists: every ||inpos_i||/RLp_i becomes ||inpos_i||/word_bits).
@@ -84,6 +93,14 @@ struct SelectionModelInput {
   // on a sort key), letting ranged position lists represent them and
   // pipelined plans touch only matching blocks of col2.
   bool col1_clustered = true;
+  // True when the planner answers colN from its index (plan::UsesIndex):
+  // late-materialized plans then charge IndexScanCost, with `boundsN`
+  // searches (predN's Predicate::num_bounds()), where they would scan the
+  // column. Early-materialized plans scan it either way.
+  bool col1_index = false;
+  bool col2_index = false;
+  int bounds1 = 2;
+  int bounds2 = 2;
   // Morsel workers the plan will run with. The model discounts the CPU
   // component by the parallel efficiency (ParallelCpuFactor); the I/O
   // component is unchanged — workers share one buffer pool and one

@@ -157,10 +157,16 @@ class SpanTimer {
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
 
-  ~SpanTimer() {
+  ~SpanTimer() { End(); }
+
+  /// Records the span now instead of at scope exit; later calls (and the
+  /// destructor) do nothing. For spans that must be visible before the
+  /// scope publishes its result to another thread.
+  void End() {
     if (recorder_ != nullptr) {
       event_.dur_ns = recorder_->NowNs() - event_.start_ns;
       recorder_->Record(event_);
+      recorder_ = nullptr;
     }
   }
 

@@ -29,11 +29,6 @@ Status ValidateSelection(const SelectionQuery& query) {
   return Status::OK();
 }
 
-/// True when the column's positions can come straight from its index.
-bool CanUseIndex(const PlanConfig& config, const SelectionQuery::Column& col) {
-  return config.use_sorted_index && col.reader->SupportsIndexLookup(col.pred);
-}
-
 /// LM position-stream construction shared by selection and aggregation
 /// plans: returns the operator producing the final position descriptor
 /// chunks (DS1s/IndexScans + AND for parallel; a pipelined refinement chain
@@ -47,7 +42,7 @@ Result<exec::MultiColumnOp*> BuildLatePositionStream(
     scans.reserve(query.columns.size());
     for (uint32_t c = 0; c < query.columns.size(); ++c) {
       const auto& col = query.columns[c];
-      if (CanUseIndex(config, col)) {
+      if (UsesIndex(config, col)) {
         CSTORE_ASSIGN_OR_RETURN(position::Range range,
                                 col.reader->PositionRangeFor(col.pred));
         scans.push_back(plan->Own(std::make_unique<exec::IndexScan>(
@@ -71,14 +66,14 @@ Result<exec::MultiColumnOp*> BuildLatePositionStream(
   for (uint32_t c = 1; c < query.columns.size(); ++c) {
     if (query.columns[c].reader->meta().encoding ==
             codec::Encoding::kBitVector &&
-        !CanUseIndex(config, query.columns[c])) {
+        !UsesIndex(config, query.columns[c])) {
       return Status::NotSupported(
           "LM-pipelined cannot position-filter bit-vector column '" +
           query.columns[c].reader->name() + "'");
     }
   }
   exec::MultiColumnOp* stream = nullptr;
-  if (CanUseIndex(config, query.columns[0])) {
+  if (UsesIndex(config, query.columns[0])) {
     CSTORE_ASSIGN_OR_RETURN(
         position::Range range,
         query.columns[0].reader->PositionRangeFor(query.columns[0].pred));
@@ -91,7 +86,7 @@ Result<exec::MultiColumnOp*> BuildLatePositionStream(
   }
   for (uint32_t c = 1; c < query.columns.size(); ++c) {
     const auto& col = query.columns[c];
-    if (CanUseIndex(config, col)) {
+    if (UsesIndex(config, col)) {
       CSTORE_ASSIGN_OR_RETURN(position::Range range,
                               col.reader->PositionRangeFor(col.pred));
       stream = plan->Own(std::make_unique<exec::IndexScan>(
@@ -244,6 +239,12 @@ Result<exec::TupleOp*> ApplyWriteStateTuple(exec::TupleOp* stream,
 }
 
 }  // namespace
+
+bool UsesIndex(const PlanConfig& config,
+               const SelectionQuery::Column& column) {
+  return config.use_sorted_index &&
+         column.reader->SupportsIndexLookup(column.pred);
+}
 
 Result<std::unique_ptr<Plan>> BuildSelectionPlan(const SelectionQuery& query,
                                                  Strategy strategy,

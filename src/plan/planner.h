@@ -98,6 +98,13 @@ class Plan {
   exec::ExecStats stats_;
 };
 
+/// True when late-materialized plans built under `config` take `column`'s
+/// positions straight from its index (an IndexScan, Section 2.1.1) instead
+/// of scanning it: the column is sorted and its predicate is one value
+/// range. The cost model prices exactly these columns as index lookups.
+bool UsesIndex(const PlanConfig& config,
+               const SelectionQuery::Column& column);
+
 /// Builds the operator tree for a selection query under `strategy`.
 /// Fails with NotSupported for LM-pipelined over bit-vector columns beyond
 /// the first (position filtering on bit-vector data is not supported —

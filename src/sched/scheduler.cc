@@ -689,6 +689,9 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   RecordQueryLog(q->query_id, q->label, q->job ? nullptr : &q->tmpl,
                  result.status, num_workers_, q->priority, queue_wait_us,
                  result.stats);
+  // Recorded before the result is published: a client that stops tracing
+  // as soon as Wait() returns still finds this query's finalize span.
+  span.End();
   {
     std::lock_guard<std::mutex> lock(q->done_mu);
     q->result = std::move(result);

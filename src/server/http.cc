@@ -248,9 +248,10 @@ Status TcpListener::Listen(int port) {
 }
 
 int TcpListener::Accept() {
-  if (fd_ < 0) return -1;
+  const int listen_fd = fd_.load();
+  if (listen_fd < 0) return -1;
   for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -262,10 +263,10 @@ int TcpListener::Accept() {
 }
 
 void TcpListener::Shutdown() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

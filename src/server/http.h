@@ -15,6 +15,7 @@
 #ifndef CSTORE_SERVER_HTTP_H_
 #define CSTORE_SERVER_HTTP_H_
 
+#include <atomic>
 #include <map>
 #include <string>
 
@@ -105,7 +106,8 @@ class TcpListener {
   int port() const { return port_; }
 
  private:
-  int fd_ = -1;
+  // Read by the accept thread while Shutdown (another thread) clears it.
+  std::atomic<int> fd_{-1};
   int port_ = 0;
 };
 

@@ -10,7 +10,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,7 +185,6 @@ TEST_F(ApiTest, TwoWorkerSessionMatchesOneWorker) {
   api::Connection::Settings settings;
   settings.num_workers = 2;
   api::Connection two(db_.get(), nullptr, settings);
-  two.ShareCostCache(one);
 
   const char* statements[] = {
       "SELECT k, v FROM w WHERE k < 40 AND v < 3",
@@ -229,6 +230,116 @@ TEST_F(ApiTest, TwoWorkerSessionMatchesOneWorker) {
     ASSERT_OK_AND_ASSIGN(api::QueryResult submitted,
                          two.Submit(tmpl).Wait());
     EXPECT_EQ(Bag(submitted), Bag(want)) << plan::StrategyName(s);
+  }
+}
+
+// --- Sorted-key lookups answered by the index ------------------------------
+
+TEST_F(ApiTest, SortedKeyLookupRunsLmPipelinedOnTheIndex) {
+  // `s` is stored sorted by k (10 rows per key), so the planner answers
+  // `k = c` from the index and the advisor prices that plan: LM-pipelined.
+  const size_t n = 150000;
+  std::vector<Value> k(n), v(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<Value>(i / 10);
+    v[i] = static_cast<Value>((i * 7919) % 1000);
+  }
+  ASSERT_OK(db_->CreateColumn("s.k", codec::Encoding::kUncompressed, k));
+  ASSERT_OK(db_->CreateColumn("s.v", codec::Encoding::kUncompressed, v));
+  ASSERT_OK(db_->RegisterTable("s", {{"k", "s.k"}, {"v", "s.v"}}));
+  std::vector<bool> live(n, true);
+
+  // Brute force over the reference rows.
+  auto want = [&](Value key) {
+    std::vector<std::vector<Value>> rows;
+    for (size_t i = 0; i < k.size(); ++i) {
+      if (live[i] && k[i] == key) rows.push_back({k[i], v[i]});
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+
+  sched::Scheduler shared1(sched::Scheduler::Options{1});
+  sched::Scheduler shared2(sched::Scheduler::Options{2});
+  api::Connection::Settings two_workers;
+  two_workers.num_workers = 2;
+  api::Connection standalone1(db_.get());
+  api::Connection standalone2(db_.get(), nullptr, two_workers);
+  api::Connection pooled1(db_.get(), &shared1);
+  api::Connection pooled2(db_.get(), &shared2);
+  api::Connection* sessions[] = {&standalone1, &standalone2, &pooled1,
+                                 &pooled2};
+
+  auto check = [&](const char* phase) {
+    for (Value key : {Value{0}, Value{7}, Value{7777}, Value{14999}}) {
+      const std::string sql =
+          "SELECT k, v FROM s WHERE k = " + std::to_string(key);
+      for (api::Connection* conn : sessions) {
+        ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn->Query(sql));
+        EXPECT_EQ(r.strategy, plan::Strategy::kLmPipelined)
+            << phase << ": " << sql;
+        EXPECT_EQ(Bag(r), want(key)) << phase << ": " << sql;
+        // The lookup never evaluates the predicate on the read store.
+        EXPECT_LT(r.stats.exec.predicate_evals, 1000u) << phase << ": " << sql;
+      }
+    }
+  };
+  check("read store");
+
+  // Tail rows in the write store (one of them under an existing key) and
+  // deletes: the snapshot path masks and extends the index plan.
+  ASSERT_OK_AND_ASSIGN(
+      api::QueryResult ins,
+      standalone1.Query(
+          "INSERT INTO s VALUES (15000, 1), (15000, 2), (7, 999), (0, 5)"));
+  EXPECT_EQ(ins.rows_affected, 4u);
+  for (auto [key, val] : {std::pair<Value, Value>{15000, 1}, {15000, 2},
+                          {7, 999}, {0, 5}}) {
+    k.push_back(key);
+    v.push_back(val);
+    live.push_back(true);
+  }
+  ASSERT_OK_AND_ASSIGN(
+      api::QueryResult del,
+      standalone1.Query("DELETE FROM s WHERE k = 7777 AND v < 500"));
+  uint64_t deleted = 0;
+  for (size_t i = 0; i < k.size(); ++i) {
+    if (k[i] == 7777 && v[i] < 500) {
+      live[i] = false;
+      ++deleted;
+    }
+  }
+  ASSERT_GT(deleted, 0u);
+  EXPECT_EQ(del.rows_affected, deleted);
+  check("after writes");
+}
+
+// --- Cost-model calibration -------------------------------------------------
+
+TEST_F(ApiTest, FreshSessionsPrintIdenticalExplainRankings) {
+  // The CPU constants are calibrated once per process, so every session
+  // prices a statement alike and picks the same strategy.
+  MakeBigTable();
+  const char* statements[] = {
+      "SELECT x FROM big WHERE x < 500",
+      "SELECT a, b FROM t WHERE a < 100 AND b < 6",
+      "SELECT a, SUM(b) FROM t WHERE b < 6 GROUP BY a",
+  };
+  auto ranking = [&](const char* sql) {
+    api::Connection fresh(db_.get());
+    Result<std::string> report = fresh.Explain(sql);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.ok()) return std::string();
+    // The shared-resource section reports live pool counters; the
+    // advisor's report is everything before it.
+    return report->substr(0, report->find("-- shared-resource pressure"));
+  };
+  for (const char* sql : statements) {
+    const std::string first = ranking(sql);
+    EXPECT_NE(first.find("<- chosen"), std::string::npos) << first;
+    for (int session = 0; session < 3; ++session) {
+      EXPECT_EQ(ranking(sql), first) << sql;
+    }
   }
 }
 
@@ -916,7 +1027,6 @@ TEST_F(ApiTest, StatementCacheMatchesUncachedPrepare) {
   api::StatementCache cache;
   api::Connection plain(db_.get());
   api::Connection cached(db_.get());
-  cached.ShareCostCache(plain);
   cached.set_statement_cache(&cache);
   const char* statements[] = {
       "SELECT a, b FROM t WHERE a < ? AND b < ?",
@@ -1006,7 +1116,6 @@ TEST_F(ApiTest, StatementCacheConcurrentSessionsSingleParse) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&]() {
       api::Connection conn(db_.get());
-      conn.ShareCostCache(root);
       conn.set_statement_cache(&cache);
       for (int i = 0; i < kIters; ++i) {
         auto p = conn.Prepare(sql);

@@ -2,6 +2,11 @@
 // plan-prediction behaviour matching the paper's qualitative claims, the
 // calibrator, and the advisor's choices.
 
+#include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/advisor.h"
@@ -41,6 +46,39 @@ TEST(CostModelTest, DS1MatchesHandComputedFormula) {
   double io = (10 / p.pf * p.seek + 10 * p.read);
   EXPECT_DOUBLE_EQ(c.cpu, cpu);
   EXPECT_DOUBLE_EQ(c.io, io);
+}
+
+TEST(CostModelTest, IndexScanMatchesHandComputedFormula) {
+  CostParams p = Paper();
+  // 150 000 sorted uncompressed values in 19 blocks; `=` has two bounds.
+  ColumnStats col = MakeCol(19, 150000);
+  Cost c = model::IndexScanCost(col, 2, p);
+  // Per bound: binary search over 19 block first values, the boundary
+  // block, binary search over its 150000 / 19 values.
+  double search = std::log2(20.0) * p.fc + p.bic +
+                  std::log2(1.0 + 150000.0 / 19.0) * p.fc;
+  // One range descriptor per window: ceil(150000 / 65536) = 3.
+  ASSERT_EQ(kChunkPositions, Position{65536});
+  double windows = 3 * (p.tic_col + p.fc);
+  EXPECT_DOUBLE_EQ(c.cpu, 2 * search + windows);
+  EXPECT_DOUBLE_EQ(c.io, 2 * (p.seek + p.read));  // cold boundary blocks
+
+  // A one-sided range searches once; a cached column reads nothing.
+  col.fraction_cached = 1.0;
+  Cost one = model::IndexScanCost(col, 1, p);
+  EXPECT_DOUBLE_EQ(one.cpu, search + windows);
+  EXPECT_DOUBLE_EQ(one.io, 0.0);
+
+  // RLE: the in-block search runs over the block's runs, not its values.
+  ColumnStats rle = MakeCol(2, 600000, 80, codec::Encoding::kRle);
+  double rle_search = std::log2(3.0) * p.fc + p.bic +
+                      std::log2(1.0 + 600000.0 / (2 * 80.0)) * p.fc;
+  EXPECT_DOUBLE_EQ(model::IndexScanCost(rle, 2, p).cpu,
+                   2 * rle_search + 10 * (p.tic_col + p.fc));
+
+  // No predicate: no search at all, only the descriptors.
+  EXPECT_DOUBLE_EQ(model::IndexScanCost(rle, 0, p).cpu,
+                   10 * (p.tic_col + p.fc));
 }
 
 TEST(CostModelTest, DS2ChargesTupleIteratorOnOutput) {
@@ -308,6 +346,34 @@ TEST(CalibratorTest, UsesDiskModelWhenEnabled) {
   EXPECT_DOUBLE_EQ(p.read, 567.0);
 }
 
+TEST(CalibratorTest, ForProcessMeasuresOnceAcrossThreads) {
+  // Every caller — from any thread, for any database — gets the same CPU
+  // constants; only the I/O constants follow the DiskModel passed in.
+  storage::DiskModel off;
+  std::vector<CostParams> got(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back(
+        [&got, &off, i] { got[i] = model::Calibrator::ForProcess(off); });
+  }
+  for (std::thread& t : threads) t.join();
+  storage::DiskModel::Params dp;
+  dp.enabled = true;
+  dp.seek_micros = 1234;
+  dp.read_micros = 567;
+  got.push_back(model::Calibrator::ForProcess(storage::DiskModel(dp)));
+  for (const CostParams& p : got) {
+    EXPECT_GT(p.fc, 0.0);
+    EXPECT_DOUBLE_EQ(p.fc, got[0].fc);
+    EXPECT_DOUBLE_EQ(p.tic_col, got[0].tic_col);
+    EXPECT_DOUBLE_EQ(p.tic_tup, got[0].tic_tup);
+    EXPECT_DOUBLE_EQ(p.bic, got[0].bic);
+  }
+  EXPECT_DOUBLE_EQ(got[0].seek, 0.0);
+  EXPECT_DOUBLE_EQ(got.back().seek, 1234.0);
+  EXPECT_DOUBLE_EQ(got.back().read, 567.0);
+}
+
 TEST(AdvisorTest, RanksAllFourStrategies) {
   Advisor advisor(Paper());
   SelectionModelInput in;
@@ -334,6 +400,117 @@ TEST(AdvisorTest, BitVectorDemotesLmPipelined) {
   EXPECT_FALSE(ranked.back().supported);
   EXPECT_EQ(ranked.back().strategy, Strategy::kLmPipelined);
   EXPECT_NE(advisor.ChooseSelection(in), Strategy::kLmPipelined);
+}
+
+/// SELECT k, v FROM t WHERE k = c over 150 000 rows stored sorted by k
+/// (uncompressed, 10 rows per key; v unpredicated), warm: the CPU terms
+/// decide, as in a server with disk simulation off.
+SelectionModelInput SortedPointLookup() {
+  SelectionModelInput in;
+  in.col1 = MakeCol(19, 150000);
+  in.col2 = MakeCol(19, 150000);
+  in.sf1 = 10.0 / 150000;
+  in.sf2 = 1.0;
+  in.col1_clustered = true;
+  in.col1_index = true;
+  in.bounds1 = 2;
+  in.bounds2 = 0;
+  return in;
+}
+
+CostParams WarmParams() {
+  CostParams p = Paper();
+  p.seek = 0;
+  p.read = 0;
+  return p;
+}
+
+TEST(AdvisorTest, SortedPointLookupRanksLmPipelinedFirst) {
+  Advisor advisor(WarmParams());
+  SelectionModelInput in = SortedPointLookup();
+  for (int workers : {1, 2}) {
+    in.num_workers = workers;
+    std::vector<model::StrategyPrediction> ranked = advisor.RankSelection(in);
+    EXPECT_EQ(ranked.front().strategy, Strategy::kLmPipelined) << workers;
+    EXPECT_EQ(advisor.ChooseSelection(in), Strategy::kLmPipelined);
+  }
+  EXPECT_NE(advisor.ExplainSelection(in).find(
+                "clustered, index-scan} col2{uncompressed, |C|=19, RL=1.0, "
+                "sf=1.000}"),
+            std::string::npos)
+      << advisor.ExplainSelection(in);
+
+  // Priced as a full scan of k — what the planner does once the index is
+  // off — the same lookup ranks EM-parallel first.
+  in.col1_index = false;
+  EXPECT_EQ(advisor.ChooseSelection(in), Strategy::kEmParallel);
+  EXPECT_EQ(advisor.ExplainSelection(in).find("index-scan"),
+            std::string::npos);
+}
+
+TEST(AdvisorTest, IndexTermReachesAggregationAndSort) {
+  // PredictAggregation and PredictSort build on the selection prediction,
+  // so the index lookup is cheaper there too, and an LM aggregation still
+  // costs less than the LM selection it replaces the top of.
+  CostParams p = WarmParams();
+  SelectionModelInput indexed = SortedPointLookup();
+  SelectionModelInput scanned = indexed;
+  scanned.col1_index = false;
+  for (Strategy s : {Strategy::kLmParallel, Strategy::kLmPipelined}) {
+    EXPECT_LT(model::PredictAggregation(s, indexed, 1, p).total(),
+              model::PredictAggregation(s, scanned, 1, p).total())
+        << StrategyName(s);
+    EXPECT_LT(model::PredictAggregation(s, indexed, 1, p).total(),
+              model::PredictSelection(s, indexed, p).total())
+        << StrategyName(s);
+    EXPECT_LT(model::PredictSort(s, indexed, 5, p).total(),
+              model::PredictSort(s, scanned, 5, p).total())
+        << StrategyName(s);
+  }
+  Advisor advisor(p);
+  EXPECT_EQ(advisor.RankAggregation(indexed, 1).front().strategy,
+            Strategy::kLmPipelined);
+  EXPECT_EQ(advisor.RankSort(indexed, 5).front().strategy,
+            Strategy::kLmPipelined);
+}
+
+TEST(AdvisorTest, IndexAnsweredColumnPaysMergeIo) {
+  // The merge's DS3 over an index-answered column is not already accessed:
+  // cold, it pays that column's I/O, which a scanned column's mini-columns
+  // saved.
+  CostParams p = Paper();
+  SelectionModelInput in = SortedPointLookup();
+  in.sf1 = 0.5;
+  in.bounds1 = 1;
+  Cost indexed = model::PredictSelection(Strategy::kLmParallel, in, p);
+  in.col1_index = false;
+  Cost scanned = model::PredictSelection(Strategy::kLmParallel, in, p);
+  Cost ds1 = model::DS1Cost(in.col1, in.sf1, p);
+  Cost index = model::IndexScanCost(in.col1, 1, p);
+  Cost ds3_cold = model::DS3Cost(in.col1, 75000, 75000, 0.5, false, p);
+  EXPECT_DOUBLE_EQ(indexed.io - scanned.io,
+                   index.io - ds1.io + ds3_cold.io);
+}
+
+TEST(AdvisorTest, IndexAnsweredBitVectorCol2KeepsLmPipelined) {
+  // The planner refines by an index-answered col2 without position-filtering
+  // its bit-vectors, so LM-pipelined stays supported.
+  Advisor advisor(Paper());
+  SelectionModelInput in;
+  in.col1 = MakeCol(3, 600000, 80, codec::Encoding::kRle);
+  in.col2 = MakeCol(20, 600000, 1, codec::Encoding::kBitVector);
+  in.sf1 = 0.01;
+  in.col2_index = true;
+  in.bounds2 = 1;
+  for (const model::StrategyPrediction& pred : advisor.RankSelection(in)) {
+    EXPECT_TRUE(pred.supported) << StrategyName(pred.strategy);
+  }
+  EXPECT_EQ(Advisor::Heuristic(in, false), Strategy::kLmPipelined);
+  std::string report = advisor.ExplainSelection(in);
+  EXPECT_EQ(report.find("unsupported"), std::string::npos) << report;
+  EXPECT_NE(report.find("bitvector, |C|=20, RL=1.0, sf=1.000, index-scan}"),
+            std::string::npos)
+      << report;
 }
 
 TEST(AdvisorTest, HeuristicFollowsPaperConclusion) {

@@ -593,6 +593,37 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
   EXPECT_NE(ri.stats.query_id, r.stats.query_id);
 }
 
+TEST_F(ObsTest, FinalizeSpanRecordedBeforeWaitReturns) {
+  // A client that stops tracing as soon as Wait() returns must still find
+  // that query's finalize span: the scheduler records it before it
+  // publishes the result.
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.set_enabled(true);
+  sched::Scheduler::Options so;
+  so.num_workers = 2;
+  sched::Scheduler scheduler(so);
+  api::Connection conn(db_, &scheduler);
+  const plan::PlanTemplate tmpl =
+      plan::PlanTemplate::Selection(Selection(), Strategy::kLmParallel);
+  int missing = 0;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Submit(tmpl, false).Wait());
+    bool found = false;
+    for (const obs::TraceEvent& ev : rec.Snapshot()) {
+      if (std::string(ev.name) != "finalize") continue;
+      for (int a = 0; a < ev.num_args; ++a) {
+        found |= std::string(ev.arg_keys[a]) == "query" &&
+                 ev.arg_vals[a] == static_cast<int64_t>(r.stats.query_id);
+      }
+    }
+    missing += found ? 0 : 1;
+  }
+  rec.set_enabled(false);
+  rec.Clear();
+  EXPECT_EQ(missing, 0) << "of 60 queries, finalize spans missing";
+}
+
 TEST_F(ObsTest, StreamSqlRecordsFrontEndSpans) {
   // Stream(sql) is the server's SELECT path: a traced stream shows its
   // SQL-layer time like Query does.

@@ -86,6 +86,44 @@ TEST(ResultEncoderTest, ParseWire) {
 
 // --- server fixture ---------------------------------------------------------
 
+bool SameAddress(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_family == b.sin_family && a.sin_port == b.sin_port &&
+         a.sin_addr.s_addr == b.sin_addr.s_addr;
+}
+
+/// This process's end of the loopback TCP connection whose other end is
+/// `fd` (here: the server's accepted socket for a test client), or -1 while
+/// the server has not accepted it yet.
+int LoopbackPeer(int fd) {
+  sockaddr_in local = {};
+  sockaddr_in peer = {};
+  socklen_t len = sizeof(local);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0) {
+    return -1;
+  }
+  len = sizeof(peer);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+    return -1;
+  }
+  for (int other = 0; other < 4096; ++other) {
+    sockaddr_in other_local = {};
+    sockaddr_in other_peer = {};
+    len = sizeof(other_local);
+    if (other == fd ||
+        ::getsockname(other, reinterpret_cast<sockaddr*>(&other_local),
+                      &len) != 0) {
+      continue;
+    }
+    len = sizeof(other_peer);
+    if (::getpeername(other, reinterpret_cast<sockaddr*>(&other_peer),
+                      &len) == 0 &&
+        SameAddress(other_local, peer) && SameAddress(other_peer, local)) {
+      return other;
+    }
+  }
+  return -1;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -393,8 +431,19 @@ TEST_F(ServerTest, OutputByteCapShedsOnStalledReader) {
   // A raw socket that sends the request and never reads the response: the
   // server's writer blocks once the TCP buffers fill, its ChunkQueue backs
   // up, and the shared byte gauge climbs past the cap.
+  //
+  // Left alone, loopback buffers grow to megabytes and swallow the whole
+  // ~1.6 MB CSV result: the writer then keeps popping chunks (the gauge
+  // dips to 0 between them) and the producer finishes, so the gauge never
+  // stays up. Both ends' buffers are pinned small instead, far below the
+  // ~256 KB of CSV in one 64K-row chunk, so the writer stalls for good
+  // inside the first chunk it pops.
+  const int small_buffer = 4096;
   const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &small_buffer,
+                         sizeof(small_buffer)),
+            0);
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(srv.port()));
@@ -402,14 +451,26 @@ TEST_F(ServerTest, OutputByteCapShedsOnStalledReader) {
   ASSERT_EQ(
       ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
       0);
+  int server_end = -1;
+  ASSERT_TRUE(WaitFor([&] {
+    server_end = LoopbackPeer(stalled);
+    return server_end >= 0;
+  })) << "server never accepted the connection";
+  ASSERT_EQ(::setsockopt(server_end, SOL_SOCKET, SO_SNDBUF, &small_buffer,
+                         sizeof(small_buffer)),
+            0);
   const char* req =
       "GET /query?q=SELECT+x+FROM+big&format=csv HTTP/1.1\r\n"
       "Host: t\r\n\r\n";
   ASSERT_EQ(::send(stalled, req, std::strlen(req), MSG_NOSIGNAL),
             static_cast<ssize_t>(std::strlen(req)));
 
+  // The writer takes at most one chunk out of the queue, ever; every other
+  // chunk stays there. Once the gauge holds the cap plus one chunk, it can
+  // no longer fall below the cap.
+  const int64_t chunk_bytes = kChunkPositions * sizeof(Value);
   ASSERT_TRUE(WaitFor([&] {
-    return srv.buffered_output_bytes() >= 64 * 1024;
+    return srv.buffered_output_bytes() >= 64 * 1024 + chunk_bytes;
   })) << "stalled reader never backed up the byte gauge";
 
   server::HttpClient client;
