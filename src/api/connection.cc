@@ -250,12 +250,9 @@ Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
   // and row order, but the hand-off to its thread more than doubles a
   // point query's latency.
   QueryResult result;
-  bool first = true;
   Status st = plan::ExecuteInline(
       tmpl, db_->pool(), &result.stats,
-      [&](const exec::TupleChunk& chunk) {
-        AppendChunk(&result.tuples, &first, chunk);
-      });
+      [&](const exec::TupleChunk& chunk) { result.tuples.Append(chunk); });
   result.stats.query_id = obs::NextQueryId();
   sched::RecordQueryLog(result.stats.query_id, label, &tmpl, st,
                         /*workers=*/1, settings_.priority,
@@ -289,11 +286,15 @@ PendingResult Connection::SubmitRunnable(const Runnable& run,
   if (materialize) {
     std::shared_ptr<QueryResult> buffer = pending.buffer_;
     // The sink runs sequentially at finalization (scheduler contract), so
-    // the captured per-query state needs no lock.
-    options.sink =
-        [buffer, first = true](const exec::TupleChunk& chunk) mutable {
-          AppendChunk(&buffer->tuples, &first, chunk);
-        };
+    // the captured per-query state needs no lock. The first chunk is kept
+    // as is; only a sort's later chunks are copied in behind it.
+    options.sink = [buffer](exec::TupleChunk&& chunk) {
+      if (buffer->tuples.empty()) {
+        buffer->tuples = std::move(chunk);
+      } else {
+        buffer->tuples.Append(chunk);
+      }
+    };
   }
   pending.ticket_ =
       scheduler->Submit(run.tmpl, db_->pool(), std::move(options));
@@ -631,14 +632,18 @@ Result<QueryResult> Connection::ExplainStatement(
     out.stats = executed.stats;
     report += "plan (actual, all workers summed):\n";
     report += profile->Format();
-    char buf[224];
+    char buf[320];
     std::snprintf(
         buf, sizeof(buf),
         "actual: wall=%.3f ms  rows=%llu  blocks_fetched=%llu  "
+        "predicate_evals=%llu  tuples_constructed=%llu  "
         "cache_hits=%llu  physical_reads=%llu  read_time=%.3f ms\n",
         executed.stats.wall_micros / 1000.0,
         static_cast<unsigned long long>(executed.stats.output_tuples),
         static_cast<unsigned long long>(executed.stats.exec.blocks_fetched),
+        static_cast<unsigned long long>(executed.stats.exec.predicate_evals),
+        static_cast<unsigned long long>(
+            executed.stats.exec.tuples_constructed),
         static_cast<unsigned long long>(executed.stats.io.cache_hits),
         static_cast<unsigned long long>(executed.stats.io.physical_reads),
         executed.stats.io.physical_read_ns / 1e6);

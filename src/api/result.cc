@@ -29,17 +29,6 @@ exec::TupleChunk ProjectChunk(const std::vector<uint32_t>& output_slots,
   return out;
 }
 
-void AppendChunk(exec::TupleChunk* out, bool* first,
-                 const exec::TupleChunk& chunk) {
-  if (*first) {
-    out->Reset(chunk.width());
-    *first = false;
-  }
-  for (size_t i = 0; i < chunk.num_tuples(); ++i) {
-    out->AppendTuple(chunk.position(i), chunk.tuple(i));
-  }
-}
-
 // --- ChunkQueue -------------------------------------------------------------
 
 bool ChunkQueue::Push(const exec::TupleChunk& chunk) {
@@ -204,14 +193,13 @@ Result<QueryResult> RowCursor::FetchAll() {
   QueryResult out;
   exec::PooledChunk chunk_handle = exec::AcquireChunk();
   exec::TupleChunk& chunk = *chunk_handle;
-  bool first = true;
   while (true) {
     Result<bool> has = Next(&chunk);
     CSTORE_RETURN_IF_ERROR(has.status());
     if (!*has) break;
-    AppendChunk(&out.tuples, &first, chunk);
+    out.tuples.Append(chunk);
   }
-  if (first && !output_slots_.empty()) {
+  if (out.tuples.empty() && !output_slots_.empty()) {
     // Empty stream: still present the projected output width, exactly as
     // the materialized path does for zero-row results.
     out.tuples.Reset(static_cast<uint32_t>(output_slots_.size()));

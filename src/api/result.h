@@ -58,12 +58,6 @@ struct QueryResult {
 exec::TupleChunk ProjectChunk(const std::vector<uint32_t>& output_slots,
                               exec::TupleChunk&& in);
 
-/// Appends `chunk`'s tuples to `out`, adopting its width on the first
-/// append (`*first` tracks that across calls) — the materialization step
-/// every buffering sink shares.
-void AppendChunk(exec::TupleChunk* out, bool* first,
-                 const exec::TupleChunk& chunk);
-
 /// Bounded thread-safe chunk queue between scheduler workers (producers)
 /// and a RowCursor (consumer). Push blocks while the queue is at capacity —
 /// that block is the backpressure that bounds a streaming query's memory.

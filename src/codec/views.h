@@ -114,6 +114,20 @@ class RleView {
     }
   }
 
+  /// fn(value, begin, end) for each run overlapping [b, e), clipped to it,
+  /// ascending. The first run is found by binary search, so a block that
+  /// spans many windows is never walked from its start per window.
+  template <typename Fn>
+  void ForEachRunIn(Position b, Position e, Fn&& fn) const {
+    if (b >= e) return;
+    for (uint32_t i = RunContaining(b); i < nruns_ && runs_[i].start < e;
+         ++i) {
+      const Position run_end = runs_[i].start + runs_[i].len;
+      fn(runs_[i].value, runs_[i].start > b ? runs_[i].start : b,
+         run_end < e ? run_end : e);
+    }
+  }
+
  private:
   Position start_;
   uint32_t n_;

@@ -235,15 +235,26 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
   out->Reset(1);
   emitter_.Bind(out);
   for (const auto& blk : blocks) {
-    // Iterate the window overlap of the block, gluing positions and values
-    // together for matches: each output tuple passes through the tuple
-    // iterator (Case 2's TIC_TUP term).
-    blk->view.ForEach([&](Position p, Value v) {
-      if (p < wb || p >= we) return;
+    // A block may span many windows: iterate only its overlap with this
+    // one, gluing positions and values together for matches. Each output
+    // tuple passes through the tuple iterator (Case 2's TIC_TUP term).
+    const codec::BlockView& view = blk->view;
+    const position::Range clip{std::max(wb, view.start_pos()),
+                               std::min(we, view.end_pos())};
+    if (const auto* rle = view.AsRle()) {
+      // One predicate evaluation per run overlapping the window (DS2Cost's
+      // ||C|| / RL term), then every position of a passing run.
+      rle->ForEachRunIn(clip.begin, clip.end,
+                        [&](Value v, Position b, Position e) {
+                          ++stats_->predicate_evals;
+                          if (!pred_.Eval(v)) return;
+                          for (Position p = b; p < e; ++p) sink_->Emit(p, &v);
+                        });
+      continue;
+    }
+    view.ForEachValueInRanges(&clip, 1, [&](Position p, Value v) {
       ++stats_->predicate_evals;
-      if (pred_.Eval(v)) {
-        sink_->Emit(p, &v);
-      }
+      if (pred_.Eval(v)) sink_->Emit(p, &v);
     });
   }
   stats_->tuples_constructed += out->num_tuples();
@@ -283,6 +294,10 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   uint64_t last_used = UINT64_MAX;
   for (size_t i = 0; i < in.num_tuples(); ++i) {
     Position pos = in.position(i);
+    // Positions ascend within and across input chunks, so the block and
+    // run cursors below only ever move forward.
+    CSTORE_DCHECK(pos >= next_pos_) << "DS4 input positions must ascend";
+    next_pos_ = pos + 1;
     // Advance the block cursor; intermediate blocks with no input positions
     // are never fetched.
     if (cur_block_ == nullptr || pos >= cur_block_->view.end_pos()) {
@@ -292,12 +307,21 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
       ++stats_->blocks_fetched;
       cur_block_ = std::make_shared<codec::EncodedBlock>(std::move(blk));
       cur_block_no_ = target;
+      cur_rle_ = cur_block_->view.AsRle();
+      if (cur_rle_ != nullptr) cur_run_ = cur_rle_->RunContaining(pos);
     }
     if (cur_block_no_ != last_used) {
       ++used_blocks;
       last_used = cur_block_no_;
     }
-    Value v = cur_block_->view.ValueAt(pos);
+    Value v;
+    if (cur_rle_ != nullptr) {
+      const codec::RleTriple* runs = cur_rle_->runs();
+      while (pos >= runs[cur_run_].start + runs[cur_run_].len) ++cur_run_;
+      v = runs[cur_run_].value;
+    } else {
+      v = cur_block_->view.ValueAt(pos);
+    }
     ++stats_->predicate_evals;
     if (pred_.Eval(v)) {
       // Stitch the wider tuple and push it through the tuple iterator.

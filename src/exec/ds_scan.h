@@ -140,9 +140,13 @@ class DS4ScanMerge : public TupleOp {
   // The window of the current input chunk (never fetches); its block range
   // is what blocks_skipped counts against.
   WindowCursor window_;
-  // Current block cursor (input positions ascend monotonically).
+  // Current block cursor (input positions ascend monotonically); on an RLE
+  // block, also the index of the run holding the last input position.
   std::shared_ptr<codec::EncodedBlock> cur_block_;
   uint64_t cur_block_no_ = UINT64_MAX;
+  const codec::RleView* cur_rle_ = nullptr;  // views cur_block_, or null
+  uint32_t cur_run_ = 0;
+  Position next_pos_ = 0;  // the next input position must be at least this
   std::vector<Value> row_buf_;
   ChunkTupleEmitter emitter_;
   TupleEmitter* sink_ = &emitter_;

@@ -48,6 +48,17 @@ class TupleChunk {
     for (uint32_t i = 0; i < width_; ++i) slots[i] = values[i];
   }
 
+  /// Appends every tuple of `other` in two bulk copies. An empty chunk
+  /// first adopts `other`'s width; otherwise the widths must match.
+  void Append(const TupleChunk& other) {
+    if (empty()) width_ = other.width_;
+    CSTORE_DCHECK(width_ == other.width_ || other.empty())
+        << "appending width " << other.width_ << " to width " << width_;
+    positions_.insert(positions_.end(), other.positions_.begin(),
+                      other.positions_.end());
+    data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  }
+
   Position position(size_t i) const { return positions_[i]; }
   const Value* tuple(size_t i) const { return data_.data() + i * width_; }
   Value* mutable_tuple(size_t i) { return data_.data() + i * width_; }

@@ -626,8 +626,11 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
       tuples = out.num_tuples();
       checksum = plan::ChunkDigest(out);
       exec_total.tuples_constructed += out.num_tuples();
-      if (q->sink) q->sink(out);
-      if (q->stream_sink && !out.empty()) q->stream_sink(out);
+      if (q->sink) {
+        q->sink(std::move(out));
+      } else if (q->stream_sink && !out.empty()) {
+        q->stream_sink(out);
+      }
     } else if (q->tmpl.kind == plan::PlanTemplate::Kind::kSort) {
       // K-way merge of the per-morsel sorted runs: the single ordered
       // emission point, so sorted output (rows *and* their order) is
@@ -649,8 +652,11 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
             checksum += plan::ChunkDigest(out);
             tuples += out.num_tuples();
             exec_total.tuples_constructed += out.num_tuples();
-            if (q->sink) q->sink(out);
-            if (q->stream_sink && !out.empty()) return q->stream_sink(out);
+            if (q->sink) {
+              q->sink(std::move(out));
+            } else if (q->stream_sink && !out.empty()) {
+              return q->stream_sink(out);
+            }
             return true;
           });
       if (!kept) {
@@ -659,12 +665,22 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
       }
       result.stats.merge_wall_micros =
           static_cast<uint64_t>(merge_timer.ElapsedMicros());
-    } else if (q->sink) {
-      // Per-worker buffers concatenated once, in worker order — the sink
-      // sees bag semantics without ever having serialized the workers.
-      for (const QueryState::Partial& p : q->partials) {
-        for (const exec::TupleChunk& chunk : p.chunks) q->sink(chunk);
+    } else if (q->sink && tuples > 0) {
+      // Per-worker buffers concatenated once, in worker order, into one
+      // chunk sized up front — the sink sees bag semantics without ever
+      // having serialized the workers, and takes the chunk without a copy.
+      exec::TupleChunk all;
+      for (QueryState::Partial& p : q->partials) {
+        for (const exec::TupleChunk& chunk : p.chunks) {
+          if (all.empty()) {
+            all.Reset(chunk.width());
+            all.Reserve(tuples);
+          }
+          all.Append(chunk);
+        }
+        p.chunks.clear();  // release each worker's copy as it is merged
       }
+      q->sink(std::move(all));
     }
   }
   result.stats.wall_micros = q->timer.ElapsedMicros();

@@ -105,12 +105,14 @@ class Scheduler {
     int num_workers = 0;
   };
 
-  /// Receives every output chunk of one query, invoked sequentially (no
-  /// locking needed inside) by the finalizing worker after the query's last
-  /// morsel completes. Aggregations deliver exactly one chunk (the merged
-  /// groups); selections deliver each worker's buffered chunks in worker
-  /// order. Not called at all if the query failed.
-  using Sink = std::function<void(const exec::TupleChunk&)>;
+  /// Receives a query's output, invoked sequentially (no locking needed
+  /// inside) by the finalizing worker after the query's last morsel
+  /// completes. The chunk is handed over: the sink may keep it by move.
+  /// Aggregations deliver exactly one chunk (the merged groups); selections
+  /// deliver one chunk holding every worker's rows in worker order (none
+  /// when no row qualified); sorts deliver their k-way merge in order, one
+  /// chunk at a time. Not called at all if the query failed.
+  using Sink = std::function<void(exec::TupleChunk&&)>;
 
   /// Streaming variant: invoked *during* execution, from whichever worker
   /// produced the chunk — concurrently for parallel scans, so it must be

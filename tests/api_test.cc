@@ -233,6 +233,128 @@ TEST_F(ApiTest, TwoWorkerSessionMatchesOneWorker) {
   }
 }
 
+TEST_F(ApiTest, PooledResultsMatchTheInlineRun) {
+  // Six windows and two-window morsels: every worker of a 2- or 4-worker
+  // pool buffers several chunks, which finalize hands over as one result.
+  const size_t n = 6 * kChunkPositions;
+  std::vector<Value> k(n), v(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<Value>(i % 1000);
+    v[i] = static_cast<Value>(i % 7);
+  }
+  ASSERT_OK(db_->CreateColumn("w.k", codec::Encoding::kUncompressed, k));
+  ASSERT_OK(db_->CreateColumn("w.v", codec::Encoding::kRle, v));
+  ASSERT_OK(db_->RegisterTable("w", {{"k", "w.k"}, {"v", "w.v"}}));
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rk, db_->GetColumn("w.k"));
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* rv, db_->GetColumn("w.v"));
+  plan::SelectionQuery q;
+  q.columns.push_back({rk, codec::Predicate::LessThan(900)});
+  q.columns.push_back({rv, codec::Predicate::LessThan(6)});
+
+  sched::Scheduler::Options so;
+  so.num_workers = 4;
+  sched::Scheduler shared(so);
+  api::Connection one(db_.get());
+  api::Connection pooled(db_.get(), &shared);
+  std::vector<std::unique_ptr<api::Connection>> sessions;
+  for (int workers : {2, 4}) {
+    api::Connection::Settings settings;
+    settings.num_workers = workers;
+    sessions.push_back(
+        std::make_unique<api::Connection>(db_.get(), nullptr, settings));
+  }
+  std::vector<api::Connection*> multi = {sessions[0].get(),
+                                         sessions[1].get(), &pooled};
+
+  for (plan::Strategy s : plan::kAllStrategies) {
+    plan::PlanConfig config;
+    config.morsel_positions = 2 * kChunkPositions;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult want,
+        one.Query(plan::PlanTemplate::Selection(q, s, config)));
+    ASSERT_GT(want.tuples.num_tuples(), 4 * kChunkPositions);
+    const auto want_rows = testing::RowsByPosition(want.tuples);
+    for (size_t ci = 0; ci < multi.size(); ++ci) {
+      config.num_workers = ci == 0 ? 2 : 4;
+      const plan::PlanTemplate tmpl =
+          plan::PlanTemplate::Selection(q, s, config);
+      const std::string where =
+          std::string(plan::StrategyName(s)) + " connection " +
+          std::to_string(ci);
+      ASSERT_OK_AND_ASSIGN(api::QueryResult query, multi[ci]->Query(tmpl));
+      EXPECT_TRUE(testing::RowsByPosition(query.tuples) == want_rows)
+          << where;
+      EXPECT_EQ(query.stats.checksum, want.stats.checksum) << where;
+      ASSERT_OK_AND_ASSIGN(api::QueryResult submitted,
+                           multi[ci]->Submit(tmpl).Wait());
+      EXPECT_TRUE(testing::RowsByPosition(submitted.tuples) == want_rows)
+          << where;
+    }
+  }
+
+  // GROUP BY and ORDER BY ... LIMIT still arrive through the sink; the
+  // sorted rows arrive in the inline run's order.
+  const char* group_sql = "SELECT v, SUM(k) FROM w WHERE k < 500 GROUP BY v";
+  const char* order_sql =
+      "SELECT k, v FROM w WHERE v = 2 ORDER BY k DESC LIMIT 9000";
+  ASSERT_OK_AND_ASSIGN(api::QueryResult want_groups, one.Query(group_sql));
+  ASSERT_OK_AND_ASSIGN(api::QueryResult want_order, one.Query(order_sql));
+  ASSERT_EQ(want_order.tuples.num_tuples(), 9000u);
+  for (api::Connection* conn : multi) {
+    ASSERT_OK_AND_ASSIGN(api::QueryResult groups, conn->Query(group_sql));
+    EXPECT_EQ(Bag(groups), Bag(want_groups));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult order,
+                         conn->Submit(order_sql).Wait());
+    EXPECT_EQ(order.tuples.positions(), want_order.tuples.positions());
+    EXPECT_EQ(order.tuples.data(), want_order.tuples.data());
+  }
+}
+
+TEST_F(ApiTest, ZeroRowResultsKeepTheProjectedWidth) {
+  const size_t n = 6 * kChunkPositions;
+  ASSERT_OK(db_->CreateColumn("z.k", codec::Encoding::kUncompressed,
+                              std::vector<Value>(n, 5)));
+  ASSERT_OK(db_->CreateColumn("z.v", codec::Encoding::kRle,
+                              std::vector<Value>(n, 3)));
+  ASSERT_OK(db_->RegisterTable("z", {{"k", "z.k"}, {"v", "z.v"}}));
+  for (int workers : {1, 2, 4}) {
+    api::Connection::Settings settings;
+    settings.num_workers = workers;
+    api::Connection conn(db_.get(), nullptr, settings);
+    for (const char* sql : {"SELECT v FROM z WHERE k < 0",
+                            "SELECT k, v FROM z WHERE k < 0 AND v = 3"}) {
+      ASSERT_OK_AND_ASSIGN(api::QueryResult query, conn.Query(sql));
+      ASSERT_OK_AND_ASSIGN(api::QueryResult submitted,
+                           conn.Submit(sql).Wait());
+      for (const api::QueryResult* r : {&query, &submitted}) {
+        EXPECT_EQ(r->tuples.num_tuples(), 0u) << sql;
+        EXPECT_EQ(r->tuples.width(), r->column_names.size())
+            << sql << " workers=" << workers;
+      }
+    }
+  }
+}
+
+TEST_F(ApiTest, UnmaterializedSubmitBuffersNothing) {
+  const size_t n = MakeBigTable();
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* x, db_->GetColumn("big.x"));
+  plan::SelectionQuery q;
+  q.columns.push_back({x, codec::Predicate::LessThan(500)});
+  api::Connection::Settings settings;
+  settings.num_workers = 2;
+  api::Connection conn(db_.get(), nullptr, settings);
+  plan::PlanConfig config;
+  config.num_workers = 2;
+  ASSERT_OK_AND_ASSIGN(
+      api::QueryResult r,
+      conn.Submit(plan::PlanTemplate::Selection(q, plan::Strategy::kEmParallel,
+                                                config),
+                  /*materialize=*/false)
+          .Wait());
+  EXPECT_EQ(r.stats.output_tuples, n / 2);  // the rows ran...
+  EXPECT_EQ(r.tuples.num_tuples(), 0u);     // ...and none was kept
+}
+
 // --- Sorted-key lookups answered by the index ------------------------------
 
 TEST_F(ApiTest, SortedKeyLookupRunsLmPipelinedOnTheIndex) {

@@ -1,7 +1,9 @@
 // Operator-level tests: DS1/DS1-pipelined/DS2/DS4/SPC/AND/Merge behaviour,
 // mini-column pass-through, and the executor's statistics.
 
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,6 +186,115 @@ TEST_F(ExecTest, DS4ExtendsTuplesAndSkipsBlocks) {
   // a's full scan plus the handful of b blocks containing candidates are
   // fetched.
   EXPECT_LT(stats.blocks_fetched, ca->num_blocks() + 5);
+}
+
+/// Number of (run, window) overlaps in `vals`: the predicate evaluations
+/// DS2Scan makes over the RLE-encoded column (runs are maximal, as the
+/// writer stores them).
+uint64_t RunWindowOverlaps(const std::vector<Value>& vals, Position begin,
+                           Position end) {
+  uint64_t overlaps = 0;
+  for (Position i = begin; i < end; ++i) {
+    if (i % kChunkPositions == 0 || vals[i] != vals[i - 1]) ++overlaps;
+  }
+  return overlaps;
+}
+
+TEST_F(ExecTest, DS2ScanClipsWideRleBlocksToEachWindow) {
+  // Runs of ~1 000 positions put all of `runny` into one RLE block spanning
+  // every window; `single` is one run wider than any window.
+  const size_t n = 300000;
+  const std::vector<Value> runny = testing::RunnyValues(n, 50, 1000.0, 41);
+  const std::vector<Value> single(n, 7);
+  const auto* runny_col = Load("runny", Encoding::kRle, runny);
+  const auto* single_col = Load("single", Encoding::kRle, single);
+  ASSERT_LT(runny_col->num_blocks(), n / kChunkPositions);
+  ASSERT_EQ(single_col->num_blocks(), 1u);
+
+  struct Case {
+    const codec::ColumnReader* col;
+    const std::vector<Value>* vals;
+    Predicate pred;
+  };
+  const Case cases[] = {
+      {runny_col, &runny, Predicate::LessThan(20)},
+      {runny_col, &runny, Predicate::Equal(3)},
+      {runny_col, &runny, Predicate::True()},
+      {runny_col, &runny, Predicate::GreaterThan(1000)},
+      {single_col, &single, Predicate::Equal(7)},
+      {single_col, &single, Predicate::LessThan(7)},
+  };
+  for (size_t ci = 0; ci < std::size(cases); ++ci) {
+    const Case& c = cases[ci];
+    ExecStats stats;
+    exec::DS2Scan scan(c.col, c.pred, &stats);
+    auto got = DrainTuples(&scan);
+    const std::vector<Position> want = testing::NaiveMatches(*c.vals, c.pred);
+    ASSERT_EQ(got.size(), want.size()) << "case " << ci;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].first, want[i]) << "case " << ci << " row " << i;
+      ASSERT_EQ(got[i].second[0], (*c.vals)[want[i]]) << "case " << ci;
+    }
+    // One evaluation per run a window overlaps, never one per position.
+    EXPECT_EQ(stats.predicate_evals, RunWindowOverlaps(*c.vals, 0, n))
+        << "case " << ci;
+    EXPECT_EQ(stats.tuples_constructed, want.size()) << "case " << ci;
+  }
+
+  // Morsels split the count at window boundaries: the parts sum to the
+  // whole scan's.
+  const Position cut = 2 * kChunkPositions;
+  ExecStats head_stats;
+  ExecStats tail_stats;
+  exec::DS2Scan head(runny_col, Predicate::LessThan(20), &head_stats,
+                     position::Range{0, cut});
+  exec::DS2Scan tail(runny_col, Predicate::LessThan(20), &tail_stats,
+                     position::Range{cut, n});
+  const size_t rows = DrainTuples(&head).size() + DrainTuples(&tail).size();
+  EXPECT_EQ(rows, testing::NaiveMatches(runny, Predicate::LessThan(20)).size());
+  EXPECT_EQ(head_stats.predicate_evals, RunWindowOverlaps(runny, 0, cut));
+  EXPECT_EQ(tail_stats.predicate_evals, RunWindowOverlaps(runny, cut, n));
+}
+
+TEST_F(ExecTest, DS4ScanMergeMatchesNaiveOnEveryEncoding) {
+  // `b` has many short runs per block across many blocks; the DS2 leaf
+  // over `a` feeds DS4 once densely and once sparsely.
+  const size_t n = 250000;
+  const std::vector<Value> a = testing::RunnyValues(n, 100, 1.0, 43);
+  const std::vector<Value> b = testing::RunnyValues(n, 20, 3.0, 47);
+  const auto* ca = Load("a", Encoding::kUncompressed, a);
+  const Predicate merge_pred = Predicate::LessThan(12);
+  for (Encoding enc :
+       {Encoding::kRle, Encoding::kDict, Encoding::kBitVector}) {
+    const auto* cb =
+        Load(std::string("b_") + codec::EncodingName(enc), enc, b);
+    if (enc == Encoding::kRle) {
+      ASSERT_GT(cb->num_blocks(), 10u);
+    }
+    for (Predicate leaf_pred : {Predicate::LessThan(90), Predicate::Equal(7)}) {
+      ExecStats stats;
+      exec::DS2Scan leaf(ca, leaf_pred, &stats);
+      exec::DS4ScanMerge ds4(&leaf, cb, merge_pred, &stats);
+      auto got = DrainTuples(&ds4);
+
+      std::vector<std::pair<Position, std::vector<Value>>> want;
+      uint64_t leaf_rows = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (!leaf_pred.Eval(a[i])) continue;
+        ++leaf_rows;
+        if (merge_pred.Eval(b[i])) {
+          want.emplace_back(i, std::vector<Value>{a[i], b[i]});
+        }
+      }
+      const std::string where = std::string(codec::EncodingName(enc)) +
+                                (leaf_rows * 2 > n ? " dense" : " sparse");
+      EXPECT_EQ(got, want) << where;
+      // DS2 evaluates every value of the uncompressed leaf; DS4 jumps once
+      // per input tuple.
+      EXPECT_EQ(stats.predicate_evals, n + leaf_rows) << where;
+      EXPECT_EQ(stats.tuples_constructed, leaf_rows + want.size()) << where;
+    }
+  }
 }
 
 TEST_F(ExecTest, SpcConstructsShortCircuit) {
@@ -379,6 +490,31 @@ TEST_F(ExecTest, ChunkTupleEmitterAppends) {
   ASSERT_EQ(chunk.num_tuples(), 1u);
   EXPECT_EQ(chunk.position(0), 42u);
   EXPECT_EQ(chunk.value(0, 1), 8);
+}
+
+TEST_F(ExecTest, TupleChunkAppendAdoptsWidthThenConcatenates) {
+  exec::TupleChunk first(2);
+  Value r1[2] = {1, 2};
+  Value r2[2] = {3, 4};
+  first.AppendTuple(5, r1);
+  first.AppendTuple(9, r2);
+  exec::TupleChunk second(2);
+  Value r3[2] = {5, 6};
+  second.AppendTuple(12, r3);
+
+  exec::TupleChunk all;  // width 0 until the first append
+  all.Append(first);
+  all.Append(exec::TupleChunk(2));  // an empty chunk adds nothing
+  all.Append(second);
+  EXPECT_EQ(all.width(), 2u);
+  EXPECT_EQ(all.positions(), (std::vector<Position>{5, 9, 12}));
+  EXPECT_EQ(all.data(), (std::vector<Value>{1, 2, 3, 4, 5, 6}));
+
+  // An empty chunk takes the width of what is appended, rows or not.
+  exec::TupleChunk empty;
+  empty.Append(exec::TupleChunk(3));
+  EXPECT_EQ(empty.width(), 3u);
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST_F(ExecTest, WindowCursorCoversColumnExactly) {

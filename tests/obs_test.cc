@@ -352,6 +352,18 @@ TEST_F(ObsTest, ExplainAnalyzeSqlEndToEnd) {
   EXPECT_NE(r.explain_text.find("actual: wall="), std::string::npos)
       << r.explain_text;
   EXPECT_GT(r.stats.output_tuples, 0u);  // it really executed
+  // The deterministic work counters print next to the wall time.
+  EXPECT_GT(r.stats.exec.predicate_evals, 0u);
+  EXPECT_NE(r.explain_text.find(
+                "  predicate_evals=" +
+                std::to_string(r.stats.exec.predicate_evals) + "  "),
+            std::string::npos)
+      << r.explain_text;
+  EXPECT_NE(r.explain_text.find(
+                "  tuples_constructed=" +
+                std::to_string(r.stats.exec.tuples_constructed) + "  "),
+            std::string::npos)
+      << r.explain_text;
 
   // Plain EXPLAIN predicts without executing: no actuals section.
   ASSERT_OK_AND_ASSIGN(

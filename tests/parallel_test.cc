@@ -113,6 +113,17 @@ TEST_F(ParallelTest, SelectionWorkCountersIdenticalAcrossWorkerCounts) {
     q.columns.push_back({li_.linenum(e), codec::Predicate::LessThan(5)});
     queries.push_back(q);
   }
+  // returnflag is one RLE block of three runs, far wider than a window:
+  // DS2 clips it to each window and evaluates once per overlapped run, so
+  // its counters still split exactly at window-aligned morsels.
+  plan::SelectionQuery wide_rle;
+  ASSERT_GT(li_.returnflag->meta().num_values,
+            li_.returnflag->num_blocks() * kChunkPositions);
+  wide_rle.columns.push_back(
+      {li_.returnflag,
+       codec::Predicate::LessThan(li_.returnflag->meta().max_value)});
+  wide_rle.columns.push_back({li_.quantity, codec::Predicate::LessThan(30)});
+  queries.push_back(wide_rle);
   api::Connection conn(db_.get());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     for (Strategy s : plan::kAllStrategies) {

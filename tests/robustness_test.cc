@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +155,25 @@ TEST_F(RobustnessTest, ZeroMatchEveryEncodingEveryStrategy) {
 
 // --- Randomized cross-strategy fuzzer ---
 
+/// A random predicate over [0, domain): a bound, equality, range or true.
+Predicate RandomPredicate(Random* rng, int domain) {
+  switch (rng->Uniform(5)) {
+    case 0:
+      return Predicate::LessThan(rng->UniformRange(-2, domain + 2));
+    case 1:
+      return Predicate::GreaterEqual(rng->UniformRange(-2, domain + 2));
+    case 2:
+      return Predicate::Equal(rng->UniformRange(0, domain));
+    case 3: {
+      Value lo = rng->UniformRange(0, domain);
+      return Predicate::Between(lo, lo + rng->UniformRange(0, domain));
+    }
+    default:
+      return Predicate::True();
+  }
+}
+
+
 TEST_F(RobustnessTest, RandomizedQueriesAgreeWithNaive) {
   Random rng(0xfeedface);
   const Encoding encodings[] = {Encoding::kUncompressed, Encoding::kRle,
@@ -174,26 +195,7 @@ TEST_F(RobustnessTest, RandomizedQueriesAgreeWithNaive) {
                     : testing::RunnyValues(n, domain, run, rng.Next());
       Encoding enc = encodings[rng.Uniform(4)];
 
-      Predicate pred;
-      switch (rng.Uniform(5)) {
-        case 0:
-          pred = Predicate::LessThan(rng.UniformRange(-2, domain + 2));
-          break;
-        case 1:
-          pred = Predicate::GreaterEqual(rng.UniformRange(-2, domain + 2));
-          break;
-        case 2:
-          pred = Predicate::Equal(rng.UniformRange(0, domain));
-          break;
-        case 3: {
-          Value lo = rng.UniformRange(0, domain);
-          pred = Predicate::Between(lo, lo + rng.UniformRange(0, domain));
-          break;
-        }
-        default:
-          pred = Predicate::True();
-          break;
-      }
+      Predicate pred = RandomPredicate(&rng, domain);
       preds.push_back(pred);
       const auto* reader =
           Load("fz" + std::to_string(round) + "_" + std::to_string(c), enc,
@@ -233,6 +235,75 @@ TEST_F(RobustnessTest, RandomizedQueriesAgreeWithNaive) {
       } else {
         EXPECT_EQ(r->stats.checksum, checksum)
             << "round " << round << " " << StrategyName(s);
+      }
+    }
+  }
+}
+
+TEST_F(RobustnessTest, WideRleBlocksAgreeWithNaiveRowByRow) {
+  // Runs up to ~2 000 long put several 64K-position windows inside one RLE
+  // block, which the rounds above never reach. Every returned row — its
+  // position and each value — must equal the naive evaluation's, inline
+  // and on a 2-worker session pool with one-window morsels.
+  Random rng(0xc0ffee);
+  const Encoding encodings[] = {Encoding::kUncompressed, Encoding::kRle,
+                                Encoding::kBitVector, Encoding::kDict};
+  api::Connection one(db_.get());
+  api::Connection::Settings settings;
+  settings.num_workers = 2;
+  api::Connection two(db_.get(), nullptr, settings);
+
+  for (int round = 0; round < 6; ++round) {
+    const size_t n = 100000 + rng.Uniform(200001);
+    const int width = 1 + static_cast<int>(rng.Uniform(3));
+
+    std::vector<std::vector<Value>> data(width);
+    plan::SelectionQuery q;
+    std::vector<Predicate> preds;
+    for (int c = 0; c < width; ++c) {
+      const int domain = 2 + static_cast<int>(rng.Uniform(60));
+      const double run = 1.0 + rng.NextDouble() * 2000.0;
+      data[c] = rng.Bernoulli(0.5)
+                    ? testing::SortedRunnyValues(n, domain, run, rng.Next())
+                    : testing::RunnyValues(n, domain, run, rng.Next());
+      // The leading column is always RLE: it is the leaf of every plan.
+      const Encoding enc = c == 0 ? Encoding::kRle : encodings[rng.Uniform(4)];
+      preds.push_back(RandomPredicate(&rng, domain));
+      const auto* reader =
+          Load("wide" + std::to_string(round) + "_" + std::to_string(c), enc,
+               data[c]);
+      q.columns.push_back({reader, preds.back()});
+    }
+
+    exec::TupleChunk naive(static_cast<uint32_t>(width));
+    std::vector<Value> row(width);
+    for (size_t i = 0; i < n; ++i) {
+      bool pass = true;
+      for (int c = 0; c < width && pass; ++c) {
+        pass = preds[c].Eval(data[c][i]);
+        row[c] = data[c][i];
+      }
+      if (pass) naive.AppendTuple(i, row.data());
+    }
+    const auto want = testing::RowsByPosition(naive);
+
+    for (Strategy s : plan::kAllStrategies) {
+      for (int workers : {1, 2}) {
+        plan::PlanConfig config;
+        config.num_workers = workers;
+        config.morsel_positions = kChunkPositions;
+        auto r = (workers == 1 ? one : two)
+                     .Query(plan::PlanTemplate::Selection(q, s, config));
+        const std::string where = "round " + std::to_string(round) + " " +
+                                  StrategyName(s) + " workers=" +
+                                  std::to_string(workers);
+        if (!r.ok()) {
+          EXPECT_TRUE(r.status().IsNotSupported())
+              << where << ": " << r.status().ToString();
+          continue;
+        }
+        EXPECT_EQ(r->stats.output_tuples, want.size()) << where;
+        EXPECT_TRUE(testing::RowsByPosition(r->tuples) == want) << where;
       }
     }
   }

@@ -403,6 +403,112 @@ TEST_F(SchedTest, PooledSubmitMatchesSynchronousQuery) {
   }
 }
 
+/// Every chunk a sink received, in delivery order.
+struct SinkLog {
+  std::vector<exec::TupleChunk> chunks;
+
+  sched::Scheduler::Sink Sink() {
+    return [this](exec::TupleChunk&& chunk) {
+      chunks.push_back(std::move(chunk));
+    };
+  }
+};
+
+TEST_F(SchedTest, SelectionSinkReceivesEveryRowInOneChunk) {
+  // Two-window morsels give each worker several output chunks per morsel
+  // and several morsels; finalize hands the sink one chunk holding them
+  // all, and the rows equal the inline run's.
+  for (Strategy s : plan::kAllStrategies) {
+    plan::PlanConfig config;
+    config.morsel_positions = 2 * kChunkPositions;
+    const plan::PlanTemplate tmpl =
+        plan::PlanTemplate::Selection(MidSelectivityQuery(), s, config);
+    exec::TupleChunk inline_rows;
+    plan::RunStats inline_stats;
+    ASSERT_OK(plan::ExecuteInline(
+        tmpl, db_->pool(), &inline_stats,
+        [&](const exec::TupleChunk& chunk) { inline_rows.Append(chunk); }));
+    ASSERT_GT(inline_rows.num_tuples(), 2 * kChunkPositions)
+        << StrategyName(s) << ": output must span several chunks";
+    for (int workers : {2, 4}) {
+      sched::Scheduler::Options opts;
+      opts.num_workers = workers;
+      sched::Scheduler scheduler(opts);
+      SinkLog log;
+      const sched::ExecResult r =
+          scheduler.Submit(tmpl, db_->pool(), log.Sink()).Wait();
+      const std::string where =
+          std::string(StrategyName(s)) + " workers=" + std::to_string(workers);
+      ASSERT_OK(r.status);
+      ASSERT_EQ(log.chunks.size(), 1u) << where;
+      EXPECT_EQ(log.chunks[0].width(), inline_rows.width()) << where;
+      EXPECT_EQ(r.stats.output_tuples, inline_rows.num_tuples()) << where;
+      EXPECT_EQ(r.stats.checksum, inline_stats.checksum) << where;
+      EXPECT_TRUE(testing::RowsByPosition(log.chunks[0]) ==
+                  testing::RowsByPosition(inline_rows))
+          << where;
+    }
+  }
+}
+
+TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
+  sched::Scheduler::Options opts;
+  opts.num_workers = 4;
+  sched::Scheduler scheduler(opts);
+
+  // No qualifying row: a selection's sink is never called.
+  plan::SelectionQuery none;
+  none.columns.push_back({li_->quantity, codec::Predicate::LessThan(-1)});
+  SinkLog empty;
+  ASSERT_OK(scheduler
+                .Submit(plan::PlanTemplate::Selection(none,
+                                                      Strategy::kEmParallel),
+                        db_->pool(), empty.Sink())
+                .Wait()
+                .status);
+  EXPECT_TRUE(empty.chunks.empty());
+
+  // GROUP BY: exactly one chunk, the merged groups.
+  plan::AggQuery agg;
+  agg.selection = MidSelectivityQuery();
+  agg.group_index = 0;
+  agg.agg_index = 1;
+  agg.func = exec::AggFunc::kSum;
+  SinkLog groups;
+  const sched::ExecResult agg_r =
+      scheduler
+          .Submit(plan::PlanTemplate::Agg(agg, Strategy::kLmParallel),
+                  db_->pool(), groups.Sink())
+          .Wait();
+  ASSERT_OK(agg_r.status);
+  ASSERT_EQ(groups.chunks.size(), 1u);
+  EXPECT_EQ(groups.chunks[0].num_tuples(), agg_r.stats.output_tuples);
+  EXPECT_GT(agg_r.stats.output_tuples, 0u);
+
+  // ORDER BY ... LIMIT: the k-way merge's chunks, in order, with no row
+  // beyond the limit.
+  plan::SortQuery sort;
+  sort.selection = MidSelectivityQuery();
+  sort.sort_index = 1;
+  sort.desc = true;
+  sort.limit = 20000;
+  SinkLog merged;
+  const sched::ExecResult sort_r =
+      scheduler
+          .Submit(plan::PlanTemplate::Sort(sort, Strategy::kLmParallel),
+                  db_->pool(), merged.Sink())
+          .Wait();
+  ASSERT_OK(sort_r.status);
+  EXPECT_GT(merged.chunks.size(), 1u) << "the merge emits 8192-row chunks";
+  exec::TupleChunk ordered;
+  for (const exec::TupleChunk& chunk : merged.chunks) ordered.Append(chunk);
+  ASSERT_EQ(ordered.num_tuples(), sort.limit);
+  EXPECT_EQ(sort_r.stats.output_tuples, sort.limit);
+  for (size_t i = 1; i < ordered.num_tuples(); ++i) {
+    ASSERT_GE(ordered.value(i - 1, 1), ordered.value(i, 1)) << "row " << i;
+  }
+}
+
 TEST(AutoMorselTest, SmallTablesGetMoreThanOneMorsel) {
   // 10 windows, 4 workers: the old default (16-window morsels) clamped this
   // to a single morsel — one effective worker. Auto-sizing must hand out at

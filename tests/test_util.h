@@ -3,6 +3,7 @@
 #ifndef CSTORE_TESTS_TEST_UTIL_H_
 #define CSTORE_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "codec/predicate.h"
+#include "exec/tuple_chunk.h"
 #include "util/common.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -95,6 +97,21 @@ inline std::vector<Position> NaiveMatches(const std::vector<Value>& values,
     if (pred.Eval(values[i])) out.push_back(i);
   }
   return out;
+}
+
+/// Rows of `t` as (position, values...) in position order: parallel runs
+/// concatenate worker outputs in worker order, so only the bag is fixed.
+inline std::vector<std::vector<Value>> RowsByPosition(
+    const exec::TupleChunk& t) {
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(t.num_tuples());
+  for (size_t i = 0; i < t.num_tuples(); ++i) {
+    std::vector<Value> row{static_cast<Value>(t.position(i))};
+    row.insert(row.end(), t.tuple(i), t.tuple(i) + t.width());
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 }  // namespace testing
