@@ -1,6 +1,8 @@
 // SARGable single-column predicates (Selinger et al. [15]); these are pushed
 // down into data sources, which evaluate them with encoding-specific fast
 // paths (once per RLE run; by ORing bit-strings for bit-vector columns).
+// Loops over individual values fix the comparison once per block
+// (Predicate::Dispatch) rather than switching on the operator per value.
 
 #ifndef CSTORE_CODEC_PREDICATE_H_
 #define CSTORE_CODEC_PREDICATE_H_
@@ -87,6 +89,34 @@ class Predicate {
         return v >= a_ && v <= b_;
     }
     return false;
+  }
+
+  /// Returns fn(cmp), where cmp(Value) -> bool is this predicate's
+  /// comparison with the operator fixed. A loop over many values calls this
+  /// once and runs cmp in its body, instead of Eval's switch per value.
+  template <typename Fn>
+  decltype(auto) Dispatch(Fn&& fn) const {
+    const Value a = a_;
+    const Value b = b_;
+    switch (op_) {
+      case Op::kTrue:
+        return fn([](Value) { return true; });
+      case Op::kLess:
+        return fn([a](Value v) { return v < a; });
+      case Op::kLessEq:
+        return fn([a](Value v) { return v <= a; });
+      case Op::kEqual:
+        return fn([a](Value v) { return v == a; });
+      case Op::kNotEqual:
+        return fn([a](Value v) { return v != a; });
+      case Op::kGreaterEq:
+        return fn([a](Value v) { return v >= a; });
+      case Op::kGreater:
+        return fn([a](Value v) { return v > a; });
+      case Op::kBetween:
+        break;
+    }
+    return fn([a, b](Value v) { return (v >= a) & (v <= b); });
   }
 
   std::string ToString() const;

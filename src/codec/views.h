@@ -9,6 +9,8 @@
 //   * SARGable predicate evaluation with encoding-specific fast paths:
 //       - RLE: one test per run, emitting whole position ranges
 //       - bit-vector: word-wise OR of the bit-strings of matching values
+//       - uncompressed / dictionary: one fixed comparison per value, 64
+//         verdicts packed per position word
 //   * positional value extraction for DS3/DS4 (jump to position)
 //
 // Block capacities are multiples of 64 positions so bit-strings stay
@@ -73,8 +75,12 @@ class UncompressedView {
 
   Value ValueAt(Position pos) const { return values_[pos - start_]; }
 
-  void EvalPredicate(const Predicate& pred,
-                     position::SetBuilder* builder) const;
+  /// Evaluates `pred` at each of this block's positions inside the
+  /// builder's window, 64 verdicts per builder word. Returns the number of
+  /// evaluations: one per value, the per-tuple FC the model charges
+  /// uncompressed data sources.
+  uint64_t EvalPredicate(const Predicate& pred,
+                         position::SetBuilder* builder) const;
 
  private:
   Position start_;
@@ -102,10 +108,11 @@ class RleView {
   /// Index of the run containing pos.
   uint32_t RunContaining(Position pos) const;
 
-  /// One predicate evaluation per run; matching runs contribute whole
-  /// position ranges.
-  void EvalPredicate(const Predicate& pred,
-                     position::SetBuilder* builder) const;
+  /// One predicate evaluation per run overlapping the builder's window;
+  /// matching runs contribute their overlap as one position range. Returns
+  /// the number of evaluations.
+  uint64_t EvalPredicate(const Predicate& pred,
+                         position::SetBuilder* builder) const;
 
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {
@@ -161,10 +168,11 @@ class DictView {
   Value ValueAt(Position pos) const { return dict_[codes_[pos - start_]]; }
 
   /// Evaluates the predicate once per dictionary entry, then scans the
-  /// code array against the precomputed verdicts — predicate work is
-  /// O(k + n) with k ≪ n, never touching decoded values.
-  void EvalPredicate(const Predicate& pred,
-                     position::SetBuilder* builder) const;
+  /// codes inside the builder's window against the precomputed verdicts,
+  /// 64 per builder word — predicate work is O(k + n) with k ≪ n, never
+  /// touching decoded values. Returns the number of evaluations (k).
+  uint64_t EvalPredicate(const Predicate& pred,
+                         position::SetBuilder* builder) const;
 
  private:
   Position start_;
@@ -192,11 +200,13 @@ class BitVectorView {
   /// Value at an absolute position: scans the k bit-strings (O(k)).
   Value ValueAt(Position pos) const;
 
-  /// ORs the bit-strings of all dictionary values matching `pred` into `bm`
-  /// ("to apply a range predicate, the executor simply needs to OR together
-  /// the relevant bit-vectors", Section 4.1). Requires the block start to be
-  /// word-aligned relative to bm->base().
-  void EvalPredicateInto(const Predicate& pred, position::Bitmap* bm) const;
+  /// ORs the bit-strings of all dictionary values matching `pred` into `bm`,
+  /// clipped to its window ("to apply a range predicate, the executor simply
+  /// needs to OR together the relevant bit-vectors", Section 4.1). Requires
+  /// the block start to be word-aligned relative to bm->base(). Returns the
+  /// number of evaluations: k when the block overlaps the window, else 0.
+  uint64_t EvalPredicateInto(const Predicate& pred,
+                             position::Bitmap* bm) const;
 
  private:
   Position start_;
@@ -226,12 +236,22 @@ class BlockView {
   /// Appends all num_values() decoded values to *out (vector-style access).
   void Decompress(std::vector<Value>* out) const;
 
-  /// Evaluates `pred` over the whole block, adding matching positions to the
-  /// window accumulator. Exactly one of builder/bitmap is used depending on
-  /// encoding: RLE/uncompressed append ranges to `builder`; bit-vector ORs
-  /// words into `bitmap`. Callers pass both (see DataSource).
-  void EvalPredicate(const Predicate& pred, position::SetBuilder* builder,
-                     position::Bitmap* bitmap) const;
+  /// Evaluates `pred` over the block's overlap with the accumulator's
+  /// window, adding matching positions to it, and returns the number of
+  /// predicate evaluations (per value, per overlapped RLE run, or per
+  /// dictionary entry). Exactly one of builder/bitmap is used depending on
+  /// encoding: bit-vector ORs words into `bitmap`; the others add to
+  /// `builder`.
+  uint64_t EvalPredicate(const Predicate& pred, position::SetBuilder* builder,
+                         position::Bitmap* bitmap) const;
+
+  /// Evaluates `pred` at every position of the ascending, disjoint `ranges`
+  /// (already clipped to this block), adding the matches to `builder` 64
+  /// verdicts per word. Returns the number of evaluations: one per
+  /// position, whatever the encoding (LM-pipelined's refine, Case 3).
+  uint64_t EvalPredicateAt(const Predicate& pred,
+                           const position::Range* ranges, size_t n,
+                           position::SetBuilder* builder) const;
 
   /// True if this encoding evaluates predicates into a bitmap (bit-vector).
   bool PredicateNeedsBitmap() const {

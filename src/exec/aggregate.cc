@@ -9,7 +9,11 @@ namespace cstore {
 namespace exec {
 
 void GroupAccumulator::Add(Value group, Value v, uint64_t count) {
-  State& s = groups_[group];
+  if (last_ == nullptr || group != last_group_) {
+    last_ = &groups_[group];
+    last_group_ = group;
+  }
+  State& s = *last_;
   switch (func_) {
     case AggFunc::kSum:
     case AggFunc::kAvg:

@@ -44,10 +44,24 @@ inline const char* AggFuncName(AggFunc f) {
   return "?";
 }
 
-/// Shared accumulation + result emission.
+/// Shared accumulation + result emission. The table is probed once per run
+/// of equal consecutive groups: the last group's state is cached, so rows
+/// arriving in group order (a projection sorted on the group column) skip
+/// the hash lookup.
 class GroupAccumulator {
  public:
   explicit GroupAccumulator(AggFunc func) : func_(func) {}
+
+  /// Copies hold their own table, so the cache starts empty rather than
+  /// pointing into the source's.
+  GroupAccumulator(const GroupAccumulator& other)
+      : func_(other.func_), groups_(other.groups_) {}
+  GroupAccumulator& operator=(const GroupAccumulator& other) {
+    func_ = other.func_;
+    groups_ = other.groups_;
+    last_ = nullptr;
+    return *this;
+  }
 
   void Add(Value group, Value v, uint64_t count);
 
@@ -71,6 +85,10 @@ class GroupAccumulator {
 
   AggFunc func_;
   std::unordered_map<Value, State> groups_;
+  // State of the last group added (null until the first Add); element
+  // pointers of an unordered_map survive rehashing.
+  State* last_ = nullptr;
+  Value last_group_ = 0;
 };
 
 /// Common base of the aggregation operators: owns the accumulator and the

@@ -1,25 +1,13 @@
 #include "exec/ds_scan.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "exec/gather.h"
 #include "util/logging.h"
 
 namespace cstore {
 namespace exec {
-
-namespace {
-
-/// Number of predicate evaluations a block contributes (per run for RLE,
-/// per distinct value for bit-vector, per value otherwise).
-uint64_t PredicateEvalsFor(const codec::BlockView& view) {
-  if (const auto* r = view.AsRle()) return r->num_runs();
-  if (const auto* b = view.AsBitVector()) return b->num_distinct();
-  if (const auto* d = view.AsDict()) return d->num_distinct();
-  return view.num_values();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DS1Scan
@@ -43,33 +31,21 @@ Result<bool> DS1Scan::NextImpl(MultiColumnChunk* out) {
   CSTORE_ASSIGN_OR_RETURN(auto blocks, cursor_.Fetch());
   stats_->blocks_fetched += blocks.size();
 
+  // Blocks may extend beyond the window; each evaluates only its overlap
+  // with the window's accumulator.
   position::PositionSet desc = position::PositionSet::Empty(wb, we);
   bool use_bitmap = !blocks.empty() && blocks[0]->view.PredicateNeedsBitmap();
   if (use_bitmap) {
     position::Bitmap bm(wb, we - wb);
     for (const auto& blk : blocks) {
-      stats_->predicate_evals += PredicateEvalsFor(blk->view);
-      blk->view.EvalPredicate(pred_, nullptr, &bm);
+      stats_->predicate_evals += blk->view.EvalPredicate(pred_, nullptr, &bm);
     }
-    // Bits contributed by blocks extending past the window boundary belong
-    // to the neighbouring chunk; clip them.
-    bm.MaskToRange(wb, we);
     desc = position::PositionSet::FromBitmap(std::move(bm)).Compacted();
   } else {
     position::SetBuilder builder(wb, we);
     for (const auto& blk : blocks) {
-      stats_->predicate_evals += PredicateEvalsFor(blk->view);
-      // Blocks may extend beyond the window; evaluate only the overlap.
-      // (EvalPredicate walks whole blocks; boundary blocks are clipped by
-      // intersecting afterwards.)
-      if (blk->view.start_pos() >= wb && blk->view.end_pos() <= we) {
-        blk->view.EvalPredicate(pred_, &builder, nullptr);
-      } else {
-        position::SetBuilder sub(blk->view.start_pos(), blk->view.end_pos());
-        blk->view.EvalPredicate(pred_, &sub, nullptr);
-        std::move(sub).Build().Slice(wb, we).ForEachRange(
-            [&](Position b, Position e) { builder.AddRange(b, e); });
-      }
+      stats_->predicate_evals +=
+          blk->view.EvalPredicate(pred_, &builder, nullptr);
     }
     desc = std::move(builder).Build().Compacted();
   }
@@ -197,11 +173,8 @@ Result<bool> DS1PipelinedScan::NextImpl(MultiColumnChunk* out) {
     // subset only.
     ClipRangesToBlock(ranges, &ri, shared->view.start_pos(),
                       shared->view.end_pos(), &clipped);
-    shared->view.ForEachValueInRanges(
-        clipped.data(), clipped.size(), [&](Position p, Value v) {
-          ++stats_->predicate_evals;
-          if (pred_.Eval(v)) builder.Add(p);
-        });
+    stats_->predicate_evals += shared->view.EvalPredicateAt(
+        pred_, clipped.data(), clipped.size(), &builder);
     if (attach_mini_) mini.AddBlock(std::move(shared));
   }
 
@@ -252,9 +225,11 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
                         });
       continue;
     }
-    view.ForEachValueInRanges(&clip, 1, [&](Position p, Value v) {
-      ++stats_->predicate_evals;
-      if (pred_.Eval(v)) sink_->Emit(p, &v);
+    stats_->predicate_evals += clip.end - clip.begin;
+    pred_.Dispatch([&](auto cmp) {
+      view.ForEachValueInRanges(&clip, 1, [&](Position p, Value v) {
+        if (cmp(v)) sink_->Emit(p, &v);
+      });
     });
   }
   stats_->tuples_constructed += out->num_tuples();
@@ -292,45 +267,42 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   // count independent of where morsel boundaries fall.
   uint64_t used_blocks = 0;
   uint64_t last_used = UINT64_MAX;
-  for (size_t i = 0; i < in.num_tuples(); ++i) {
-    Position pos = in.position(i);
-    // Positions ascend within and across input chunks, so the block and
-    // run cursors below only ever move forward.
-    CSTORE_DCHECK(pos >= next_pos_) << "DS4 input positions must ascend";
-    next_pos_ = pos + 1;
-    // Advance the block cursor; intermediate blocks with no input positions
-    // are never fetched.
-    if (cur_block_ == nullptr || pos >= cur_block_->view.end_pos()) {
-      uint64_t target = reader_->BlockContaining(pos);
-      CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                              reader_->FetchBlock(target));
-      ++stats_->blocks_fetched;
-      cur_block_ = std::make_shared<codec::EncodedBlock>(std::move(blk));
-      cur_block_no_ = target;
-      cur_rle_ = cur_block_->view.AsRle();
-      if (cur_rle_ != nullptr) cur_run_ = cur_rle_->RunContaining(pos);
+  const size_t n = in.num_tuples();
+  CSTORE_RETURN_IF_ERROR(pred_.Dispatch([&](auto cmp) -> Status {
+    for (size_t i = 0; i < n; ++i) {
+      const Position pos = in.position(i);
+      // Positions ascend within and across input chunks, so the block and
+      // run cursors below only ever move forward.
+      CSTORE_DCHECK(pos >= next_pos_) << "DS4 input positions must ascend";
+      next_pos_ = pos + 1;
+      // Advance the block cursor; intermediate blocks with no input
+      // positions are never fetched.
+      if (pos >= cur_end_) CSTORE_RETURN_IF_ERROR(SeekBlock(pos));
+      if (cur_block_no_ != last_used) {
+        ++used_blocks;
+        last_used = cur_block_no_;
+      }
+      Value v;
+      if (cur_values_ != nullptr) {
+        v = cur_values_[pos - cur_begin_];
+      } else if (cur_rle_ != nullptr) {
+        const codec::RleTriple* runs = cur_rle_->runs();
+        while (pos >= runs[cur_run_].start + runs[cur_run_].len) ++cur_run_;
+        v = runs[cur_run_].value;
+      } else {
+        v = cur_block_->view.ValueAt(pos);
+      }
+      if (cmp(v)) {
+        // Stitch the wider tuple and push it through the tuple iterator.
+        const Value* in_row = in.tuple(i);
+        for (uint32_t c = 0; c < in_width; ++c) row_buf_[c] = in_row[c];
+        row_buf_[in_width] = v;
+        sink_->Emit(pos, row_buf_.data());
+      }
     }
-    if (cur_block_no_ != last_used) {
-      ++used_blocks;
-      last_used = cur_block_no_;
-    }
-    Value v;
-    if (cur_rle_ != nullptr) {
-      const codec::RleTriple* runs = cur_rle_->runs();
-      while (pos >= runs[cur_run_].start + runs[cur_run_].len) ++cur_run_;
-      v = runs[cur_run_].value;
-    } else {
-      v = cur_block_->view.ValueAt(pos);
-    }
-    ++stats_->predicate_evals;
-    if (pred_.Eval(v)) {
-      // Stitch the wider tuple and push it through the tuple iterator.
-      const Value* in_row = in.tuple(i);
-      for (uint32_t c = 0; c < in_width; ++c) row_buf_[c] = in_row[c];
-      row_buf_[in_width] = v;
-      sink_->Emit(pos, row_buf_.data());
-    }
-  }
+    return Status::OK();
+  }));
+  stats_->predicate_evals += n;
   CSTORE_DCHECK(!window_.done()) << "input yielded more chunks than windows";
   uint64_t first;
   uint64_t last;
@@ -339,6 +311,23 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   window_.Advance();
   stats_->tuples_constructed += out->num_tuples();
   return true;
+}
+
+Status DS4ScanMerge::SeekBlock(Position pos) {
+  const uint64_t target = reader_->BlockContaining(pos);
+  CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
+                          reader_->FetchBlock(target));
+  ++stats_->blocks_fetched;
+  cur_block_ = std::make_shared<codec::EncodedBlock>(std::move(blk));
+  cur_block_no_ = target;
+  const codec::BlockView& view = cur_block_->view;
+  cur_begin_ = view.start_pos();
+  cur_end_ = view.end_pos();
+  const codec::UncompressedView* plain = view.AsUncompressed();
+  cur_values_ = plain != nullptr ? plain->values() : nullptr;
+  cur_rle_ = view.AsRle();
+  if (cur_rle_ != nullptr) cur_run_ = cur_rle_->RunContaining(pos);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -384,25 +373,35 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
     stats_->values_gathered += n;
   }
 
-  // Construct tuples with short-circuit predicate evaluation: column i's
-  // predicate is only tested for rows that passed predicates 1..i-1. Each
-  // passing tuple is assembled and pushed through the tuple iterator.
+  // Short-circuit predicate evaluation, one column at a time: column c's
+  // predicate is only tested on the rows that passed predicates 0..c-1,
+  // which a selection vector lists (Ross's no-branch selection: every row
+  // is written, the cursor advances by the verdict).
+  sel_.resize(n);
+  std::iota(sel_.begin(), sel_.end(), 0u);
+  size_t m = n;
+  for (size_t c = 0; c < k; ++c) {
+    stats_->predicate_evals += m;
+    const Value* col = scratch_[c].data();
+    m = inputs_[c].pred.Dispatch([&](auto cmp) {
+      size_t kept = 0;
+      for (size_t j = 0; j < m; ++j) {
+        const uint32_t i = sel_[j];
+        sel_[kept] = i;
+        kept += cmp(col[i]);
+      }
+      return kept;
+    });
+  }
+
+  // Each passing tuple is assembled and pushed through the tuple iterator.
   out->Reset(static_cast<uint32_t>(k));
   emitter_.Bind(out);
   row_buf_.resize(k);
-  for (uint64_t i = 0; i < n; ++i) {
-    bool pass = true;
-    for (size_t c = 0; c < k; ++c) {
-      ++stats_->predicate_evals;
-      if (!inputs_[c].pred.Eval(scratch_[c][i])) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      for (size_t c = 0; c < k; ++c) row_buf_[c] = scratch_[c][i];
-      sink_->Emit(wb + i, row_buf_.data());
-    }
+  for (size_t j = 0; j < m; ++j) {
+    const uint32_t i = sel_[j];
+    for (size_t c = 0; c < k; ++c) row_buf_[c] = scratch_[c][i];
+    sink_->Emit(wb + i, row_buf_.data());
   }
   stats_->tuples_constructed += out->num_tuples();
   cursor_.Advance();

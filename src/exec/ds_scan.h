@@ -132,6 +132,9 @@ class DS4ScanMerge : public TupleOp {
   const char* name() const override { return "ds4-scan-merge"; }
 
  private:
+  /// Fetches the block containing `pos` into the block cursor.
+  Status SeekBlock(Position pos);
+
   TupleOp* input_;
   const codec::ColumnReader* reader_;
   codec::Predicate pred_;
@@ -140,10 +143,14 @@ class DS4ScanMerge : public TupleOp {
   // The window of the current input chunk (never fetches); its block range
   // is what blocks_skipped counts against.
   WindowCursor window_;
-  // Current block cursor (input positions ascend monotonically); on an RLE
-  // block, also the index of the run holding the last input position.
+  // Current block cursor (input positions ascend monotonically): the
+  // block's span, its values when uncompressed, and on an RLE block the
+  // index of the run holding the last input position.
   std::shared_ptr<codec::EncodedBlock> cur_block_;
   uint64_t cur_block_no_ = UINT64_MAX;
+  Position cur_begin_ = 0;
+  Position cur_end_ = 0;  // 0 until the first block is fetched
+  const Value* cur_values_ = nullptr;        // views cur_block_, or null
   const codec::RleView* cur_rle_ = nullptr;  // views cur_block_, or null
   uint32_t cur_run_ = 0;
   Position next_pos_ = 0;  // the next input position must be at least this
@@ -153,7 +160,8 @@ class DS4ScanMerge : public TupleOp {
 };
 
 /// SPC (scan, predicate, construct): reads all blocks of all k columns,
-/// short-circuit-evaluates the predicates per row, and constructs tuples
+/// short-circuit-evaluates the predicates column by column through a
+/// selection vector, and constructs tuples
 /// that pass everything — the leaf of EM-parallel plans. Compressed columns
 /// are decompressed into per-window arrays first (the paper: EM "requires
 /// the RLE-compressed data to be decompressed", precluding
@@ -176,6 +184,7 @@ class SpcScan : public TupleOp {
   ExecStats* stats_;
   WindowCursor cursor_;  // over inputs_[0] (all columns share positions)
   std::vector<std::vector<Value>> scratch_;
+  std::vector<uint32_t> sel_;  // window offsets passing the predicates so far
   std::vector<Value> row_buf_;
   ChunkTupleEmitter emitter_;
   TupleEmitter* sink_ = &emitter_;

@@ -1,6 +1,7 @@
 #include "position/position_set.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace cstore {
 namespace position {
@@ -268,6 +269,32 @@ void SetBuilder::AddRange(Position b, Position e) {
     }
     ranges_ = RangeSet();
     use_bitmap_ = true;
+  }
+}
+
+void SetBuilder::AddWord(Position base, uint64_t word) {
+  if (word == 0) return;
+  CSTORE_DCHECK(base >= window_begin_ &&
+                base + bit_util::kBitsPerWord - std::countl_zero(word) <=
+                    window_end_);
+  if (!use_bitmap_) {
+    // One AddRange per run of set bits, until the ranges overflow into a
+    // bitmap; then the rest of the word takes the bitmap path below.
+    do {
+      const int b = std::countr_zero(word);
+      const int len = std::countr_one(word >> b);
+      AddRange(base + b, base + b + len);
+      if (b + len == static_cast<int>(bit_util::kBitsPerWord)) return;
+      word &= ~bit_util::LowBitsMask(b + len);
+    } while (word != 0 && !use_bitmap_);
+    if (word == 0) return;
+  }
+  const uint64_t off = base - window_begin_;
+  const unsigned shift = off % bit_util::kBitsPerWord;
+  uint64_t* w = bitmap_.mutable_words() + off / bit_util::kBitsPerWord;
+  w[0] |= word << shift;
+  if (shift != 0 && (word >> (bit_util::kBitsPerWord - shift)) != 0) {
+    w[1] |= word >> (bit_util::kBitsPerWord - shift);
   }
 }
 

@@ -144,11 +144,21 @@ class SetBuilder {
 
   SetBuilder(Position window_begin, Position window_end);
 
+  Position window_begin() const { return window_begin_; }
+  Position window_end() const { return window_end_; }
+
   /// Adds [b, e); calls must be position-ascending (b >= previous e allowed
   /// to coalesce/extend).
   void AddRange(Position b, Position e);
 
   void Add(Position p) { AddRange(p, p + 1); }
+
+  /// Adds base + j for every set bit j of `word`: 64 verdicts in one call.
+  /// Calls ascend as AddRange's do. `base` need not be 64-aligned within
+  /// the window (a write-store tail block starts anywhere); aligned words
+  /// are one OR into the bitmap. The representation chosen is the one the
+  /// same positions added one range at a time would give.
+  void AddWord(Position base, uint64_t word);
 
   PositionSet Build() &&;
 

@@ -3,8 +3,11 @@
 // global (no GROUP BY) aggregation, and cross-strategy agreement on
 // aggregates over every encoding.
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +83,129 @@ TEST(GroupAccumulatorTest, GroupsSortedOnEmit) {
   ASSERT_EQ(out.num_tuples(), 5u);
   for (size_t i = 1; i < out.num_tuples(); ++i) {
     EXPECT_LT(out.value(i - 1, 0), out.value(i, 0));
+  }
+}
+
+/// One row of an accumulator stream: `count` copies of value `v` in
+/// `group`.
+struct AccRow {
+  Value group;
+  Value v;
+  uint64_t count;
+};
+
+/// Emit()'s rows for `rows`, computed with one map probe per row.
+std::vector<std::pair<Value, Value>> BruteForceGroups(
+    AggFunc func, const std::vector<AccRow>& rows) {
+  struct Ref {
+    int64_t sum = 0;
+    uint64_t count = 0;
+    Value min = 0;
+    Value max = 0;
+  };
+  std::map<Value, Ref> groups;
+  for (const AccRow& r : rows) {
+    auto [it, fresh] = groups.try_emplace(r.group);
+    Ref& g = it->second;
+    g.sum += r.v * static_cast<int64_t>(r.count);
+    g.min = fresh ? r.v : std::min(g.min, r.v);
+    g.max = fresh ? r.v : std::max(g.max, r.v);
+    g.count += r.count;
+  }
+  std::vector<std::pair<Value, Value>> out;
+  for (const auto& [group, g] : groups) {
+    Value agg = 0;
+    switch (func) {
+      case AggFunc::kSum: agg = g.sum; break;
+      case AggFunc::kCount: agg = static_cast<Value>(g.count); break;
+      case AggFunc::kMin: agg = g.min; break;
+      case AggFunc::kMax: agg = g.max; break;
+      case AggFunc::kAvg: agg = g.sum / static_cast<int64_t>(g.count); break;
+    }
+    out.emplace_back(group, agg);
+  }
+  return out;
+}
+
+std::vector<std::pair<Value, Value>> Emitted(const GroupAccumulator& acc) {
+  exec::TupleChunk out;
+  acc.Emit(&out);
+  std::vector<std::pair<Value, Value>> rows;
+  for (size_t i = 0; i < out.num_tuples(); ++i) {
+    rows.emplace_back(out.value(i, 0), out.value(i, 1));
+  }
+  return rows;
+}
+
+void AddRows(const std::vector<AccRow>& rows, size_t begin, size_t end,
+             GroupAccumulator* acc) {
+  for (size_t i = begin; i < end; ++i) {
+    acc->Add(rows[i].group, rows[i].v, rows[i].count);
+  }
+}
+
+TEST(GroupAccumulatorTest, GroupRunsMatchBruteForce) {
+  // The accumulator probes its table once per run of equal groups. Streams:
+  // groups alternating every row; runs of 100 rows over 7 groups, each
+  // group revisited after the cache moved on; and random groups.
+  const size_t n = 3000;
+  Random rng(103);
+  std::vector<std::vector<AccRow>> streams(3);
+  for (size_t i = 0; i < n; ++i) {
+    const Value v = static_cast<Value>(rng.Uniform(201)) - 100;
+    streams[0].push_back({i % 2 ? 5 : -3, v, 1});
+    streams[1].push_back({static_cast<Value>((i / 100) % 7), v, 1 + i % 3});
+    streams[2].push_back({static_cast<Value>(rng.Uniform(12)), v, 1});
+  }
+  // Split points fall mid-run (1 550 is inside a run of 100).
+  const size_t third = 1000;
+  const size_t mid = 1550;
+  for (AggFunc func : {AggFunc::kSum, AggFunc::kCount, AggFunc::kMin,
+                       AggFunc::kMax, AggFunc::kAvg}) {
+    for (size_t si = 0; si < streams.size(); ++si) {
+      const std::vector<AccRow>& rows = streams[si];
+      const std::string where =
+          std::string(exec::AggFuncName(func)) + " stream " +
+          std::to_string(si);
+      const auto want = BruteForceGroups(func, rows);
+
+      GroupAccumulator whole(func);
+      AddRows(rows, 0, n, &whole);
+      EXPECT_EQ(Emitted(whole), want) << where;
+
+      // Merged partials, and a merge target that keeps adding afterwards
+      // (the merge inserts groups while the cache holds one).
+      GroupAccumulator head(func);
+      GroupAccumulator middle(func);
+      GroupAccumulator tail(func);
+      AddRows(rows, 0, third, &head);
+      AddRows(rows, third, 2 * third, &middle);
+      AddRows(rows, 2 * third, n, &tail);
+      GroupAccumulator merged(func);
+      merged.MergeFrom(head);
+      merged.MergeFrom(middle);
+      merged.MergeFrom(tail);
+      EXPECT_EQ(Emitted(merged), want) << where << " merged";
+      head.MergeFrom(middle);
+      AddRows(rows, 2 * third, n, &head);
+      EXPECT_EQ(Emitted(head), want) << where << " merge then add";
+
+      // Copies taken mid-stream own their state: each continues on its own.
+      GroupAccumulator original(func);
+      AddRows(rows, 0, mid, &original);
+      GroupAccumulator copied(original);
+      GroupAccumulator assigned(func);
+      assigned = original;
+      AddRows(rows, mid, n, &copied);
+      EXPECT_EQ(Emitted(copied), want) << where << " copy";
+      AddRows(rows, mid, n, &assigned);
+      EXPECT_EQ(Emitted(assigned), want) << where << " assigned";
+      const std::vector<AccRow> first(rows.begin(), rows.begin() + mid);
+      EXPECT_EQ(Emitted(original), BruteForceGroups(func, first))
+          << where << " original after copies";
+      AddRows(rows, mid, n, &original);
+      EXPECT_EQ(Emitted(original), want) << where << " original";
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 // Codec tests: write/read round-trips for all encodings, predicate
 // evaluation fast paths, positional gathers, and metadata integrity.
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -421,6 +425,184 @@ TEST_F(CodecTest, AppendRunFastPath) {
   EXPECT_EQ(all[9999], 7);
   EXPECT_EQ(all[10000], 8);
   EXPECT_EQ(all[14999], 8);
+}
+
+// --- Word-at-a-time predicate kernels ---
+
+/// Packs `vals` into one in-memory block of `enc` (uncompressed, RLE or
+/// dictionary) covering positions [start, start + vals.size()).
+void PackBlock(Encoding enc, Position start, const std::vector<Value>& vals,
+               storage::Page* page) {
+  storage::BlockHeader* h = page->header();
+  h->magic = storage::BlockHeader::kMagic;
+  h->encoding = static_cast<uint8_t>(enc);
+  h->num_values = static_cast<uint32_t>(vals.size());
+  h->start_pos = start;
+  std::vector<char> payload;
+  auto append = [&payload](const void* src, size_t len) {
+    const char* c = static_cast<const char*>(src);
+    payload.insert(payload.end(), c, c + len);
+  };
+  switch (enc) {
+    case Encoding::kUncompressed:
+      append(vals.data(), vals.size() * sizeof(Value));
+      break;
+    case Encoding::kRle: {
+      std::vector<codec::RleTriple> runs;
+      for (size_t i = 0; i < vals.size(); ++i) {
+        if (i > 0 && vals[i] == vals[i - 1]) {
+          ++runs.back().len;
+        } else {
+          runs.push_back(codec::RleTriple{vals[i], start + i, 1});
+        }
+      }
+      append(runs.data(), runs.size() * sizeof(codec::RleTriple));
+      break;
+    }
+    case Encoding::kDict: {
+      std::vector<Value> dict = vals;
+      std::sort(dict.begin(), dict.end());
+      dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+      const codec::DictPayloadHeader ph{static_cast<uint32_t>(dict.size()), 0};
+      append(&ph, sizeof(ph));
+      append(dict.data(), dict.size() * sizeof(Value));
+      for (Value v : vals) {
+        const auto code = static_cast<uint16_t>(
+            std::lower_bound(dict.begin(), dict.end(), v) - dict.begin());
+        append(&code, sizeof(code));
+      }
+      break;
+    }
+    case Encoding::kBitVector:
+      FAIL() << "bit-vector blocks are not packed here";
+  }
+  ASSERT_LE(payload.size(), storage::kPagePayloadSize);
+  h->payload_len = static_cast<uint32_t>(payload.size());
+  std::memcpy(page->payload(), payload.data(), payload.size());
+}
+
+/// Positions of [lo, hi) (block offsets from `start`) whose value passes.
+std::vector<Position> PerValueMatches(const std::vector<Value>& vals,
+                                      Position start, Position lo,
+                                      Position hi, const Predicate& pred) {
+  std::vector<Position> out;
+  for (Position p = lo; p < hi; ++p) {
+    if (pred.Eval(vals[p - start])) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(PredicateKernelTest, WordKernelsMatchPerValueEval) {
+  // 5 013 values: the block's length is off the 64-position grid. One block
+  // starts on the grid (a read-store block); the other starts at 150 000,
+  // off it, as a write-store tail block does after 150 000 read-store rows.
+  const size_t n = 5013;
+  for (Position start : {Position{3 * 8128}, Position{150000}}) {
+    const Position end = start + n;
+    // Builder windows: the block itself; one holding the block's start and
+    // ending mid-block, mid-word; one starting mid-block, mid-word; one
+    // position.
+    const position::Range windows[] = {{start, end},
+                                       {start - 1000, start + 2000},
+                                       {start + 2001, end + 77},
+                                       {start + 129, start + 130}};
+    // Refine ranges that start and end mid-word.
+    const std::vector<position::Range> refine = {{start + 3, start + 70},
+                                                 {start + 130, start + 131},
+                                                 {start + 200, start + 1000},
+                                                 {start + 1001, end - 5}};
+    for (Encoding enc :
+         {Encoding::kUncompressed, Encoding::kDict, Encoding::kRle}) {
+      // Short runs push the builder into a bitmap; long runs keep it ranged.
+      for (double run_len : {3.0, 200.0}) {
+        const std::vector<Value> vals = testing::RunnyValues(
+            n, 10, run_len, 53 + static_cast<uint64_t>(run_len));
+        storage::Page page;
+        PackBlock(enc, start, vals, &page);
+        ASSERT_OK_AND_ASSIGN(codec::BlockView view,
+                             codec::BlockView::FromPage(page));
+        ASSERT_EQ(view.start_pos(), start);
+        ASSERT_EQ(view.end_pos(), end);
+        for (const Predicate& pred : testing::OnePredicatePerOp(4, 6)) {
+          const std::string where = std::string(codec::EncodingName(enc)) +
+                                    " start " + std::to_string(start) +
+                                    " run " + std::to_string(run_len) + " " +
+                                    pred.ToString();
+          for (const position::Range& w : windows) {
+            const Position lo = std::max(w.begin, start);
+            const Position hi = std::min(w.end, end);
+            position::SetBuilder builder(w.begin, w.end);
+            const uint64_t evals = view.EvalPredicate(pred, &builder, nullptr);
+            position::PositionSet got = std::move(builder).Build();
+            const std::vector<Position> want =
+                PerValueMatches(vals, start, lo, hi, pred);
+            EXPECT_EQ(got.ToVector(), want) << where << " window " << w.begin;
+            // Per value, per overlapped run, or once per dictionary entry.
+            uint64_t want_evals = hi - lo;
+            if (enc == Encoding::kRle) {
+              want_evals = 0;
+              for (Position p = lo; p < hi; ++p) {
+                want_evals += p == lo || vals[p - start] != vals[p - 1 - start];
+              }
+            } else if (enc == Encoding::kDict) {
+              want_evals = std::set<Value>(vals.begin(), vals.end()).size();
+            }
+            EXPECT_EQ(evals, want_evals) << where << " window " << w.begin;
+            // The same positions added one range at a time pick the same
+            // representation.
+            position::SetBuilder by_range(w.begin, w.end);
+            got.ForEachRange(
+                [&](Position b, Position e) { by_range.AddRange(b, e); });
+            EXPECT_EQ(got.rep(), std::move(by_range).Build().rep()) << where;
+          }
+
+          position::SetBuilder builder(start - 37, end + 11);
+          const uint64_t evals =
+              view.EvalPredicateAt(pred, refine.data(), refine.size(),
+                                   &builder);
+          std::vector<Position> want;
+          uint64_t want_evals = 0;
+          for (const position::Range& r : refine) {
+            const std::vector<Position> part =
+                PerValueMatches(vals, start, r.begin, r.end, pred);
+            want.insert(want.end(), part.begin(), part.end());
+            want_evals += r.end - r.begin;
+          }
+          EXPECT_EQ(std::move(builder).Build().ToVector(), want)
+              << where << " refine";
+          EXPECT_EQ(evals, want_evals) << where << " refine";
+        }
+      }
+    }
+  }
+}
+
+TEST(PredicateKernelTest, AddWordMatchesAddRangeAtEveryOffset) {
+  // Every shift of a word against the window's 64-position grid, in both
+  // builder representations.
+  Random rng(59);
+  for (Position shift = 0; shift < 64; ++shift) {
+    for (uint64_t density : {2u, 40u}) {
+      const Position wb = 1000 * 64;
+      position::SetBuilder words(wb, wb + 40 * 64);
+      position::SetBuilder ranges(wb, wb + 40 * 64);
+      for (Position base = wb + shift; base + 64 <= wb + 40 * 64;
+           base += 64) {
+        uint64_t word = 0;
+        for (int j = 0; j < 64; ++j) {
+          if (rng.Uniform(density) != 0) word |= uint64_t{1} << j;
+        }
+        words.AddWord(base, word);
+        for (int j = 0; j < 64; ++j) {
+          if ((word >> j) & 1) ranges.Add(base + j);
+        }
+      }
+      position::PositionSet a = std::move(words).Build();
+      position::PositionSet b = std::move(ranges).Build();
+      EXPECT_EQ(a.rep(), b.rep()) << "shift " << shift;
+      EXPECT_EQ(a.ToVector(), b.ToVector()) << "shift " << shift;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,195 @@ TEST_F(ExecTest, DS4ScanMergeMatchesNaiveOnEveryEncoding) {
       EXPECT_EQ(stats.tuples_constructed, leaf_rows + want.size()) << where;
     }
   }
+}
+
+/// Predicate evaluations DS1Scan makes over `col` (holding `vals`): one per
+/// value when uncompressed; per (run, block, window) overlap on RLE (the
+/// writer splits runs at block ends); per distinct value of each (block,
+/// window) overlap on dictionary and bit-vector blocks.
+uint64_t DS1Evals(const codec::ColumnReader& col,
+                  const std::vector<Value>& vals) {
+  const std::vector<uint64_t>& starts = col.meta().block_start_pos;
+  if (col.meta().encoding == Encoding::kUncompressed) return vals.size();
+  uint64_t evals = 0;
+  for (size_t b = 0; b < starts.size(); ++b) {
+    const Position begin = starts[b];
+    const Position end = b + 1 < starts.size() ? starts[b + 1] : vals.size();
+    const uint64_t windows =
+        (end - 1) / kChunkPositions - begin / kChunkPositions + 1;
+    if (col.meta().encoding != Encoding::kRle) {
+      evals += windows * std::set<Value>(vals.begin() + begin,
+                                         vals.begin() + end)
+                             .size();
+      continue;
+    }
+    for (Position p = begin; p < end; ++p) {
+      evals += p == begin || p % kChunkPositions == 0 || vals[p] != vals[p - 1];
+    }
+  }
+  return evals;
+}
+
+TEST_F(ExecTest, DS1ScanEvaluatesOnlyItsWindow) {
+  // 8 128-value plain blocks straddle the 64K windows; a straddling block
+  // is evaluated once per window over its overlap only, so a plain column
+  // costs exactly one evaluation per value (evaluating it in full per
+  // window would count 8 128 extra per straddle). n is off the 64 grid, so
+  // the last block is too.
+  const size_t n = 150037;
+  const std::vector<Value> vals = testing::RunnyValues(n, 10, 2.0, 61);
+  const std::vector<Value> runny = testing::RunnyValues(n, 10, 30.0, 67);
+  struct Case {
+    const codec::ColumnReader* col;
+    const std::vector<Value>* vals;
+  };
+  const Case cases[] = {
+      {Load("plain", Encoding::kUncompressed, vals), &vals},
+      {Load("dict", Encoding::kDict, vals), &vals},
+      {Load("bv", Encoding::kBitVector, vals), &vals},
+      {Load("rle", Encoding::kRle, runny), &runny},
+  };
+  for (const Case& c : cases) {
+    for (const Predicate& pred : testing::OnePredicatePerOp(4, 6)) {
+      const std::string where =
+          std::string(codec::EncodingName(c.col->meta().encoding)) + " " +
+          pred.ToString();
+      ExecStats stats;
+      exec::DS1Scan scan(c.col, 0, pred, false, &stats);
+      EXPECT_EQ(DrainPositions(&scan), testing::NaiveMatches(*c.vals, pred))
+          << where;
+      EXPECT_EQ(stats.predicate_evals, DS1Evals(*c.col, *c.vals)) << where;
+      // Morsels split at a window boundary count the same in total.
+      const Position cut = kChunkPositions;
+      ExecStats head_stats;
+      ExecStats tail_stats;
+      exec::DS1Scan head(c.col, 0, pred, false, &head_stats,
+                         position::Range{0, cut});
+      exec::DS1Scan tail(c.col, 0, pred, false, &tail_stats,
+                         position::Range{cut, n});
+      DrainPositions(&head);
+      DrainPositions(&tail);
+      EXPECT_EQ(head_stats.predicate_evals + tail_stats.predicate_evals,
+                stats.predicate_evals)
+          << where;
+    }
+  }
+}
+
+TEST_F(ExecTest, ScanKernelsMatchPerValueEvalForEveryOp) {
+  // Every operator that evaluates predicates value by value, under each of
+  // the 8 predicate operators and on every encoding, against a per-value
+  // Predicate::Eval. The leaf column's matches form ranges that start and end
+  // mid-word: runs of ~20 (dense, a bitmap descriptor) and ~2% singletons
+  // (a list).
+  const size_t n = 150037;
+  const std::vector<Value> vals = testing::RunnyValues(n, 10, 1.5, 71);
+  const std::vector<Value> runny = testing::RunnyValues(n, 10, 25.0, 73);
+  const std::vector<Value> dense = testing::RunnyValues(n, 2, 20.0, 79);
+  const std::vector<Value> sparse = testing::RunnyValues(n, 50, 1.0, 83);
+  const auto* dense_col = Load("dense", Encoding::kUncompressed, dense);
+  const auto* sparse_col = Load("sparse", Encoding::kUncompressed, sparse);
+  struct Leaf {
+    const codec::ColumnReader* col;
+    const std::vector<Value>* vals;
+    Predicate pred;
+  };
+  const Leaf leaves[] = {{dense_col, &dense, Predicate::Equal(0)},
+                            {sparse_col, &sparse, Predicate::Equal(7)}};
+  struct Case {
+    const codec::ColumnReader* col;
+    const std::vector<Value>* vals;
+  };
+  const Case cases[] = {
+      {Load("plain", Encoding::kUncompressed, vals), &vals},
+      {Load("dict", Encoding::kDict, vals), &vals},
+      {Load("bv", Encoding::kBitVector, vals), &vals},
+      {Load("rle", Encoding::kRle, runny), &runny},
+  };
+  for (const Case& c : cases) {
+    const Encoding enc = c.col->meta().encoding;
+    const std::vector<Value>& v = *c.vals;
+    for (const Predicate& pred : testing::OnePredicatePerOp(4, 6)) {
+      const std::string where =
+          std::string(codec::EncodingName(enc)) + " " + pred.ToString();
+      const std::vector<Position> want = testing::NaiveMatches(v, pred);
+      // DS2: one evaluation per value, or per (run, window) overlap on
+      // RLE. SPC decompresses first: one per value.
+      std::vector<std::pair<Position, std::vector<Value>>> want_rows;
+      for (Position p : want) want_rows.emplace_back(p, std::vector{v[p]});
+      ExecStats ds2_stats;
+      exec::DS2Scan ds2(c.col, pred, &ds2_stats);
+      EXPECT_EQ(DrainTuples(&ds2), want_rows) << where << " ds2";
+      EXPECT_EQ(ds2_stats.predicate_evals,
+                enc == Encoding::kRle ? DS1Evals(*c.col, v) : n)
+          << where << " ds2";
+      ExecStats spc_stats;
+      exec::SpcScan spc({{c.col, pred}}, &spc_stats);
+      EXPECT_EQ(DrainTuples(&spc), want_rows) << where << " spc";
+      EXPECT_EQ(spc_stats.predicate_evals, n) << where << " spc";
+      for (const Leaf& d : leaves) {
+        std::vector<Position> both;
+        std::vector<std::pair<Position, std::vector<Value>>> both_rows;
+        uint64_t leaf_matches = 0;
+        for (size_t i = 0; i < n; ++i) {
+          if (!d.pred.Eval((*d.vals)[i])) continue;
+          ++leaf_matches;
+          if (!pred.Eval(v[i])) continue;
+          both.push_back(i);
+          both_rows.emplace_back(i, std::vector{(*d.vals)[i], v[i]});
+        }
+        // DS1-pipelined refines at the leaf's matches: one evaluation per
+        // candidate position, whatever the encoding.
+        ExecStats lm_stats;
+        exec::DS1Scan leaf(d.col, 0, d.pred, false, &lm_stats);
+        exec::DS1PipelinedScan refine(&leaf, c.col, 1, pred, false,
+                                      &lm_stats);
+        EXPECT_EQ(DrainPositions(&refine), both) << where << " ds1p";
+        EXPECT_EQ(lm_stats.predicate_evals, n + leaf_matches)
+            << where << " ds1p";
+        // DS4 jumps to each input tuple's position.
+        ExecStats em_stats;
+        exec::DS2Scan em_leaf(d.col, d.pred, &em_stats);
+        exec::DS4ScanMerge ds4(&em_leaf, c.col, pred, &em_stats);
+        EXPECT_EQ(DrainTuples(&ds4), both_rows) << where << " ds4";
+        EXPECT_EQ(em_stats.predicate_evals, n + leaf_matches)
+            << where << " ds4";
+      }
+    }
+  }
+}
+
+TEST_F(ExecTest, SpcFiltersColumnByColumn) {
+  // k = 3: the third predicate sees only the rows that passed the first
+  // two, so the count is n + |pass a| + |pass a and b|, as a row-at-a-time
+  // short circuit counts.
+  const size_t n = 150037;
+  const std::vector<Value> a = testing::RunnyValues(n, 10, 1.0, 89);
+  const std::vector<Value> b = testing::RunnyValues(n, 10, 6.0, 97);
+  const std::vector<Value> c = testing::RunnyValues(n, 10, 1.0, 101);
+  const auto* ca = Load("a", Encoding::kUncompressed, a);
+  const auto* cb = Load("b", Encoding::kRle, b);
+  const auto* cc = Load("c", Encoding::kDict, c);
+  const Predicate pa = Predicate::LessThan(5);
+  const Predicate pb = Predicate::NotEqual(3);
+  const Predicate pc = Predicate::Between(2, 7);
+
+  ExecStats stats;
+  exec::SpcScan spc({{ca, pa}, {cb, pb}, {cc, pc}}, &stats);
+  auto got = DrainTuples(&spc);
+  std::vector<std::pair<Position, std::vector<Value>>> want;
+  uint64_t evals = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ++evals;
+    if (!pa.Eval(a[i])) continue;
+    ++evals;
+    if (!pb.Eval(b[i])) continue;
+    ++evals;
+    if (pc.Eval(c[i])) want.emplace_back(i, std::vector{a[i], b[i], c[i]});
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(stats.predicate_evals, evals);
+  EXPECT_EQ(stats.tuples_constructed, want.size());
 }
 
 TEST_F(ExecTest, SpcConstructsShortCircuit) {

@@ -89,6 +89,16 @@ inline std::vector<Value> SortedRunnyValues(size_t n, int domain,
   return v;
 }
 
+/// One predicate per Predicate::Op (true, <, <=, =, !=, >=, >, BETWEEN),
+/// comparing against `a`; BETWEEN spans [a, b].
+inline std::vector<codec::Predicate> OnePredicatePerOp(Value a, Value b) {
+  using codec::Predicate;
+  return {Predicate::True(),         Predicate::LessThan(a),
+          Predicate::LessEqual(a),   Predicate::Equal(a),
+          Predicate::NotEqual(a),    Predicate::GreaterEqual(a),
+          Predicate::GreaterThan(a), Predicate::Between(a, b)};
+}
+
 /// Reference scan: positions in `values` matching `pred`.
 inline std::vector<Position> NaiveMatches(const std::vector<Value>& values,
                                           const codec::Predicate& pred) {
