@@ -1,22 +1,16 @@
 // Join scaling: the two-phase (build barrier + morsel-parallel probe) join
 // across worker counts, per inner-table representation.
 //
-// Three panels:
+// Two panels:
 //
 //  1. Probe scaling (fig=join): batches of the Section 4.3 orders ⋈
 //     customer join (warm buffer pool — this measures the executor, not
 //     first-touch I/O), QPS plus speedup over the serial (workers=1) run.
 //
 //  2. Build-dominated shapes (fig=join-build-shapes): inner ≈ outer and
-//     inner > outer joins, where the hash build is the bottleneck, swept
-//     over workers with radix_bits=0 (serial build — the old Amdahl floor)
-//     vs radix_bits=auto (partitioned parallel build).
-//
-//  3. Calibration (fig=join-build-calibration): fits the effective
-//     parallel-build factor from the measured per-phase wall times and
-//     compares it to the cost model's prediction (partition pass +
-//     ParallelCpuFactor). On hosts with >= 4 cores a prediction outside
-//     the tolerance band fails the process.
+//     inner > outer joins, where the serial hash build is a large share of
+//     the query, swept over workers; each row reports the query wall and
+//     the build phase's wall (build_ms).
 //
 // Self-verification: every run's checksum and output count are compared to
 // the serial ground truth; any divergence fails the process, which makes
@@ -34,7 +28,6 @@
 
 #include "api/connection.h"
 #include "bench_common.h"
-#include "model/advisor.h"
 #include "util/stopwatch.h"
 
 namespace cstore {
@@ -211,27 +204,19 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // --- Panel 2: build-dominated shapes, serial vs radix build --------------
+  // --- Panel 2: build-dominated shapes ------------------------------------
   // The TPC-H shape above probes ~40x more rows than it builds; these shapes
-  // make the build the bottleneck, which is exactly where radix_bits=0 (one
-  // serial build task) stops scaling and the partitioned build keeps going.
+  // make the one serial build task a large share of each query, so build_ms
+  // shows how much of the wall the probe's scaling cannot touch.
   const BuildShape kShapes[] = {
       {"inner~outer", "eq", 4 * kChunkPositions, 4 * kChunkPositions},
       {"inner>outer", "gt", 2 * kChunkPositions, 6 * kChunkPositions},
   };
   const int kShapeBatch = 4;
-  std::printf("\n# fig=join-build-shapes build-dominated joins, serial vs "
-              "radix-partitioned build (right-materialized)\n");
-  TablePrinter shapes_table({"shape", "radix", "workers", "wall_ms",
-                             "build_ms", "qps", "speedup"});
-  // Per shape: measured serial-build wall (for the calibration panel) and
-  // the radix build walls per worker count.
-  struct BuildSample {
-    const BuildShape* shape;
-    double serial_build_ms = 0;  // radix_bits=0 at the sweep's max workers
-    std::vector<std::pair<int, double>> radix_build_ms;  // (workers, ms)
-  };
-  std::vector<BuildSample> samples;
+  std::printf("\n# fig=join-build-shapes build-dominated joins "
+              "(right-materialized)\n");
+  TablePrinter shapes_table({"shape", "workers", "wall_ms", "build_ms", "qps",
+                             "speedup"});
   for (const BuildShape& shape : kShapes) {
     plan::JoinQuery q2 = MakeShapeQuery(db.get(), shape);
     uint64_t shape_checksum = 0;
@@ -239,150 +224,70 @@ int main(int argc, char** argv) {
     {
       plan::PlanConfig config;
       config.num_workers = 1;
-      config.radix_bits = 0;
       auto r = conn.Query(plan::PlanTemplate::Join(
           q2, exec::JoinRightMode::kMaterialized, config));
       CSTORE_CHECK(r.ok()) << r.status().ToString();
       shape_checksum = r->stats.checksum;
       shape_tuples = r->stats.output_tuples;
     }
-    BuildSample sample;
-    sample.shape = &shape;
     struct ShapePoint {
-      int radix;
       int workers;
       double best_ms;
       double build_ms;
     };
     std::vector<ShapePoint> points;
-    for (int radix : {0, -1}) {
-      for (int workers : opts.worker_sweep) {
-        plan::PlanConfig config;
-        config.num_workers = workers;
-        config.morsel_positions = kChunkPositions;
-        config.radix_bits = radix;
-        plan::PlanTemplate tmpl = plan::PlanTemplate::Join(
-            q2, exec::JoinRightMode::kMaterialized, config);
-        double best_ms = 1e100;
-        double build_ms = 0;
-        for (int run = 0; run < opts.runs; ++run) {
-          Stopwatch wall;
-          for (int i = 0; i < kShapeBatch; ++i) {
-            auto r = conn.Query(tmpl);
-            CSTORE_CHECK(r.ok()) << r.status().ToString();
-            if (r->stats.checksum != shape_checksum ||
-                r->stats.output_tuples != shape_tuples) {
-              std::fprintf(stderr, "MISMATCH shape=%s radix=%d workers=%d\n",
-                           shape.name, radix, workers);
-              ++mismatches;
-            }
-            build_ms = r->stats.build_wall_micros / 1000.0;
+    for (int workers : opts.worker_sweep) {
+      plan::PlanConfig config;
+      config.num_workers = workers;
+      config.morsel_positions = kChunkPositions;
+      plan::PlanTemplate tmpl = plan::PlanTemplate::Join(
+          q2, exec::JoinRightMode::kMaterialized, config);
+      double best_ms = 1e100;
+      double build_ms = 0;
+      for (int run = 0; run < opts.runs; ++run) {
+        Stopwatch wall;
+        for (int i = 0; i < kShapeBatch; ++i) {
+          auto r = conn.Query(tmpl);
+          CSTORE_CHECK(r.ok()) << r.status().ToString();
+          if (r->stats.checksum != shape_checksum ||
+              r->stats.output_tuples != shape_tuples) {
+            std::fprintf(stderr, "MISMATCH shape=%s workers=%d\n",
+                         shape.name, workers);
+            ++mismatches;
           }
-          best_ms = std::min(best_ms, wall.ElapsedMillis());
+          build_ms = r->stats.build_wall_micros / 1000.0;
         }
-        points.push_back({radix, workers, best_ms, build_ms});
-        if (radix == 0 && workers == opts.worker_sweep.back() && workers > 1) {
-          sample.serial_build_ms = build_ms;
-        }
-        if (radix == -1 && workers > 1) {
-          sample.radix_build_ms.emplace_back(workers, build_ms);
-        }
+        best_ms = std::min(best_ms, wall.ElapsedMillis());
       }
+      points.push_back({workers, best_ms, build_ms});
     }
     double base_qps = 0;
     for (const ShapePoint& p : points) {
-      if (p.radix == 0 && p.workers == base_workers) {
+      if (p.workers == base_workers) {
         base_qps = kShapeBatch * 1000.0 / p.best_ms;
       }
     }
     for (const ShapePoint& p : points) {
       const double qps = kShapeBatch * 1000.0 / p.best_ms;
       const double speedup = base_qps > 0 ? qps / base_qps : 0;
-      shapes_table.AddRow({shape.name, p.radix == 0 ? "0" : "auto",
-                           std::to_string(p.workers), Fmt(p.best_ms),
-                           Fmt(p.build_ms, 2), Fmt(qps), Fmt(speedup, 2)});
+      shapes_table.AddRow({shape.name, std::to_string(p.workers),
+                           Fmt(p.best_ms), Fmt(p.build_ms, 2), Fmt(qps),
+                           Fmt(speedup, 2)});
       json.AddRow()
           .Str("section", "build_shape")
           .Str("shape", shape.name)
-          .Int("radix_auto", p.radix == -1 ? 1 : 0)
           .Int("workers", p.workers)
           .Num("wall_ms", p.best_ms)
           .Num("build_ms", p.build_ms)
           .Num("qps", qps)
           .Num("speedup", speedup);
     }
-    samples.push_back(std::move(sample));
   }
   shapes_table.Print();
-
-  // --- Panel 3: calibration of the parallel-build cost term ----------------
-  // Fitted factor: measured radix build wall / measured serial build wall
-  // (both inside the pooled scheduler, same snapshot machinery — only the
-  // build pipeline differs). Model factor: the ratio PredictJoin charges,
-  // (build + partition pass) * ParallelCpuFactor(W) over the serial build.
-  std::printf("\n# fig=join-build-calibration fitted vs modelled parallel "
-              "build factor\n");
-  TablePrinter cal_table({"shape", "workers", "serial_build_ms",
-                          "radix_build_ms", "fitted_factor", "model_factor",
-                          "ok"});
-  const unsigned hw_cores = std::thread::hardware_concurrency();
-  // On 1-2 core hosts (CI containers) the measured "parallel" build is
-  // genuinely serialised, so the band check would only measure the
-  // scheduler's time-slicing; report the fit but don't enforce it.
-  const bool enforce = hw_cores >= 4;
-  const double kBandLo = 0.3;
-  const double kBandHi = 3.0;
-  int calibration_misses = 0;
-  for (const BuildSample& sample : samples) {
-    if (sample.serial_build_ms <= 0) continue;
-    model::JoinModelInput in;
-    plan::JoinQuery q2 = MakeShapeQuery(db.get(), *sample.shape);
-    in.left_key = model::ColumnStats::FromMeta(q2.left_key->meta());
-    in.left_payload = model::ColumnStats::FromMeta(q2.left_payload->meta());
-    in.sf = 0.5;
-    in.right_key = model::ColumnStats::FromMeta(q2.right_key->meta());
-    in.right_payload =
-        model::ColumnStats::FromMeta(q2.right_payload->meta());
-    const model::CostParams params;
-    model::Cost serial_build;
-    model::PredictJoin(exec::JoinRightMode::kMaterialized, in, params,
-                       &serial_build);
-    for (const auto& [workers, radix_ms] : sample.radix_build_ms) {
-      in.build_workers = workers;
-      model::Cost radix_build;
-      model::PredictJoin(exec::JoinRightMode::kMaterialized, in, params,
-                         &radix_build);
-      const double fitted = radix_ms / sample.serial_build_ms;
-      const double modelled = radix_build.cpu / serial_build.cpu;
-      const double ratio = fitted / modelled;
-      const bool ok = !enforce || (ratio >= kBandLo && ratio <= kBandHi);
-      if (!ok) ++calibration_misses;
-      cal_table.AddRow({sample.shape->name, std::to_string(workers),
-                        Fmt(sample.serial_build_ms, 2), Fmt(radix_ms, 2),
-                        Fmt(fitted, 3), Fmt(modelled, 3), ok ? "y" : "N"});
-      json.AddRow()
-          .Str("section", "calibration")
-          .Str("shape", sample.shape->name)
-          .Int("workers", workers)
-          .Num("serial_build_ms", sample.serial_build_ms)
-          .Num("radix_build_ms", radix_ms)
-          .Num("fitted_factor", fitted)
-          .Num("model_factor", modelled)
-          .Int("enforced", enforce ? 1 : 0)
-          .Int("within_band", ok ? 1 : 0);
-    }
-  }
-  cal_table.Print();
 
   json.WriteAndReport();
   if (mismatches > 0) {
     std::fprintf(stderr, "%d checksum mismatches\n", mismatches);
-    return 1;
-  }
-  if (calibration_misses > 0) {
-    std::fprintf(stderr,
-                 "%d calibration points outside the [%.1f, %.1f] band\n",
-                 calibration_misses, kBandLo, kBandHi);
     return 1;
   }
   return 0;

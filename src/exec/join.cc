@@ -18,28 +18,6 @@ Result<std::unique_ptr<JoinBuildTable>> JoinBuildTable::Build(
   return table;
 }
 
-Result<std::unique_ptr<JoinBuildTable>> JoinBuildTable::Assemble(
-    const Spec& spec, int radix_bits,
-    std::vector<std::unordered_map<Value, Value>> val_parts,
-    std::vector<std::unordered_map<Value, Position>> pos_parts,
-    ExecStats* stats) {
-  CSTORE_CHECK(radix_bits > 0);
-  const size_t nparts = size_t{1} << radix_bits;
-  std::unique_ptr<JoinBuildTable> table(new JoinBuildTable(spec));
-  table->radix_bits_ = radix_bits;
-  if (spec.mode == JoinRightMode::kMaterialized) {
-    CSTORE_CHECK(val_parts.size() == nparts);
-    table->val_parts_ = std::move(val_parts);
-  } else {
-    CSTORE_CHECK(pos_parts.size() == nparts);
-    table->pos_parts_ = std::move(pos_parts);
-  }
-  if (spec.mode == JoinRightMode::kMultiColumn) {
-    CSTORE_RETURN_IF_ERROR(table->PinPayload(stats));
-  }
-  return table;
-}
-
 Status JoinBuildTable::PinPayload(ExecStats* stats) {
   const codec::ColumnReader* payload = spec_.right_payload;
   for (uint64_t b = 0; b < payload->num_blocks(); ++b) {
@@ -73,6 +51,8 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
           : nullptr;
   const Position base = key->num_values();
   const uint64_t tail = snap != nullptr ? snap->tail_rows() : 0;
+  // Every read-store and tail row may enter the table: the sizing bound.
+  const size_t rows = base + tail;
 
   switch (spec_.mode) {
     case JoinRightMode::kMaterialized: {
@@ -86,9 +66,7 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
               ? snap->LiveSet(0, base)
               : position::PositionSet::All(0, base);
       const codec::ColumnReader* payload = spec_.right_payload;
-      val_parts_.resize(1);
-      auto& val_table = val_parts_[0];
-      val_table.reserve(key->num_values() + tail);
+      payloads_ = FlatMap<Value>(rows);
       std::vector<Value> keys;
       std::vector<Value> payloads;
       for (uint64_t b = 0; b < nblocks; ++b) {
@@ -104,7 +82,7 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
       }
       CSTORE_CHECK(keys.size() == payloads.size());
       for (size_t i = 0; i < keys.size(); ++i) {
-        val_table.emplace(keys[i], payloads[i]);
+        payloads_.Insert(keys[i], payloads[i]);
       }
       uint64_t built = keys.size();
       // Write-store tail rows join the build exactly like read-store rows;
@@ -112,61 +90,40 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
       for (uint64_t i = 0; i < tail; ++i) {
         const Position p = base + i;
         if (snap->IsDeleted(p)) continue;
-        val_table.emplace(snap->tail_values(spec_.snap_key_index)[i],
-                          snap->tail_values(spec_.snap_payload_index)[i]);
+        payloads_.Insert(snap->tail_values(spec_.snap_key_index)[i],
+                         snap->tail_values(spec_.snap_payload_index)[i]);
         ++built;
       }
       stats->tuples_constructed += built;
       stats->values_gathered += 2 * built;
       break;
     }
-    case JoinRightMode::kMultiColumn: {
-      // Key → position map; payload stays a pinned compressed mini-column.
-      pos_parts_.resize(1);
-      auto& pos_table = pos_parts_[0];
-      pos_table.reserve(key->num_values() + tail);
+    case JoinRightMode::kMultiColumn:
+    case JoinRightMode::kSingleColumn: {
+      // Key → position map. Only the join-predicate column enters the
+      // join; kMultiColumn also keeps the payload as a pinned compressed
+      // mini-column.
+      positions_ = FlatMap<Position>(rows);
       for (uint64_t b = 0; b < nblocks; ++b) {
         CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, key->FetchBlock(b));
         ++stats->blocks_fetched;
         if (snap != nullptr && snap->has_deletes()) {
           blk.view.ForEach([&](Position p, Value v) {
-            if (!snap->IsDeleted(p)) pos_table.emplace(v, p);
+            if (!snap->IsDeleted(p)) positions_.Insert(v, p);
           });
         } else {
           blk.view.ForEach(
-              [&](Position p, Value v) { pos_table.emplace(v, p); });
+              [&](Position p, Value v) { positions_.Insert(v, p); });
         }
       }
       // Tail rows: key → tail position.
       for (uint64_t i = 0; i < tail; ++i) {
         const Position p = base + i;
         if (snap->IsDeleted(p)) continue;
-        pos_table.emplace(snap->tail_values(spec_.snap_key_index)[i], p);
+        positions_.Insert(snap->tail_values(spec_.snap_key_index)[i], p);
       }
-      CSTORE_RETURN_IF_ERROR(PinPayload(stats));
-      break;
-    }
-    case JoinRightMode::kSingleColumn: {
-      // Only the join-predicate column enters the join.
-      pos_parts_.resize(1);
-      auto& pos_table = pos_parts_[0];
-      pos_table.reserve(key->num_values() + tail);
-      for (uint64_t b = 0; b < nblocks; ++b) {
-        CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, key->FetchBlock(b));
-        ++stats->blocks_fetched;
-        if (snap != nullptr && snap->has_deletes()) {
-          blk.view.ForEach([&](Position p, Value v) {
-            if (!snap->IsDeleted(p)) pos_table.emplace(v, p);
-          });
-        } else {
-          blk.view.ForEach(
-              [&](Position p, Value v) { pos_table.emplace(v, p); });
-        }
-      }
-      for (uint64_t i = 0; i < tail; ++i) {
-        const Position p = base + i;
-        if (snap->IsDeleted(p)) continue;
-        pos_table.emplace(snap->tail_values(spec_.snap_key_index)[i], p);
+      if (spec_.mode == JoinRightMode::kMultiColumn) {
+        CSTORE_RETURN_IF_ERROR(PinPayload(stats));
       }
       break;
     }

@@ -3,9 +3,9 @@
 // build/probe pipeline so the probe side runs morsel-parallel on the
 // scheduler pool:
 //
-//   JoinBuildTable — the build phase's product: an immutable hash table over
-//       the inner table, constructed once per query before any probe runs
-//       (the scheduler's build phase behind its barrier, or
+//   JoinBuildTable — the build phase's product: an immutable flat hash
+//       table (FlatMap) over the inner table, constructed once per query
+//       before any probe runs (one build task on the scheduler, or
 //       plan::ExecuteInline on the caller's thread) and then shared
 //       read-only by every probe morsel. The build merges the inner table's
 //       WriteSnapshot when one is attached: deleted positions are masked
@@ -45,13 +45,13 @@
 #define CSTORE_EXEC_JOIN_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "codec/column_reader.h"
 #include "codec/predicate.h"
 #include "exec/ds_scan.h"
 #include "exec/exec_stats.h"
+#include "exec/flat_map.h"
 #include "exec/operator.h"
 #include "write/write_store.h"
 
@@ -85,19 +85,10 @@ inline const char* JoinRightModeName(JoinRightMode m) {
   return "?";
 }
 
-/// The inner (build) side of a hash join: constructed once by Build() (the
-/// serial path) or assembled from radix partitions built in parallel by
-/// Assemble(); immutable afterwards, safe to probe from any number of
-/// threads. `right_key` is assumed unique (primary key).
-///
-/// The hash table is split into 1 << radix_bits partitions keyed by
-/// PartitionIndex(key). The serial build uses one partition (radix_bits =
-/// 0, probe lookups skip the mixer entirely); the parallel build buckets
-/// rows by partition during its morsel-scan phase, builds each partition's
-/// table as an independent task, and hands the finished partitions to
-/// Assemble. Table *contents* are identical either way — probe results
-/// depend only on the key → payload/position mapping, so results stay
-/// bit-identical across radix settings.
+/// The inner (build) side of a hash join: constructed once by Build(),
+/// immutable afterwards, safe to probe from any number of threads.
+/// `right_key` is assumed unique (primary key); should it repeat, the
+/// first row of a key wins.
 class JoinBuildTable {
  public:
   struct Spec {
@@ -113,48 +104,19 @@ class JoinBuildTable {
     size_t snap_payload_index = 0;
   };
 
-  /// Builds the table in one pass (the serial phase-one task). Build-side
-  /// work — blocks fetched, inner tuples constructed, values gathered — is
-  /// recorded in `stats`.
+  /// Builds the table in one pass. Build-side work — blocks fetched, inner
+  /// tuples constructed, values gathered — is recorded in `stats`.
   static Result<std::unique_ptr<JoinBuildTable>> Build(const Spec& spec,
                                                        ExecStats* stats);
 
-  /// Radix partition of `key` among 1 << radix_bits partitions: the top
-  /// bits of a Fibonacci-hash mix, so dense and sparse key spaces spread
-  /// evenly. The parallel build's bucketing and the probe's lookups use
-  /// the same function by construction.
-  static size_t PartitionIndex(Value key, int radix_bits) {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(key) * UINT64_C(0x9E3779B97F4A7C15)) >>
-        (64 - radix_bits));
-  }
-
-  /// Assembles a table from per-partition hash tables built in parallel
-  /// (exactly one of the two vectors is populated, per `spec.mode`; each
-  /// must hold 1 << radix_bits entries bucketed by PartitionIndex). For
-  /// kMultiColumn this also pins the payload column (read-store blocks +
-  /// snapshot tail blocks) — I/O recorded in `stats`.
-  static Result<std::unique_ptr<JoinBuildTable>> Assemble(
-      const Spec& spec, int radix_bits,
-      std::vector<std::unordered_map<Value, Value>> val_parts,
-      std::vector<std::unordered_map<Value, Position>> pos_parts,
-      ExecStats* stats);
-
   JoinRightMode mode() const { return spec_.mode; }
-  int radix_bits() const { return radix_bits_; }
 
   /// kMaterialized: payload value for `key`, or nullptr.
-  const Value* FindPayload(Value key) const {
-    const auto& t = val_parts_[PartitionOf(key)];
-    auto it = t.find(key);
-    return it == t.end() ? nullptr : &it->second;
-  }
+  const Value* FindPayload(Value key) const { return payloads_.Find(key); }
 
   /// kMultiColumn / kSingleColumn: inner position for `key`, or nullptr.
   const Position* FindPosition(Value key) const {
-    const auto& t = pos_parts_[PartitionOf(key)];
-    auto it = t.find(key);
-    return it == t.end() ? nullptr : &it->second;
+    return positions_.Find(key);
   }
 
   /// kMultiColumn: extracts the payload at `pos` from the pinned
@@ -170,22 +132,16 @@ class JoinBuildTable {
   explicit JoinBuildTable(const Spec& spec)
       : spec_(spec), payload_mini_(/*column=*/1, &spec.right_payload->meta()) {}
 
-  size_t PartitionOf(Value key) const {
-    return radix_bits_ == 0 ? 0 : PartitionIndex(key, radix_bits_);
-  }
-
   Status DoBuild(ExecStats* stats);
   /// kMultiColumn: pins the payload column's blocks (plus the snapshot's
   /// synthetic tail blocks) into payload_mini_, ascending.
   Status PinPayload(ExecStats* stats);
 
   Spec spec_;
-  int radix_bits_ = 0;
-  // kMaterialized: key → payload value (tuples constructed at build time),
-  // one table per radix partition (a single table when radix_bits_ == 0).
-  std::vector<std::unordered_map<Value, Value>> val_parts_;
+  // kMaterialized: key → payload value (tuples constructed at build time).
+  FlatMap<Value> payloads_;
   // kMultiColumn / kSingleColumn: key → position in the inner table.
-  std::vector<std::unordered_map<Value, Position>> pos_parts_;
+  FlatMap<Position> positions_;
   // kMultiColumn: the pinned, still-compressed payload column.
   MiniColumn payload_mini_;
 };

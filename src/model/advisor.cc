@@ -186,14 +186,7 @@ std::string Advisor::ExplainJoin(const JoinModelInput& input) const {
                   input.num_workers, ParallelCpuFactor(input.num_workers));
     out += buf;
   }
-  if (input.build_workers > 1) {
-    std::snprintf(buf, sizeof(buf),
-                  "build: radix-partitioned across %d workers (build cpu "
-                  "x%.3f, incl. partition pass)\n",
-                  input.build_workers,
-                  ParallelCpuFactor(input.build_workers));
-    out += buf;
-  } else if (input.num_workers > 1) {
+  if (input.num_workers > 1) {
     out += "build: one serial task, charged in full\n";
   }
   std::vector<JoinPrediction> ranked = RankJoin(input);

@@ -69,10 +69,8 @@ class Advisor {
   std::string ExplainSelection(const SelectionModelInput& input) const;
   std::string ExplainAggregation(const SelectionModelInput& input,
                                  double groups) const;
-  /// Join report: per-mode totals with the build/probe split. With
-  /// build_workers > 1 the build line shows the radix-partitioned discount;
-  /// at build_workers == 1 it is the serial floor that used to cap join
-  /// speedup at the pool width.
+  /// Join report: per-mode totals with the build/probe split. The build is
+  /// one serial task, charged in full at every worker count.
   std::string ExplainJoin(const JoinModelInput& input) const;
   /// Sort report: per-strategy totals including the run-formation + merge
   /// term, with the sort phase shown separately.

@@ -324,7 +324,7 @@ Cost PredictJoin(exec::JoinRightMode mode, const JoinModelInput& in,
   const double inner = in.right_key.num_tuples;
   const double matches = in.sf * in.left_key.num_tuples;
 
-  // --- Build phase (serial, or radix-partitioned when build_workers > 1) ---
+  // --- Build phase (one serial task) ---------------------------------------
   Cost build;
   switch (mode) {
     case exec::JoinRightMode::kMaterialized:
@@ -348,13 +348,6 @@ Cost PredictJoin(exec::JoinRightMode mode, const JoinModelInput& in,
       build.cpu = in.right_key.num_blocks * p.bic + inner * (p.tic_col + p.fc);
       build.io = ScanIo(in.right_key, p);
       break;
-  }
-  if (in.build_workers > 1) {
-    // Radix-partitioned build: one extra hash + bucket-append pass over the
-    // inner rows, then both the partition tasks and the per-partition table
-    // builds run morsel-parallel on the pool. I/O is not discounted.
-    build.cpu = (build.cpu + inner * p.fc) *
-                ParallelCpuFactor(in.build_workers);
   }
 
   // --- Probe phase (morsel-parallel over the outer side) -------------------
@@ -397,8 +390,7 @@ Cost PredictJoin(exec::JoinRightMode mode, const JoinModelInput& in,
   if (build_out != nullptr) *build_out = build;
   if (probe_out != nullptr) *probe_out = probe;
 
-  // The probe is morsel-parallel; the build is discounted above only when
-  // the radix pipeline parallelizes it (build_workers > 1).
+  // The probe is morsel-parallel; the build is not discounted.
   Cost total = build;
   total.cpu += probe.cpu * ParallelCpuFactor(in.num_workers);
   total.io += probe.io;

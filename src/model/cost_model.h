@@ -138,24 +138,16 @@ struct JoinModelInput {
   exec::JoinLeftMode left_mode = exec::JoinLeftMode::kLate;
   // Probe-side morsel workers: the probe CPU is discounted by
   // ParallelCpuFactor, I/O never (workers share one buffer pool and one
-  // simulated disk).
+  // simulated disk). The build is one task, charged in full.
   int num_workers = 1;
-  // Build-side workers. 1 models the serial build (charged in full — the
-  // Amdahl floor the pre-radix scheduler had); >1 models the
-  // radix-partitioned pipeline: an extra partition pass (hash + bucket
-  // append per inner row) is charged, then the whole build CPU is
-  // discounted by ParallelCpuFactor(build_workers), because the partition
-  // tasks and the per-partition table builds both run morsel-parallel.
-  int build_workers = 1;
 };
 
 /// Join extension (the paper reports Figure 13 behaviour; the model
-/// composes its Section 3 operator formulas): a build over the inner table
-/// (serial or radix-partitioned, per input.build_workers) plus a
-/// morsel-parallel probe of the outer side, per inner-table representation.
-/// `build` / `probe` (optional) receive the two phases' costs after the
-/// build discount but before the probe discount, so callers can show the
-/// per-phase split EXPLAIN prints.
+/// composes its Section 3 operator formulas): a serial build over the inner
+/// table plus a morsel-parallel probe of the outer side, per inner-table
+/// representation. `build` / `probe` (optional) receive the two phases'
+/// costs before the probe discount, so callers can show the per-phase split
+/// EXPLAIN prints.
 Cost PredictJoin(exec::JoinRightMode mode, const JoinModelInput& input,
                  const CostParams& p, Cost* build = nullptr,
                  Cost* probe = nullptr);

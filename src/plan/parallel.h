@@ -9,8 +9,8 @@
 //
 //   * ExecuteInline (below) builds one plan instance over the full position
 //     space and pulls it on the caller's thread: the classic serial
-//     executor, including its output chunk order. A join first runs its
-//     build pipeline on that thread, then pulls the probe. Standalone
+//     executor, including its output chunk order. A join first builds its
+//     hash table on that thread, then pulls the probe. Standalone
 //     api::Connection sessions run their 1-worker synchronous queries this
 //     way, and Database::DeleteWhere/UpdateWhere their row-finding scans.
 //   * sched::Scheduler runs everything else — a server's shared pool, or a
@@ -29,11 +29,8 @@
 //                          serial aggregation over the same rows would
 //       * I/O stats      — attributed per (query, worker) and summed
 //
-//     Joins are two-phase: a BuildPipeline constructs the shared inner-side
-//     hash table (JoinBuildTable) behind the scheduler's phase barrier —
-//     either as one serial task (small inners, radix_bits = 0) or as N
-//     radix partition-scan tasks, a barrier, 1 << radix_bits per-partition
-//     build tasks, and a merge — then probe morsels partition the outer
+//     Joins are two-phase: one build task constructs the shared inner-side
+//     hash table (JoinBuildTable), then probe morsels partition the outer
 //     side exactly like scan morsels (an empty outer side is one task,
 //     still after the build). Sorts are two-phase the other way
 //     round: every morsel forms a sorted run (SortOp with final emit
@@ -53,38 +50,6 @@
 
 namespace cstore {
 namespace plan {
-
-/// A staged, multi-task build phase run on the scheduler pool ahead of any
-/// morsel. Stages run in order with a barrier between them; the tasks
-/// *within* a stage run concurrently, and distinct (stage, task) pairs
-/// touch disjoint pipeline state, so RunTask needs no locking. After the
-/// last stage's barrier the scheduler calls Finish() exactly once to merge
-/// and publish the product. The serial build is the degenerate pipeline:
-/// one stage, one task, Finish returns the table. ExecuteInline runs a
-/// pipeline's tasks in order on the caller's thread.
-class BuildPipeline {
- public:
-  virtual ~BuildPipeline() = default;
-
-  virtual int num_stages() const = 0;
-  virtual int TasksInStage(int stage) const = 0;
-  /// Trace span name for the stage's tasks (e.g. "join_partition").
-  virtual const char* StageName(int stage) const = 0;
-
-  /// Runs one task of one stage on the calling worker, recording its work
-  /// in `stats`. Called exactly once per (stage, task); the scheduler
-  /// guarantees stage `s` tasks only run after every stage `s-1` task
-  /// returned.
-  virtual Status RunTask(int stage, int task, exec::ExecStats* stats) = 0;
-
-  /// Merges the stages' products into the published table. Called once,
-  /// after the last stage's barrier, on whichever worker finished last.
-  virtual Result<std::shared_ptr<const exec::JoinBuildTable>> Finish(
-      exec::ExecStats* stats) = 0;
-
-  /// Span name for the Finish() step.
-  virtual const char* FinishName() const { return "join_build_merge"; }
-};
 
 /// Reusable query description: everything needed to build one plan instance
 /// per morsel. Column readers are borrowed (not owned) just as in the
@@ -120,17 +85,16 @@ struct PlanTemplate {
   Position MorselPositions(int workers) const;
 
   /// True when the template needs a build phase before any morsel can run
-  /// (joins: the hash build). Both routes run the pipeline from
-  /// MakeBuildPipeline first — the scheduler behind its phase barrier,
-  /// ExecuteInline on the caller's thread — and hand the product to every
-  /// Instantiate.
+  /// (joins: the hash build). Both routes call BuildJoinTable first — the
+  /// scheduler as one build task ahead of every morsel, ExecuteInline on the
+  /// caller's thread — and hand the table to every Instantiate.
   bool NeedsBuildPhase() const { return kind == Kind::kJoin; }
 
-  /// Creates the build-phase pipeline for a pool of `pool_workers`, honoring
-  /// config.radix_bits (-1 auto / 0 serial / k forced). Only valid when
-  /// NeedsBuildPhase(). Infallible: spec errors surface from the pipeline's
-  /// RunTask, keeping error routing identical to the serial build's.
-  std::unique_ptr<BuildPipeline> MakeBuildPipeline(int pool_workers) const;
+  /// Validates the join (JoinBuildSpec) and builds its inner-side hash
+  /// table, recording the build's work in `stats`. Only valid when
+  /// NeedsBuildPhase().
+  Result<std::shared_ptr<const exec::JoinBuildTable>> BuildJoinTable(
+      exec::ExecStats* stats) const;
 
   /// Builds one plan instance restricted to `morsel` (which must be
   /// kChunkPositions-aligned at its begin, per MorselSource). Joins need
@@ -140,8 +104,8 @@ struct PlanTemplate {
       const exec::JoinBuildTable* table = nullptr) const;
 };
 
-/// Runs the templated query inline on the calling thread — a join's build
-/// pipeline, then one plan instance over the full position space, whatever
+/// Runs the templated query inline on the calling thread — a join's hash
+/// build, then one plan instance over the full position space, whatever
 /// config.num_workers says — and fills `stats` with its RunStats, the
 /// build's work, I/O and wall time included. `sink` (optional) receives
 /// every output chunk in the serial executor's order; for aggregations,

@@ -123,7 +123,7 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
 /// Validates the join query and assembles the build-phase spec: the
 /// inner-side readers, mode, and — when JoinQuery::right_snapshot carries
 /// pending rows or deletes — the snapshot column mapping the build merges.
-/// Every join's build (PlanTemplate::MakeBuildPipeline) starts from it,
+/// Every join's build (PlanTemplate::BuildJoinTable) starts from it,
 /// before any probe plan exists.
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
                                                  exec::JoinRightMode mode);

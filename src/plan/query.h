@@ -100,13 +100,6 @@ struct PlanConfig {
   // one morsel to one plan instance. `begin` must be
   // kChunkPositions-aligned; the default covers the whole column.
   position::Range scan_range = exec::kFullScanRange;
-  // Radix partitioning of the join hash build: -1 (auto) picks from the
-  // inner-side size and the pool width (always serial inline), 0 forces
-  // the single serial build task, k > 0 forces 1 << k partitions on either
-  // route. Results are bit-identical across every setting — only the phase
-  // shape changes (N partition-scan tasks, a barrier, 1 << k build tasks,
-  // a merge).
-  int radix_bits = -1;
 
   // --- Write-store snapshot ----------------------------------------------
   // When set, the built plan sees exactly this snapshot's state: scans mask

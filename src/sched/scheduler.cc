@@ -119,31 +119,23 @@ struct QueryState {
 
   // Work distribution. Empty scans are one indivisible task; everything
   // else claims chunk-aligned morsels from the source. Two-phase queries
-  // (joins) additionally run their BuildPipeline's staged tasks first: the
-  // phase dependency below gates every other claim on build_done.
+  // (joins) additionally run one build task first: the phase dependency
+  // below gates every other claim on build_done.
   std::unique_ptr<exec::MorselSource> source;
   bool single_task = false;
   bool single_claimed = false;  // guarded by Scheduler::mu_
   bool needs_build = false;     // template has a build phase
-  // Build-pipeline dispatch state (all guarded by mu_ except `pipeline`
-  // itself, which is created at submit and immutable as a pointer; its
-  // *task state* is touched lock-free — distinct (stage, task) pairs are
-  // disjoint by the pipeline contract, and stage barriers order them).
-  std::unique_ptr<plan::BuildPipeline> pipeline;
-  int build_stage = 0;       // current stage
-  int build_next_task = 0;   // next unclaimed task of the stage
-  int build_stage_tasks = 0; // tasks in the current stage
-  int build_tasks_done = 0;  // completed tasks of the stage
-  bool build_done = false;   // guarded by mu_; set before morsel claims
-  // Build-phase wall time: first build task claimed → product published.
-  // Both guarded by mu_.
+  bool build_claimed = false;   // guarded by mu_
+  bool build_done = false;      // guarded by mu_; set before morsel claims
+  // Build-phase wall time: build task claimed → table published. Both
+  // guarded by mu_.
   Stopwatch build_timer;
   uint64_t build_micros = 0;
   int in_flight = 0;         // claimed but not completed; guarded by mu_
   bool finalized = false;    // guarded by mu_
   Status error;              // first failure; guarded by mu_
 
-  // The build phase's product, shared read-only by every probe morsel.
+  // The build task's product, shared read-only by every probe morsel.
   // Written by the build worker before build_done is published under mu_,
   // so probe workers (which observed build_done under mu_ when claiming)
   // read it race-free without further synchronization.
@@ -188,11 +180,10 @@ struct QueryState {
   /// True once no further task will ever be handed out (all morsels
   /// claimed, or cancelled by an error). Caller holds Scheduler::mu_.
   bool DrainedLocked() const {
-    // A pending (or in-flight) build phase will still release work once it
-    // completes. On failure the remaining build tasks are never dispatched
-    // (claims return kExhausted) and the source is cancelled, so the
-    // error.ok() guards let a failed query drain even though build_done
-    // never latches.
+    // A pending (or in-flight) build will still release work once it
+    // completes. On failure nothing more is dispatched (claims return
+    // kExhausted) and the source is cancelled, so the error.ok() guards let
+    // a failed query drain even though build_done never latches.
     if (needs_build && !build_done && error.ok()) return false;
     if (single_task) return single_claimed || !error.ok();
     return source->Exhausted();
@@ -275,13 +266,7 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
     morsels_total = (total + morsel - 1) / morsel;
   }
   q->needs_build = q->tmpl.NeedsBuildPhase();
-  if (q->needs_build) {
-    q->pipeline = q->tmpl.MakeBuildPipeline(num_workers_);
-    q->build_stage_tasks = q->pipeline->TasksInStage(0);
-    for (int s = 0; s < q->pipeline->num_stages(); ++s) {
-      morsels_total += static_cast<uint64_t>(q->pipeline->TasksInStage(s));
-    }
-  }
+  if (q->needs_build) ++morsels_total;
   q->timer.Restart();
   q->query_id = obs::NextQueryId();
   q->label = options.label.empty()
@@ -325,19 +310,13 @@ QueryTicket Scheduler::SubmitJob(std::function<Status()> job, int priority) {
 Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
   out->build = false;
   if (q->needs_build && !q->build_done) {
-    // Phase dependency: the pipeline's stage tasks run before anything else
-    // of the query (and the next stage's tasks only after this stage's
-    // barrier drops). A failed query dispatches nothing further.
+    // Phase dependency: the build task runs before anything else of the
+    // query. A failed query dispatches nothing further.
     if (!q->error.ok()) return Claim::kExhausted;
-    if (q->build_next_task >= q->build_stage_tasks) {
-      return Claim::kWaiting;  // stage fully claimed, not yet complete
-    }
-    if (q->build_stage == 0 && q->build_next_task == 0) {
-      q->build_timer.Restart();
-    }
+    if (q->build_claimed) return Claim::kWaiting;  // build still running
+    q->build_claimed = true;
+    q->build_timer.Restart();
     out->build = true;
-    out->build_stage = q->build_stage;
-    out->build_task = q->build_next_task++;
     out->morsel = exec::kFullScanRange;
   } else if (q->single_task) {
     if (q->single_claimed || !q->error.ok()) return Claim::kExhausted;
@@ -423,37 +402,16 @@ void Scheduler::WorkerLoop(int worker_id) {
       QueryState* q = task.query.get();
       --q->in_flight;
       if (task.build) {
-        ++q->build_tasks_done;
-        const bool stage_complete =
-            q->build_tasks_done == q->build_stage_tasks;
-        if (stage_complete && q->error.ok()) {
-          if (q->build_stage + 1 < q->pipeline->num_stages()) {
-            // Stage barrier drops: the next stage's tasks are claimable.
-            // Wake the pool — idle workers may be sleeping on an
-            // all-waiting rotation.
-            ++q->build_stage;
-            q->build_next_task = 0;
-            q->build_tasks_done = 0;
-            q->build_stage_tasks = q->pipeline->TasksInStage(q->build_stage);
-            cv_.notify_all();
-          } else {
-            // Last stage's barrier: merge and publish the product off-lock
-            // on this worker (no claims can race — morsels stay gated on
-            // build_done, and the stage has no unclaimed tasks left), then
-            // drop the build barrier for good.
-            lock.unlock();
-            FinishBuild(worker_id, task.query);
-            lock.lock();
-            q->build_done = true;
-            q->build_micros =
-                static_cast<uint64_t>(q->build_timer.ElapsedMicros());
-            cv_.notify_all();
-          }
-        } else if (stage_complete) {
-          // Failed mid-phase: nothing more dispatches (claims return
-          // kExhausted); wake sleepers so the query is pruned & finalized.
-          cv_.notify_all();
+        // The table was stored by RunTask; publishing build_done here,
+        // under mu_, releases the probe morsels. A failed build dispatches
+        // nothing more (claims return kExhausted). Either way, wake the
+        // pool: idle workers may be sleeping on an all-waiting rotation.
+        if (q->error.ok()) {
+          q->build_done = true;
+          q->build_micros =
+              static_cast<uint64_t>(q->build_timer.ElapsedMicros());
         }
+        cv_.notify_all();
       }
       finalize = !q->finalized && q->in_flight == 0 && q->DrainedLocked();
       if (finalize) q->finalized = true;
@@ -494,17 +452,19 @@ void Scheduler::RunTask(int worker_id, const Task& task) {
   }
 
   if (task.build) {
-    // One (stage, task) unit of the build pipeline. Stage barriers order
-    // the stages; the finished product is published by FinishBuild before
-    // WorkerLoop marks build_done under mu_, so every probe morsel
-    // (claimed only after that) reads it race-free.
-    obs::SpanTimer span(q->pipeline->StageName(task.build_stage), "sched");
+    // The join's hash build. The table is stored before WorkerLoop marks
+    // build_done under mu_, so every probe morsel (claimed only after
+    // that) reads it race-free.
+    obs::SpanTimer span("join_build", "sched");
     span.Arg("query", static_cast<int64_t>(q->query_id));
     span.Arg("worker", worker_id);
-    span.Arg("task", task.build_task);
-    Status st =
-        q->pipeline->RunTask(task.build_stage, task.build_task, &partial.exec);
-    if (!st.ok()) FailQuery(q, st);
+    Result<std::shared_ptr<const exec::JoinBuildTable>> table =
+        q->tmpl.BuildJoinTable(&partial.exec);
+    if (!table.ok()) {
+      FailQuery(q, table.status());
+      return;
+    }
+    q->shared_build = std::move(*table);
     return;
   }
 
@@ -569,25 +529,6 @@ void Scheduler::RunTask(int worker_id, const Task& task) {
     exec::TupleChunk run = plan->sort_op()->TakeRun();
     if (!run.empty()) partial.sort_runs.push_back(std::move(run));
   }
-}
-
-void Scheduler::FinishBuild(int worker_id,
-                            const std::shared_ptr<QueryState>& qp) {
-  QueryState* q = qp.get();
-  QueryState::Partial& partial = q->partials[worker_id];
-  storage::BufferPool::ScopedIoAttribution attribution(&partial.io);
-  obs::SpanTimer span(q->pipeline->FinishName(), "sched");
-  span.Arg("query", static_cast<int64_t>(q->query_id));
-  span.Arg("worker", worker_id);
-  Result<std::shared_ptr<const exec::JoinBuildTable>> table =
-      q->pipeline->Finish(&partial.exec);
-  if (!table.ok()) {
-    FailQuery(q, table.status());
-    return;
-  }
-  // Published before build_done is set under mu_ by the caller, so probe
-  // morsels (claimed only after that) read it race-free.
-  q->shared_build = std::move(*table);
 }
 
 void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {

@@ -16,18 +16,15 @@
 //     scans are single-task queries occupying one worker (a join's runs
 //     after its build phase).
 //   * Two-phase queries carry a lightweight intra-query phase dependency.
-//     Joins run their template's BuildPipeline first: each stage's tasks
-//     are dispatched like morsels (claimed by any worker, concurrently),
-//     a barrier separates consecutive stages, and after the last stage the
-//     finishing worker merges/publishes the product; only then do the
-//     query's probe morsels become runnable. The serial build is the
-//     one-stage/one-task special case. RunStats::build_wall_micros is the
-//     phase's wall time, first build claim to publication. Sorts invert
-//     the shape: every morsel forms a sorted run, and finalization k-way
-//     merges the runs.
-//     While one query's phase tasks are exhausted-but-incomplete the
-//     rotation simply skips it — other queries' morsels keep the pool
-//     busy, so barriers cost the query latency, never the pool throughput.
+//     A join's first task builds its hash table
+//     (PlanTemplate::BuildJoinTable), claimed like a morsel by any worker;
+//     only once that table is published do the query's probe morsels
+//     become runnable. RunStats::build_wall_micros is the phase's wall
+//     time, build claim to publication. Sorts invert the shape: every
+//     morsel forms a sorted run, and finalization k-way merges the runs.
+//     While a query's build is in flight the rotation simply skips it —
+//     other queries' morsels keep the pool busy, so the build costs the
+//     query latency, never the pool throughput.
 //   * Results merge exactly as in the inline executor: per-(query,
 //     worker) partials — checksum, tuple counts, ExecStats, aggregation
 //     accumulators, buffered output chunks — are combined once when the
@@ -175,12 +172,9 @@ class Scheduler {
   struct Task {
     std::shared_ptr<internal::QueryState> query;
     position::Range morsel;
-    // Build-phase task of a two-phase query: one (stage, task) unit of its
-    // BuildPipeline. The last stage's completion (plus the finish/merge
-    // step) unblocks the query's morsel claims.
+    // A join's build task: its completion unblocks the query's morsel
+    // claims.
     bool build = false;
-    int build_stage = 0;
-    int build_task = 0;
   };
 
   /// What a query had to offer when a worker asked it for work.
@@ -192,17 +186,12 @@ class Scheduler {
 
   void WorkerLoop(int worker_id);
   /// Claims the next task in weighted round-robin order. Removes exhausted
-  /// queries from the rotation; queries waiting on their build barrier are
-  /// skipped but stay. Caller holds mu_.
+  /// queries from the rotation; queries waiting on their build are skipped
+  /// but stay. Caller holds mu_.
   bool TryClaimLocked(Task* out);
   Claim ClaimFromLocked(internal::QueryState* q, Task* out);
   /// Executes one morsel into the worker's partial. Lock-free.
   void RunTask(int worker_id, const Task& task);
-  /// Runs the build pipeline's Finish (merge/publish) step off-lock, after
-  /// the last stage's barrier. Called by the worker that completed the
-  /// stage's final task.
-  void FinishBuild(int worker_id,
-                   const std::shared_ptr<internal::QueryState>& q);
   void FailQuery(internal::QueryState* q, const Status& status);
   /// Merges partials, runs the sink, fills the ticket. Called exactly once
   /// per query, off the scheduler lock.

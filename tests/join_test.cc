@@ -8,8 +8,10 @@
 // inserts + deletes + an UPDATE'd row, on both sides) match a brute-force
 // reference join over the visible rows.
 
+#include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -17,6 +19,7 @@
 
 #include "api/connection.h"
 #include "db/database.h"
+#include "exec/flat_map.h"
 #include "test_util.h"
 
 namespace cstore {
@@ -260,6 +263,80 @@ TEST_F(JoinTest, EarlyLeftScansEverythingLateSkips) {
             late_r->stats.exec.blocks_fetched);
 }
 
+// --- The build's flat hash table --------------------------------------------
+
+TEST(FlatMapTest, EdgeKeysCollisionsDuplicatesAndMisses) {
+  // Sized for 8 keys: 16 slots, so a key's home slot is the top 4 bits of
+  // its Fibonacci multiply-shift.
+  exec::FlatMap<Value> map(8);
+  ASSERT_EQ(map.capacity(), 16u);
+  auto home = [](Value k) {
+    return (static_cast<uint64_t>(k) * UINT64_C(0x9E3779B97F4A7C15)) >> 60;
+  };
+  // Four keys sharing one home slot: three go in, so the second and third
+  // probe past it; the fourth is a miss that must walk the whole chain.
+  std::vector<Value> same_home;
+  for (Value k = 1; same_home.size() < 4; ++k) {
+    if (home(k) == home(1)) same_home.push_back(k);
+  }
+  const Value kEdge[] = {0, -1, std::numeric_limits<Value>::min(),
+                         std::numeric_limits<Value>::max()};
+  std::vector<Value> keys(kEdge, kEdge + 4);
+  keys.insert(keys.end(), same_home.begin(), same_home.begin() + 3);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(map.Insert(keys[i], static_cast<Value>(100 + i)))
+        << keys[i];
+  }
+  EXPECT_EQ(map.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Value* v = map.Find(keys[i]);
+    ASSERT_NE(v, nullptr) << keys[i];
+    EXPECT_EQ(*v, static_cast<Value>(100 + i)) << keys[i];
+  }
+  // A duplicate key keeps its first value.
+  for (Value k : {same_home[1], kEdge[0], kEdge[2]}) {
+    EXPECT_FALSE(map.Insert(k, 999)) << k;
+    ASSERT_NE(map.Find(k), nullptr) << k;
+    EXPECT_NE(*map.Find(k), 999) << k;
+  }
+  EXPECT_EQ(map.size(), keys.size());
+  for (Value k : {same_home[3], Value{1} << 40, Value{-2}}) {
+    EXPECT_EQ(map.Find(k), nullptr) << k;
+  }
+
+  exec::FlatMap<Position> empty(0);
+  for (Value k : kEdge) EXPECT_EQ(empty.Find(k), nullptr) << k;
+}
+
+TEST(FlatMapTest, FilledToSizedCountFindsEveryKey) {
+  // Random distinct keys, filled to exactly the sized count: a power of
+  // two, so the table ends at its full load of 1/2 and long probe chains
+  // form.
+  const size_t n = 4096;
+  exec::FlatMap<Position> map(n);
+  std::mt19937_64 rng(19);
+  std::vector<Value> keys;
+  std::set<Value> seen;
+  while (keys.size() < n) {
+    const Value k = static_cast<Value>(rng());
+    if (seen.insert(k).second) keys.push_back(k);
+  }
+  for (size_t i = 0; i < n; ++i) EXPECT_TRUE(map.Insert(keys[i], i));
+  EXPECT_EQ(map.size(), n);
+  EXPECT_EQ(2 * map.size(), map.capacity());
+  for (size_t i = 0; i < n; ++i) {
+    const Position* p = map.Find(keys[i]);
+    ASSERT_NE(p, nullptr) << keys[i];
+    EXPECT_EQ(*p, i);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const Value k = static_cast<Value>(rng());
+    if (seen.count(k) == 0) {
+      EXPECT_EQ(map.Find(k), nullptr) << k;
+    }
+  }
+}
+
 // --- Parallel, snapshot-aware joins (two-phase build/probe) -----------------
 
 constexpr int kWorkerCounts[] = {1, 2, 4};
@@ -275,74 +352,54 @@ plan::PlanConfig JoinWorkerConfig(int workers) {
 }
 
 TEST_F(JoinTest, ParallelJoinBitIdenticalAcrossWorkers) {
-  // ~4 chunk windows on the outer side: enough morsels for 4 workers.
-  Tables t = MakeTables(260000, 9000, 21);
-  const Value x = 4500;
-  t.query.left_pred = Predicate::LessThan(x);
-  auto expected = NaiveJoin(t, x);
-  for (JoinRightMode mode : kAllModes) {
-    for (exec::JoinLeftMode lm : kLeftModes) {
-      plan::JoinQuery q = t.query;
-      q.left_mode = lm;
-      uint64_t serial_checksum = 0;
-      uint64_t serial_tuples = 0;
-      for (int workers : kWorkerCounts) {
-        auto r = api::Connection(db_.get()).Query(
-            plan::PlanTemplate::Join(q, mode, JoinWorkerConfig(workers)));
-        ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
-                            << workers << ": " << r.status().ToString();
-        // The build phase is reported as a wall time on both routes (inline
-        // at 1 worker, the session pool above), inside the query's own.
-        EXPECT_GT(r->stats.build_wall_micros, 0u)
-            << JoinRightModeName(mode) << " workers=" << workers;
-        EXPECT_LE(static_cast<double>(r->stats.build_wall_micros),
-                  r->stats.wall_micros)
-            << JoinRightModeName(mode) << " workers=" << workers;
-        if (workers == 1) {
-          serial_checksum = r->stats.checksum;
-          serial_tuples = r->stats.output_tuples;
-          EXPECT_EQ(serial_tuples, expected.size()) << JoinRightModeName(mode);
-        } else {
-          EXPECT_EQ(r->stats.checksum, serial_checksum)
-              << JoinRightModeName(mode) << " left="
-              << (lm == exec::JoinLeftMode::kLate ? "late" : "early")
-              << " workers=" << workers;
-          EXPECT_EQ(r->stats.output_tuples, serial_tuples)
+  // ~4 chunk windows on the outer side: enough morsels for 4 workers. The
+  // second input's inner side spans three chunk windows.
+  struct Input {
+    size_t nleft;
+    size_t nright;
+    uint64_t seed;
+    Value x;
+  };
+  for (const Input& in : {Input{260000, 9000, 21, 4500},
+                          Input{260000, 150000, 41, 70000}}) {
+    SCOPED_TRACE("seed=" + std::to_string(in.seed));
+    Tables t = MakeTables(in.nleft, in.nright, in.seed);
+    t.query.left_pred = Predicate::LessThan(in.x);
+    auto expected = NaiveJoin(t, in.x);
+    for (JoinRightMode mode : kAllModes) {
+      for (exec::JoinLeftMode lm : kLeftModes) {
+        plan::JoinQuery q = t.query;
+        q.left_mode = lm;
+        uint64_t serial_checksum = 0;
+        uint64_t serial_tuples = 0;
+        for (int workers : kWorkerCounts) {
+          auto r = api::Connection(db_.get()).Query(
+              plan::PlanTemplate::Join(q, mode, JoinWorkerConfig(workers)));
+          ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
+                              << workers << ": " << r.status().ToString();
+          // The build phase is reported as a wall time on both routes
+          // (inline at 1 worker, the session pool above), inside the
+          // query's own.
+          EXPECT_GT(r->stats.build_wall_micros, 0u)
               << JoinRightModeName(mode) << " workers=" << workers;
-          EXPECT_EQ(r->tuples.num_tuples(), serial_tuples);
+          EXPECT_LE(static_cast<double>(r->stats.build_wall_micros),
+                    r->stats.wall_micros)
+              << JoinRightModeName(mode) << " workers=" << workers;
+          if (workers == 1) {
+            serial_checksum = r->stats.checksum;
+            serial_tuples = r->stats.output_tuples;
+            EXPECT_EQ(serial_tuples, expected.size())
+                << JoinRightModeName(mode);
+          } else {
+            EXPECT_EQ(r->stats.checksum, serial_checksum)
+                << JoinRightModeName(mode) << " left="
+                << (lm == exec::JoinLeftMode::kLate ? "late" : "early")
+                << " workers=" << workers;
+            EXPECT_EQ(r->stats.output_tuples, serial_tuples)
+                << JoinRightModeName(mode) << " workers=" << workers;
+            EXPECT_EQ(r->tuples.num_tuples(), serial_tuples);
+          }
         }
-      }
-    }
-  }
-}
-
-TEST_F(JoinTest, RadixBuildBitIdenticalToSerial) {
-  // Inner side spans several chunk windows, so the radix pipeline runs
-  // multiple partition tasks; every radix_bits setting must reproduce the
-  // serial (radix_bits=0) result bit for bit at every worker count.
-  Tables t = MakeTables(260000, 150000, 41);
-  t.query.left_pred = Predicate::LessThan(70000);
-  for (JoinRightMode mode : kAllModes) {
-    plan::PlanConfig serial_config = JoinWorkerConfig(1);
-    serial_config.radix_bits = 0;
-    auto serial = api::Connection(db_.get()).Query(
-        plan::PlanTemplate::Join(t.query, mode, serial_config));
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int bits : {-1, 0, 2, 4}) {
-      for (int workers : kWorkerCounts) {
-        plan::PlanConfig config = JoinWorkerConfig(workers);
-        config.radix_bits = bits;
-        auto r = api::Connection(db_.get()).Query(
-            plan::PlanTemplate::Join(t.query, mode, config));
-        ASSERT_TRUE(r.ok())
-            << JoinRightModeName(mode) << " bits=" << bits
-            << " workers=" << workers << ": " << r.status().ToString();
-        EXPECT_EQ(r->stats.checksum, serial->stats.checksum)
-            << JoinRightModeName(mode) << " bits=" << bits
-            << " workers=" << workers;
-        EXPECT_EQ(r->stats.output_tuples, serial->stats.output_tuples)
-            << JoinRightModeName(mode) << " bits=" << bits
-            << " workers=" << workers;
       }
     }
   }
@@ -581,89 +638,6 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
     auto expected =
         RefJoin(orders, customer, static_cast<Value>(n_cust + 500));
     EXPECT_EQ(r.stats.output_tuples, expected.size());
-  }
-}
-
-TEST_F(JoinWriteTest, RadixBuildUnderWritesMatchesSerial) {
-  // Radix partitioning must see exactly what the serial build sees: the
-  // inner read store, the snapshot's write-store tail, and its delete mask.
-  const size_t n_orders = 2 * kChunkPositions;
-  const size_t n_cust = 5000;
-  Random rng(53);
-  RefRows orders;
-  RefRows customer;
-  for (size_t i = 0; i < n_cust; ++i) {
-    customer.Append(static_cast<Value>(i + 1),
-                    static_cast<Value>(rng.Uniform(25)));
-  }
-  for (size_t i = 0; i < n_orders; ++i) {
-    orders.Append(static_cast<Value>(
-                      rng.UniformRange(1, static_cast<int64_t>(n_cust))),
-                  static_cast<Value>(rng.Uniform(3000)));
-  }
-  MakeWritableTable("jr_orders", orders.key, orders.payload);
-  MakeWritableTable("jr_customer", customer.key, customer.payload);
-
-  // Tail inserts on the inner side (some fresh keys) plus deletes hitting
-  // both the read store and the tail.
-  {
-    std::vector<std::vector<Value>> rows;
-    for (size_t i = 0; i < 400; ++i) {
-      Value k = static_cast<Value>(n_cust + 1 + i);
-      Value p = static_cast<Value>(500 + i % 11);
-      rows.push_back({k, p});
-      customer.Append(k, p);
-    }
-    ASSERT_OK(db_->Insert("jr_customer", rows));
-  }
-  ASSERT_OK(db_->DeleteWhere("jr_customer",
-                             {{"key", Predicate::Equal(23)}}).status());
-  customer.DeleteWhereKeyEq(23);
-  ASSERT_OK(db_->DeleteWhere(
-                    "jr_customer",
-                    {{"key", Predicate::Equal(static_cast<Value>(n_cust +
-                                                                 50))}})
-                .status());
-  customer.DeleteWhereKeyEq(static_cast<Value>(n_cust + 50));
-
-  plan::JoinQuery q;
-  ASSERT_OK_AND_ASSIGN(q.left_key, db_->GetColumn("jr_orders_key"));
-  ASSERT_OK_AND_ASSIGN(q.left_payload, db_->GetColumn("jr_orders_payload"));
-  ASSERT_OK_AND_ASSIGN(q.right_key, db_->GetColumn("jr_customer_key"));
-  ASSERT_OK_AND_ASSIGN(q.right_payload,
-                       db_->GetColumn("jr_customer_payload"));
-  ASSERT_OK_AND_ASSIGN(auto orders_snap, db_->SnapshotTable("jr_orders"));
-  ASSERT_OK_AND_ASSIGN(q.right_snapshot, db_->SnapshotTable("jr_customer"));
-  const Value x = static_cast<Value>(n_cust + 401);
-  q.left_pred = Predicate::LessThan(x);
-  auto expected = RefJoin(orders, customer, x);
-  ASSERT_GT(expected.size(), 0u);
-
-  for (JoinRightMode mode : kAllModes) {
-    plan::PlanConfig serial_config = JoinWorkerConfig(1);
-    serial_config.snapshot = orders_snap;
-    serial_config.radix_bits = 0;
-    ASSERT_OK_AND_ASSIGN(auto serial,
-                         api::Connection(db_.get()).Query(
-                             plan::PlanTemplate::Join(q, mode, serial_config)));
-    EXPECT_EQ(serial.stats.output_tuples, expected.size())
-        << JoinRightModeName(mode);
-    for (int bits : {2, 4}) {
-      for (int workers : {2, 4}) {
-        plan::PlanConfig config = JoinWorkerConfig(workers);
-        config.snapshot = orders_snap;
-        config.radix_bits = bits;
-        ASSERT_OK_AND_ASSIGN(auto r,
-                             api::Connection(db_.get()).Query(
-                                 plan::PlanTemplate::Join(q, mode, config)));
-        EXPECT_EQ(r.stats.checksum, serial.stats.checksum)
-            << JoinRightModeName(mode) << " bits=" << bits
-            << " workers=" << workers;
-        EXPECT_EQ(r.stats.output_tuples, serial.stats.output_tuples)
-            << JoinRightModeName(mode) << " bits=" << bits
-            << " workers=" << workers;
-      }
-    }
   }
 }
 
