@@ -12,9 +12,9 @@
 
 #include "codec/column_reader.h"
 #include "codec/column_writer.h"
-#include "exec/gather.h"
 #include "exec/tuple_chunk.h"
 #include "position/position_set.h"
+#include "position/run_cursor.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "util/random.h"
@@ -152,17 +152,14 @@ void BM_Gather(benchmark::State& state) {
     if (rng.Bernoulli(density)) builder.Add(p);
   }
   position::PositionSet sel = std::move(builder).Build();
-  std::vector<position::Range> ranges = exec::CollectRanges(sel);
-  std::vector<position::Range> clipped;
   std::vector<Value> out;
   for (auto _ : state) {
     out.clear();
-    size_t ri = 0;
-    for (uint64_t b = 0; b < col->num_blocks(); ++b) {
+    position::RunCursor runs(sel);
+    for (uint64_t b : runs.Blocks(col->meta().block_start_pos)) {
       auto blk = col->FetchBlock(b);
-      exec::ClipRangesToBlock(ranges, &ri, blk->view.start_pos(),
-                              blk->view.end_pos(), &clipped);
-      blk->view.GatherRanges(clipped.data(), clipped.size(), &out);
+      blk->view.GatherRanges(
+          runs.Clip(blk->view.start_pos(), blk->view.end_pos()), &out);
     }
     benchmark::DoNotOptimize(out.data());
   }

@@ -63,11 +63,6 @@ bool ChunkQueue::Pop(exec::TupleChunk* out) {
   can_pop_.wait(lock, [this] {
     return !chunks_.empty() || finished_ || cancelled_;
   });
-  return PopFrontLocked(out, std::move(lock));
-}
-
-bool ChunkQueue::PopFrontLocked(exec::TupleChunk* out,
-                                std::unique_lock<std::mutex> lock) {
   if (chunks_.empty() || cancelled_) return false;
   *out = std::move(chunks_.front());
   chunks_.pop_front();
@@ -81,15 +76,6 @@ bool ChunkQueue::PopFrontLocked(exec::TupleChunk* out,
   lock.unlock();
   can_push_.notify_one();
   return true;
-}
-
-bool ChunkQueue::TryPop(exec::TupleChunk* out, bool* drained) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (chunks_.empty() || cancelled_) {
-    *drained = finished_ || cancelled_;
-    return false;
-  }
-  return PopFrontLocked(out, std::move(lock));
 }
 
 void ChunkQueue::Cancel() {
@@ -165,28 +151,6 @@ Result<bool> RowCursor::Next(exec::TupleChunk* chunk) {
   }
   CSTORE_RETURN_IF_ERROR(FinishStream());
   return false;
-}
-
-Result<RowCursor::Poll> RowCursor::TryNext(exec::TupleChunk* chunk) {
-  if (queue_ == nullptr) {
-    return Status::Internal("TryNext on a default-constructed RowCursor");
-  }
-  if (finished_) {
-    CSTORE_RETURN_IF_ERROR(final_status_);
-    return Poll::kDone;
-  }
-  exec::TupleChunk raw;
-  bool drained = false;
-  if (queue_->TryPop(&raw, &drained)) {
-    *chunk = ProjectChunk(output_slots_, std::move(raw));
-    return Poll::kChunk;
-  }
-  if (!drained) return Poll::kPending;
-  // The producer finished and the queue is drained; the ticket's result is
-  // already published (the queue is closed by the query's completion hook),
-  // so collecting it here does not block.
-  CSTORE_RETURN_IF_ERROR(FinishStream());
-  return Poll::kDone;
 }
 
 Result<QueryResult> RowCursor::FetchAll() {

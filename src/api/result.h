@@ -9,8 +9,10 @@
 // scheduler's workers through a bounded ChunkQueue straight to the
 // consumer. When the consumer lags, the queue fills and the producing
 // worker blocks — backpressure — so peak memory is queue capacity, not
-// result size. FetchAll() drains the cursor into a materialized
-// QueryResult for callers that want the old semantics.
+// result size. The consumer reads with the blocking Next(), which also
+// surfaces an execution error raised after Stream() returned; FetchAll()
+// drains the cursor into a materialized QueryResult for callers that want
+// the old semantics.
 
 #ifndef CSTORE_API_RESULT_H_
 #define CSTORE_API_RESULT_H_
@@ -85,12 +87,6 @@ class ChunkQueue {
   /// cancelled).
   bool Pop(exec::TupleChunk* out);
 
-  /// Non-blocking Pop. Returns true with *out filled when a chunk was
-  /// buffered; otherwise returns false and sets *drained: true once the
-  /// producer finished (or the queue was cancelled) and nothing remains —
-  /// false means "empty right now, more may come".
-  bool TryPop(exec::TupleChunk* out, bool* drained);
-
   /// Consumer gives up: drops buffered chunks, unblocks producers (their
   /// pushes fail fast from now on).
   void Cancel();
@@ -100,13 +96,6 @@ class ChunkQueue {
   uint64_t peak_buffered_values() const;
 
  private:
-  /// Shared dequeue tail of Pop/TryPop: moves the front chunk out, updates
-  /// the backpressure accounting, and wakes one producer. `lock` must hold
-  /// mu_; consumed (unlocked before the notify). False when nothing can be
-  /// popped (empty or cancelled).
-  bool PopFrontLocked(exec::TupleChunk* out,
-                      std::unique_lock<std::mutex> lock);
-
   const size_t capacity_;
   std::atomic<int64_t>* byte_account_ = nullptr;  // not owned; may be null
   mutable std::mutex mu_;
@@ -153,9 +142,10 @@ class PendingResult {
   std::optional<QueryResult> immediate_;
 };
 
-/// Streaming cursor over a query's output chunks. Move-only; destroying an
-/// unfinished cursor cancels the query. Chunk order across workers is
-/// unspecified (bag semantics) exactly as in the materialized paths.
+/// Streaming cursor over a query's output chunks, read with the blocking
+/// Next (or FetchAll). Move-only; destroying an unfinished cursor cancels
+/// the query. Chunk order across workers is unspecified (bag semantics)
+/// exactly as in the materialized paths.
 class RowCursor {
  public:
   RowCursor() = default;
@@ -172,19 +162,6 @@ class RowCursor {
   /// error surfaces here (possibly after some chunks were already
   /// delivered — streaming cannot undo what it handed out).
   Result<bool> Next(exec::TupleChunk* chunk);
-
-  /// Outcome of one non-blocking TryNext poll.
-  enum class Poll {
-    kChunk,    // *chunk filled with the next output chunk
-    kPending,  // nothing buffered right now — poll again later
-    kDone,     // end of stream; stats() is valid
-  };
-
-  /// Non-blocking variant of Next for event-loop consumers: never blocks
-  /// on the ChunkQueue. kPending means the producers haven't pushed a
-  /// chunk yet (the query may still be running); interleave other work and
-  /// poll again. Errors surface exactly as in Next, at end of stream.
-  Result<Poll> TryNext(exec::TupleChunk* chunk);
 
   /// Drains the rest of the stream into a materialized QueryResult — the
   /// compatibility path (peak memory = result size again).

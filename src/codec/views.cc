@@ -97,7 +97,7 @@ uint64_t RleView::EvalPredicate(const Predicate& pred,
   // be processed in one operator loop" (Section 2.1.2).
   const position::Range clip = ClipToWindow(start_, end_pos(), *builder);
   uint64_t evals = 0;
-  ForEachRunIn(clip.begin, clip.end, [&](Value v, Position b, Position e) {
+  ForEachRunIn({&clip, 1}, [&](Value v, Position b, Position e) {
     ++evals;
     if (pred.Eval(v)) builder->AddRange(b, e);
   });
@@ -286,17 +286,17 @@ uint64_t BlockView::EvalPredicate(const Predicate& pred,
 }
 
 uint64_t BlockView::EvalPredicateAt(const Predicate& pred,
-                                    const position::Range* ranges, size_t n,
+                                    std::span<const position::Range> ranges,
                                     position::SetBuilder* builder) const {
-  if (n == 0) return 0;
+  if (ranges.empty()) return 0;
   const Position blk_begin = start_pos();
   // Tests value_at(p) at every position p of the ranges, in ascending order.
   auto refine = [&](auto&& value_at) {
     pred.Dispatch([&](auto cmp) {
-      for (size_t i = 0; i < n; ++i) {
-        const Position b = ranges[i].begin;
-        AddMatches(b, ranges[i].end - b,
-                   [&](uint64_t j) { return cmp(value_at(b + j)); }, builder);
+      for (const position::Range& r : ranges) {
+        AddMatches(r.begin, r.end - r.begin,
+                   [&](uint64_t j) { return cmp(value_at(r.begin + j)); },
+                   builder);
       }
     });
   };
@@ -307,7 +307,7 @@ uint64_t BlockView::EvalPredicateAt(const Predicate& pred,
   } else if (const auto* r = AsRle()) {
     // Positions ascend, so the run cursor only moves forward.
     const RleTriple* runs = r->runs();
-    uint32_t run = r->RunContaining(ranges[0].begin);
+    uint32_t run = r->RunContaining(ranges.front().begin);
     refine([&](Position p) {
       while (p >= runs[run].start + runs[run].len) ++run;
       return runs[run].value;
@@ -320,79 +320,29 @@ uint64_t BlockView::EvalPredicateAt(const Predicate& pred,
     refine([&](Position p) { return scratch[p - blk_begin]; });
   }
   uint64_t evals = 0;
-  for (size_t i = 0; i < n; ++i) evals += ranges[i].end - ranges[i].begin;
+  for (const position::Range& r : ranges) evals += r.end - r.begin;
   return evals;
 }
 
-void BlockView::GatherValues(const position::PositionSet& sel,
+void BlockView::GatherRanges(std::span<const position::Range> ranges,
                              std::vector<Value>* out) const {
-  Position blk_begin = start_pos();
-  Position blk_end = end_pos();
-  std::vector<position::Range> clipped;
-  sel.ForEachRange([&](Position b, Position e) {
-    b = std::max(b, blk_begin);
-    e = std::min(e, blk_end);
-    if (b < e) clipped.push_back(position::Range{b, e});
-  });
-  GatherRanges(clipped.data(), clipped.size(), out);
-}
-
-void BlockView::GatherRanges(const position::Range* ranges, size_t n,
-                             std::vector<Value>* out) const {
-  if (n == 0) return;
-  Position blk_begin = start_pos();
-
+  const Position blk_begin = start_pos();
   if (const auto* u = AsUncompressed()) {
     const Value* vals = u->values();
-    for (size_t i = 0; i < n; ++i) {
-      out->insert(out->end(), vals + (ranges[i].begin - blk_begin),
-                  vals + (ranges[i].end - blk_begin));
+    for (const position::Range& r : ranges) {
+      out->insert(out->end(), vals + (r.begin - blk_begin),
+                  vals + (r.end - blk_begin));
     }
     return;
   }
-
   if (const auto* r = AsRle()) {
-    // Merge the selection ranges with the run list; both are ascending and
-    // the run cursor persists across ranges.
-    const RleTriple* runs = r->runs();
-    uint32_t nruns = r->num_runs();
-    uint32_t run = 0;
-    for (size_t i = 0; i < n; ++i) {
-      Position b = ranges[i].begin;
-      Position e = ranges[i].end;
-      while (run < nruns && runs[run].start + runs[run].len <= b) ++run;
-      uint32_t cur = run;
-      while (cur < nruns && runs[cur].start < e) {
-        Position rb = std::max<Position>(runs[cur].start, b);
-        Position re = std::min<Position>(runs[cur].start + runs[cur].len, e);
-        if (rb < re) out->insert(out->end(), re - rb, runs[cur].value);
-        ++cur;
-      }
-    }
+    r->ForEachRunIn(ranges, [&](Value v, Position b, Position e) {
+      out->insert(out->end(), e - b, v);
+    });
     return;
   }
-
-  if (const auto* d = AsDict()) {
-    for (size_t i = 0; i < n; ++i) {
-      for (Position p = ranges[i].begin; p < ranges[i].end; ++p) {
-        out->push_back(d->ValueAt(p));
-      }
-    }
-    return;
-  }
-
-  // Bit-vector: no direct positional filtering ("it is impossible to know in
-  // advance in which bit-string any particular position is located",
-  // Section 4.1) — the whole block is decompressed, then gathered. This is
-  // the honest cost LM plans pay on bit-vector data.
-  std::vector<Value> scratch;
-  scratch.reserve(num_values());
-  Decompress(&scratch);
-  for (size_t i = 0; i < n; ++i) {
-    for (Position p = ranges[i].begin; p < ranges[i].end; ++p) {
-      out->push_back(scratch[p - blk_begin]);
-    }
-  }
+  // Dictionary and bit-vector: value by value.
+  ForEachValueInRanges(ranges, [&](Position, Value v) { out->push_back(v); });
 }
 
 }  // namespace codec

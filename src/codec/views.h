@@ -2,16 +2,20 @@
 //
 // A view interprets a block's payload in place (the mini-columns of
 // Section 3.6 are exactly these views kept pinned in the buffer pool, "each
-// mini-column is kept compressed the same way as it was on disk"). Views
-// provide:
-//   * iterator-style access       (paper: hasNext()/getNext())
-//   * vector-style decompression  (paper: asArray())
-//   * SARGable predicate evaluation with encoding-specific fast paths:
+// mini-column is kept compressed the same way as it was on disk").
+// BlockView has one member per access shape:
+//   * SARGable predicate evaluation over a window (EvalPredicate), with
+//     encoding-specific fast paths:
 //       - RLE: one test per run, emitting whole position ranges
 //       - bit-vector: word-wise OR of the bit-strings of matching values
 //       - uncompressed / dictionary: one fixed comparison per value, 64
 //         verdicts packed per position word
-//   * positional value extraction for DS3/DS4 (jump to position)
+//   * positional access at a selection's runs, clipped to the block by
+//     position::RunCursor (DS3 / DS4 jumps):
+//       - ForEachValueInRanges visits (position, value) pairs
+//       - GatherRanges appends the values in bulk
+//       - EvalPredicateAt refines a selection (LM-pipelined, Case 3)
+//   * whole-block access: Decompress (paper: asArray()) and ValueAt
 //
 // Block capacities are multiples of 64 positions so bit-strings stay
 // word-aligned relative to any 64-aligned window bitmap.
@@ -19,7 +23,9 @@
 #ifndef CSTORE_CODEC_VIEWS_H_
 #define CSTORE_CODEC_VIEWS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "codec/predicate.h"
 #include "position/bitmap.h"
 #include "position/position_set.h"
+#include "position/range_set.h"
 #include "storage/page.h"
 #include "util/common.h"
 #include "util/status.h"
@@ -121,17 +128,22 @@ class RleView {
     }
   }
 
-  /// fn(value, begin, end) for each run overlapping [b, e), clipped to it,
-  /// ascending. The first run is found by binary search, so a block that
-  /// spans many windows is never walked from its start per window.
+  /// fn(value, begin, end) for each run overlapping the ascending,
+  /// disjoint `ranges` (inside this block; a lone empty range visits
+  /// nothing), clipped to each range, ascending. The first run is found by
+  /// binary search, so a block that spans many windows is never walked
+  /// from its start per window; later runs are reached moving forward.
   template <typename Fn>
-  void ForEachRunIn(Position b, Position e, Fn&& fn) const {
-    if (b >= e) return;
-    for (uint32_t i = RunContaining(b); i < nruns_ && runs_[i].start < e;
-         ++i) {
-      const Position run_end = runs_[i].start + runs_[i].len;
-      fn(runs_[i].value, runs_[i].start > b ? runs_[i].start : b,
-         run_end < e ? run_end : e);
+  void ForEachRunIn(std::span<const position::Range> ranges, Fn&& fn) const {
+    if (ranges.empty() || ranges.front().empty()) return;
+    uint32_t i = RunContaining(ranges.front().begin);
+    for (const position::Range& r : ranges) {
+      while (i < nruns_ && runs_[i].start + runs_[i].len <= r.begin) ++i;
+      for (uint32_t j = i; j < nruns_ && runs_[j].start < r.end; ++j) {
+        const Position run_end = runs_[j].start + runs_[j].len;
+        fn(runs_[j].value, std::max<Position>(runs_[j].start, r.begin),
+           std::min(run_end, r.end));
+      }
     }
   }
 
@@ -250,7 +262,7 @@ class BlockView {
   /// verdicts per word. Returns the number of evaluations: one per
   /// position, whatever the encoding (LM-pipelined's refine, Case 3).
   uint64_t EvalPredicateAt(const Predicate& pred,
-                           const position::Range* ranges, size_t n,
+                           std::span<const position::Range> ranges,
                            position::SetBuilder* builder) const;
 
   /// True if this encoding evaluates predicates into a bitmap (bit-vector).
@@ -258,160 +270,56 @@ class BlockView {
     return encoding() == Encoding::kBitVector;
   }
 
-  /// Appends the values at the valid positions of `sel` (clipped to this
-  /// block's range) to *out, in position order. This is the core of DS3.
-  void GatherValues(const position::PositionSet& sel,
+  /// Appends the values at every position of the ascending, disjoint
+  /// `ranges` (already clipped to this block, as position::RunCursor hands
+  /// them out) to *out, in position order. This is the core of DS3.
+  void GatherRanges(std::span<const position::Range> ranges,
                     std::vector<Value>* out) const;
 
-  /// As GatherValues, but over an explicit ascending, disjoint range list
-  /// (already clipped to this block by the caller). Lets multi-block
-  /// consumers walk the selection once instead of re-scanning it per block.
-  void GatherRanges(const position::Range* ranges, size_t n,
-                    std::vector<Value>* out) const;
-
-  /// fn(pos, value) over an explicit clipped range list (see GatherRanges).
+  /// fn(pos, value) at every position of `ranges` (see GatherRanges),
+  /// ascending.
   template <typename Fn>
-  void ForEachValueInRanges(const position::Range* ranges, size_t n,
+  void ForEachValueInRanges(std::span<const position::Range> ranges,
                             Fn&& fn) const {
-    Position blk_begin = start_pos();
+    if (ranges.empty()) return;
+    const Position blk_begin = start_pos();
     if (const auto* u = AsUncompressed()) {
       const Value* vals = u->values();
-      for (size_t i = 0; i < n; ++i) {
-        for (Position p = ranges[i].begin; p < ranges[i].end; ++p) {
+      for (const position::Range& r : ranges) {
+        for (Position p = r.begin; p < r.end; ++p) {
           fn(p, vals[p - blk_begin]);
         }
       }
       return;
     }
     if (const auto* r = AsRle()) {
-      const RleTriple* runs = r->runs();
-      uint32_t nruns = r->num_runs();
-      uint32_t run = 0;
-      for (size_t i = 0; i < n; ++i) {
-        Position b = ranges[i].begin;
-        Position e = ranges[i].end;
-        while (run < nruns && runs[run].start + runs[run].len <= b) ++run;
-        uint32_t cur = run;
-        while (cur < nruns && runs[cur].start < e) {
-          Position rb = runs[cur].start > b ? runs[cur].start : b;
-          Position re = runs[cur].start + runs[cur].len < e
-                            ? runs[cur].start + runs[cur].len
-                            : e;
-          for (Position p = rb; p < re; ++p) fn(p, runs[cur].value);
-          ++cur;
-        }
-      }
+      r->ForEachRunIn(ranges, [&](Value v, Position b, Position e) {
+        for (Position p = b; p < e; ++p) fn(p, v);
+      });
       return;
     }
     if (const auto* d = AsDict()) {
-      for (size_t i = 0; i < n; ++i) {
-        for (Position p = ranges[i].begin; p < ranges[i].end; ++p) {
+      for (const position::Range& r : ranges) {
+        for (Position p = r.begin; p < r.end; ++p) {
           fn(p, d->ValueAt(p));
         }
       }
       return;
     }
+    // Bit-vector: no direct positional access ("it is impossible to know in
+    // advance in which bit-string any particular position is located",
+    // Section 4.1), so the whole block is decompressed, then indexed. This
+    // is the honest cost LM plans pay on bit-vector data.
     const auto* bv = AsBitVector();
     CSTORE_DCHECK(bv != nullptr);
     std::vector<Value> scratch;
     scratch.reserve(bv->num_values());
     Decompress(&scratch);
-    for (size_t i = 0; i < n; ++i) {
-      for (Position p = ranges[i].begin; p < ranges[i].end; ++p) {
+    for (const position::Range& r : ranges) {
+      for (Position p = r.begin; p < r.end; ++p) {
         fn(p, scratch[p - blk_begin]);
       }
     }
-  }
-
-  /// Invokes fn(pos, value) for every *valid* position of `sel` within this
-  /// block, ascending. This is the per-position "jump" access used by
-  /// pipelined strategies; the per-call overhead is the cost the paper
-  /// attributes to jumping versus block iteration.
-  template <typename Fn>
-  void ForEachValueAt(const position::PositionSet& sel, Fn&& fn) const {
-    Position blk_begin = start_pos();
-    Position blk_end = end_pos();
-    if (const auto* u = AsUncompressed()) {
-      const Value* vals = u->values();
-      sel.ForEachRange([&](Position b, Position e) {
-        b = b < blk_begin ? blk_begin : b;
-        e = e > blk_end ? blk_end : e;
-        for (Position p = b; p < e; ++p) fn(p, vals[p - blk_begin]);
-      });
-      return;
-    }
-    if (const auto* r = AsRle()) {
-      const RleTriple* runs = r->runs();
-      uint32_t nruns = r->num_runs();
-      uint32_t run = 0;
-      sel.ForEachRange([&](Position b, Position e) {
-        b = b < blk_begin ? blk_begin : b;
-        e = e > blk_end ? blk_end : e;
-        if (b >= e) return;
-        while (run < nruns && runs[run].start + runs[run].len <= b) ++run;
-        uint32_t cur = run;
-        while (cur < nruns && runs[cur].start < e) {
-          Position rb = runs[cur].start > b ? runs[cur].start : b;
-          Position re = runs[cur].start + runs[cur].len < e
-                            ? runs[cur].start + runs[cur].len
-                            : e;
-          for (Position p = rb; p < re; ++p) fn(p, runs[cur].value);
-          ++cur;
-        }
-      });
-      return;
-    }
-    if (const auto* d = AsDict()) {
-      sel.ForEachRange([&](Position b, Position e) {
-        b = b < blk_begin ? blk_begin : b;
-        e = e > blk_end ? blk_end : e;
-        for (Position p = b; p < e; ++p) fn(p, d->ValueAt(p));
-      });
-      return;
-    }
-    // Bit-vector: decompress, then index (see GatherValues rationale).
-    const auto* bv = AsBitVector();
-    CSTORE_DCHECK(bv != nullptr);
-    std::vector<Value> scratch;
-    scratch.reserve(bv->num_values());
-    Decompress(&scratch);
-    sel.ForEachRange([&](Position b, Position e) {
-      b = b < blk_begin ? blk_begin : b;
-      e = e > blk_end ? blk_end : e;
-      for (Position p = b; p < e; ++p) fn(p, scratch[p - blk_begin]);
-    });
-  }
-
-  /// Invokes fn(pos, value) for every position in the block.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (const auto* u = AsUncompressed()) {
-      Position p = u->start_pos();
-      const Value* v = u->values();
-      for (uint32_t i = 0; i < u->num_values(); ++i) fn(p + i, v[i]);
-      return;
-    }
-    if (const auto* r = AsRle()) {
-      r->ForEachRun([&](Value value, uint64_t start, uint64_t len) {
-        for (uint64_t i = 0; i < len; ++i) fn(start + i, value);
-      });
-      return;
-    }
-    if (const auto* d = AsDict()) {
-      Position p = d->start_pos();
-      const uint16_t* codes = d->codes();
-      for (uint32_t i = 0; i < d->num_values(); ++i) {
-        fn(p + i, d->DictValue(codes[i]));
-      }
-      return;
-    }
-    const auto* b = AsBitVector();
-    CSTORE_DCHECK(b != nullptr);
-    // Decompress is the only sensible full iteration for bit-vectors.
-    std::vector<Value> tmp;
-    tmp.reserve(b->num_values());
-    Decompress(&tmp);
-    for (uint32_t i = 0; i < tmp.size(); ++i) fn(b->start_pos() + i, tmp[i]);
   }
 
   const UncompressedView* AsUncompressed() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "exec/gather.h"
+#include "position/run_cursor.h"
 #include "util/logging.h"
 
 namespace cstore {
@@ -173,25 +174,15 @@ Status LateAggOp::ConsumeChunk(const MultiColumnChunk& chunk) {
         }
       }
       if (all_rle) {
-        size_t ri = 0;
-        std::vector<position::Range> ranges;
-        chunk.desc.ForEachRange([&](Position b, Position e) {
-          ranges.push_back(position::Range{b, e});
-        });
+        // Each run's overlap with the valid positions is one accumulator
+        // call.
+        position::RunCursor runs(chunk.desc);
         for (const auto& blk : amini->blocks()) {
-          const auto* rle = blk->view.AsRle();
-          rle->ForEachRun([&](Value v, uint64_t start, uint64_t len) {
-            // Overlap of this run with the valid ranges.
-            while (ri < ranges.size() && ranges[ri].end <= start) ++ri;
-            size_t cur = ri;
-            while (cur < ranges.size() &&
-                   ranges[cur].begin < start + len) {
-              Position b = std::max<Position>(ranges[cur].begin, start);
-              Position e = std::min<Position>(ranges[cur].end, start + len);
-              if (b < e) acc_.Add(0, v, e - b);
-              ++cur;
-            }
-          });
+          const codec::RleView* rle = blk->view.AsRle();
+          rle->ForEachRunIn(runs.Clip(rle->start_pos(), rle->end_pos()),
+                            [&](Value v, Position b, Position e) {
+                              acc_.Add(0, v, e - b);
+                            });
         }
         return Status::OK();
       }

@@ -147,36 +147,22 @@ Result<bool> DS1PipelinedScan::NextImpl(MultiColumnChunk* out) {
     return true;
   }
 
-  // Collect the blocks containing at least one valid position.
-  std::vector<uint64_t> needed;
-  in.desc.ForEachRange([&](Position b, Position e) {
-    uint64_t first = reader_->BlockContaining(b);
-    uint64_t last = reader_->BlockContaining(e - 1);
-    if (!needed.empty() && first <= needed.back()) {
-      first = needed.back() + 1;
-    }
-    for (uint64_t blk = first; blk <= last; ++blk) needed.push_back(blk);
-  });
-  stats_->blocks_skipped += window_blocks - needed.size();
-
+  // Only the blocks holding a valid position are read; each is refined at
+  // those positions alone (a jump per run, not a scan of the block).
   MiniColumn mini(column_, &reader_->meta());
   position::SetBuilder builder(wb, we);
-  std::vector<position::Range> ranges = CollectRanges(in.desc);
-  std::vector<position::Range> clipped;
-  size_t ri = 0;
-  for (uint64_t blk_no : needed) {
-    CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                            reader_->FetchBlock(blk_no));
-    ++stats_->blocks_fetched;
-    auto shared = std::make_shared<codec::EncodedBlock>(std::move(blk));
-    // Jump to each valid position and test the predicate on that value
-    // subset only.
-    ClipRangesToBlock(ranges, &ri, shared->view.start_pos(),
-                      shared->view.end_pos(), &clipped);
-    stats_->predicate_evals += shared->view.EvalPredicateAt(
-        pred_, clipped.data(), clipped.size(), &builder);
-    if (attach_mini_) mini.AddBlock(std::move(shared));
-  }
+  uint64_t fetched = 0;
+  CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
+      reader_, in.desc, stats_,
+      [&](codec::EncodedBlock& blk, std::span<const position::Range> runs) {
+        ++fetched;
+        stats_->predicate_evals +=
+            blk.view.EvalPredicateAt(pred_, runs, &builder);
+        if (attach_mini_) {
+          mini.AddBlock(std::make_shared<codec::EncodedBlock>(std::move(blk)));
+        }
+      }));
+  stats_->blocks_skipped += window_blocks - fetched;
 
   out->begin = wb;
   out->end = we;
@@ -217,17 +203,16 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
     if (const auto* rle = view.AsRle()) {
       // One predicate evaluation per run overlapping the window (DS2Cost's
       // ||C|| / RL term), then every position of a passing run.
-      rle->ForEachRunIn(clip.begin, clip.end,
-                        [&](Value v, Position b, Position e) {
-                          ++stats_->predicate_evals;
-                          if (!pred_.Eval(v)) return;
-                          for (Position p = b; p < e; ++p) sink_->Emit(p, &v);
-                        });
+      rle->ForEachRunIn({&clip, 1}, [&](Value v, Position b, Position e) {
+        ++stats_->predicate_evals;
+        if (!pred_.Eval(v)) return;
+        for (Position p = b; p < e; ++p) sink_->Emit(p, &v);
+      });
       continue;
     }
     stats_->predicate_evals += clip.end - clip.begin;
     pred_.Dispatch([&](auto cmp) {
-      view.ForEachValueInRanges(&clip, 1, [&](Position p, Value v) {
+      view.ForEachValueInRanges({&clip, 1}, [&](Position p, Value v) {
         if (cmp(v)) sink_->Emit(p, &v);
       });
     });
@@ -357,7 +342,6 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
 
   // Vector-style access: materialize each column's window as a dense array
   // (decompressing RLE / bit-vector data).
-  position::PositionSet window = position::PositionSet::All(wb, we);
   for (size_t c = 0; c < k; ++c) {
     scratch_[c].clear();
     scratch_[c].reserve(n);
@@ -367,7 +351,9 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
       CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
                               inputs_[c].reader->FetchBlock(b));
       ++stats_->blocks_fetched;
-      blk.view.GatherValues(window, &scratch_[c]);
+      const position::Range clip{std::max(wb, blk.view.start_pos()),
+                                 std::min(we, blk.view.end_pos())};
+      blk.view.GatherRanges({&clip, 1}, &scratch_[c]);
     }
     CSTORE_CHECK(scratch_[c].size() == n);
     stats_->values_gathered += n;

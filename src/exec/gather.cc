@@ -5,70 +5,23 @@
 namespace cstore {
 namespace exec {
 
-std::vector<uint64_t> BlocksCoveringPositions(
-    const codec::ColumnReader* reader, const position::PositionSet& sel) {
-  std::vector<uint64_t> needed;
-  sel.ForEachRange([&](Position b, Position e) {
-    uint64_t first = reader->BlockContaining(b);
-    uint64_t last = reader->BlockContaining(e - 1);
-    if (!needed.empty() && first <= needed.back()) {
-      first = needed.back() + 1;
-      if (first > last) return;
-    }
-    for (uint64_t blk = first; blk <= last; ++blk) needed.push_back(blk);
-  });
-  return needed;
-}
-
-void ClipRangesToBlock(const std::vector<position::Range>& ranges,
-                       size_t* ri, Position block_begin, Position block_end,
-                       std::vector<position::Range>* clipped) {
-  clipped->clear();
-  while (*ri < ranges.size() && ranges[*ri].end <= block_begin) ++*ri;
-  size_t rj = *ri;
-  while (rj < ranges.size() && ranges[rj].begin < block_end) {
-    Position b = std::max(ranges[rj].begin, block_begin);
-    Position e = std::min(ranges[rj].end, block_end);
-    if (b < e) clipped->push_back(position::Range{b, e});
-    if (ranges[rj].end <= block_end) {
-      ++rj;  // fully consumed by this block
-    } else {
-      break;  // continues into the next block
-    }
-  }
-}
-
-std::vector<position::Range> CollectRanges(const position::PositionSet& sel) {
-  std::vector<position::Range> ranges;
-  sel.ForEachRange([&](Position b, Position e) {
-    ranges.push_back(position::Range{b, e});
-  });
-  return ranges;
-}
-
-Status GatherColumnValues(const MultiColumnChunk& chunk, ColumnId column,
+Status GatherColumnValues(const position::PositionSet& sel,
+                          const MiniColumn* mini,
                           const codec::ColumnReader* reader, ExecStats* stats,
                           std::vector<Value>* out) {
-  const MiniColumn* mini = chunk.FindMini(column);
   if (mini != nullptr) {
-    mini->GatherValues(chunk.desc, out);
-    stats->values_gathered += chunk.desc.Cardinality();
-    return Status::OK();
+    mini->GatherValues(sel, out);
+  } else {
+    CSTORE_CHECK(reader != nullptr)
+        << "no mini-column and no fallback reader";
+    CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
+        reader, sel, stats,
+        [&](const codec::EncodedBlock& blk,
+            std::span<const position::Range> runs) {
+          blk.view.GatherRanges(runs, out);
+        }));
   }
-  CSTORE_CHECK(reader != nullptr)
-      << "no mini-column and no fallback reader for column " << column;
-  std::vector<position::Range> ranges = CollectRanges(chunk.desc);
-  std::vector<position::Range> clipped;
-  size_t ri = 0;
-  for (uint64_t blk_no : BlocksCoveringPositions(reader, chunk.desc)) {
-    CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                            reader->FetchBlock(blk_no));
-    ++stats->blocks_fetched;
-    ClipRangesToBlock(ranges, &ri, blk.view.start_pos(), blk.view.end_pos(),
-                      &clipped);
-    blk.view.GatherRanges(clipped.data(), clipped.size(), out);
-  }
-  stats->values_gathered += chunk.desc.Cardinality();
+  stats->values_gathered += sel.Cardinality();
   return Status::OK();
 }
 

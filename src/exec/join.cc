@@ -43,7 +43,6 @@ Status JoinBuildTable::PinPayload(ExecStats* stats) {
 
 Status JoinBuildTable::DoBuild(ExecStats* stats) {
   const codec::ColumnReader* key = spec_.right_key;
-  const uint64_t nblocks = key->num_blocks();
   // A null or empty snapshot builds the exact pre-write-path table.
   const write::WriteSnapshot* snap =
       spec_.snapshot != nullptr && spec_.snapshot->has_state()
@@ -54,32 +53,34 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
   // Every read-store and tail row may enter the table: the sizing bound.
   const size_t rows = base + tail;
 
+  // Read-store rows enter the table at the snapshot's live positions (deletes
+  // masked out), each column read in one walk that skips the blocks whose
+  // rows are all deleted.
+  const position::PositionSet live =
+      snap != nullptr && snap->has_deletes()
+          ? snap->LiveSet(0, base)
+          : position::PositionSet::All(0, base);
+
   switch (spec_.mode) {
     case JoinRightMode::kMaterialized: {
       // Construct inner tuples before the join: read key and payload
-      // columns in lock step and materialize (key, payload) rows into the
-      // hash table. Read-store positions come from the snapshot's live set
-      // (deletes masked out); the position-map modes filter per value
-      // instead and never need the set.
-      position::PositionSet live =
-          snap != nullptr && snap->has_deletes()
-              ? snap->LiveSet(0, base)
-              : position::PositionSet::All(0, base);
-      const codec::ColumnReader* payload = spec_.right_payload;
+      // columns at the live positions and materialize (key, payload) rows
+      // into the hash table.
       payloads_ = FlatMap<Value>(rows);
       std::vector<Value> keys;
       std::vector<Value> payloads;
-      for (uint64_t b = 0; b < nblocks; ++b) {
-        CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, key->FetchBlock(b));
-        ++stats->blocks_fetched;
-        blk.view.GatherValues(live, &keys);
-      }
-      for (uint64_t b = 0; b < payload->num_blocks(); ++b) {
-        CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                                payload->FetchBlock(b));
-        ++stats->blocks_fetched;
-        blk.view.GatherValues(live, &payloads);
-      }
+      keys.reserve(live.Cardinality());
+      payloads.reserve(live.Cardinality());
+      auto gather_into = [](std::vector<Value>* out) {
+        return [out](const codec::EncodedBlock& blk,
+                     std::span<const position::Range> runs) {
+          blk.view.GatherRanges(runs, out);
+        };
+      };
+      CSTORE_RETURN_IF_ERROR(
+          ForEachCoveringBlock(key, live, stats, gather_into(&keys)));
+      CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
+          spec_.right_payload, live, stats, gather_into(&payloads)));
       CSTORE_CHECK(keys.size() == payloads.size());
       for (size_t i = 0; i < keys.size(); ++i) {
         payloads_.Insert(keys[i], payloads[i]);
@@ -104,18 +105,13 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
       // join; kMultiColumn also keeps the payload as a pinned compressed
       // mini-column.
       positions_ = FlatMap<Position>(rows);
-      for (uint64_t b = 0; b < nblocks; ++b) {
-        CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, key->FetchBlock(b));
-        ++stats->blocks_fetched;
-        if (snap != nullptr && snap->has_deletes()) {
-          blk.view.ForEach([&](Position p, Value v) {
-            if (!snap->IsDeleted(p)) positions_.Insert(v, p);
-          });
-        } else {
-          blk.view.ForEach(
-              [&](Position p, Value v) { positions_.Insert(v, p); });
-        }
-      }
+      CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
+          key, live, stats,
+          [&](const codec::EncodedBlock& blk,
+              std::span<const position::Range> runs) {
+            blk.view.ForEachValueInRanges(
+                runs, [&](Position p, Value v) { positions_.Insert(v, p); });
+          }));
       // Tail rows: key → tail position.
       for (uint64_t i = 0; i < tail; ++i) {
         const Position p = base + i;
@@ -203,24 +199,12 @@ Status JoinProbeOp::ProbeChunk(const MultiColumnChunk& chunk,
   // gather of the payload column. Write-store tail chunks carry the payload
   // as a mini-column (tail positions have no reader blocks to fetch).
   left_vals_.clear();
-  {
-    position::PosList pl;
-    for (Position p : left_pos_) pl.Append(p);
-    position::PositionSet sel = position::PositionSet::FromList(
-        left_pos_.front(), left_pos_.back() + 1, std::move(pl));
-    if (const MiniColumn* payload_mini = chunk.FindMini(1)) {
-      payload_mini->GatherValues(sel, &left_vals_);
-    } else {
-      const codec::ColumnReader* reader = spec_.left_payload;
-      for (uint64_t blk_no : BlocksCoveringPositions(reader, sel)) {
-        CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                                reader->FetchBlock(blk_no));
-        ++stats_->blocks_fetched;
-        blk.view.GatherValues(sel, &left_vals_);
-      }
-    }
-    stats_->values_gathered += left_vals_.size();
-  }
+  position::PosList pl;
+  for (Position p : left_pos_) pl.Append(p);
+  const position::PositionSet sel = position::PositionSet::FromList(
+      left_pos_.front(), left_pos_.back() + 1, std::move(pl));
+  CSTORE_RETURN_IF_ERROR(GatherColumnValues(
+      sel, chunk.FindMini(1), spec_.left_payload, stats_, &left_vals_));
   CSTORE_CHECK(left_vals_.size() == left_pos_.size());
 
   // Right payload for the single-column mode: the positions are out of

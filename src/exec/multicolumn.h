@@ -11,7 +11,9 @@
 // Mini-columns are "essentially just a pointer to the page in the buffer
 // pool": MiniColumn holds shared pins on the EncodedBlocks covering the
 // range, so a downstream DS3 can extract values without re-fetching the
-// column (I/O cost → 0 for re-accessed columns).
+// column (I/O cost → 0 for re-accessed columns). Its reads walk the
+// selection once through a position::RunCursor over the pinned blocks,
+// which may leave gaps (pipelined scans skip blocks).
 
 #ifndef CSTORE_EXEC_MULTICOLUMN_H_
 #define CSTORE_EXEC_MULTICOLUMN_H_
@@ -22,6 +24,7 @@
 #include "codec/column_reader.h"
 #include "codec/views.h"
 #include "position/position_set.h"
+#include "position/run_cursor.h"
 #include "util/common.h"
 #include "util/status.h"
 
@@ -51,52 +54,20 @@ class MiniColumn {
   /// position order.
   void GatherValues(const position::PositionSet& sel,
                     std::vector<Value>* out) const {
-    ForEachBlockSpan(sel, [&](const codec::BlockView& view,
-                              const position::Range* ranges, size_t n) {
-      view.GatherRanges(ranges, n, out);
-    });
+    position::RunCursor runs(sel);
+    for (const auto& blk : blocks_) {
+      blk->view.GatherRanges(
+          runs.Clip(blk->view.start_pos(), blk->view.end_pos()), out);
+    }
   }
 
   /// fn(pos, value) for every valid position of `sel`, ascending.
   template <typename Fn>
   void ForEachPosValue(const position::PositionSet& sel, Fn&& fn) const {
-    ForEachBlockSpan(sel, [&](const codec::BlockView& view,
-                              const position::Range* ranges, size_t n) {
-      view.ForEachValueInRanges(ranges, n, fn);
-    });
-  }
-
-  /// Walks `sel`'s ranges once, invoking per_block(view, clipped_ranges, n)
-  /// for each block with its overlapping range segments. O(ranges + blocks)
-  /// instead of re-scanning the selection per block.
-  template <typename PerBlock>
-  void ForEachBlockSpan(const position::PositionSet& sel,
-                        PerBlock&& per_block) const {
-    std::vector<position::Range> ranges;
-    sel.ForEachRange([&](Position b, Position e) {
-      ranges.push_back(position::Range{b, e});
-    });
-    std::vector<position::Range> clipped;
-    size_t ri = 0;
+    position::RunCursor runs(sel);
     for (const auto& blk : blocks_) {
-      Position bb = blk->view.start_pos();
-      Position be = blk->view.end_pos();
-      while (ri < ranges.size() && ranges[ri].end <= bb) ++ri;
-      clipped.clear();
-      size_t rj = ri;
-      while (rj < ranges.size() && ranges[rj].begin < be) {
-        Position b = ranges[rj].begin > bb ? ranges[rj].begin : bb;
-        Position e = ranges[rj].end < be ? ranges[rj].end : be;
-        if (b < e) clipped.push_back(position::Range{b, e});
-        if (ranges[rj].end <= be) {
-          ++rj;  // fully consumed by this block
-        } else {
-          break;  // continues into the next block
-        }
-      }
-      if (!clipped.empty()) {
-        per_block(blk->view, clipped.data(), clipped.size());
-      }
+      blk->view.ForEachValueInRanges(
+          runs.Clip(blk->view.start_pos(), blk->view.end_pos()), fn);
     }
   }
 

@@ -136,7 +136,6 @@ void Server::ServeConn(int fd) {
     settings.stream_queue_chunks = options_.stream_queue_chunks;
     settings.stream_byte_account = &output_bytes_;
     session.set_settings(settings);
-    session.set_statement_cache(&stmt_cache_);
 
     HttpConn conn(fd);
     HttpRequest req;

@@ -1,10 +1,9 @@
 // The SQL server front end: a multi-client SQL-over-HTTP daemon that puts
 // api::Connection behind a wire protocol. Each accepted connection gets a
 // dedicated session (its own api::Connection over the server's shared
-// Scheduler and StatementCache), so concurrent clients interleave at
-// morsel granularity exactly like concurrent in-process sessions — the
-// server adds transport, admission control, and ops routes, not a second
-// execution path.
+// Scheduler), so concurrent clients interleave at morsel granularity
+// exactly like concurrent in-process sessions — the server adds transport,
+// admission control, and ops routes, not a second execution path.
 //
 // Routes:
 //   GET  /health                    liveness probe ("ok")
@@ -40,7 +39,6 @@
 #include <unordered_set>
 
 #include "api/connection.h"
-#include "api/statement_cache.h"
 #include "db/database.h"
 #include "sched/scheduler.h"
 #include "server/admission.h"
@@ -114,7 +112,6 @@ class Server {
   db::Database* db_;  // not owned
   Options options_;
   sched::Scheduler scheduler_;
-  api::StatementCache stmt_cache_;
   // Shared across every session's ChunkQueues (see admission.h).
   std::atomic<int64_t> output_bytes_{0};
   AdmissionController admission_;

@@ -2,7 +2,7 @@
 // PreparedStatement with `?` parameters (including re-execution across a
 // concurrent compaction), RowCursor backpressure and cancellation, the
 // UPDATE statement end to end, the join-side snapshot merge, EXPLAIN with
-// `?` parameters, the non-blocking cursor poll (TryNext), and the
+// `?` parameters, an execution error surfacing through the cursor, and the
 // standalone routing: inline at 1 worker, long-lived session pools above.
 
 #include <algorithm>
@@ -1083,36 +1083,9 @@ TEST_F(ApiTest, ExplainAcceptsParameters) {
   EXPECT_FALSE(conn.Explain("DELETE FROM t WHERE a < 5").ok());
 }
 
-// --- RowCursor::TryNext -----------------------------------------------------
+// --- RowCursor errors ------------------------------------------------------
 
-TEST_F(ApiTest, TryNextDrainsWithoutBlocking) {
-  const size_t n = MakeBigTable();
-  api::Connection conn(db_.get());
-  ASSERT_OK_AND_ASSIGN(api::RowCursor cursor,
-                       conn.Stream("SELECT x FROM big WHERE x < 900"));
-  uint64_t rows = 0;
-  uint64_t pending_polls = 0;
-  exec::TupleChunk chunk;
-  while (true) {
-    ASSERT_OK_AND_ASSIGN(api::RowCursor::Poll poll, cursor.TryNext(&chunk));
-    if (poll == api::RowCursor::Poll::kDone) break;
-    if (poll == api::RowCursor::Poll::kPending) {
-      // Event-loop turn: nothing buffered yet; yield and poll again.
-      ++pending_polls;
-      std::this_thread::yield();
-      continue;
-    }
-    rows += chunk.num_tuples();
-  }
-  EXPECT_EQ(rows, n * 900 / 1000);
-  // Once done, further polls stay done.
-  ASSERT_OK_AND_ASSIGN(api::RowCursor::Poll again, cursor.TryNext(&chunk));
-  EXPECT_EQ(again, api::RowCursor::Poll::kDone);
-  ASSERT_OK_AND_ASSIGN(api::QueryResult rest, cursor.FetchAll());
-  EXPECT_EQ(rest.tuples.num_tuples(), 0u);
-}
-
-TEST_F(ApiTest, TryNextSurfacesQueryError) {
+TEST_F(ApiTest, StreamSurfacesQueryErrorThroughNext) {
   api::Connection conn(db_.get());
   // A query that fails at execution: LM-pipelined position-filtering over a
   // bit-vector column is unsupported, and the failure surfaces mid-run.
@@ -1129,16 +1102,15 @@ TEST_F(ApiTest, TryNextSurfacesQueryError) {
       plan::PlanTemplate::Selection(q, plan::Strategy::kLmPipelined, config);
   ASSERT_OK_AND_ASSIGN(api::RowCursor cursor, conn.Stream(tmpl));
   exec::TupleChunk chunk;
-  // Poll to completion; the plan error must surface through TryNext.
+  // Drain to completion; the plan error must surface through Next.
   Status final_status = Status::OK();
   while (true) {
-    Result<api::RowCursor::Poll> poll = cursor.TryNext(&chunk);
-    if (!poll.ok()) {
-      final_status = poll.status();
+    Result<bool> has = cursor.Next(&chunk);
+    if (!has.ok()) {
+      final_status = has.status();
       break;
     }
-    if (*poll == api::RowCursor::Poll::kDone) break;
-    if (*poll == api::RowCursor::Poll::kPending) std::this_thread::yield();
+    if (!*has) break;
   }
   EXPECT_FALSE(final_status.ok());
 }

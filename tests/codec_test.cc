@@ -13,6 +13,7 @@
 #include "codec/column_reader.h"
 #include "codec/column_writer.h"
 #include "position/position_set.h"
+#include "position/run_cursor.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "test_util.h"
@@ -251,7 +252,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PredEvalCase{Encoding::kDict, 1.0, 200},
                       PredEvalCase{Encoding::kDict, 5.0, 40}));
 
-// --- GatherValues across encodings ---
+// --- Positional reads across encodings ---
 
 class GatherTest : public CodecTest,
                    public ::testing::WithParamInterface<Encoding> {};
@@ -260,44 +261,53 @@ TEST_P(GatherTest, GatherMatchesNaive) {
   Encoding enc = GetParam();
   std::vector<Value> vals = testing::RunnyValues(50000, 7, 10.0, 41);
   auto reader = WriteAndOpen("ga", enc, vals);
+  const Position n = vals.size();
 
-  // Select a scattered set of positions.
+  // Scattered positions (listed), then runs that cross block boundaries
+  // and leave whole blocks unselected (ranged), and their bitmap.
   Random rng(5);
   position::PosList pl;
-  std::vector<Position> sel_vec;
-  for (Position p = 0; p < vals.size(); ++p) {
-    if (rng.Bernoulli(0.13)) {
-      pl.Append(p);
-      sel_vec.push_back(p);
+  for (Position p = 0; p < n; ++p) {
+    if (rng.Bernoulli(0.13)) pl.Append(p);
+  }
+  position::RangeSet rs;
+  for (Position p = 3001; p + 11000 < n; p += 29000) rs.Append(p, p + 11000);
+  std::vector<position::PositionSet> sels;
+  sels.push_back(position::PositionSet::FromList(0, n, std::move(pl)));
+  sels.push_back(position::PositionSet::FromRanges(0, n, rs));
+  sels.push_back(position::PositionSet::FromBitmap(sels.back().ToBitmap()));
+
+  for (const position::PositionSet& sel : sels) {
+    const std::vector<Position> want_pos = sel.ToVector();
+    std::vector<Value> want;
+    for (Position p : want_pos) want.push_back(vals[p]);
+
+    // Through the blocks the cursor lists, and through every block.
+    std::vector<Value> gathered;
+    position::RunCursor gather_runs(sel);
+    for (uint64_t b : gather_runs.Blocks(reader->meta().block_start_pos)) {
+      ASSERT_OK_AND_ASSIGN(codec::EncodedBlock blk, reader->FetchBlock(b));
+      blk.view.GatherRanges(
+          gather_runs.Clip(blk.view.start_pos(), blk.view.end_pos()),
+          &gathered);
     }
+    std::vector<Position> visited_pos;
+    std::vector<Value> visited;
+    position::RunCursor visit_runs(sel);
+    for (uint64_t b = 0; b < reader->num_blocks(); ++b) {
+      ASSERT_OK_AND_ASSIGN(codec::EncodedBlock blk, reader->FetchBlock(b));
+      blk.view.ForEachValueInRanges(
+          visit_runs.Clip(blk.view.start_pos(), blk.view.end_pos()),
+          [&](Position p, Value v) {
+            visited_pos.push_back(p);
+            visited.push_back(v);
+          });
+    }
+    const int rep = static_cast<int>(sel.rep());
+    EXPECT_EQ(gathered, want) << "rep " << rep;
+    EXPECT_EQ(visited, want) << "rep " << rep;
+    EXPECT_EQ(visited_pos, want_pos) << "rep " << rep;
   }
-  position::PositionSet sel =
-      position::PositionSet::FromList(0, vals.size(), std::move(pl));
-
-  std::vector<Value> got;
-  for (uint64_t b = 0; b < reader->num_blocks(); ++b) {
-    auto blk = reader->FetchBlock(b);
-    ASSERT_TRUE(blk.ok());
-    blk->view.GatherValues(sel, &got);
-  }
-  ASSERT_EQ(got.size(), sel_vec.size());
-  for (size_t i = 0; i < sel_vec.size(); ++i) {
-    EXPECT_EQ(got[i], vals[sel_vec[i]]) << "i=" << i;
-  }
-
-  // ForEachValueAt agrees.
-  std::vector<Value> got2;
-  std::vector<Position> pos2;
-  for (uint64_t b = 0; b < reader->num_blocks(); ++b) {
-    auto blk = reader->FetchBlock(b);
-    ASSERT_TRUE(blk.ok());
-    blk->view.ForEachValueAt(sel, [&](Position p, Value v) {
-      pos2.push_back(p);
-      got2.push_back(v);
-    });
-  }
-  EXPECT_EQ(got2, got);
-  EXPECT_EQ(pos2, sel_vec);
 }
 
 INSTANTIATE_TEST_SUITE_P(Encodings, GatherTest,
@@ -558,8 +568,7 @@ TEST(PredicateKernelTest, WordKernelsMatchPerValueEval) {
 
           position::SetBuilder builder(start - 37, end + 11);
           const uint64_t evals =
-              view.EvalPredicateAt(pred, refine.data(), refine.size(),
-                                   &builder);
+              view.EvalPredicateAt(pred, refine, &builder);
           std::vector<Position> want;
           uint64_t want_evals = 0;
           for (const position::Range& r : refine) {

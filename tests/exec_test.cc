@@ -593,18 +593,6 @@ TEST_F(ExecTest, GatherFallsBackToReaderWithoutMini) {
   EXPECT_GT(stats.blocks_fetched, 0u);
 }
 
-TEST_F(ExecTest, BlocksCoveringPositionsDeduplicates) {
-  std::vector<Value> a(30000, 1);
-  const auto* ca = Load("a", Encoding::kUncompressed, a);
-  position::SetBuilder builder(0, 30000);
-  builder.AddRange(0, 10);       // block 0
-  builder.AddRange(100, 200);    // block 0 again
-  builder.AddRange(9000, 9010);  // block 1
-  auto sel = std::move(builder).Build();
-  auto blocks = exec::BlocksCoveringPositions(ca, sel);
-  EXPECT_EQ(blocks, (std::vector<uint64_t>{0, 1}));
-}
-
 TEST_F(ExecTest, IndexScanLeafEmitsRangeWithoutFetches) {
   const size_t n = 200000;
   std::vector<Value> a(n);

@@ -641,6 +641,103 @@ TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
   }
 }
 
+TEST_F(JoinWriteTest, BuildUnderDeletesAcrossInnerBlocksMatchesBruteForce) {
+  // Inner read store: 45 000 plain rows, six blocks of 8 128 positions.
+  // Deletes hit every block (payload 3), all of block 2, and one
+  // write-store tail row, so the build masks deletes inside blocks and
+  // skips a block whose rows are all deleted.
+  const size_t n_cust = 45000;
+  const size_t n_tail = 100;
+  const size_t n_orders = 2 * kChunkPositions;
+  Random rng(53);
+  RefRows orders;
+  RefRows customer;
+  for (size_t i = 0; i < n_cust; ++i) {
+    customer.Append(static_cast<Value>(i + 1),
+                    static_cast<Value>(rng.Uniform(25)));
+  }
+  for (size_t i = 0; i < n_orders; ++i) {
+    orders.Append(rng.UniformRange(1, static_cast<int64_t>(n_cust + n_tail)),
+                  static_cast<Value>(rng.Uniform(3000)));
+  }
+  MakeWritableTable("jd_orders", orders.key, orders.payload);
+  MakeWritableTable("jd_customer", customer.key, customer.payload);
+
+  plan::JoinQuery q;
+  ASSERT_OK_AND_ASSIGN(q.left_key, db_->GetColumn("jd_orders_key"));
+  ASSERT_OK_AND_ASSIGN(q.left_payload, db_->GetColumn("jd_orders_payload"));
+  ASSERT_OK_AND_ASSIGN(q.right_key, db_->GetColumn("jd_customer_key"));
+  ASSERT_OK_AND_ASSIGN(q.right_payload,
+                       db_->GetColumn("jd_customer_payload"));
+  ASSERT_EQ(q.right_key->num_blocks(), 6u);
+  ASSERT_EQ(q.right_key->meta().block_start_pos[2], 16256u);
+  ASSERT_EQ(q.right_key->meta().block_start_pos[3], 24384u);
+
+  {
+    std::vector<std::vector<Value>> rows;
+    for (size_t i = 0; i < n_tail; ++i) {
+      const Value k = static_cast<Value>(n_cust + 1 + i);
+      const Value p = static_cast<Value>(200 + i % 25);
+      rows.push_back({k, p});
+      customer.Append(k, p);
+    }
+    ASSERT_OK(db_->Insert("jd_customer", rows));
+  }
+  ASSERT_OK(db_->DeleteWhere("jd_customer",
+                             {{"payload", Predicate::Equal(3)}}).status());
+  customer.DeleteWherePayloadEq(3);
+  // Block 2 whole: positions [16 256, 24 384) hold keys 16 257..24 384.
+  ASSERT_OK(db_->DeleteWhere("jd_customer",
+                             {{"key", Predicate::Between(16257, 24384)}})
+                .status());
+  for (size_t i = 0; i < customer.key.size(); ++i) {
+    if (customer.key[i] >= 16257 && customer.key[i] <= 24384) {
+      customer.deleted[i] = true;
+    }
+  }
+  const Value tail_key = static_cast<Value>(n_cust + 50);
+  ASSERT_OK(db_->DeleteWhere("jd_customer",
+                             {{"key", Predicate::Equal(tail_key)}})
+                .status());
+  customer.DeleteWhereKeyEq(tail_key);
+
+  ASSERT_OK_AND_ASSIGN(auto orders_snap, db_->SnapshotTable("jd_orders"));
+  ASSERT_OK_AND_ASSIGN(q.right_snapshot, db_->SnapshotTable("jd_customer"));
+  const Value x = static_cast<Value>(n_cust + n_tail + 1);
+  q.left_pred = Predicate::LessThan(x);
+  const auto expected = RefJoin(orders, customer, x);
+  ASSERT_GT(expected.size(), 0u);
+  for (JoinRightMode mode : kAllModes) {
+    for (exec::JoinLeftMode lm : kLeftModes) {
+      q.left_mode = lm;
+      uint64_t serial_checksum = 0;
+      for (int workers : kWorkerCounts) {
+        plan::PlanConfig config = JoinWorkerConfig(workers);
+        config.snapshot = orders_snap;
+        auto r = api::Connection(db_.get()).Query(
+            plan::PlanTemplate::Join(q, mode, config));
+        ASSERT_TRUE(r.ok()) << JoinRightModeName(mode) << " workers="
+                            << workers << ": " << r.status().ToString();
+        std::multiset<std::pair<Value, Value>> got;
+        for (size_t i = 0; i < r->tuples.num_tuples(); ++i) {
+          got.emplace(r->tuples.value(i, 0), r->tuples.value(i, 1));
+        }
+        EXPECT_TRUE(got == expected)
+            << JoinRightModeName(mode) << " left="
+            << (lm == exec::JoinLeftMode::kLate ? "late" : "early")
+            << " workers=" << workers << " got " << got.size()
+            << " expected " << expected.size();
+        if (workers == 1) {
+          serial_checksum = r->stats.checksum;
+        } else {
+          EXPECT_EQ(r->stats.checksum, serial_checksum)
+              << JoinRightModeName(mode) << " workers=" << workers;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(JoinWriteTest, EmptySidesJoinCleanly) {
   // Zero-row tables on either side of the join, at every worker count, on
   // a standalone session (inline at 1 worker, the session pool above) and

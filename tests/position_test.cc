@@ -1,13 +1,18 @@
 // Position-set tests: the three representations, their conversions, the
-// intersection/union algebra (checked against a naive std::set model), and
-// the representation-selection heuristics of SetBuilder/Compacted.
+// intersection/union algebra (checked against a naive std::set model), the
+// representation-selection heuristics of SetBuilder/Compacted, and the
+// RunCursor that matches a selection's runs to column blocks.
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "position/position_set.h"
+#include "position/run_cursor.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -19,6 +24,7 @@ using position::PosList;
 using position::PositionSet;
 using position::Range;
 using position::RangeSet;
+using position::RunCursor;
 using position::SetBuilder;
 
 // --- RangeSet ---
@@ -169,14 +175,10 @@ std::set<Position> ToStdSet(const PositionSet& ps) {
   return out;
 }
 
-/// Builds a random PositionSet over [0, n) in the requested representation.
-PositionSet RandomSet(PositionSet::Rep rep, size_t n, double density,
-                      Random* rng, std::set<Position>* model) {
-  std::vector<bool> bits(n);
-  for (size_t i = 0; i < n; ++i) {
-    bits[i] = rng->Bernoulli(density);
-    if (bits[i]) model->insert(i);
-  }
+/// The set of positions i with bits[i], over [0, bits.size()), in the
+/// requested representation.
+PositionSet FromBits(PositionSet::Rep rep, const std::vector<bool>& bits) {
+  const size_t n = bits.size();
   switch (rep) {
     case PositionSet::Rep::kRanges: {
       RangeSet rs;
@@ -209,6 +211,17 @@ PositionSet RandomSet(PositionSet::Rep rep, size_t n, double density,
     }
   }
   return PositionSet::Empty(0, n);
+}
+
+/// Builds a random PositionSet over [0, n) in the requested representation.
+PositionSet RandomSet(PositionSet::Rep rep, size_t n, double density,
+                      Random* rng, std::set<Position>* model) {
+  std::vector<bool> bits(n);
+  for (size_t i = 0; i < n; ++i) {
+    bits[i] = rng->Bernoulli(density);
+    if (bits[i]) model->insert(i);
+  }
+  return FromBits(rep, bits);
 }
 
 struct AlgebraCase {
@@ -365,6 +378,124 @@ TEST(CompactedTest, AllAndEmptyNormalize) {
   PositionSet empty = PositionSet::FromBitmap(Bitmap(0, 500));
   EXPECT_TRUE(empty.Compacted().IsEmpty());
   EXPECT_EQ(empty.Compacted().rep(), PositionSet::Rep::kRanges);
+}
+
+// --- RunCursor ---
+
+/// Start positions of the blocks of a column of n positions, `per_block`
+/// each (the last one shorter).
+std::vector<uint64_t> BlockStarts(uint64_t n, uint64_t per_block) {
+  std::vector<uint64_t> starts;
+  for (uint64_t b = 0; b < n; b += per_block) starts.push_back(b);
+  return starts;
+}
+
+/// The maximal runs of set bits inside [b, e).
+std::vector<Range> NaiveClip(const std::vector<bool>& bits, Position b,
+                             Position e) {
+  std::vector<Range> out;
+  for (Position p = b; p < e; ++p) {
+    if (!bits[p]) continue;
+    if (!out.empty() && out.back().end == p) {
+      ++out.back().end;
+    } else {
+      out.push_back(Range{p, p + 1});
+    }
+  }
+  return out;
+}
+
+std::vector<Range> Clipped(RunCursor* cursor, Position b, Position e) {
+  const std::span<const Range> runs = cursor->Clip(b, e);
+  return std::vector<Range>(runs.begin(), runs.end());
+}
+
+TEST(RunCursorTest, ClipsEveryRepresentationToEveryBlock) {
+  // 21 blocks of 1 000 positions, the last one 500 long. Runs are short
+  // (many per block) or up to 2.5 blocks long (crossing block boundaries);
+  // gaps up to 2.5 blocks leave blocks with no valid position, and every
+  // selection starts mid-block.
+  const size_t n = 20500;
+  const uint64_t per_block = 1000;
+  const std::vector<uint64_t> starts = BlockStarts(n, per_block);
+  Random rng(17);
+  for (PositionSet::Rep rep : {PositionSet::Rep::kRanges,
+                               PositionSet::Rep::kBitmap,
+                               PositionSet::Rep::kList}) {
+    for (int round = 0; round < 6; ++round) {
+      const uint64_t max_run = round % 2 == 0 ? 40 : 2500;
+      std::vector<bool> bits(n);
+      for (size_t p = 1 + rng.Uniform(per_block - 1); p < n;) {
+        const size_t len = 1 + rng.Uniform(max_run);
+        for (size_t i = p; i < std::min(n, p + len); ++i) bits[i] = true;
+        p += len + 1 + rng.Uniform(2500);
+      }
+      const PositionSet sel = FromBits(rep, bits);
+      const std::string where = "rep " +
+                                std::to_string(static_cast<int>(sel.rep())) +
+                                " round " + std::to_string(round);
+
+      // Every block in order.
+      RunCursor cursor(sel);
+      std::vector<uint64_t> want_blocks;
+      for (uint64_t blk = 0; blk < starts.size(); ++blk) {
+        const Position b = starts[blk];
+        const Position e = std::min<Position>(b + per_block, n);
+        const std::vector<Range> want = NaiveClip(bits, b, e);
+        EXPECT_EQ(Clipped(&cursor, b, e), want) << where << " block " << blk;
+        if (!want.empty()) want_blocks.push_back(blk);
+      }
+      EXPECT_EQ(RunCursor(sel).Blocks(starts), want_blocks) << where;
+
+      // A mini-column with gaps between its blocks: a pipelined scan
+      // pinned every third block only.
+      RunCursor gapped(sel);
+      for (uint64_t blk = 1; blk < starts.size(); blk += 3) {
+        const Position b = starts[blk];
+        const Position e = std::min<Position>(b + per_block, n);
+        EXPECT_EQ(Clipped(&gapped, b, e), NaiveClip(bits, b, e))
+            << where << " gapped block " << blk;
+      }
+    }
+  }
+}
+
+TEST(RunCursorTest, RunCrossingBlocksIsSplitNotDropped) {
+  // A 30 000-row uncompressed column: blocks of 8 128 positions.
+  const std::vector<uint64_t> starts = BlockStarts(30000, 8128);
+  RangeSet rs;
+  rs.Append(5000, 17000);  // starts mid-block 0, ends mid-block 2
+  rs.Append(29990, 30000);
+  const PositionSet sel = PositionSet::FromRanges(0, 30000, std::move(rs));
+  RunCursor cursor(sel);
+  EXPECT_EQ(Clipped(&cursor, 0, 8128), (std::vector<Range>{{5000, 8128}}));
+  EXPECT_EQ(Clipped(&cursor, 8128, 16256),
+            (std::vector<Range>{{8128, 16256}}));
+  EXPECT_EQ(Clipped(&cursor, 16256, 24384),
+            (std::vector<Range>{{16256, 17000}}));
+  EXPECT_EQ(Clipped(&cursor, 24384, 30000),
+            (std::vector<Range>{{29990, 30000}}));
+  EXPECT_EQ(RunCursor(sel).Blocks(starts),
+            (std::vector<uint64_t>{0, 1, 2, 3}));
+}
+
+TEST(RunCursorTest, BlocksAscendWithoutDuplicates) {
+  const std::vector<uint64_t> starts = BlockStarts(30000, 8128);
+  SetBuilder builder(0, 30000);
+  builder.AddRange(0, 10);       // block 0
+  builder.AddRange(100, 200);    // block 0 again
+  builder.AddRange(9000, 9010);  // block 1
+  builder.AddRange(9020, 9030);  // block 1 again
+  EXPECT_EQ(RunCursor(std::move(builder).Build()).Blocks(starts),
+            (std::vector<uint64_t>{0, 1}));
+}
+
+TEST(RunCursorTest, EmptySelectionHasNoBlocksAndNoRuns) {
+  const PositionSet sel = PositionSet::Empty(0, 30000);
+  EXPECT_TRUE(RunCursor(sel).Blocks(BlockStarts(30000, 8128)).empty());
+  RunCursor cursor(sel);
+  EXPECT_TRUE(cursor.Clip(0, 8128).empty());
+  EXPECT_TRUE(cursor.Clip(8128, 16256).empty());
 }
 
 }  // namespace
