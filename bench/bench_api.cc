@@ -21,11 +21,11 @@
 //
 // Panel 3 — standalone sessions. One session per worker count (1, 2, 4)
 // runs two prepared statements: the point query of panel 1 (one morsel, so
-// it runs inline at every worker count) and a small selection over four
-// chunk windows (2048 rows out; several morsels, so above one worker it
-// runs on the session's pool). Reported: p50 and p95 latency per query and
-// worker count — the price of handing a small query to a pool. Checksums
-// must match the 1-worker session's.
+// it runs on the caller's thread at every worker count) and a small
+// selection over four chunk windows (2048 rows out; several morsels, so
+// above one worker it runs on the session's pool). Reported: p50 and p95
+// latency per query and worker count — the price of handing a small query
+// to a pool. Checksums must match the 1-worker session's.
 //
 // Machine-readable output: BENCH_api.json.
 //

@@ -239,25 +239,26 @@ bool RunsParallel(const plan::PlanTemplate& tmpl) {
 
 Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
                                                 const std::string& label) {
-  if (scheduler_ != nullptr || RunsParallel(tmpl)) {
-    Runnable run;
-    run.tmpl = tmpl;
-    run.strategy = tmpl.strategy;
-    run.label = label;
-    return SubmitRunnable(run).Wait();
-  }
-  // One worker: inline on this thread. A 1-worker pool gives the same rows
-  // and row order, but the hand-off to its thread more than doubles a
-  // point query's latency.
   QueryResult result;
-  Status st = plan::ExecuteInline(
-      tmpl, db_->pool(), &result.stats,
-      [&](const exec::TupleChunk& chunk) { result.tuples.Append(chunk); });
-  result.stats.query_id = obs::NextQueryId();
-  sched::RecordQueryLog(result.stats.query_id, label, &tmpl, st,
-                        /*workers=*/1, settings_.priority,
-                        /*queue_wait_usec=*/0, result.stats);
-  CSTORE_RETURN_IF_ERROR(st);
+  sched::Scheduler::Sink sink = [&result](exec::TupleChunk&& chunk) {
+    result.tuples = std::move(chunk);
+  };
+  sched::ExecResult done;
+  if (scheduler_ == nullptr && !RunsParallel(tmpl)) {
+    done = sched::RunOnCaller(tmpl, db_->pool(), std::move(sink), label,
+                              settings_.priority);
+  } else {
+    sched::Scheduler::SubmitOptions options;
+    options.sink = std::move(sink);
+    options.priority = settings_.priority;
+    options.label = label;
+    done = PoolFor(tmpl.config.num_workers)
+               ->Submit(tmpl, db_->pool(), std::move(options))
+               .Wait();
+  }
+  CSTORE_RETURN_IF_ERROR(done.status);
+  result.stats = std::move(done.stats);
+  result.strategy = tmpl.strategy;
   return result;
 }
 
@@ -284,16 +285,10 @@ PendingResult Connection::SubmitRunnable(const Runnable& run,
   options.priority = settings_.priority;
   options.label = run.label;
   if (materialize) {
+    // The sink runs once, at finalization, before the ticket resolves.
     std::shared_ptr<QueryResult> buffer = pending.buffer_;
-    // The sink runs sequentially at finalization (scheduler contract), so
-    // the captured per-query state needs no lock. The first chunk is kept
-    // as is; only a sort's later chunks are copied in behind it.
     options.sink = [buffer](exec::TupleChunk&& chunk) {
-      if (buffer->tuples.empty()) {
-        buffer->tuples = std::move(chunk);
-      } else {
-        buffer->tuples.Append(chunk);
-      }
+      buffer->tuples = std::move(chunk);
     };
   }
   pending.ticket_ =
@@ -448,56 +443,22 @@ Result<RowCursor> Connection::Stream(const std::string& sql,
 Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
   PreparedStatement prepared;
   prepared.conn_ = this;
+  prepared.sql_ = sql;
   if (stmt_cache_ != nullptr) {
     // Shared parse+bind: copy the immutable cached entry into this
     // session's statement. Everything per-execution (snapshot, parameter
     // predicates, strategy, reader refresh) happens on the copy, so cached
-    // and uncached prepares behave identically from here on. One span
-    // covers the combined lookup-or-parse+bind; a hit makes it ~free.
-    Result<std::shared_ptr<const StatementCache::Entry>> cached = [&] {
-      obs::SpanTimer span("parse", "sql");
-      return stmt_cache_->GetOrBind(db_, sql);
-    }();
-    CSTORE_RETURN_IF_ERROR(cached.status());
-    const std::shared_ptr<const StatementCache::Entry>& e = *cached;
-    if (e->stmt.explain != sql::ParsedStatement::Explain::kNone) {
-      return Status::InvalidArgument(
-          "cannot prepare an EXPLAIN statement; use Query");
-    }
+    // and uncached prepares behave identically from here on.
+    CSTORE_ASSIGN_OR_RETURN(std::shared_ptr<const internal::ParsedAndBound> e,
+                            stmt_cache_->GetOrBind(db_, sql));
     prepared.stmt_ = e->stmt;
-    prepared.sql_ = sql;
     prepared.bound_ = e->bound;
     return prepared;
   }
-  {
-    obs::SpanTimer span("parse", "sql");
-    CSTORE_ASSIGN_OR_RETURN(prepared.stmt_, sql::ParseStatement(sql));
-  }
-  prepared.sql_ = sql;
-  if (prepared.stmt_.explain != sql::ParsedStatement::Explain::kNone) {
-    // EXPLAIN is a one-shot diagnostic, not a reusable statement shape.
-    return Status::InvalidArgument(
-        "cannot prepare an EXPLAIN statement; use Query");
-  }
-  if (prepared.stmt_.kind == sql::ParsedStatement::Kind::kSelect) {
-    obs::SpanTimer span("bind", "sql");
-    CSTORE_ASSIGN_OR_RETURN(
-        prepared.bound_, internal::BindSelect(db_, prepared.stmt_.select));
-    // A prepared statement holds no bind-time snapshot: every execution
-    // captures its own.
-    prepared.bound_.bind_snapshot.reset();
-  } else {
-    // Writes: validate the target table now so Prepare fails fast.
-    if (!db_->HasTable(prepared.stmt_.kind ==
-                               sql::ParsedStatement::Kind::kInsert
-                           ? prepared.stmt_.insert.table
-                           : prepared.stmt_.kind ==
-                                     sql::ParsedStatement::Kind::kDelete
-                                 ? prepared.stmt_.del.table
-                                 : prepared.stmt_.update.table)) {
-      return Status::NotFound("unknown table in write statement");
-    }
-  }
+  CSTORE_ASSIGN_OR_RETURN(internal::ParsedAndBound e,
+                          internal::ParseAndBind(db_, sql));
+  prepared.stmt_ = std::move(e.stmt);
+  prepared.bound_ = std::move(e.bound);
   return prepared;
 }
 
@@ -509,35 +470,10 @@ Result<std::string> Connection::Explain(const std::string& sql,
 Result<std::string> Connection::Explain(const std::string& sql,
                                         const std::vector<Value>& params,
                                         int num_workers) {
-  CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
-                          sql::ParseStatement(sql));
-  if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
-    return Status::InvalidArgument("EXPLAIN supports SELECT statements");
-  }
-  // Exact-count, like PreparedStatement::Execute — an Explain that accepts
-  // an argument list a real execution would reject helps nobody debug.
-  if (stmt.param_count != static_cast<int>(params.size())) {
-    return Status::InvalidArgument(
-        "statement takes " + std::to_string(stmt.param_count) +
-        " parameter(s), got " + std::to_string(params.size()));
-  }
-  CSTORE_ASSIGN_OR_RETURN(BoundSelect bound,
-                          internal::BindSelect(db_, stmt.select));
   CSTORE_ASSIGN_OR_RETURN(
-      ResolvedSelect resolved,
-      internal::ResolveSelect(db_, &bound, params, bound.bind_snapshot));
-  plan::PlanConfig config;
-  config.num_workers = EffectiveWorkers(num_workers);
-  model::SelectionModelInput input = ModelInputFor(resolved.scan(), config);
-  model::Advisor advisor(Params());
-  std::string report =
-      resolved.is_aggregate
-          ? advisor.ExplainAggregation(input, GroupEstimateFor(resolved.agg))
-      : bound.has_order
-          ? advisor.ExplainSort(input, static_cast<double>(bound.limit))
-          : advisor.ExplainSelection(input);
-  report += PressureReport();
-  return report;
+      QueryResult out,
+      ExplainSql(sql, params, num_workers, sql::ParsedStatement::Explain::kPlan));
+  return std::move(out.explain_text);
 }
 
 std::string Connection::PressureReport() const {
@@ -667,6 +603,13 @@ Result<QueryResult> Connection::ExplainStatement(
 Result<QueryResult> Connection::ExplainAnalyze(
     const std::string& sql, const std::vector<Value>& params,
     int num_workers) {
+  return ExplainSql(sql, params, num_workers,
+                    sql::ParsedStatement::Explain::kAnalyze);
+}
+
+Result<QueryResult> Connection::ExplainSql(
+    const std::string& sql, const std::vector<Value>& params, int num_workers,
+    sql::ParsedStatement::Explain kind) {
   Result<sql::ParsedStatement> parsed = [&] {
     obs::SpanTimer span("parse", "sql");
     return sql::ParseStatement(sql);
@@ -674,15 +617,16 @@ Result<QueryResult> Connection::ExplainAnalyze(
   CSTORE_RETURN_IF_ERROR(parsed.status());
   sql::ParsedStatement& stmt = *parsed;
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
-    return Status::InvalidArgument(
-        "EXPLAIN ANALYZE supports SELECT statements");
+    return Status::InvalidArgument("EXPLAIN supports SELECT statements");
   }
+  // Exact-count, like PreparedStatement::Execute — an Explain that accepts
+  // an argument list a real execution would reject helps nobody debug.
   if (stmt.param_count != static_cast<int>(params.size())) {
     return Status::InvalidArgument(
         "statement takes " + std::to_string(stmt.param_count) +
         " parameter(s), got " + std::to_string(params.size()));
   }
-  stmt.explain = sql::ParsedStatement::Explain::kAnalyze;
+  stmt.explain = kind;
   return ExplainStatement(stmt, std::nullopt, EffectiveWorkers(num_workers),
                           params);
 }

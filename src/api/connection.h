@@ -13,18 +13,18 @@
 //   Query/Submit/Stream(plan::PlanTemplate) — the typed-plan path the
 //                   paper-figure benches use (no SQL, no projection)
 //
-// A query runs by one of two routes. Pooled connections run everything on
-// the shared scheduler, interleaving with other sessions' queries at morsel
-// granularity. Standalone connections (no scheduler) own long-lived
-// session pools instead — one sched::Scheduler per worker count the
-// session runs at, created on first use — and run every Submit, and every
-// synchronous query with work for more than one worker, there. Two things
-// stay off the session pools on purpose:
+// Every query runs through one executor (sched/scheduler.h). Pooled
+// connections run everything on the shared scheduler, interleaving with
+// other sessions' queries at morsel granularity. Standalone connections (no
+// scheduler) own long-lived session pools instead — one sched::Scheduler
+// per worker count the session runs at, created on first use — and run
+// every Submit, and every synchronous query with work for more than one
+// worker, there. Two things stay off the session pools on purpose:
 //
-//   * A 1-worker synchronous query runs inline on the caller's thread
-//     (plan::ExecuteInline). A 1-worker pool gives the same rows and order,
-//     but the hand-off to its thread more than doubles a point query's
-//     latency.
+//   * A 1-worker synchronous query runs the executor's task and finalize
+//     on the caller's thread (sched::RunOnCaller). A 1-worker pool gives
+//     the same rows and order, but the hand-off to its thread more than
+//     doubles a point query's latency.
 //   * A stream gets a private pool per cursor (RowCursor::own_scheduler_).
 //     A consumer that stops reading blocks the producing worker in
 //     ChunkQueue::Push; on a shared session pool, a session that runs
@@ -73,9 +73,9 @@ class Connection {
  public:
   struct Settings {
     // Worker count of a standalone connection's queries: its session pool
-    // width (1 = synchronous queries run inline) and the advisor's
-    // parallelism input. Pooled connections take parallelism from the
-    // scheduler's pool width.
+    // width (1 = synchronous queries run on the caller's thread) and the
+    // advisor's parallelism input. Pooled connections take parallelism from
+    // the scheduler's pool width.
     int num_workers = 1;
     // Session-wide strategy override; the advisor picks when unset.
     // Per-call overrides win over this.
@@ -175,7 +175,8 @@ class Connection {
 
   /// Runs a typed plan template. Standalone sessions honour
   /// `tmpl.config.num_workers` (the session pool of that width; 1 runs
-  /// Query inline); pooled sessions let the pool decide parallelism.
+  /// Query on the caller's thread); pooled sessions let the pool decide
+  /// parallelism.
   /// `materialize = false` skips output buffering entirely — Wait() returns
   /// stats and an empty tuple chunk (what benches measuring QPS/latency
   /// want).
@@ -252,11 +253,19 @@ class Connection {
                                        std::optional<plan::Strategy> strategy,
                                        int num_workers,
                                        const std::vector<Value>& params);
+  /// Explain / ExplainAnalyze: parses a SELECT (span "parse"), checks its
+  /// parameter count, and explains it as `kind`.
+  Result<QueryResult> ExplainSql(const std::string& sql,
+                                 const std::vector<Value>& params,
+                                 int num_workers,
+                                 sql::ParsedStatement::Explain kind);
 
   /// Shared-resource pressure section appended to Explain output: shard
   /// lock contention, retired fds, chunk/page-pool recycling.
   std::string PressureReport() const;
 
+  /// Runs `tmpl` to completion: on the caller's thread when a standalone
+  /// session has work for one worker, else on a pool.
   Result<QueryResult> RunTemplateSync(const plan::PlanTemplate& tmpl,
                                       const std::string& label = {});
   Result<QueryResult> RunRunnableSync(const Runnable& run);

@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "api/connection.h"
+#include "obs/trace.h"
+#include "sql/parser.h"
 #include "tpch/dates.h"
 #include "util/string_dict.h"
 
@@ -175,6 +177,33 @@ Result<std::vector<std::pair<std::string, codec::Predicate>>> FoldConditions(
   for (const auto& [col, bound] : bounds) {
     CSTORE_ASSIGN_OR_RETURN(codec::Predicate pred, bound.ToPredicate());
     out.emplace_back(*col, pred);
+  }
+  return out;
+}
+
+Result<ParsedAndBound> ParseAndBind(db::Database* db, const std::string& sql) {
+  ParsedAndBound out;
+  {
+    obs::SpanTimer span("parse", "sql");
+    CSTORE_ASSIGN_OR_RETURN(out.stmt, sql::ParseStatement(sql));
+  }
+  using Kind = sql::ParsedStatement::Kind;
+  if (out.stmt.explain != sql::ParsedStatement::Explain::kNone) {
+    return Status::InvalidArgument(
+        "cannot prepare an EXPLAIN statement; use Query");
+  }
+  if (out.stmt.kind == Kind::kSelect) {
+    obs::SpanTimer span("bind", "sql");
+    CSTORE_ASSIGN_OR_RETURN(out.bound, BindSelect(db, out.stmt.select));
+    out.bound.bind_snapshot.reset();
+    return out;
+  }
+  const sql::ParsedStatement& st = out.stmt;
+  const std::string& table = st.kind == Kind::kInsert   ? st.insert.table
+                             : st.kind == Kind::kDelete ? st.del.table
+                                                        : st.update.table;
+  if (!db->HasTable(table)) {
+    return Status::NotFound("unknown table in write statement");
   }
   return out;
 }

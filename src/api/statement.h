@@ -131,6 +131,19 @@ struct ResolvedSelect {
 
 Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q);
 
+/// What Prepare keeps of a statement, cached or not: the parse and, for a
+/// SELECT, its binding (`bound` is meaningful for SELECTs only).
+struct ParsedAndBound {
+  sql::ParsedStatement stmt;
+  BoundSelect bound;
+};
+
+/// Parses `sql` (span "parse") and binds a SELECT (span "bind") without a
+/// bind-time snapshot: every execution captures its own. A write's target
+/// table must exist, so a prepare fails fast. EXPLAIN is a one-shot
+/// diagnostic, not a reusable statement shape, and is rejected.
+Result<ParsedAndBound> ParseAndBind(db::Database* db, const std::string& sql);
+
 /// Re-resolves `bound`'s readers against `snapshot`'s generation when the
 /// file fingerprint changed (a compaction swapped the table since bind);
 /// no-op otherwise. Returns whether a refresh happened.

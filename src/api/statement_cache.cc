@@ -1,7 +1,5 @@
 #include "api/statement_cache.h"
 
-#include "sql/parser.h"
-
 namespace cstore {
 namespace api {
 
@@ -27,35 +25,15 @@ Result<std::shared_ptr<const StatementCache::Entry>> StatementCache::GetOrBind(
   // the single-parse guarantee. Catalog locks nest under the stripe lock;
   // nothing in the engine takes them the other way around.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_shared<Entry>();
-  CSTORE_ASSIGN_OR_RETURN(entry->stmt, sql::ParseStatement(sql));
-  if (entry->stmt.kind == sql::ParsedStatement::Kind::kSelect) {
-    CSTORE_ASSIGN_OR_RETURN(entry->bound,
-                            internal::BindSelect(db, entry->stmt.select));
-    // Cached entries hold no bind-time snapshot: every execution of every
-    // session captures its own (same rule as an uncached Prepare).
-    entry->bound.bind_snapshot.reset();
-  } else {
-    // Writes: validate the target table, exactly as Connection::Prepare
-    // does, so a cached prepare fails fast the same way.
-    using Kind = sql::ParsedStatement::Kind;
-    const std::string& table =
-        entry->stmt.kind == Kind::kInsert
-            ? entry->stmt.insert.table
-            : entry->stmt.kind == Kind::kDelete ? entry->stmt.del.table
-                                                : entry->stmt.update.table;
-    if (!db->HasTable(table)) {
-      return Status::NotFound("unknown table in write statement");
-    }
-  }
-
+  CSTORE_ASSIGN_OR_RETURN(Entry entry, internal::ParseAndBind(db, sql));
   if (stripe.fifo.size() >= max_entries_per_stripe_) {
     stripe.map.erase(stripe.fifo.front());
     stripe.fifo.erase(stripe.fifo.begin());
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   stripe.fifo.push_back(sql);
-  std::shared_ptr<const Entry> published = std::move(entry);
+  std::shared_ptr<const Entry> published =
+      std::make_shared<Entry>(std::move(entry));
   stripe.map.emplace(sql, published);
   return published;
 }

@@ -48,12 +48,9 @@ class StatementCache {
     uint64_t evictions = 0;  // entries dropped by FIFO capacity
   };
 
-  /// An immutable parsed + bound statement (bound_ is meaningful for
-  /// SELECTs only, mirroring Connection::Prepare).
-  struct Entry {
-    sql::ParsedStatement stmt;
-    internal::BoundSelect bound;
-  };
+  /// An immutable parsed + bound statement, exactly as an uncached
+  /// Connection::Prepare makes it (internal::ParseAndBind).
+  using Entry = internal::ParsedAndBound;
 
   explicit StatementCache(size_t num_stripes = 8,
                           size_t max_entries_per_stripe = 128);

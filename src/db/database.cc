@@ -465,21 +465,20 @@ Result<uint64_t> Database::DeleteWhere(
   }
   plan::PlanConfig config;
   config.snapshot = snap;
-  std::vector<Position> positions;
-  plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteInline(
+  // One chunk, its rows in ascending position order (one worker).
+  exec::TupleChunk rows;
+  const sched::ExecResult r = sched::RunOnCaller(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
-      pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
-        positions.insert(positions.end(), chunk.positions().begin(),
-                         chunk.positions().end());
-      }));
-  if (scan_stats != nullptr) *scan_stats = stats;
+      pool_.get(),
+      [&rows](exec::TupleChunk&& chunk) { rows = std::move(chunk); });
+  CSTORE_RETURN_IF_ERROR(r.status);
+  if (scan_stats != nullptr) *scan_stats = r.stats;
 
-  if (!positions.empty()) {
-    CSTORE_RETURN_IF_ERROR(ws->MarkDeleted(positions));
+  if (!rows.empty()) {
+    CSTORE_RETURN_IF_ERROR(ws->MarkDeleted(rows.positions()));
   }
-  return positions.size();
+  return rows.num_tuples();
 }
 
 Result<uint64_t> Database::UpdateWhere(
@@ -543,27 +542,27 @@ Result<uint64_t> Database::UpdateWhere(
 
   plan::PlanConfig config;
   config.snapshot = snap;
-  std::vector<Position> positions;
-  std::vector<std::vector<Value>> rows;
-  plan::RunStats stats;
-  CSTORE_RETURN_IF_ERROR(plan::ExecuteInline(
+  // One chunk, its rows in ascending position order (one worker).
+  exec::TupleChunk found;
+  const sched::ExecResult r = sched::RunOnCaller(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
-      pool_.get(), &stats, [&](const exec::TupleChunk& chunk) {
-        for (size_t i = 0; i < chunk.num_tuples(); ++i) {
-          positions.push_back(chunk.position(i));
-          std::vector<Value> row(chunk.tuple(i),
-                                 chunk.tuple(i) + chunk.width());
-          for (const auto& [slot, value] : set_slots) row[slot] = value;
-          rows.push_back(std::move(row));
-        }
-      }));
-  if (scan_stats != nullptr) *scan_stats = stats;
+      pool_.get(),
+      [&found](exec::TupleChunk&& chunk) { found = std::move(chunk); });
+  CSTORE_RETURN_IF_ERROR(r.status);
+  if (scan_stats != nullptr) *scan_stats = r.stats;
 
-  if (!positions.empty()) {
-    CSTORE_RETURN_IF_ERROR(ws->DeleteAndInsert(positions, rows));
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(found.num_tuples());
+  for (size_t i = 0; i < found.num_tuples(); ++i) {
+    std::vector<Value> row(found.tuple(i), found.tuple(i) + found.width());
+    for (const auto& [slot, value] : set_slots) row[slot] = value;
+    rows.push_back(std::move(row));
   }
-  return positions.size();
+  if (!rows.empty()) {
+    CSTORE_RETURN_IF_ERROR(ws->DeleteAndInsert(found.positions(), rows));
+  }
+  return rows.size();
 }
 
 uint64_t Database::PendingWriteRows(const std::string& table) const {

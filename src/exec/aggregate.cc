@@ -89,7 +89,7 @@ void GroupAccumulator::Emit(TupleChunk* out) const {
   }
 }
 
-Result<bool> HashAggOp::NextImpl(TupleChunk* out) {
+Result<bool> HashAggOp::NextImpl(TupleChunk* /*out*/) {
   if (done_) return false;
   TupleChunk in;
   while (true) {
@@ -102,10 +102,7 @@ Result<bool> HashAggOp::NextImpl(TupleChunk* out) {
     }
   }
   done_ = true;
-  if (!emit_final_) return false;
-  acc_.Emit(out);
-  stats_->tuples_constructed += out->num_tuples();
-  return true;
+  return false;
 }
 
 bool LateAggOp::TryRunZip(const MultiColumnChunk& chunk,
@@ -212,7 +209,7 @@ Status LateAggOp::ConsumeChunk(const MultiColumnChunk& chunk) {
   return Status::OK();
 }
 
-Result<bool> LateAggOp::NextImpl(TupleChunk* out) {
+Result<bool> LateAggOp::NextImpl(TupleChunk* /*out*/) {
   if (done_) return false;
   MultiColumnChunk in;
   while (true) {
@@ -221,10 +218,7 @@ Result<bool> LateAggOp::NextImpl(TupleChunk* out) {
     CSTORE_RETURN_IF_ERROR(ConsumeChunk(in));
   }
   done_ = true;
-  if (!emit_final_) return false;
-  acc_.Emit(out);
-  stats_->tuples_constructed += out->num_tuples();
-  return true;
+  return false;
 }
 
 }  // namespace exec

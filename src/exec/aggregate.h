@@ -62,6 +62,12 @@ class GroupAccumulator {
     last_ = nullptr;
     return *this;
   }
+  /// A move takes the table without copying a group; both sides start
+  /// with an empty cache.
+  GroupAccumulator(GroupAccumulator&& other) noexcept
+      : func_(other.func_), groups_(std::move(other.groups_)) {
+    other.last_ = nullptr;
+  }
 
   void Add(Value group, Value v, uint64_t count);
 
@@ -91,26 +97,20 @@ class GroupAccumulator {
   Value last_group_ = 0;
 };
 
-/// Common base of the aggregation operators: owns the accumulator and the
-/// switch the parallel executor uses to run an operator as a pure
-/// partial-aggregate producer.
+/// Common base of the aggregation operators, which only accumulate: Next()
+/// consumes the whole input and emits nothing. The scheduler's finalize
+/// merges the instances' accumulators and emits the groups once.
 class GroupAggOp {
  public:
   explicit GroupAggOp(AggFunc func) : acc_(func) {}
   virtual ~GroupAggOp() = default;
 
-  /// Partial-aggregate state, exposed so the parallel executor can merge
-  /// per-morsel accumulators before emitting final groups.
-  const GroupAccumulator& accumulator() const { return acc_; }
-
-  /// Parallel workers: accumulate only. Next() consumes the whole input but
-  /// never sorts/emits the (partial) group table — the executor merges
-  /// accumulators across morsels and emits the final groups exactly once.
-  void DisableFinalEmit() { emit_final_ = false; }
+  /// Moves out this instance's partial aggregate. Valid once Next() has
+  /// returned false.
+  GroupAccumulator TakeAccumulator() { return std::move(acc_); }
 
  protected:
   GroupAccumulator acc_;
-  bool emit_final_ = true;
 };
 
 /// Aggregation over constructed tuples (EM side).
@@ -120,13 +120,12 @@ class HashAggOp : public TupleOp, public GroupAggOp {
   /// `global`, every row lands in one group (no GROUP BY) and `group_col`
   /// is ignored.
   HashAggOp(TupleOp* input, uint32_t group_col, uint32_t agg_col,
-            AggFunc func, bool global, ExecStats* stats)
+            AggFunc func, bool global)
       : GroupAggOp(func),
         input_(input),
         group_col_(group_col),
         agg_col_(agg_col),
-        global_(global),
-        stats_(stats) {}
+        global_(global) {}
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "hash-agg"; }
@@ -136,7 +135,6 @@ class HashAggOp : public TupleOp, public GroupAggOp {
   uint32_t group_col_;
   uint32_t agg_col_;
   bool global_;
-  ExecStats* stats_;
   bool done_ = false;
 };
 

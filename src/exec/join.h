@@ -5,8 +5,8 @@
 //
 //   JoinBuildTable — the build phase's product: an immutable flat hash
 //       table (FlatMap) over the inner table, constructed once per query
-//       before any probe runs (one build task on the scheduler, or
-//       plan::ExecuteInline on the caller's thread) and then shared
+//       before any probe runs (one build task of the executor, on a pool
+//       worker or on the caller's thread) and then shared
 //       read-only by every probe morsel. The build merges the inner table's
 //       WriteSnapshot when one is attached: deleted positions are masked
 //       out and write-store tail rows are folded into the table (and, for

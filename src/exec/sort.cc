@@ -8,14 +8,7 @@
 namespace cstore {
 namespace exec {
 
-namespace {
-// Rows per emitted chunk in standalone mode (kept modest: sorted output is
-// consumed row-at-a-time by cursors, not re-scanned).
-constexpr size_t kSortEmitRows = 8192;
-}  // namespace
-
-SortOp::SortOp(const Spec& spec, ExecStats* stats)
-    : spec_(spec), stats_(stats) {
+SortOp::SortOp(const Spec& spec) : spec_(spec) {
   CSTORE_CHECK(spec_.input != nullptr);
 }
 
@@ -104,21 +97,9 @@ Status SortOp::Accumulate() {
   return Status::OK();
 }
 
-Result<bool> SortOp::NextImpl(TupleChunk* out) {
+Result<bool> SortOp::NextImpl(TupleChunk* /*out*/) {
   if (!accumulated_) CSTORE_RETURN_IF_ERROR(Accumulate());
-  if (!emit_final_) return false;
-  if (emit_next_ >= run_.num_tuples()) return false;
-  const size_t n =
-      std::min<size_t>(kSortEmitRows, run_.num_tuples() - emit_next_);
-  out->Reset(run_.width());
-  out->Reserve(n);
-  for (size_t i = 0; i < n; ++i, ++emit_next_) {
-    out->AppendTuple(run_.position(emit_next_), run_.tuple(emit_next_));
-  }
-  // Charged on emission (not run formation) so serial and parallel runs
-  // account the same rows: the scheduler charges merged rows at finalize.
-  stats_->tuples_constructed += n;
-  return true;
+  return false;
 }
 
 bool MergeSortedRuns(const std::vector<const TupleChunk*>& runs,
@@ -131,19 +112,25 @@ bool MergeSortedRuns(const std::vector<const TupleChunk*>& runs,
   };
   std::vector<Head> heads;
   uint32_t width = 0;
+  uint64_t rows = 0;
   for (const TupleChunk* r : runs) {
     if (r == nullptr || r->empty()) continue;
     heads.push_back({r, 0});
     width = r->width();
+    rows += r->num_tuples();
   }
+  if (limit > 0) rows = std::min(rows, limit);
   TupleChunk out;
-  out.Reset(width);
   auto flush = [&]() {
     if (out.empty()) return true;
-    const bool keep = consume(out);
+    rows -= out.num_tuples();
+    if (!consume(out)) return false;
     out.Reset(width);
-    return keep;
+    out.Reserve(std::min<uint64_t>(chunk_rows, rows));
+    return true;
   };
+  out.Reset(width);
+  out.Reserve(std::min<uint64_t>(chunk_rows, rows));
   // Min-heap over run heads (comparator answers "a comes after b").
   auto after = [&](const Head& a, const Head& b) {
     return SortRowLess(b.run->value(b.next, sort_slot), b.run->position(b.next),

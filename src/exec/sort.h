@@ -11,13 +11,11 @@
 //   MergeSortedRuns — the finalize phase: k-way merges the per-morsel runs
 //       (a binary heap over run heads) into globally ordered output chunks,
 //       stopping after the LIMIT. The scheduler calls it once, after the
-//       last morsel's barrier; the serial path (one run) degenerates to a
-//       copy-through.
+//       last morsel's barrier; a lone run needs no merge and is handed on
+//       as is.
 //
-// SortOp follows GroupAggOp's two-mode protocol: standalone (serial plans)
-// it emits the sorted, limit-truncated rows itself; under the parallel
-// executor DisableFinalEmit() suppresses that and the scheduler collects
-// each instance's run via TakeRun() instead.
+// Like the aggregation operators, SortOp only accumulates: Next() forms
+// the run and emits nothing, and the scheduler collects it via TakeRun().
 
 #ifndef CSTORE_EXEC_SORT_H_
 #define CSTORE_EXEC_SORT_H_
@@ -53,14 +51,10 @@ class SortOp : public TupleOp {
     uint64_t limit = 0;
   };
 
-  SortOp(const Spec& spec, ExecStats* stats);
+  explicit SortOp(const Spec& spec);
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "sort"; }
-
-  /// Parallel mode: accumulate the run but never emit it (the scheduler
-  /// merges runs across morsels and emits once, at finalization).
-  void DisableFinalEmit() { emit_final_ = false; }
 
   /// Moves out this instance's sorted, limit-truncated run. Valid once
   /// Next() has returned false.
@@ -72,8 +66,6 @@ class SortOp : public TupleOp {
   void CompactHeap();
 
   Spec spec_;
-  ExecStats* stats_;
-  bool emit_final_ = true;
   bool accumulated_ = false;
   // Rows retained so far (unsorted until Accumulate finishes). With a
   // LIMIT, heap_ holds indices into rows_ as a max-heap in sort order (the
@@ -81,14 +73,13 @@ class SortOp : public TupleOp {
   // in rows_ until CompactHeap reclaims them, keeping memory O(limit).
   TupleChunk rows_;
   std::vector<size_t> heap_;
-  // The finished sorted run, and the emit cursor for standalone mode.
+  // The finished sorted run.
   TupleChunk run_;
-  size_t emit_next_ = 0;
 };
 
 /// K-way merges sorted runs (each ordered by SortRowLess) and hands the
-/// merged rows to `consume` in chunks of at most `chunk_rows` tuples,
-/// stopping after `limit` rows (0 = all). Returns false iff `consume`
+/// merged rows to `consume` in chunks of at most `chunk_rows` tuples, each
+/// reserved up front, stopping after `limit` rows (0 = all). Returns false iff `consume`
 /// declined a chunk (streaming consumer cancelled) — the merge stops
 /// immediately; true otherwise. Runs must share one width.
 bool MergeSortedRuns(const std::vector<const TupleChunk*>& runs,

@@ -1,8 +1,5 @@
 #include "plan/executor.h"
 
-#include "exec/chunk_pool.h"
-#include "util/stopwatch.h"
-
 namespace cstore {
 namespace plan {
 
@@ -22,40 +19,6 @@ uint64_t ChunkDigest(const exec::TupleChunk& chunk) {
   uint64_t sum = 0;
   for (size_t i = 0; i < chunk.num_tuples(); ++i) sum += TupleDigest(chunk, i);
   return sum;
-}
-
-Status ExecutePlan(Plan* plan, storage::BufferPool* pool, RunStats* stats,
-                   const std::function<void(const exec::TupleChunk&)>& sink) {
-  (void)pool;
-  plan->stats().Reset();
-
-  // Attribute this thread's buffer-pool traffic to this query, so RunStats
-  // reports the query's own I/O even when other queries share the pool.
-  storage::IoStats io;
-  storage::BufferPool::ScopedIoAttribution attribution(&io);
-
-  Stopwatch timer;
-  exec::PooledChunk chunk_handle = exec::AcquireChunk(&plan->stats());
-  exec::TupleChunk& chunk = *chunk_handle;
-  uint64_t tuples = 0;
-  uint64_t checksum = 0;
-  while (true) {
-    CSTORE_ASSIGN_OR_RETURN(bool has, plan->root()->Next(&chunk));
-    if (!has) break;
-    // Iterate through the output tuples (tuple-at-a-time, as the paper's
-    // top-of-plan iteration does).
-    checksum += ChunkDigest(chunk);
-    tuples += chunk.num_tuples();
-    if (sink) sink(chunk);
-  }
-  stats->wall_micros = timer.ElapsedMicros();
-
-  stats->io = io;
-  stats->charged_io_micros = stats->io.charged_io_micros;
-  stats->output_tuples = tuples;
-  stats->checksum = checksum;
-  stats->exec = plan->stats();
-  return Status::OK();
 }
 
 }  // namespace plan

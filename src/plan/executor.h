@@ -1,11 +1,10 @@
-// Plan execution: pulls the operator tree to completion, iterating over
-// every output tuple (the paper charges numOutTuples * TIC_TUP at the top of
-// each query for this), and collects RunStats.
+// What one query run reports: RunStats, and the order-independent digest of
+// its output tuples. The executor (sched/scheduler.h) pulls each plan to
+// completion and iterates over every output tuple — the paper charges
+// numOutTuples * TIC_TUP at the top of each query for this.
 
 #ifndef CSTORE_PLAN_EXECUTOR_H_
 #define CSTORE_PLAN_EXECUTOR_H_
-
-#include <functional>
 
 #include "exec/exec_stats.h"
 #include "plan/planner.h"
@@ -27,15 +26,14 @@ struct RunStats {
   exec::ExecStats exec;
   storage::IoStats io;
   // Id of the query's system.query_log row, also the "query" arg on its
-  // trace spans (queue wait, build, morsels, finalize). Set by
-  // api::Connection and sched::Scheduler; 0 for a bare ExecuteInline run.
+  // trace spans (queue wait, build, morsels, finalize). Set at finalize.
   uint64_t query_id = 0;
   // Two-phase queries only (zero otherwise). build_wall_micros: wall time
-  // of the join's build phase, part of wall_micros on either route — on a
-  // pool from its first build task's claim to the table's publication,
-  // inline the pipeline's run on the caller's thread. merge_wall_micros:
-  // wall time of the finalize merge (the sort's k-way run merge). EXPLAIN
-  // ANALYZE prints these next to the model's phase predictions.
+  // of the join's build phase, part of wall_micros — on a pool from its
+  // build task's claim to the table's publication, on the caller's thread
+  // the build task's run. merge_wall_micros: wall time of the finalize
+  // merge (the sort's k-way run merge). EXPLAIN ANALYZE prints these next
+  // to the model's phase predictions.
   uint64_t build_wall_micros = 0;
   uint64_t merge_wall_micros = 0;
 
@@ -52,12 +50,6 @@ uint64_t TupleDigest(const exec::TupleChunk& chunk, size_t i);
 
 /// Sum of TupleDigest over every tuple in `chunk`.
 uint64_t ChunkDigest(const exec::TupleChunk& chunk);
-
-/// Runs `plan` to completion. If `sink` is provided it is invoked for every
-/// output chunk (after the checksum walk).
-Status ExecutePlan(Plan* plan, storage::BufferPool* pool, RunStats* stats,
-                   const std::function<void(const exec::TupleChunk&)>& sink =
-                       nullptr);
 
 }  // namespace plan
 }  // namespace cstore

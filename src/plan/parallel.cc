@@ -2,7 +2,6 @@
 
 #include "exec/morsel_source.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace cstore {
 namespace plan {
@@ -109,37 +108,6 @@ Result<std::unique_ptr<Plan>> PlanTemplate::Instantiate(
       return BuildSortPlan(sort, strategy, cfg);
   }
   return Status::Internal("unreachable template kind");
-}
-
-Status ExecuteInline(const PlanTemplate& tmpl, storage::BufferPool* pool,
-                     RunStats* stats,
-                     const std::function<void(const exec::TupleChunk&)>&
-                         sink) {
-  // The join build and plan construction (index boundary lookups) touch
-  // blocks too; attribute that I/O to this query, as the scheduler does.
-  storage::IoStats setup_io;
-  exec::ExecStats build_stats;
-  std::shared_ptr<const exec::JoinBuildTable> table;
-  double build_micros = 0;
-  Result<std::unique_ptr<Plan>> plan = [&]() -> Result<std::unique_ptr<Plan>> {
-    storage::BufferPool::ScopedIoAttribution attribution(&setup_io);
-    if (tmpl.NeedsBuildPhase()) {
-      Stopwatch build_timer;
-      CSTORE_ASSIGN_OR_RETURN(table, tmpl.BuildJoinTable(&build_stats));
-      build_micros = build_timer.ElapsedMicros();
-    }
-    return tmpl.Instantiate(exec::kFullScanRange, table.get());
-  }();
-  CSTORE_RETURN_IF_ERROR(plan.status());
-  if (tmpl.config.profile) (*plan)->EnableProfiling();
-  CSTORE_RETURN_IF_ERROR(ExecutePlan(plan->get(), pool, stats, sink));
-  if (tmpl.config.profile) (*plan)->FlushProfile(tmpl.config.profile.get());
-  stats->wall_micros += build_micros;
-  stats->build_wall_micros = static_cast<uint64_t>(build_micros);
-  stats->exec.Merge(build_stats);
-  stats->io += setup_io;
-  stats->charged_io_micros = stats->io.charged_io_micros;
-  return Status::OK();
 }
 
 }  // namespace plan

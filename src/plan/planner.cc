@@ -314,7 +314,7 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
         ApplyWriteStateTuple(stream, query.selection, config, plan.get()));
     exec::HashAggOp* root = plan->Own(std::make_unique<exec::HashAggOp>(
         stream, query.global ? query.agg_index : query.group_index,
-        query.agg_index, query.func, query.global, &plan->stats()));
+        query.agg_index, query.func, query.global));
     plan->SetRoot(root);
     plan->SetAggOp(root);
   }
@@ -443,7 +443,7 @@ Result<std::unique_ptr<Plan>> BuildSortPlan(const SortQuery& query,
   spec.desc = query.desc;
   spec.limit = query.limit;
   exec::SortOp* root =
-      plan->Own(std::make_unique<exec::SortOp>(spec, &plan->stats()));
+      plan->Own(std::make_unique<exec::SortOp>(spec));
   plan->SetRoot(root);
   plan->SetSortOp(root);
   return plan;

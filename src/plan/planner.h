@@ -38,16 +38,15 @@ class Plan {
 
   void SetRoot(exec::TupleOp* root) { root_ = root; }
 
-  /// For aggregation plans: the root aggregate operator, so the parallel
-  /// executor can merge per-morsel partial accumulators (and suppress the
-  /// per-instance final emit) instead of treating the root's emitted tuples
-  /// as final. Null for other plans.
+  /// For aggregation plans: the root aggregate operator, whose partial
+  /// accumulator the scheduler takes once the root is drained. Null for
+  /// other plans.
   void SetAggOp(exec::GroupAggOp* op) { agg_op_ = op; }
   exec::GroupAggOp* agg_op() const { return agg_op_; }
 
-  /// For sort plans: the root sort operator, so the parallel executor can
-  /// collect per-morsel sorted runs (and suppress the per-instance final
-  /// emit) for the finalize k-way merge. Null for other plans.
+  /// For sort plans: the root sort operator, whose sorted run the
+  /// scheduler takes once the root is drained, for the finalize k-way
+  /// merge. Null for other plans.
   void SetSortOp(exec::SortOp* op) { sort_op_ = op; }
   exec::SortOp* sort_op() const { return sort_op_; }
 

@@ -1,6 +1,8 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -82,6 +84,13 @@ const char* PlanKindName(plan::PlanTemplate::Kind kind) {
   return "?";
 }
 
+/// A query's display label: its SQL text, or "plan:<kind>" when it has
+/// none.
+std::string LabelFor(const plan::PlanTemplate& tmpl, std::string label) {
+  return label.empty() ? std::string("plan:") + PlanKindName(tmpl.kind)
+                       : std::move(label);
+}
+
 std::shared_ptr<obs::LiveQuery> RegisterLive(uint64_t query_id,
                                              const std::string& label,
                                              int priority,
@@ -100,12 +109,17 @@ std::shared_ptr<obs::LiveQuery> RegisterLive(uint64_t query_id,
 
 namespace internal {
 
-/// All state of one submitted query. Mutable scheduling fields (in_flight,
-/// claim cursors, error) are guarded by the Scheduler's mutex; each entry of
-/// `partials` is written by exactly one worker and read by the finalizer,
-/// which observed every writer's completion under that mutex first.
+/// All state of one query. Mutable scheduling fields (in_flight, claim
+/// cursors, error) are guarded by *mu: the Scheduler's mutex, or a
+/// caller-thread run's own. Each entry of `partials` is written by exactly
+/// one worker and read by the finalizer, which observed every writer's
+/// completion under that mutex first.
 struct QueryState {
-  plan::PlanTemplate tmpl;
+  // A pool query owns its template (Submit copies it into own_tmpl); a
+  // caller-thread run borrows the caller's for its duration.
+  plan::PlanTemplate own_tmpl;
+  const plan::PlanTemplate* tmpl = &own_tmpl;
+  std::mutex* mu = nullptr;
   storage::BufferPool* pool = nullptr;
   Scheduler::Sink sink;
   // Streaming mode: chunks leave through here during execution instead of
@@ -127,13 +141,13 @@ struct QueryState {
   bool needs_build = false;     // template has a build phase
   bool build_claimed = false;   // guarded by mu_
   bool build_done = false;      // guarded by mu_; set before morsel claims
-  // Build-phase wall time: build task claimed → table published. Both
-  // guarded by mu_.
-  Stopwatch build_timer;
+  // Build-phase wall time: build task claimed → table published, both
+  // read on `timer`. Guarded by mu_.
+  double build_claimed_us = 0;
   uint64_t build_micros = 0;
   int in_flight = 0;         // claimed but not completed; guarded by mu_
   bool finalized = false;    // guarded by mu_
-  Status error;              // first failure; guarded by mu_
+  Status error;              // first failure; guarded by *mu
 
   // The build task's product, shared read-only by every probe morsel.
   // Written by the build worker before build_done is published under mu_,
@@ -141,9 +155,9 @@ struct QueryState {
   // read it race-free without further synchronization.
   std::shared_ptr<const exec::JoinBuildTable> shared_build;
 
-  /// Per-worker partial results. Output chunks are buffered here instead of
-  /// being pushed through a locked sink on every emit — the whole point of
-  /// the per-worker-buffer design.
+  /// Per-worker partial results of a pool query. Output chunks are
+  /// buffered here instead of being pushed through a locked sink on every
+  /// emit — the whole point of the per-worker-buffer design.
   struct Partial {
     uint64_t checksum = 0;
     uint64_t tuples = 0;
@@ -157,14 +171,14 @@ struct QueryState {
   };
   std::vector<Partial> partials;
 
-  Stopwatch timer;  // submit → finalize
+  Stopwatch timer;  // submit (or the caller's start) → finalize
 
   // Identity: the process-unique id of the query's system.query_log row,
   // also the "query" arg on its spans and RunStats::query_id; the display
-  // label; the live entry in system.queries while running; and the measured
-  // submit-to-first-claim wait (guarded by Scheduler::mu_, read by the
-  // finalizer after every worker completed). first_claimed (guarded by
-  // mu_) gates the one-shot queue-wait sample.
+  // label; the live entry in system.queries while running on a pool; and
+  // the measured submit-to-first-claim wait (guarded by mu, read by the
+  // finalizer after every worker completed). first_claimed (guarded by mu)
+  // gates the one-shot queue-wait sample.
   uint64_t query_id = 0;
   bool first_claimed = false;
   std::string label;
@@ -178,7 +192,7 @@ struct QueryState {
   ExecResult result;
 
   /// True once no further task will ever be handed out (all morsels
-  /// claimed, or cancelled by an error). Caller holds Scheduler::mu_.
+  /// claimed, or cancelled by an error). Caller holds *mu.
   bool DrainedLocked() const {
     // A pending (or in-flight) build will still release work once it
     // completes. On failure nothing more is dispatched (claims return
@@ -215,6 +229,271 @@ int ResolveWorkers(int requested) {
   return hw == 0 ? 4 : static_cast<int>(hw);
 }
 
+void FailQuery(QueryState* q, const Status& status) {
+  std::lock_guard<std::mutex> lock(*q->mu);
+  if (q->error.ok()) q->error = status;
+  if (q->source) q->source->Cancel();
+}
+
+/// Executes one task of `q` on the calling thread — its job, its join
+/// build, or one plan instance over `morsel` — into `partial`, the running
+/// worker's. Lock-free but for recording a failure.
+void RunTask(QueryState* q, QueryState::Partial& partial, int worker_id,
+             position::Range morsel, bool build) {
+  // Route this thread's buffer-pool traffic — plan construction included —
+  // to this (query, worker) partial.
+  storage::BufferPool::ScopedIoAttribution attribution(&partial.io);
+
+  if (q->job) {
+    obs::SpanTimer span("job", "sched");
+    span.Arg("query", static_cast<int64_t>(q->query_id));
+    span.Arg("worker", worker_id);
+    Status st = q->job();
+    if (!st.ok()) FailQuery(q, st);
+    return;
+  }
+
+  const plan::PlanTemplate& tmpl = *q->tmpl;
+  if (build) {
+    // The join's hash build. The table is stored before the query's probe
+    // task can be claimed (on a pool, WorkerLoop then marks build_done
+    // under mu), so every probe reads it race-free.
+    obs::SpanTimer span("join_build", "sched");
+    span.Arg("query", static_cast<int64_t>(q->query_id));
+    span.Arg("worker", worker_id);
+    Result<std::shared_ptr<const exec::JoinBuildTable>> table =
+        tmpl.BuildJoinTable(&partial.exec);
+    if (!table.ok()) {
+      FailQuery(q, table.status());
+      return;
+    }
+    q->shared_build = std::move(*table);
+    return;
+  }
+
+  const bool is_agg = tmpl.kind == plan::PlanTemplate::Kind::kAgg;
+  const bool is_sort = tmpl.kind == plan::PlanTemplate::Kind::kSort;
+  // Sort morsels are run formation, not plain scans — named apart so traces
+  // show the two-phase shape (runs here, "sort_merge" at finalization).
+  obs::SpanTimer span(is_sort ? "sort_run" : "morsel", "exec");
+  span.Arg("query", static_cast<int64_t>(q->query_id));
+  span.Arg("begin", static_cast<int64_t>(morsel.begin));
+  span.Arg("end", static_cast<int64_t>(morsel.end));
+  span.Arg("worker", worker_id);
+
+  Result<std::unique_ptr<plan::Plan>> plan_or =
+      tmpl.Instantiate(morsel, q->shared_build.get());
+  if (!plan_or.ok()) {
+    FailQuery(q, plan_or.status());
+    return;
+  }
+  plan::Plan* plan = plan_or->get();
+  if (tmpl.config.profile) plan->EnableProfiling();
+  // Aggregate and sort roots only accumulate (their Next emits nothing);
+  // finalize emits the merged groups or runs.
+  const bool buffer_output = !is_agg && !is_sort && q->sink != nullptr;
+  const bool stream_output = !is_agg && !is_sort && q->stream_sink != nullptr;
+  // Scratch chunk recycled across morsels: a warmed worker drains its plan
+  // through a buffer whose capacity survived previous tasks.
+  exec::PooledChunk chunk_handle = exec::AcquireChunk(&partial.exec);
+  exec::TupleChunk& chunk = *chunk_handle;
+  while (true) {
+    Result<bool> has = plan->root()->Next(&chunk);
+    if (!has.ok()) {
+      FailQuery(q, has.status());
+      return;
+    }
+    if (!*has) break;
+    partial.checksum += plan::ChunkDigest(chunk);
+    partial.tuples += chunk.num_tuples();
+    if (buffer_output && !chunk.empty()) partial.chunks.push_back(chunk);
+    if (stream_output && !chunk.empty() && !q->stream_sink(chunk)) {
+      FailQuery(q, Status::Cancelled("stream consumer cancelled the query"));
+      return;
+    }
+  }
+  partial.exec.Merge(plan->stats());
+  if (tmpl.config.profile) plan->FlushProfile(tmpl.config.profile.get());
+  if (is_agg) {
+    // A worker's first accumulator is moved in; later ones merge into it.
+    exec::GroupAccumulator acc = plan->agg_op()->TakeAccumulator();
+    if (partial.acc == nullptr) {
+      partial.acc = std::make_unique<exec::GroupAccumulator>(std::move(acc));
+    } else {
+      partial.acc->MergeFrom(acc);
+    }
+  }
+  if (is_sort) {
+    exec::TupleChunk run = plan->sort_op()->TakeRun();
+    if (!run.empty()) partial.sort_runs.push_back(std::move(run));
+  }
+}
+
+/// Appends q's row to obs::QueryLog::Global(), carrying exactly the
+/// RunStats its finalize publishes. The row takes q's label: finalize is
+/// its last reader. The exec time logged is stats.wall_micros minus
+/// `queue_wait_usec`.
+void RecordQueryLog(QueryState& q, const Status& status, int workers,
+                    uint64_t queue_wait_usec, const plan::RunStats& stats) {
+  obs::QueryLog& log = obs::QueryLog::Global();
+  if (!log.enabled()) return;
+  obs::QueryLogEntry e;
+  e.query_id = q.query_id;
+  e.label = std::move(q.label);
+  e.strategy = q.job                                          ? "job"
+               : q.tmpl->kind == plan::PlanTemplate::Kind::kJoin ? "join"
+               : q.tmpl->kind == plan::PlanTemplate::Kind::kSort
+                   ? "sort"
+                   : plan::StrategyName(q.tmpl->strategy);
+  e.status = status.ok()            ? "ok"
+             : status.IsCancelled() ? "cancelled"
+                                    : "error";
+  e.workers = workers;
+  e.priority = q.priority;
+  e.total_usec = static_cast<uint64_t>(stats.wall_micros);
+  e.queue_wait_usec = queue_wait_usec;
+  e.exec_usec =
+      e.total_usec >= queue_wait_usec ? e.total_usec - queue_wait_usec : 0;
+  e.rows_out = stats.output_tuples;
+  e.cache_hits = stats.io.cache_hits;
+  e.physical_reads = stats.io.physical_reads;
+  e.bytes_read = (e.cache_hits + e.physical_reads) * kPageSize;
+  e.pool_lock_acquisitions = stats.io.pool_lock_acquisitions;
+  e.pool_lock_contended = stats.io.pool_lock_contended;
+  e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
+  e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
+  e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
+  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
+  log.Record(std::move(e));
+}
+
+/// Turns the partials of q's workers into its result once every task
+/// completed: sums the counters and I/O, hands the merged groups, the
+/// merged sort runs or the buffered rows to the sink (or stream), assembles
+/// RunStats and writes the query-log row. `workers` is the width the query
+/// ran at.
+ExecResult FinalizeQuery(QueryState* q,
+                         std::span<QueryState::Partial> partials,
+                         int workers) {
+  obs::SpanTimer span("finalize", "sched");
+  span.Arg("query", static_cast<int64_t>(q->query_id));
+  ExecResult result;
+  uint64_t queue_wait_us = 0;
+  {
+    // Error is written under mu by workers; every worker that touched this
+    // query completed (observed under mu) before finalization, so a plain
+    // read here would be safe — but take the lock to keep TSan and future
+    // refactors honest.
+    std::lock_guard<std::mutex> lock(*q->mu);
+    result.status = q->error;
+    queue_wait_us = q->queue_wait_us;
+    result.stats.build_wall_micros = q->build_micros;
+  }
+  uint64_t checksum = 0;
+  uint64_t tuples = 0;
+  exec::ExecStats exec_total;
+  storage::IoStats io_total;
+  for (const QueryState::Partial& p : partials) {
+    checksum += p.checksum;
+    tuples += p.tuples;
+    exec_total.Merge(p.exec);
+    io_total += p.io;
+  }
+  // Aggregate and sort plans emit nothing while they run: their rows are
+  // counted, digested and charged as constructed here, one chunk at a time.
+  // Returns false iff a stream consumer declined the chunk.
+  auto emit = [&](exec::TupleChunk& out) {
+    checksum += plan::ChunkDigest(out);
+    tuples += out.num_tuples();
+    exec_total.tuples_constructed += out.num_tuples();
+    if (q->sink) {
+      q->sink(std::move(out));
+    } else if (q->stream_sink && !out.empty()) {
+      return q->stream_sink(out);
+    }
+    return true;
+  };
+  if (result.status.ok() && !q->job) {
+    const plan::PlanTemplate& tmpl = *q->tmpl;
+    if (tmpl.kind == plan::PlanTemplate::Kind::kAgg) {
+      // A lone partial is emitted as is; the others merge into the first.
+      exec::GroupAccumulator* merged = nullptr;
+      for (QueryState::Partial& p : partials) {
+        if (p.acc == nullptr) continue;
+        if (merged == nullptr) {
+          merged = p.acc.get();
+        } else {
+          merged->MergeFrom(*p.acc);
+        }
+      }
+      exec::TupleChunk out;
+      if (merged != nullptr) merged->Emit(&out);
+      emit(out);
+    } else if (tmpl.kind == plan::PlanTemplate::Kind::kSort) {
+      // K-way merge of the per-morsel sorted runs: the single ordered
+      // emission point, so sorted output (rows *and* their order) is
+      // identical for every worker count. A sink takes the merge as one
+      // chunk, and a lone run as is (its instance already applied the
+      // LIMIT); a stream takes 8192-row chunks, and declining one cancels
+      // the query cleanly — remaining rows are dropped and the result is
+      // Cancelled.
+      obs::SpanTimer merge_span("sort_merge", "sched");
+      merge_span.Arg("query", static_cast<int64_t>(q->query_id));
+      Stopwatch merge_timer;
+      std::vector<const exec::TupleChunk*> runs;
+      exec::TupleChunk* lone = nullptr;
+      for (QueryState::Partial& p : partials) {
+        for (exec::TupleChunk& run : p.sort_runs) {
+          runs.push_back(&run);
+          lone = &run;
+        }
+      }
+      const bool kept =
+          q->sink && runs.size() == 1
+              ? emit(*lone)
+              : exec::MergeSortedRuns(
+                    runs, tmpl.sort.sort_index, tmpl.sort.desc,
+                    tmpl.sort.limit,
+                    /*chunk_rows=*/q->sink ? SIZE_MAX : 8192, emit);
+      if (!kept) {
+        result.status =
+            Status::Cancelled("stream consumer cancelled the query");
+      }
+      result.stats.merge_wall_micros =
+          static_cast<uint64_t>(merge_timer.ElapsedMicros());
+    } else if (q->sink && tuples > 0) {
+      // Per-worker buffers concatenated once, in worker order, into one
+      // chunk sized up front — the sink sees bag semantics without ever
+      // having serialized the workers. A lone chunk is handed over as is.
+      exec::TupleChunk all;
+      for (QueryState::Partial& p : partials) {
+        for (exec::TupleChunk& chunk : p.chunks) {
+          if (chunk.num_tuples() == tuples) {
+            all = std::move(chunk);
+            continue;
+          }
+          if (all.empty()) {
+            all.Reset(chunk.width());
+            all.Reserve(tuples);
+          }
+          all.Append(chunk);
+        }
+        p.chunks.clear();  // release each worker's copy as it is merged
+      }
+      q->sink(std::move(all));
+    }
+  }
+  result.stats.wall_micros = q->timer.ElapsedMicros();
+  result.stats.io = io_total;
+  result.stats.charged_io_micros = result.stats.io.charged_io_micros;
+  result.stats.output_tuples = tuples;
+  result.stats.checksum = checksum;
+  result.stats.exec = exec_total;
+  result.stats.query_id = q->query_id;
+  RecordQueryLog(*q, result.status, workers, queue_wait_us, result.stats);
+  return result;
+}
+
 }  // namespace
 
 Scheduler::Scheduler() : Scheduler(Options{}) {}
@@ -247,7 +526,8 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
                               storage::BufferPool* pool,
                               SubmitOptions options) {
   auto q = std::make_shared<QueryState>();
-  q->tmpl = tmpl;
+  q->own_tmpl = tmpl;
+  q->mu = &mu_;
   q->pool = pool;
   q->sink = std::move(options.sink);
   q->stream_sink = std::move(options.stream_sink);
@@ -255,23 +535,21 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
   q->priority = std::max(1, options.priority);
   q->partials.resize(num_workers_);
   uint64_t morsels_total = 1;
-  const Position total = q->tmpl.TotalPositions();
+  const Position total = tmpl.TotalPositions();
   if (total == 0) {
     // Nothing to partition: one indivisible task (for a join, an empty
     // outer side, which still runs after the build phase).
     q->single_task = true;
   } else {
-    const Position morsel = q->tmpl.MorselPositions(num_workers_);
+    const Position morsel = tmpl.MorselPositions(num_workers_);
     q->source = std::make_unique<exec::MorselSource>(total, morsel);
     morsels_total = (total + morsel - 1) / morsel;
   }
-  q->needs_build = q->tmpl.NeedsBuildPhase();
+  q->needs_build = tmpl.NeedsBuildPhase();
   if (q->needs_build) ++morsels_total;
   q->timer.Restart();
   q->query_id = obs::NextQueryId();
-  q->label = options.label.empty()
-                 ? std::string("plan:") + PlanKindName(q->tmpl.kind)
-                 : std::move(options.label);
+  q->label = LabelFor(tmpl, std::move(options.label));
   q->live = RegisterLive(q->query_id, q->label, q->priority, morsels_total);
   SchedMetrics& m = SchedMetrics::Get();
   m.queries_total->Inc();
@@ -287,6 +565,7 @@ QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
 
 QueryTicket Scheduler::SubmitJob(std::function<Status()> job, int priority) {
   auto q = std::make_shared<QueryState>();
+  q->mu = &mu_;
   q->job = std::move(job);
   q->priority = std::max(1, priority);
   q->single_task = true;
@@ -315,7 +594,7 @@ Scheduler::Claim Scheduler::ClaimFromLocked(QueryState* q, Task* out) {
     if (!q->error.ok()) return Claim::kExhausted;
     if (q->build_claimed) return Claim::kWaiting;  // build still running
     q->build_claimed = true;
-    q->build_timer.Restart();
+    q->build_claimed_us = q->timer.ElapsedMicros();
     out->build = true;
     out->morsel = exec::kFullScanRange;
   } else if (q->single_task) {
@@ -396,10 +675,14 @@ void Scheduler::WorkerLoop(int worker_id) {
     Task task;
     if (TryClaimLocked(&task)) {
       lock.unlock();
-      RunTask(worker_id, task);
+      QueryState* q = task.query.get();
+      // Progress for system.queries: every task (build, job, morsel) counts.
+      q->live->morsels_done.fetch_add(1, std::memory_order_relaxed);
+      if (!task.build && !q->job) SchedMetrics::Get().morsels_total->Inc();
+      RunTask(q, q->partials[worker_id], worker_id, task.morsel,
+              task.build);
       bool finalize;
       lock.lock();
-      QueryState* q = task.query.get();
       --q->in_flight;
       if (task.build) {
         // The table was stored by RunTask; publishing build_done here,
@@ -408,8 +691,8 @@ void Scheduler::WorkerLoop(int worker_id) {
         // pool: idle workers may be sleeping on an all-waiting rotation.
         if (q->error.ok()) {
           q->build_done = true;
-          q->build_micros =
-              static_cast<uint64_t>(q->build_timer.ElapsedMicros());
+          q->build_micros = static_cast<uint64_t>(q->timer.ElapsedMicros() -
+                                                  q->build_claimed_us);
         }
         cv_.notify_all();
       }
@@ -427,228 +710,18 @@ void Scheduler::WorkerLoop(int worker_id) {
   }
 }
 
-void Scheduler::FailQuery(QueryState* q, const Status& status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (q->error.ok()) q->error = status;
-  if (q->source) q->source->Cancel();
-}
-
-void Scheduler::RunTask(int worker_id, const Task& task) {
-  QueryState* q = task.query.get();
-  // Progress for system.queries: every task (build, job, morsel) counts.
-  q->live->morsels_done.fetch_add(1, std::memory_order_relaxed);
-  QueryState::Partial& partial = q->partials[worker_id];
-  // Route this thread's buffer-pool traffic — plan construction included —
-  // to this (query, worker) partial.
-  storage::BufferPool::ScopedIoAttribution attribution(&partial.io);
-
-  if (q->job) {
-    obs::SpanTimer span("job", "sched");
-    span.Arg("query", static_cast<int64_t>(q->query_id));
-    span.Arg("worker", worker_id);
-    Status st = q->job();
-    if (!st.ok()) FailQuery(q, st);
-    return;
-  }
-
-  if (task.build) {
-    // The join's hash build. The table is stored before WorkerLoop marks
-    // build_done under mu_, so every probe morsel (claimed only after
-    // that) reads it race-free.
-    obs::SpanTimer span("join_build", "sched");
-    span.Arg("query", static_cast<int64_t>(q->query_id));
-    span.Arg("worker", worker_id);
-    Result<std::shared_ptr<const exec::JoinBuildTable>> table =
-        q->tmpl.BuildJoinTable(&partial.exec);
-    if (!table.ok()) {
-      FailQuery(q, table.status());
-      return;
-    }
-    q->shared_build = std::move(*table);
-    return;
-  }
-
-  const bool is_agg = q->tmpl.kind == plan::PlanTemplate::Kind::kAgg;
-  const bool is_sort = q->tmpl.kind == plan::PlanTemplate::Kind::kSort;
-  // Sort morsels are run formation, not plain scans — named apart so traces
-  // show the two-phase shape (runs here, "sort_merge" at finalization).
-  obs::SpanTimer span(is_sort ? "sort_run" : "morsel", "exec");
-  span.Arg("query", static_cast<int64_t>(q->query_id));
-  span.Arg("begin", static_cast<int64_t>(task.morsel.begin));
-  span.Arg("end", static_cast<int64_t>(task.morsel.end));
-  span.Arg("worker", worker_id);
-  SchedMetrics::Get().morsels_total->Inc();
-
-  Result<std::unique_ptr<plan::Plan>> plan_or =
-      q->tmpl.Instantiate(task.morsel, q->shared_build.get());
-  if (!plan_or.ok()) {
-    FailQuery(q, plan_or.status());
-    return;
-  }
-  plan::Plan* plan = plan_or->get();
-  if (q->tmpl.config.profile) plan->EnableProfiling();
-  // Aggregate instances only accumulate; the merged groups are emitted once
-  // at finalization (and counted as constructed tuples there). Sort
-  // instances likewise only form their run — emission happens at the
-  // finalize merge, the single point that knows the global order.
-  if (is_agg) plan->agg_op()->DisableFinalEmit();
-  if (is_sort) plan->sort_op()->DisableFinalEmit();
-  const bool buffer_output = !is_agg && !is_sort && q->sink != nullptr;
-  const bool stream_output = !is_agg && !is_sort && q->stream_sink != nullptr;
-  // Scratch chunk recycled across morsels: a warmed worker drains its plan
-  // through a buffer whose capacity survived previous tasks.
-  exec::PooledChunk chunk_handle = exec::AcquireChunk(&partial.exec);
-  exec::TupleChunk& chunk = *chunk_handle;
-  while (true) {
-    Result<bool> has = plan->root()->Next(&chunk);
-    if (!has.ok()) {
-      FailQuery(q, has.status());
-      return;
-    }
-    if (!*has) break;
-    partial.checksum += plan::ChunkDigest(chunk);
-    partial.tuples += chunk.num_tuples();
-    if (buffer_output && !chunk.empty()) partial.chunks.push_back(chunk);
-    if (stream_output && !chunk.empty() && !q->stream_sink(chunk)) {
-      FailQuery(q, Status::Cancelled("stream consumer cancelled the query"));
-      return;
-    }
-  }
-  partial.exec.Merge(plan->stats());
-  if (q->tmpl.config.profile) {
-    plan->FlushProfile(q->tmpl.config.profile.get());
-  }
-  if (is_agg) {
-    if (!partial.acc) {
-      partial.acc =
-          std::make_unique<exec::GroupAccumulator>(q->tmpl.agg.func);
-    }
-    partial.acc->MergeFrom(plan->agg_op()->accumulator());
-  }
-  if (is_sort) {
-    exec::TupleChunk run = plan->sort_op()->TakeRun();
-    if (!run.empty()) partial.sort_runs.push_back(std::move(run));
-  }
-}
-
 void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
-  obs::SpanTimer span("finalize", "sched");
-  span.Arg("query", static_cast<int64_t>(q->query_id));
-  ExecResult result;
-  uint64_t queue_wait_us = 0;
-  {
-    // Error is written under mu_ by workers; every worker that touched this
-    // query completed (observed under mu_) before finalization, so a plain
-    // read here would be safe — but take the lock to keep TSan and future
-    // refactors honest.
-    std::lock_guard<std::mutex> lock(mu_);
-    result.status = q->error;
-    queue_wait_us = q->queue_wait_us;
-    result.stats.build_wall_micros = q->build_micros;
-  }
-  uint64_t checksum = 0;
-  uint64_t tuples = 0;
-  exec::ExecStats exec_total;
-  storage::IoStats io_total;
-  for (const QueryState::Partial& p : q->partials) {
-    checksum += p.checksum;
-    tuples += p.tuples;
-    exec_total.Merge(p.exec);
-    io_total += p.io;
-  }
-  if (result.status.ok() && !q->job) {
-    if (q->tmpl.kind == plan::PlanTemplate::Kind::kAgg) {
-      exec::GroupAccumulator merged(q->tmpl.agg.func);
-      for (const QueryState::Partial& p : q->partials) {
-        if (p.acc) merged.MergeFrom(*p.acc);
-      }
-      exec::TupleChunk out;
-      merged.Emit(&out);
-      tuples = out.num_tuples();
-      checksum = plan::ChunkDigest(out);
-      exec_total.tuples_constructed += out.num_tuples();
-      if (q->sink) {
-        q->sink(std::move(out));
-      } else if (q->stream_sink && !out.empty()) {
-        q->stream_sink(out);
-      }
-    } else if (q->tmpl.kind == plan::PlanTemplate::Kind::kSort) {
-      // K-way merge of the per-morsel sorted runs: the single ordered
-      // emission point, so sorted output (rows *and* their order) is
-      // identical for every worker count. A streaming consumer declining a
-      // chunk mid-merge cancels the query cleanly — remaining rows are
-      // dropped and the ticket resolves Cancelled.
-      obs::SpanTimer merge_span("sort_merge", "sched");
-      merge_span.Arg("query", static_cast<int64_t>(q->query_id));
-      Stopwatch merge_timer;
-      std::vector<const exec::TupleChunk*> runs;
-      for (const QueryState::Partial& p : q->partials) {
-        for (const exec::TupleChunk& run : p.sort_runs) runs.push_back(&run);
-      }
-      tuples = 0;
-      checksum = 0;
-      const bool kept = exec::MergeSortedRuns(
-          runs, q->tmpl.sort.sort_index, q->tmpl.sort.desc, q->tmpl.sort.limit,
-          /*chunk_rows=*/8192, [&](exec::TupleChunk& out) {
-            checksum += plan::ChunkDigest(out);
-            tuples += out.num_tuples();
-            exec_total.tuples_constructed += out.num_tuples();
-            if (q->sink) {
-              q->sink(std::move(out));
-            } else if (q->stream_sink && !out.empty()) {
-              return q->stream_sink(out);
-            }
-            return true;
-          });
-      if (!kept) {
-        result.status =
-            Status::Cancelled("stream consumer cancelled the query");
-      }
-      result.stats.merge_wall_micros =
-          static_cast<uint64_t>(merge_timer.ElapsedMicros());
-    } else if (q->sink && tuples > 0) {
-      // Per-worker buffers concatenated once, in worker order, into one
-      // chunk sized up front — the sink sees bag semantics without ever
-      // having serialized the workers, and takes the chunk without a copy.
-      exec::TupleChunk all;
-      for (QueryState::Partial& p : q->partials) {
-        for (const exec::TupleChunk& chunk : p.chunks) {
-          if (all.empty()) {
-            all.Reset(chunk.width());
-            all.Reserve(tuples);
-          }
-          all.Append(chunk);
-        }
-        p.chunks.clear();  // release each worker's copy as it is merged
-      }
-      q->sink(std::move(all));
-    }
-  }
-  result.stats.wall_micros = q->timer.ElapsedMicros();
-  result.stats.io = io_total;
-  result.stats.charged_io_micros = result.stats.io.charged_io_micros;
-  result.stats.output_tuples = tuples;
-  result.stats.checksum = checksum;
-  result.stats.exec = exec_total;
-  result.stats.query_id = q->query_id;
+  ExecResult result = FinalizeQuery(q.get(), q->partials, num_workers_);
   SchedMetrics& m = SchedMetrics::Get();
   m.inflight_queries->Sub(1);
   if (!q->job) {
-    const int slot = q->tmpl.kind == plan::PlanTemplate::Kind::kJoin
+    const int slot = q->tmpl->kind == plan::PlanTemplate::Kind::kJoin
                          ? 4
-                         : static_cast<int>(q->tmpl.strategy);
+                         : static_cast<int>(q->tmpl->strategy);
     m.latency_by_strategy[slot]->Observe(
         static_cast<uint64_t>(result.stats.wall_micros));
   }
   obs::LiveQueryRegistry::Global().Unregister(q->query_id);
-  // One row per finished query into the always-on log, carrying exactly
-  // the RunStats this finalize publishes on the ticket.
-  RecordQueryLog(q->query_id, q->label, q->job ? nullptr : &q->tmpl,
-                 result.status, num_workers_, q->priority, queue_wait_us,
-                 result.stats);
-  // Recorded before the result is published: a client that stops tracing
-  // as soon as Wait() returns still finds this query's finalize span.
-  span.End();
   {
     std::lock_guard<std::mutex> lock(q->done_mu);
     q->result = std::move(result);
@@ -658,42 +731,30 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   if (q->on_complete) q->on_complete();
 }
 
-void RecordQueryLog(uint64_t query_id, const std::string& label,
-                    const plan::PlanTemplate* tmpl, const Status& status,
-                    int workers, int priority, uint64_t queue_wait_usec,
-                    const plan::RunStats& stats) {
-  obs::QueryLog& log = obs::QueryLog::Global();
-  if (!log.enabled()) return;
-  obs::QueryLogEntry e;
-  e.query_id = query_id;
-  e.label = label.empty() && tmpl != nullptr
-                ? std::string("plan:") + PlanKindName(tmpl->kind)
-                : label;
-  e.strategy = tmpl == nullptr                              ? "job"
-               : tmpl->kind == plan::PlanTemplate::Kind::kJoin ? "join"
-               : tmpl->kind == plan::PlanTemplate::Kind::kSort
-                   ? "sort"
-                   : plan::StrategyName(tmpl->strategy);
-  e.status = status.ok()            ? "ok"
-             : status.IsCancelled() ? "cancelled"
-                                    : "error";
-  e.workers = workers;
-  e.priority = priority;
-  e.total_usec = static_cast<uint64_t>(stats.wall_micros);
-  e.queue_wait_usec = queue_wait_usec;
-  e.exec_usec =
-      e.total_usec >= queue_wait_usec ? e.total_usec - queue_wait_usec : 0;
-  e.rows_out = stats.output_tuples;
-  e.cache_hits = stats.io.cache_hits;
-  e.physical_reads = stats.io.physical_reads;
-  e.bytes_read = (e.cache_hits + e.physical_reads) * kPageSize;
-  e.pool_lock_acquisitions = stats.io.pool_lock_acquisitions;
-  e.pool_lock_contended = stats.io.pool_lock_contended;
-  e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
-  e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
-  e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
-  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
-  log.Record(std::move(e));
+ExecResult RunOnCaller(const plan::PlanTemplate& tmpl,
+                       storage::BufferPool* pool, Scheduler::Sink sink,
+                       const std::string& label, int priority) {
+  std::mutex mu;
+  QueryState q;
+  q.tmpl = &tmpl;
+  q.mu = &mu;
+  q.pool = pool;
+  q.sink = std::move(sink);
+  q.priority = std::max(1, priority);
+  q.query_id = obs::NextQueryId();
+  q.label = LabelFor(tmpl, label);
+  // The one worker's partial, on this stack (q.partials serves pools).
+  QueryState::Partial partial;
+  if (tmpl.NeedsBuildPhase()) {
+    RunTask(&q, partial, /*worker_id=*/0, exec::kFullScanRange,
+            /*build=*/true);
+    q.build_micros = static_cast<uint64_t>(q.timer.ElapsedMicros());
+  }
+  if (q.error.ok()) {
+    RunTask(&q, partial, /*worker_id=*/0, exec::kFullScanRange,
+            /*build=*/false);
+  }
+  return FinalizeQuery(&q, {&partial, 1}, /*workers=*/1);
 }
 
 void EnsureSchedMetricsRegistered() { SchedMetrics::Get(); }

@@ -1,46 +1,38 @@
-// Shared-pool query scheduler: many concurrent queries, one worker pool.
+// The query executor: many concurrent queries on one worker pool, and a
+// 1-worker query on the caller's thread.
 //
-// Every multi-worker query runs on a Scheduler: a server's or application's
-// shared pool, or one of a standalone api::Connection's long-lived session
-// pools. Without it, a mixed batch would run back-to-back even though its
-// selections, aggregations, and joins (each with its own best
-// materialization strategy) could share the machine:
+// A query runs as tasks plus one finalize. A task is a join's hash build
+// (PlanTemplate::BuildJoinTable), a background job, or one plan instance
+// drained over a morsel into its worker's partial. Finalize combines the
+// per-(query, worker) partials — checksum, tuple counts, ExecStats, I/O,
+// aggregation accumulators, sort runs, buffered output chunks — once the
+// last task completes, hands the result to the sink and writes the
+// query's system.query_log row. Only where the tasks run differs:
 //
-//   * Submit(PlanTemplate) enqueues a query and immediately returns a
-//     QueryTicket — a waitable handle resolving to the query's ExecResult
-//     (Status + RunStats). Many queries can be in flight at once.
-//   * Dispatch is fair at *morsel* granularity: workers claim the next
-//     morsel from the active queries in weighted round-robin order (a query
-//     with priority p takes p consecutive morsels per rotation, default 1),
-//     so K queries interleave instead of queueing behind each other. Empty
-//     scans are single-task queries occupying one worker (a join's runs
-//     after its build phase).
-//   * Two-phase queries carry a lightweight intra-query phase dependency.
-//     A join's first task builds its hash table
-//     (PlanTemplate::BuildJoinTable), claimed like a morsel by any worker;
-//     only once that table is published do the query's probe morsels
-//     become runnable. RunStats::build_wall_micros is the phase's wall
-//     time, build claim to publication. Sorts invert the shape: every
-//     morsel forms a sorted run, and finalization k-way merges the runs.
-//     While a query's build is in flight the rotation simply skips it —
-//     other queries' morsels keep the pool busy, so the build costs the
-//     query latency, never the pool throughput.
-//   * Results merge exactly as in the inline executor: per-(query,
-//     worker) partials — checksum, tuple counts, ExecStats, aggregation
-//     accumulators, buffered output chunks — are combined once when the
-//     query's last morsel completes. No lock is taken on the output path
-//     during execution; the sink is invoked sequentially at finalization.
+//   * Submit(PlanTemplate) enqueues a query on the pool and returns a
+//     QueryTicket, a waitable handle resolving to its ExecResult (Status +
+//     RunStats). Workers claim the next morsel from the active queries in
+//     weighted round-robin order (a query with priority p takes p
+//     consecutive morsels per rotation), so K queries interleave instead of
+//     queueing behind each other. A join's build task is claimed like a
+//     morsel; its probe morsels become runnable once the table is
+//     published, and meanwhile the rotation skips the query, so the build
+//     costs the query latency, never the pool throughput. Empty scans are
+//     one task. No lock is taken on the output path during execution.
+//   * RunOnCaller runs the build task (joins only) and one task over the
+//     full position range on the calling thread, then finalizes there.
 //
 // Correctness contract (tests/sched_test.cc): for every query in a
 // concurrent mixed batch, output_tuples and the order-independent checksum
-// are bit-identical to that query's serial (workers=1) run, and per-query
-// ExecStats are not cross-contaminated. RunStats::io is attributed per
-// (query, worker) through the buffer pool's thread-local sink and merged at
-// finalization, so a query's reported I/O is its own even with concurrent
-// neighbors hammering the shared pool.
+// are bit-identical to that query's 1-worker run, and per-query ExecStats
+// are not cross-contaminated. RunStats::io is attributed per (query,
+// worker) through the buffer pool's thread-local sink, so a query's
+// reported I/O is its own even with concurrent neighbors on the pool.
 //
-// wall_micros measures submit → finalize, i.e. queueing latency is part of
-// a query's reported latency — which is what a throughput bench wants.
+// wall_micros measures submit → finalize on a pool (queueing latency is
+// part of a query's reported latency, which is what a throughput bench
+// wants) and start → finalize on the caller's thread. The cstore_sched_*
+// metrics, the latency histograms and system.queries count pool work only.
 
 #ifndef CSTORE_SCHED_SCHEDULER_H_
 #define CSTORE_SCHED_SCHEDULER_H_
@@ -102,13 +94,12 @@ class Scheduler {
     int num_workers = 0;
   };
 
-  /// Receives a query's output, invoked sequentially (no locking needed
-  /// inside) by the finalizing worker after the query's last morsel
-  /// completes. The chunk is handed over: the sink may keep it by move.
-  /// Aggregations deliver exactly one chunk (the merged groups); selections
-  /// deliver one chunk holding every worker's rows in worker order (none
-  /// when no row qualified); sorts deliver their k-way merge in order, one
-  /// chunk at a time. Not called at all if the query failed.
+  /// Receives a query's output, invoked at most once, at finalization, on
+  /// the finalizing thread: one chunk holding every row (rows of several
+  /// workers in worker order, sorted rows in order). The chunk is handed
+  /// over: the sink may keep it by move. Aggregations always deliver their
+  /// groups; a selection or sort with no row never calls it. Not called at
+  /// all if the query failed.
   using Sink = std::function<void(exec::TupleChunk&&)>;
 
   /// Streaming variant: invoked *during* execution, from whichever worker
@@ -190,11 +181,8 @@ class Scheduler {
   /// but stay. Caller holds mu_.
   bool TryClaimLocked(Task* out);
   Claim ClaimFromLocked(internal::QueryState* q, Task* out);
-  /// Executes one morsel into the worker's partial. Lock-free.
-  void RunTask(int worker_id, const Task& task);
-  void FailQuery(internal::QueryState* q, const Status& status);
-  /// Merges partials, runs the sink, fills the ticket. Called exactly once
-  /// per query, off the scheduler lock.
+  /// Finalizes the query, settles its pool metrics and fills the ticket.
+  /// Called exactly once per query, off the scheduler lock.
   void Finalize(const std::shared_ptr<internal::QueryState>& q);
 
   const int num_workers_;
@@ -212,15 +200,15 @@ class Scheduler {
   std::unique_ptr<WorkerPool> pool_;
 };
 
-/// Appends one finished query's row to obs::QueryLog::Global(): the one
-/// mapping from RunStats to a system.query_log entry, shared by scheduler
-/// finalization and a standalone session's inline runs. `tmpl` is null for
-/// background jobs; an empty `label` becomes "plan:<kind>". The exec time
-/// logged is stats.wall_micros minus `queue_wait_usec`.
-void RecordQueryLog(uint64_t query_id, const std::string& label,
-                    const plan::PlanTemplate* tmpl, const Status& status,
-                    int workers, int priority, uint64_t queue_wait_usec,
-                    const plan::RunStats& stats);
+/// Runs `tmpl` on the calling thread as a 1-worker query: the join's build
+/// task, one task over the full position range, then finalize — the same
+/// code a pool runs, so rows, row order, checksum and ExecStats equal a
+/// 1-worker pool's. `sink` (optional) receives the result as Submit's does;
+/// a failed run never calls it. Writes the query's system.query_log row
+/// (an empty `label` becomes "plan:<kind>"); no scheduler metric counts it.
+ExecResult RunOnCaller(const plan::PlanTemplate& tmpl,
+                       storage::BufferPool* pool, Scheduler::Sink sink,
+                       const std::string& label = {}, int priority = 1);
 
 /// Registers the scheduler's metric families (queue depth, latency
 /// histograms, ...) without creating a pool. system.metrics calls this so

@@ -293,7 +293,7 @@ TEST_F(ApiTest, PooledResultsMatchTheInlineRun) {
   }
 
   // GROUP BY and ORDER BY ... LIMIT still arrive through the sink; the
-  // sorted rows arrive in the inline run's order.
+  // sorted rows arrive in the 1-worker run's order.
   const char* group_sql = "SELECT v, SUM(k) FROM w WHERE k < 500 GROUP BY v";
   const char* order_sql =
       "SELECT k, v FROM w WHERE v = 2 ORDER BY k DESC LIMIT 9000";

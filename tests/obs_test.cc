@@ -589,8 +589,8 @@ TEST_F(ObsTest, QueryLogRowMatchesRunStats) {
   EXPECT_GT(morsel_spans, 0u);
   rec.Clear();
 
-  // The inline route (a standalone 1-worker session) carries its log row's
-  // id too.
+  // A caller-thread run (a standalone 1-worker session) carries its log
+  // row's id too.
   log.Clear();
   api::Connection inline_conn(db_);
   ASSERT_OK_AND_ASSIGN(

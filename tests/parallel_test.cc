@@ -3,8 +3,7 @@
 // The contract under test: for every materialization strategy, a query's
 // result *bag* — output_tuples and the order-independent checksum — is
 // bit-identical across num_workers ∈ {1, 2, 4}, and the num_workers=1 path
-// is the classic serial pull executor (identical to running the plan
-// directly, including tuple order).
+// equals pulling the plan directly, including tuple order.
 
 #include <atomic>
 #include <thread>
@@ -159,18 +158,21 @@ TEST_F(ParallelTest, SelectionWorkCountersIdenticalAcrossWorkerCounts) {
 TEST_F(ParallelTest, SingleWorkerMatchesDirectSerialExecutor) {
   plan::SelectionQuery q = MidSelectivityQuery();
   for (Strategy s : plan::kAllStrategies) {
-    // The pre-refactor path: build the plan and pull it directly.
+    // The reference, independent of the executor: build the plan and pull
+    // its root directly.
     ASSERT_OK_AND_ASSIGN(auto plan, plan::BuildSelectionPlan(q, s, {}));
     plan::RunStats direct;
     std::vector<std::pair<Position, Value>> direct_rows;
-    ASSERT_OK(plan::ExecutePlan(plan.get(), db_->pool(), &direct,
-                                [&](const exec::TupleChunk& chunk) {
-                                  for (size_t i = 0; i < chunk.num_tuples();
-                                       ++i) {
-                                    direct_rows.emplace_back(
-                                        chunk.position(i), chunk.value(i, 0));
-                                  }
-                                }));
+    exec::TupleChunk chunk;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(bool has, plan->root()->Next(&chunk));
+      if (!has) break;
+      direct.checksum += plan::ChunkDigest(chunk);
+      direct.output_tuples += chunk.num_tuples();
+      for (size_t i = 0; i < chunk.num_tuples(); ++i) {
+        direct_rows.emplace_back(chunk.position(i), chunk.value(i, 0));
+      }
+    }
 
     ASSERT_OK_AND_ASSIGN(api::QueryResult via_template,
                          api::Connection(db_.get()).Query(

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "api/connection.h"
 #include "db/database.h"
 #include "exec/morsel_source.h"
+#include "obs/query_log.h"
 #include "plan/parallel.h"
 #include "sched/scheduler.h"
 #include "test_util.h"
@@ -103,13 +105,13 @@ class SchedTest : public ::testing::Test {
     return templates;
   }
 
-  /// Serial (workers=1) ground truth for a template.
+  /// Serial ground truth for a template: a 1-worker standalone session's
+  /// run.
   static plan::RunStats SerialRun(plan::PlanTemplate tmpl) {
     tmpl.config.num_workers = 1;
-    plan::RunStats stats;
-    Status st = plan::ExecuteInline(tmpl, db_->pool(), &stats);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return stats;
+    Result<api::QueryResult> r = api::Connection(db_).Query(tmpl);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->stats : plan::RunStats();
   }
 
   static TempDir* dir_;
@@ -417,17 +419,16 @@ struct SinkLog {
 TEST_F(SchedTest, SelectionSinkReceivesEveryRowInOneChunk) {
   // Two-window morsels give each worker several output chunks per morsel
   // and several morsels; finalize hands the sink one chunk holding them
-  // all, and the rows equal the inline run's.
+  // all, and the rows equal a 1-worker session's.
   for (Strategy s : plan::kAllStrategies) {
     plan::PlanConfig config;
     config.morsel_positions = 2 * kChunkPositions;
     const plan::PlanTemplate tmpl =
         plan::PlanTemplate::Selection(MidSelectivityQuery(), s, config);
-    exec::TupleChunk inline_rows;
-    plan::RunStats inline_stats;
-    ASSERT_OK(plan::ExecuteInline(
-        tmpl, db_->pool(), &inline_stats,
-        [&](const exec::TupleChunk& chunk) { inline_rows.Append(chunk); }));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult serial,
+                         api::Connection(db_).Query(tmpl));
+    const exec::TupleChunk& inline_rows = serial.tuples;
+    const plan::RunStats& inline_stats = serial.stats;
     ASSERT_GT(inline_rows.num_tuples(), 2 * kChunkPositions)
         << StrategyName(s) << ": output must span several chunks";
     for (int workers : {2, 4}) {
@@ -485,8 +486,8 @@ TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
   EXPECT_EQ(groups.chunks[0].num_tuples(), agg_r.stats.output_tuples);
   EXPECT_GT(agg_r.stats.output_tuples, 0u);
 
-  // ORDER BY ... LIMIT: the k-way merge's chunks, in order, with no row
-  // beyond the limit.
+  // ORDER BY ... LIMIT: the k-way merge as one chunk, in order, with no
+  // row beyond the limit.
   plan::SortQuery sort;
   sort.selection = MidSelectivityQuery();
   sort.sort_index = 1;
@@ -499,13 +500,153 @@ TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
                   db_->pool(), merged.Sink())
           .Wait();
   ASSERT_OK(sort_r.status);
-  EXPECT_GT(merged.chunks.size(), 1u) << "the merge emits 8192-row chunks";
+  EXPECT_EQ(merged.chunks.size(), 1u) << "a sink receives one chunk";
   exec::TupleChunk ordered;
   for (const exec::TupleChunk& chunk : merged.chunks) ordered.Append(chunk);
   ASSERT_EQ(ordered.num_tuples(), sort.limit);
   EXPECT_EQ(sort_r.stats.output_tuples, sort.limit);
   for (size_t i = 1; i < ordered.num_tuples(); ++i) {
     ASSERT_GE(ordered.value(i - 1, 1), ordered.value(i, 1)) << "row " << i;
+  }
+}
+
+TEST_F(SchedTest, CallerThreadRunExecutesOnCallingThread) {
+  // Selection, GROUP BY, ORDER BY and join: every task and the finalize of
+  // a caller-thread run execute on the thread that called, so the sink
+  // sees that thread.
+  std::vector<plan::PlanTemplate> templates = MixedTemplates();
+  plan::SortQuery sort;
+  sort.selection = MidSelectivityQuery();
+  sort.sort_index = 1;
+  sort.limit = 100;
+  // MixedTemplates: four selections, four aggregations, then the join.
+  const plan::PlanTemplate shapes[] = {
+      templates[0], templates[4], templates.back(),
+      plan::PlanTemplate::Sort(sort, Strategy::kLmParallel)};
+  for (const plan::PlanTemplate& tmpl : shapes) {
+    int calls = 0;
+    std::thread::id sink_thread;
+    const sched::ExecResult r = sched::RunOnCaller(
+        tmpl, db_->pool(), [&](exec::TupleChunk&& chunk) {
+          ++calls;
+          sink_thread = std::this_thread::get_id();
+          EXPECT_GT(chunk.num_tuples(), 0u);
+        });
+    ASSERT_OK(r.status);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(sink_thread, std::this_thread::get_id());
+    EXPECT_GT(r.stats.query_id, 0u);
+  }
+}
+
+TEST_F(SchedTest, LargeGroupByAndSortMatchAcrossWorkerCounts) {
+  // 131 072 groups arriving unsorted, and an ORDER BY without LIMIT over
+  // four chunk windows: one worker (one accumulator, one run, on the
+  // caller's thread) and 2 or 4 pool workers (merged partials and runs)
+  // return the same rows in the same order and construct as many tuples.
+  const size_t rows = 4 * kChunkPositions;
+  const Value groups = 131072;
+  std::vector<Value> keys(rows);
+  std::vector<Value> vals(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    keys[i] = static_cast<Value>(i * 7919) % groups;
+    vals[i] = static_cast<Value>(i % 1000);
+  }
+  ASSERT_OK(db_->CreateColumn("wide.k", codec::Encoding::kUncompressed, keys));
+  ASSERT_OK(db_->CreateColumn("wide.v", codec::Encoding::kUncompressed, vals));
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* k, db_->GetColumn("wide.k"));
+  ASSERT_OK_AND_ASSIGN(const codec::ColumnReader* v, db_->GetColumn("wide.v"));
+  plan::SelectionQuery scan;
+  scan.columns.push_back({k, codec::Predicate::True()});
+  scan.columns.push_back({v, codec::Predicate::LessThan(900)});
+  plan::AggQuery agg;
+  agg.selection = scan;
+  agg.group_index = 0;
+  agg.agg_index = 1;
+  agg.func = exec::AggFunc::kSum;
+  plan::SortQuery sort;
+  sort.selection = scan;
+  sort.sort_index = 1;
+  sort.desc = true;
+  for (Strategy s : plan::kAllStrategies) {
+    for (const plan::PlanTemplate& base :
+         {plan::PlanTemplate::Agg(agg, s), plan::PlanTemplate::Sort(sort, s)}) {
+      const std::string shape = std::string(StrategyName(s)) +
+                                (base.kind == plan::PlanTemplate::Kind::kAgg
+                                     ? " GROUP BY"
+                                     : " ORDER BY");
+      api::QueryResult serial;
+      for (int workers : {1, 2, 4}) {
+        plan::PlanTemplate tmpl = base;
+        tmpl.config.num_workers = workers;
+        ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                             api::Connection(db_).Query(tmpl));
+        const std::string where =
+            shape + " workers=" + std::to_string(workers);
+        if (workers == 1) {
+          serial = std::move(r);
+          ASSERT_GE(serial.tuples.num_tuples(),
+                    base.kind == plan::PlanTemplate::Kind::kAgg
+                        ? size_t{100000}
+                        : 3 * kChunkPositions)
+              << where;
+          continue;
+        }
+        EXPECT_EQ(r.stats.checksum, serial.stats.checksum) << where;
+        EXPECT_EQ(r.stats.exec.tuples_constructed,
+                  serial.stats.exec.tuples_constructed)
+            << where;
+        ASSERT_EQ(r.tuples.num_tuples(), serial.tuples.num_tuples()) << where;
+        ASSERT_EQ(r.tuples.width(), serial.tuples.width()) << where;
+        for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+          ASSERT_EQ(r.tuples.position(i), serial.tuples.position(i))
+              << where << " row " << i;
+          for (uint32_t c = 0; c < r.tuples.width(); ++c) {
+            ASSERT_EQ(r.tuples.value(i, c), serial.tuples.value(i, c))
+                << where << " row " << i << " col " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SchedTest, FailingCallerThreadRunsSkipTheSinkAndLogOneError) {
+  // LM-pipelined over a bit-vector second column is NotSupported at
+  // instantiation; the join's payload has the wrong length, so its build
+  // fails. Either way the error comes back, the sink is never called, and
+  // the query log holds one "error" row.
+  plan::SelectionQuery bad_scan;
+  bad_scan.columns.push_back(
+      {li_->shipdate, codec::Predicate::LessThan(li_->max_shipdate)});
+  bad_scan.columns.push_back({li_->linenum_bv, codec::Predicate::LessThan(5)});
+  plan::JoinQuery bad_join;
+  bad_join.left_key = jc_->orders_custkey;
+  bad_join.left_pred = codec::Predicate::True();
+  bad_join.left_payload = jc_->orders_shipdate;
+  bad_join.right_key = jc_->customer_custkey;
+  bad_join.right_payload = jc_->orders_shipdate;  // wrong length
+  const plan::PlanTemplate failing[] = {
+      plan::PlanTemplate::Selection(bad_scan, Strategy::kLmPipelined),
+      plan::PlanTemplate::Join(bad_join, exec::JoinRightMode::kMaterialized)};
+  obs::QueryLog& log = obs::QueryLog::Global();
+  for (const plan::PlanTemplate& tmpl : failing) {
+    log.Clear();
+    bool sink_called = false;
+    const sched::ExecResult r = sched::RunOnCaller(
+        tmpl, db_->pool(),
+        [&](exec::TupleChunk&&) { sink_called = true; }, "failing");
+    EXPECT_FALSE(r.status.ok());
+    if (tmpl.kind == plan::PlanTemplate::Kind::kSelection) {
+      EXPECT_TRUE(r.status.IsNotSupported()) << r.status.ToString();
+    }
+    EXPECT_FALSE(sink_called);
+    const std::vector<obs::QueryLogEntry> entries = log.Snapshot();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].status, "error");
+    EXPECT_EQ(entries[0].label, "failing");
+    EXPECT_EQ(entries[0].workers, 1);
+    EXPECT_EQ(entries[0].query_id, r.stats.query_id);
   }
 }
 
