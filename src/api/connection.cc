@@ -57,9 +57,12 @@ model::CostParams Connection::Params() const {
 
 model::SelectionModelInput Connection::ModelInputFor(
     const plan::SelectionQuery& sel, const plan::PlanConfig& config) {
-  const plan::SelectionQuery::Column& first = sel.columns[0];
+  // The plan's first two filters; past its filters come the output-only
+  // columns, at sf 1 (a lone filter's col2 is the first of them).
+  const std::vector<uint32_t> order = sel.PlanOrder();
+  const plan::SelectionQuery::Column& first = sel.columns[order[0]];
   const plan::SelectionQuery::Column& second =
-      sel.columns.size() > 1 ? sel.columns[1] : sel.columns[0];
+      sel.columns[order.size() > 1 ? order[1] : order[0]];
   model::SelectionModelInput input;
   input.num_workers = config.num_workers;
   input.col1 = model::ColumnStats::FromMeta(first.reader->meta());
@@ -68,11 +71,13 @@ model::SelectionModelInput Connection::ModelInputFor(
   input.col1_index = plan::UsesIndex(config, first);
   input.bounds1 = first.pred.num_bounds();
   input.col2 = model::ColumnStats::FromMeta(second.reader->meta());
-  input.sf2 = sel.columns.size() > 1
+  input.sf2 = order.size() > 1
                   ? EstimateSelectivity(second.reader->meta(), second.pred)
                   : 1.0;
   input.col2_index = plan::UsesIndex(config, second);
   input.bounds2 = second.pred.num_bounds();
+  input.lm_pipelined_supported =
+      plan::CheckStrategy(sel, plan::Strategy::kLmPipelined, config).ok();
   return input;
 }
 
@@ -245,7 +250,7 @@ Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
   };
   sched::ExecResult done;
   if (scheduler_ == nullptr && !RunsParallel(tmpl)) {
-    done = sched::RunOnCaller(tmpl, db_->pool(), std::move(sink), label,
+    done = sched::RunOnCaller(tmpl, std::move(sink), label,
                               settings_.priority);
   } else {
     sched::Scheduler::SubmitOptions options;
@@ -253,7 +258,7 @@ Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
     options.priority = settings_.priority;
     options.label = label;
     done = PoolFor(tmpl.config.num_workers)
-               ->Submit(tmpl, db_->pool(), std::move(options))
+               ->Submit(tmpl, std::move(options))
                .Wait();
   }
   CSTORE_RETURN_IF_ERROR(done.status);
@@ -292,7 +297,7 @@ PendingResult Connection::SubmitRunnable(const Runnable& run,
     };
   }
   pending.ticket_ =
-      scheduler->Submit(run.tmpl, db_->pool(), std::move(options));
+      scheduler->Submit(run.tmpl, std::move(options));
   return pending;
 }
 
@@ -328,8 +333,7 @@ Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
     return queue->Push(chunk);
   };
   options.on_complete = [queue] { queue->Finish(); };
-  cursor.ticket_ = scheduler->Submit(run.tmpl, db_->pool(),
-                                     std::move(options));
+  cursor.ticket_ = scheduler->Submit(run.tmpl, std::move(options));
   return cursor;
 }
 
@@ -534,6 +538,33 @@ std::string Connection::PressureReport() const {
   return out;
 }
 
+namespace {
+
+/// EXPLAIN's plan-order line: the scan columns in the order the plan reads
+/// them — its filters, each an index lookup or a scan, then the
+/// output-only columns — with each one's selectivity and run length.
+std::string DescribeOrder(const std::vector<std::string>& names,
+                          const plan::SelectionQuery& scan,
+                          const plan::PlanConfig& config) {
+  std::string out = "order:";
+  const std::vector<uint32_t> order = scan.PlanOrder();
+  for (size_t i = 0; i < order.size(); ++i) {
+    const plan::SelectionQuery::Column& col = scan.columns[order[i]];
+    const codec::ColumnMeta& meta = col.reader->meta();
+    const char* role = i >= scan.num_filters()          ? "output-only"
+                       : plan::UsesIndex(config, col) ? "index-scan"
+                                                      : "filter";
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "{%s, sf=%.3f, RL=%.1f}", role,
+                  EstimateSelectivity(meta, col.pred),
+                  model::ColumnStats::FromMeta(meta).run_length);
+    out += " " + names[order[i]] + buf;
+  }
+  return out + "\n";
+}
+
+}  // namespace
+
 Result<QueryResult> Connection::ExplainStatement(
     const sql::ParsedStatement& stmt, std::optional<plan::Strategy> strategy,
     int num_workers, const std::vector<Value>& params) {
@@ -550,6 +581,8 @@ Result<QueryResult> Connection::ExplainStatement(
   std::string report = "strategy: ";
   report += plan::StrategyName(run.strategy);
   report += "\n";
+  report += DescribeOrder(bound.scan_column_names, resolved.scan(),
+                          run.tmpl.config);
   report += resolved.is_aggregate
                 ? advisor.ExplainAggregation(input,
                                              GroupEstimateFor(resolved.agg))
@@ -782,6 +815,7 @@ Status Connection::PrepareRun(PreparedStatement* stmt,
     CSTORE_ASSIGN_OR_RETURN(scan.columns[i].pred,
                             stmt->bounds_scratch_[i].ToPredicate());
   }
+  OrderConjunction(bound.scan_column_names, &scan);
   tmpl.config.snapshot = std::move(snapshot);
   tmpl.config.num_workers = num_workers;
   CSTORE_ASSIGN_OR_RETURN(

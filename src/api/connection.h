@@ -205,8 +205,9 @@ class Connection {
   /// first use).
   sched::Scheduler* PoolFor(int workers);
   model::CostParams Params() const;
-  /// The advisor's view of `scan` as planned under `config` (its worker
-  /// count, and which columns the planner answers from the index).
+  /// The advisor's view of `scan` as planned under `config`: its first two
+  /// filters in plan order, its worker count, which columns the planner
+  /// answers from the index, and the planner's verdict on LM-pipelined.
   model::SelectionModelInput ModelInputFor(const plan::SelectionQuery& scan,
                                            const plan::PlanConfig& config);
   double GroupEstimateFor(const plan::AggQuery& agg);

@@ -1,9 +1,12 @@
 #include "api/statement.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <tuple>
 
 #include "api/connection.h"
+#include "model/cost_params.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 #include "tpch/dates.h"
@@ -49,6 +52,26 @@ double EstimateSelectivity(const codec::ColumnMeta& meta,
                         0.0, 1.0);
   }
   return 1.0;
+}
+
+void OrderConjunction(const std::vector<std::string>& names,
+                      plan::SelectionQuery* scan) {
+  if (!scan->filter_order) scan->filter_order.emplace();
+  std::vector<uint32_t>& order = *scan->filter_order;
+  order.clear();
+  for (uint32_t c = 0; c < scan->columns.size(); ++c) {
+    if (!scan->columns[c].pred.is_true()) order.push_back(c);
+  }
+  auto key = [&](uint32_t c) {
+    const plan::SelectionQuery::Column& col = scan->columns[c];
+    const codec::ColumnMeta& meta = col.reader->meta();
+    const double rank = (EstimateSelectivity(meta, col.pred) - 1.0) *
+                        model::ColumnStats::FromMeta(meta).run_length;
+    return std::make_tuple(!col.reader->SupportsIndexLookup(col.pred), rank,
+                           std::cref(names[c]));
+  };
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
 }
 
 namespace internal {
@@ -424,6 +447,7 @@ Result<ResolvedSelect> ResolveSelect(
     }
     scan.columns.push_back(col);
   }
+  OrderConjunction(bound->scan_column_names, &scan);
   if (bound->is_aggregate) {
     out.agg.selection = std::move(scan);
     out.agg.group_index = bound->group_index;

@@ -10,8 +10,9 @@
 //            parameter values or the table's current write state.
 //   Resolve  (per execution)  — capture a fresh write snapshot, substitute
 //            `?` parameters, fold WHERE conditions into per-column
-//            predicates, and (only if a compaction swapped the table's
-//            generation since bind) re-resolve the readers.
+//            predicates, order the conjunction (OrderConjunction), and
+//            (only if a compaction swapped the table's generation since
+//            bind) re-resolve the readers.
 //
 // Connection::Query re-binds every statement; api::PreparedStatement binds
 // once and resolves per execution — that is the whole difference bench_api
@@ -48,6 +49,18 @@ class Connection;
 double EstimateSelectivity(const codec::ColumnMeta& meta,
                            const codec::Predicate& pred);
 
+/// Plans a SELECT's conjunction, as every execution does (the order
+/// depends on the parameter values): sets `scan->filter_order` to the
+/// columns with a WHERE condition — a predicate other than True — with an
+/// index-answered one first, then by ascending rank (sf - 1) * RL, ties
+/// broken by column name (`names`, one per scan column). The rank is
+/// Figure 1's DS1 per-value cost (TIC_COL + FC) / RL with the shared
+/// constant cancelled: the ordering of independent filters in Hellerstein
+/// & Stonebraker, "Predicate Migration" (SIGMOD 1993). Every other column
+/// is output-only.
+void OrderConjunction(const std::vector<std::string>& names,
+                      plan::SelectionQuery* scan);
+
 namespace internal {
 
 /// Resolves a literal (or a `?` parameter) to a Value.
@@ -81,8 +94,9 @@ Result<std::vector<std::pair<std::string, codec::Predicate>>> FoldConditions(
 /// Bind-time product for a SELECT: parameter- and snapshot-independent.
 struct BoundSelect {
   std::string table;
-  // Scan columns in plan order: select-list columns first (deduplicated),
-  // then WHERE-only columns in name order.
+  // Scan columns: select-list columns first (deduplicated), then
+  // WHERE-only columns in name order. This is the layout of the plan's
+  // output tuples; the order it filters them is OrderConjunction's.
   std::vector<std::string> scan_column_names;
   std::vector<int> scan_schema_index;  // snapshot schema index per column
   std::vector<const codec::ColumnReader*> readers;  // per scan column

@@ -470,7 +470,6 @@ Result<uint64_t> Database::DeleteWhere(
   const sched::ExecResult r = sched::RunOnCaller(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
-      pool_.get(),
       [&rows](exec::TupleChunk&& chunk) { rows = std::move(chunk); });
   CSTORE_RETURN_IF_ERROR(r.status);
   if (scan_stats != nullptr) *scan_stats = r.stats;
@@ -547,7 +546,6 @@ Result<uint64_t> Database::UpdateWhere(
   const sched::ExecResult r = sched::RunOnCaller(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
-      pool_.get(),
       [&found](exec::TupleChunk&& chunk) { found = std::move(chunk); });
   CSTORE_RETURN_IF_ERROR(r.status);
   if (scan_stats != nullptr) *scan_stats = r.stats;

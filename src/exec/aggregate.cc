@@ -1,6 +1,8 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
 #include "exec/gather.h"
 #include "position/run_cursor.h"
@@ -155,13 +157,41 @@ bool LateAggOp::TryRunZip(const MultiColumnChunk& chunk,
   return true;
 }
 
+namespace {
+
+bool StoredRle(const LateAggOp::ColumnSource& src) {
+  return src.reader != nullptr &&
+         src.reader->meta().encoding == codec::Encoding::kRle;
+}
+
+}  // namespace
+
+Result<const MiniColumn*> LateAggOp::MiniFor(const MultiColumnChunk& chunk,
+                                             const ColumnSource& src,
+                                             bool read_runs,
+                                             MiniColumn* fetched) {
+  if (const MiniColumn* mini = chunk.FindMini(src.column)) return mini;
+  if (!read_runs) return nullptr;
+  *fetched = MiniColumn(src.column, &src.reader->meta());
+  CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
+      src.reader, chunk.desc, stats_,
+      [&](codec::EncodedBlock& blk, std::span<const position::Range>) {
+        fetched->AddBlock(
+            std::make_shared<codec::EncodedBlock>(std::move(blk)));
+      }));
+  return fetched;
+}
+
 Status LateAggOp::ConsumeChunk(const MultiColumnChunk& chunk) {
   if (chunk.desc.IsEmpty()) return Status::OK();
 
   if (global_) {
     // The group column is never read: gather the aggregate input only. For
     // RLE mini-columns, accumulate run-at-a-time.
-    const MiniColumn* amini = chunk.FindMini(agg_.column);
+    MiniColumn fetched;
+    CSTORE_ASSIGN_OR_RETURN(
+        const MiniColumn* amini,
+        MiniFor(chunk, agg_, agg_.output_only && StoredRle(agg_), &fetched));
     if (amini != nullptr && !amini->blocks().empty()) {
       bool all_rle = true;
       for (const auto& blk : amini->blocks()) {
@@ -186,22 +216,30 @@ Status LateAggOp::ConsumeChunk(const MultiColumnChunk& chunk) {
     }
     abuf_.clear();
     CSTORE_RETURN_IF_ERROR(
-        GatherColumnValues(chunk, agg_.column, agg_.reader, stats_, &abuf_));
+        GatherColumnValues(chunk.desc, amini, agg_.reader, stats_, &abuf_));
     for (Value v : abuf_) acc_.Add(0, v, 1);
     return Status::OK();
   }
 
-  const MiniColumn* gmini = chunk.FindMini(group_.column);
-  const MiniColumn* amini = chunk.FindMini(agg_.column);
+  // Only two RLE columns zip; an output-only one is then read compressed.
+  const bool zip = StoredRle(group_) && StoredRle(agg_);
+  MiniColumn gfetched;
+  MiniColumn afetched;
+  CSTORE_ASSIGN_OR_RETURN(
+      const MiniColumn* gmini,
+      MiniFor(chunk, group_, zip && group_.output_only, &gfetched));
+  CSTORE_ASSIGN_OR_RETURN(
+      const MiniColumn* amini,
+      MiniFor(chunk, agg_, zip && agg_.output_only, &afetched));
   if (TryRunZip(chunk, gmini, amini)) return Status::OK();
 
   // General path: extract aligned value arrays, then accumulate per row.
   gbuf_.clear();
   abuf_.clear();
-  CSTORE_RETURN_IF_ERROR(GatherColumnValues(chunk, group_.column,
-                                            group_.reader, stats_, &gbuf_));
   CSTORE_RETURN_IF_ERROR(
-      GatherColumnValues(chunk, agg_.column, agg_.reader, stats_, &abuf_));
+      GatherColumnValues(chunk.desc, gmini, group_.reader, stats_, &gbuf_));
+  CSTORE_RETURN_IF_ERROR(
+      GatherColumnValues(chunk.desc, amini, agg_.reader, stats_, &abuf_));
   CSTORE_CHECK(gbuf_.size() == abuf_.size());
   for (size_t i = 0; i < gbuf_.size(); ++i) {
     acc_.Add(gbuf_[i], abuf_[i], 1);

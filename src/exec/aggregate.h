@@ -145,6 +145,10 @@ class LateAggOp : public TupleOp, public GroupAggOp {
   struct ColumnSource {
     ColumnId column;
     const codec::ColumnReader* reader;  // fallback when no mini present
+    // An output-only column of a planned conjunction: no scan attaches its
+    // blocks, so when it is RLE the aggregate reads its covering blocks
+    // itself, still compressed, and aggregates run at a time.
+    bool output_only = false;
   };
 
   /// With `global`, the group column is never read; all rows accumulate
@@ -163,6 +167,12 @@ class LateAggOp : public TupleOp, public GroupAggOp {
 
  private:
   Status ConsumeChunk(const MultiColumnChunk& chunk);
+  /// The chunk's mini-column of `src`. Without one, when `read_runs` is
+  /// set, the blocks of `src` holding a valid position, read through its
+  /// reader into *fetched; null otherwise.
+  Result<const MiniColumn*> MiniFor(const MultiColumnChunk& chunk,
+                                    const ColumnSource& src, bool read_runs,
+                                    MiniColumn* fetched);
   /// RLE×RLE fast path; returns false if the chunk is not eligible.
   bool TryRunZip(const MultiColumnChunk& chunk, const MiniColumn* gmini,
                  const MiniColumn* amini);

@@ -176,8 +176,9 @@ Result<bool> DS1PipelinedScan::NextImpl(MultiColumnChunk* out) {
 // DS2Scan
 // ---------------------------------------------------------------------------
 
-DS2Scan::DS2Scan(const codec::ColumnReader* reader, codec::Predicate pred,
-                 ExecStats* stats, position::Range scan_range)
+DS2Scan::DS2Scan(const codec::ColumnReader* reader,
+                 std::optional<codec::Predicate> pred, ExecStats* stats,
+                 position::Range scan_range)
     : reader_(reader),
       pred_(pred),
       stats_(stats),
@@ -204,14 +205,16 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
       // One predicate evaluation per run overlapping the window (DS2Cost's
       // ||C|| / RL term), then every position of a passing run.
       rle->ForEachRunIn({&clip, 1}, [&](Value v, Position b, Position e) {
-        ++stats_->predicate_evals;
-        if (!pred_.Eval(v)) return;
+        if (pred_) {
+          ++stats_->predicate_evals;
+          if (!pred_->Eval(v)) return;
+        }
         for (Position p = b; p < e; ++p) sink_->Emit(p, &v);
       });
       continue;
     }
-    stats_->predicate_evals += clip.end - clip.begin;
-    pred_.Dispatch([&](auto cmp) {
+    if (pred_) stats_->predicate_evals += clip.end - clip.begin;
+    pred_.value_or(codec::Predicate::True()).Dispatch([&](auto cmp) {
       view.ForEachValueInRanges({&clip, 1}, [&](Position p, Value v) {
         if (cmp(v)) sink_->Emit(p, &v);
       });
@@ -227,12 +230,14 @@ Result<bool> DS2Scan::NextImpl(TupleChunk* out) {
 // ---------------------------------------------------------------------------
 
 DS4ScanMerge::DS4ScanMerge(TupleOp* input, const codec::ColumnReader* reader,
-                           codec::Predicate pred, ExecStats* stats,
-                           position::Range scan_range)
+                           std::optional<codec::Predicate> pred,
+                           ExecStats* stats, position::Range scan_range,
+                           std::vector<uint32_t> out_slots)
     : input_(input),
       reader_(reader),
       pred_(pred),
       stats_(stats),
+      out_slots_(std::move(out_slots)),
       in_(AcquireChunk(stats)),
       window_(reader, kChunkPositions, scan_range) {}
 
@@ -253,7 +258,10 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
   uint64_t used_blocks = 0;
   uint64_t last_used = UINT64_MAX;
   const size_t n = in.num_tuples();
-  CSTORE_RETURN_IF_ERROR(pred_.Dispatch([&](auto cmp) -> Status {
+  const uint32_t* slots = out_slots_.empty() ? nullptr : out_slots_.data();
+  CSTORE_DCHECK(slots == nullptr || out_slots_.size() == in_width + 1);
+  const codec::Predicate pred = pred_.value_or(codec::Predicate::True());
+  CSTORE_RETURN_IF_ERROR(pred.Dispatch([&](auto cmp) -> Status {
     for (size_t i = 0; i < n; ++i) {
       const Position pos = in.position(i);
       // Positions ascend within and across input chunks, so the block and
@@ -280,14 +288,21 @@ Result<bool> DS4ScanMerge::NextImpl(TupleChunk* out) {
       if (cmp(v)) {
         // Stitch the wider tuple and push it through the tuple iterator.
         const Value* in_row = in.tuple(i);
-        for (uint32_t c = 0; c < in_width; ++c) row_buf_[c] = in_row[c];
-        row_buf_[in_width] = v;
+        if (slots == nullptr) {
+          for (uint32_t c = 0; c < in_width; ++c) row_buf_[c] = in_row[c];
+          row_buf_[in_width] = v;
+        } else {
+          for (uint32_t c = 0; c < in_width; ++c) {
+            row_buf_[slots[c]] = in_row[c];
+          }
+          row_buf_[slots[in_width]] = v;
+        }
         sink_->Emit(pos, row_buf_.data());
       }
     }
     return Status::OK();
   }));
-  stats_->predicate_evals += n;
+  if (pred_) stats_->predicate_evals += n;
   CSTORE_DCHECK(!window_.done()) << "input yielded more chunks than windows";
   uint64_t first;
   uint64_t last;
@@ -320,17 +335,48 @@ Status DS4ScanMerge::SeekBlock(Position pos) {
 // ---------------------------------------------------------------------------
 
 SpcScan::SpcScan(std::vector<Input> inputs, ExecStats* stats,
-                 position::Range scan_range)
+                 position::Range scan_range, std::vector<uint32_t> out_slots)
     : inputs_(std::move(inputs)),
+      out_slots_(std::move(out_slots)),
       stats_(stats),
       cursor_(inputs_.front().reader, kChunkPositions, scan_range) {
   scratch_.resize(inputs_.size());
+  while (num_filters_ < inputs_.size() && inputs_[num_filters_].pred) {
+    ++num_filters_;
+  }
+  if (out_slots_.empty()) {
+    out_slots_.resize(inputs_.size());
+    std::iota(out_slots_.begin(), out_slots_.end(), 0u);
+  }
 #ifndef NDEBUG
-  for (const Input& in : inputs_) {
+  CSTORE_DCHECK(out_slots_.size() == inputs_.size());
+  for (size_t c = 0; c < inputs_.size(); ++c) {
+    const Input& in = inputs_[c];
     CSTORE_DCHECK(in.reader->num_values() ==
                   inputs_.front().reader->num_values());
+    CSTORE_DCHECK(c < num_filters_ || !in.pred)
+        << "SPC's output-only inputs must come after its filters";
   }
 #endif
+}
+
+Status SpcScan::ReadWindow(size_t c, Position wb, Position we) {
+  const codec::ColumnReader* reader = inputs_[c].reader;
+  std::vector<Value>& values = scratch_[c];
+  values.clear();
+  values.reserve(we - wb);
+  const uint64_t first = reader->BlockContaining(wb);
+  const uint64_t last = reader->BlockContaining(we - 1);
+  for (uint64_t b = first; b <= last; ++b) {
+    CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, reader->FetchBlock(b));
+    ++stats_->blocks_fetched;
+    const position::Range clip{std::max(wb, blk.view.start_pos()),
+                               std::min(we, blk.view.end_pos())};
+    blk.view.GatherRanges({&clip, 1}, &values);
+  }
+  CSTORE_CHECK(values.size() == we - wb);
+  stats_->values_gathered += we - wb;
+  return Status::OK();
 }
 
 Result<bool> SpcScan::NextImpl(TupleChunk* out) {
@@ -340,23 +386,10 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
   uint64_t n = we - wb;
   const size_t k = inputs_.size();
 
-  // Vector-style access: materialize each column's window as a dense array
-  // (decompressing RLE / bit-vector data).
-  for (size_t c = 0; c < k; ++c) {
-    scratch_[c].clear();
-    scratch_[c].reserve(n);
-    uint64_t first = inputs_[c].reader->BlockContaining(wb);
-    uint64_t last = inputs_[c].reader->BlockContaining(we - 1);
-    for (uint64_t b = first; b <= last; ++b) {
-      CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk,
-                              inputs_[c].reader->FetchBlock(b));
-      ++stats_->blocks_fetched;
-      const position::Range clip{std::max(wb, blk.view.start_pos()),
-                                 std::min(we, blk.view.end_pos())};
-      blk.view.GatherRanges({&clip, 1}, &scratch_[c]);
-    }
-    CSTORE_CHECK(scratch_[c].size() == n);
-    stats_->values_gathered += n;
+  // Vector-style access: materialize each filtered column's window as a
+  // dense array (decompressing RLE / bit-vector data).
+  for (size_t c = 0; c < num_filters_; ++c) {
+    CSTORE_RETURN_IF_ERROR(ReadWindow(c, wb, we));
   }
 
   // Short-circuit predicate evaluation, one column at a time: column c's
@@ -366,10 +399,10 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
   sel_.resize(n);
   std::iota(sel_.begin(), sel_.end(), 0u);
   size_t m = n;
-  for (size_t c = 0; c < k; ++c) {
+  for (size_t c = 0; c < num_filters_; ++c) {
     stats_->predicate_evals += m;
     const Value* col = scratch_[c].data();
-    m = inputs_[c].pred.Dispatch([&](auto cmp) {
+    m = inputs_[c].pred->Dispatch([&](auto cmp) {
       size_t kept = 0;
       for (size_t j = 0; j < m; ++j) {
         const uint32_t i = sel_[j];
@@ -379,6 +412,12 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
       return kept;
     });
   }
+  // Output-only columns are read only where some row passed.
+  if (m > 0) {
+    for (size_t c = num_filters_; c < k; ++c) {
+      CSTORE_RETURN_IF_ERROR(ReadWindow(c, wb, we));
+    }
+  }
 
   // Each passing tuple is assembled and pushed through the tuple iterator.
   out->Reset(static_cast<uint32_t>(k));
@@ -386,7 +425,9 @@ Result<bool> SpcScan::NextImpl(TupleChunk* out) {
   row_buf_.resize(k);
   for (size_t j = 0; j < m; ++j) {
     const uint32_t i = sel_[j];
-    for (size_t c = 0; c < k; ++c) row_buf_[c] = scratch_[c][i];
+    for (size_t c = 0; c < k; ++c) {
+      row_buf_[out_slots_[c]] = scratch_[c][i];
+    }
     sink_->Emit(wb + i, row_buf_.data());
   }
   stats_->tuples_constructed += out->num_tuples();

@@ -11,11 +11,17 @@
 //                    extended EM tuples (jumps to input positions)
 //   SpcScan          (Fig. 6) scan-predicate-construct over k columns →
 //                    tuples (EM-parallel's leaf operator)
+//
+// The EM operators also read output-only columns — a planned SQL
+// conjunction's columns without a condition: DS2 and DS4 take no predicate
+// for them and evaluate none, and SPC reads them only in windows where a
+// row passed its predicates.
 
 #ifndef CSTORE_EXEC_DS_SCAN_H_
 #define CSTORE_EXEC_DS_SCAN_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "codec/column_reader.h"
@@ -99,18 +105,20 @@ class DS1PipelinedScan : public MultiColumnOp {
 };
 
 /// DS Case 2: scans a column with a predicate, producing width-1 tuples of
-/// (position, value) — the leaf of EM-pipelined plans.
+/// (position, value) — the leaf of EM-pipelined plans. Without a predicate
+/// (an output-only column) every position passes, unevaluated.
 class DS2Scan : public TupleOp {
  public:
-  DS2Scan(const codec::ColumnReader* reader, codec::Predicate pred,
-          ExecStats* stats, position::Range scan_range = kFullScanRange);
+  DS2Scan(const codec::ColumnReader* reader,
+          std::optional<codec::Predicate> pred, ExecStats* stats,
+          position::Range scan_range = kFullScanRange);
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "ds2-scan"; }
 
  private:
   const codec::ColumnReader* reader_;
-  codec::Predicate pred_;
+  std::optional<codec::Predicate> pred_;
   ExecStats* stats_;
   WindowCursor cursor_;
   ChunkTupleEmitter emitter_;
@@ -122,11 +130,17 @@ class DS2Scan : public TupleOp {
 /// the column value when it passes. Blocks with no input positions are
 /// skipped entirely (EM-pipelined's win for selective predicates). The
 /// input yields one chunk per window of `scan_range`, as DS2Scan does.
+/// Without a predicate (an output-only column) every input tuple is
+/// extended, unevaluated. `out_slots`, when set, places the stitched
+/// values — the input's slots, then this column's value — at those output
+/// slots instead of in order: the last DS4 of a planned chain writes the
+/// query's column layout.
 class DS4ScanMerge : public TupleOp {
  public:
   DS4ScanMerge(TupleOp* input, const codec::ColumnReader* reader,
-               codec::Predicate pred, ExecStats* stats,
-               position::Range scan_range = kFullScanRange);
+               std::optional<codec::Predicate> pred, ExecStats* stats,
+               position::Range scan_range = kFullScanRange,
+               std::vector<uint32_t> out_slots = {});
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "ds4-scan-merge"; }
@@ -137,8 +151,9 @@ class DS4ScanMerge : public TupleOp {
 
   TupleOp* input_;
   const codec::ColumnReader* reader_;
-  codec::Predicate pred_;
+  std::optional<codec::Predicate> pred_;
   ExecStats* stats_;
+  std::vector<uint32_t> out_slots_;  // empty: stitch in order
   PooledChunk in_;  // input staging, recycled per instance
   // The window of the current input chunk (never fetches); its block range
   // is what blocks_skipped counts against.
@@ -159,28 +174,38 @@ class DS4ScanMerge : public TupleOp {
   TupleEmitter* sink_ = &emitter_;
 };
 
-/// SPC (scan, predicate, construct): reads all blocks of all k columns,
+/// SPC (scan, predicate, construct): reads all blocks of the k columns,
 /// short-circuit-evaluates the predicates column by column through a
 /// selection vector, and constructs tuples
 /// that pass everything — the leaf of EM-parallel plans. Compressed columns
 /// are decompressed into per-window arrays first (the paper: EM "requires
 /// the RLE-compressed data to be decompressed", precluding
-/// direct-on-compressed operation).
+/// direct-on-compressed operation). Inputs are listed in evaluation order;
+/// the inputs without a predicate (output-only columns) come last and are
+/// read only in windows where some row passed every predicate.
+/// `out_slots`, when set, places input i's value at output slot
+/// out_slots[i] instead of slot i.
 class SpcScan : public TupleOp {
  public:
   struct Input {
     const codec::ColumnReader* reader;
-    codec::Predicate pred;
+    std::optional<codec::Predicate> pred;
   };
 
   SpcScan(std::vector<Input> inputs, ExecStats* stats,
-          position::Range scan_range = kFullScanRange);
+          position::Range scan_range = kFullScanRange,
+          std::vector<uint32_t> out_slots = {});
 
   Result<bool> NextImpl(TupleChunk* out) override;
   const char* name() const override { return "spc-scan"; }
 
  private:
+  /// Decompresses input c's values over [wb, we) into scratch_[c].
+  Status ReadWindow(size_t c, Position wb, Position we);
+
   std::vector<Input> inputs_;
+  size_t num_filters_ = 0;  // the leading inputs that carry a predicate
+  std::vector<uint32_t> out_slots_;  // input i's output slot
   ExecStats* stats_;
   WindowCursor cursor_;  // over inputs_[0] (all columns share positions)
   std::vector<std::vector<Value>> scratch_;

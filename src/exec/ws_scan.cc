@@ -49,8 +49,9 @@ Result<bool> WsScanPos::NextImpl(MultiColumnChunk* out) {
     if (snapshot_->IsDeleted(p)) continue;
     bool pass = true;
     for (const WsScanColumn& col : columns_) {
+      if (!col.pred) continue;
       ++stats_->predicate_evals;
-      if (!col.pred.Eval(snapshot_->tail_values(col.snap_index)[p - base])) {
+      if (!col.pred->Eval(snapshot_->tail_values(col.snap_index)[p - base])) {
         pass = false;
         break;
       }
@@ -102,14 +103,16 @@ Result<bool> WsScanTuple::NextImpl(TupleChunk* out) {
   for (Position p = wb; p < we; ++p) {
     if (snapshot_->IsDeleted(p)) continue;
     bool pass = true;
-    for (size_t c = 0; c < k; ++c) {
-      ++stats_->predicate_evals;
-      Value v = snapshot_->tail_values(columns_[c].snap_index)[p - base];
-      if (!columns_[c].pred.Eval(v)) {
-        pass = false;
-        break;
+    for (const WsScanColumn& col : columns_) {
+      Value v = snapshot_->tail_values(col.snap_index)[p - base];
+      if (col.pred) {
+        ++stats_->predicate_evals;
+        if (!col.pred->Eval(v)) {
+          pass = false;
+          break;
+        }
       }
-      row_buf_[c] = v;
+      row_buf_[col.column] = v;
     }
     if (!pass) continue;
     out->AppendTuple(p, row_buf_.data());

@@ -29,6 +29,7 @@
 #define CSTORE_EXEC_WS_SCAN_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "codec/predicate.h"
@@ -42,12 +43,14 @@ namespace cstore {
 namespace exec {
 
 /// One scanned column of a write-store tail: which scan slot it fills
-/// (the ColumnId that keys its mini-column), which snapshot schema column
-/// holds its values, and the predicate to apply.
+/// (the ColumnId that keys its mini-column, and its slot in tail tuples),
+/// which snapshot schema column holds its values, and the predicate to
+/// apply — none for an output-only column, which is read, never evaluated.
+/// Predicates are applied in the order the columns are listed.
 struct WsScanColumn {
   ColumnId column = 0;
   size_t snap_index = 0;
-  codec::Predicate pred;
+  std::optional<codec::Predicate> pred;
 };
 
 /// Late-materialization leaf over the snapshot tail: one chunk per
@@ -70,7 +73,7 @@ class WsScanPos : public MultiColumnOp {
 };
 
 /// Early-materialization leaf over the snapshot tail: emits tuples (one
-/// slot per scanned column, in `columns` order) for rows passing every
+/// slot per scanned column, at its `column` slot) for rows passing every
 /// predicate and not deleted.
 class WsScanTuple : public TupleOp {
  public:

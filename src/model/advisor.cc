@@ -69,12 +69,13 @@ std::string Advisor::ExplainAggregation(const SelectionModelInput& input,
 
 namespace {
 
-/// LM-pipelined cannot position-filter bit-vector data (Section 4.1); an
-/// index-answered col2 needs no position filtering, so the planner accepts
-/// it there.
+/// The planner's verdict when the input carries it; otherwise its rule
+/// (plan::PositionFilterable) applied to col2, the filter LM-pipelined
+/// position-filters.
 bool Supported(plan::Strategy s, const SelectionModelInput& in) {
   return s != plan::Strategy::kLmPipelined ||
-         in.col2.encoding != codec::Encoding::kBitVector || in.col2_index;
+         in.lm_pipelined_supported.value_or(
+             plan::PositionFilterable(in.col2.encoding, in.col2_index));
 }
 
 std::vector<StrategyPrediction> Sorted(

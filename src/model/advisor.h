@@ -18,7 +18,7 @@ namespace model {
 struct StrategyPrediction {
   plan::Strategy strategy;
   Cost cost;
-  bool supported = true;  // LM-pipelined over a scanned bit-vector col2 is not
+  bool supported = true;  // false where the planner refuses to build it
 };
 
 struct JoinPrediction {

@@ -11,6 +11,7 @@
 #ifndef CSTORE_MODEL_COST_MODEL_H_
 #define CSTORE_MODEL_COST_MODEL_H_
 
+#include <optional>
 #include <vector>
 
 #include "exec/join.h"
@@ -101,6 +102,11 @@ struct SelectionModelInput {
   bool col2_index = false;
   int bounds1 = 2;
   int bounds2 = 2;
+  // The planner's verdict on LM-pipelined (plan::CheckStrategy over every
+  // filter of the plan), which the SQL front end supplies. Unset, the
+  // advisor applies the same Section 4.1 rule to col2, the second filter
+  // this input describes.
+  std::optional<bool> lm_pipelined_supported;
   // Morsel workers the plan will run with. The model discounts the CPU
   // component by the parallel efficiency (ParallelCpuFactor); the I/O
   // component is unchanged — workers share one buffer pool and one

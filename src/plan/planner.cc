@@ -1,5 +1,7 @@
 #include "plan/planner.h"
 
+#include <algorithm>
+
 #include "codec/encoding.h"
 #include "exec/and_op.h"
 #include "exec/ds_scan.h"
@@ -26,32 +28,67 @@ Status ValidateSelection(const SelectionQuery& query) {
           "selection columns must belong to one projection (equal length)");
     }
   }
+  if (query.filter_order) {
+    // Each column at most once; an output-only column must have no
+    // predicate, or dropping it would widen the answer.
+    const std::vector<uint32_t>& order = *query.filter_order;
+    for (auto it = order.begin(); it != order.end(); ++it) {
+      if (*it >= query.columns.size() ||
+          std::find(order.begin(), it, *it) != it) {
+        return Status::InvalidArgument("bad filter order");
+      }
+    }
+    for (uint32_t c = 0; c < query.columns.size(); ++c) {
+      if (!query.is_filter(c) && !query.columns[c].pred.is_true()) {
+        return Status::InvalidArgument(
+            "a predicated column is missing from the filter order");
+      }
+    }
+  }
   return Status::OK();
+}
+
+/// The leaf of an LM position stream over column `c`: its positions off
+/// the index, or a DS1 scan.
+Result<exec::MultiColumnOp*> LateLeaf(const SelectionQuery& query, uint32_t c,
+                                      const PlanConfig& config, Plan* plan) {
+  const auto& col = query.columns[c];
+  if (UsesIndex(config, col)) {
+    CSTORE_ASSIGN_OR_RETURN(position::Range range,
+                            col.reader->PositionRangeFor(col.pred));
+    return plan->Own(std::make_unique<exec::IndexScan>(
+        col.reader, range, &plan->stats(), config.scan_range));
+  }
+  return plan->Own(std::make_unique<exec::DS1Scan>(
+      col.reader, c, col.pred, config.use_multicolumn, &plan->stats(),
+      config.scan_range));
 }
 
 /// LM position-stream construction shared by selection and aggregation
 /// plans: returns the operator producing the final position descriptor
-/// chunks (DS1s/IndexScans + AND for parallel; a pipelined refinement chain
-/// for pipelined).
+/// chunks over the query's filters (DS1s/IndexScans + AND for parallel; a
+/// pipelined refinement chain for pipelined). Output-only columns get no
+/// operator here: the MERGE or late aggregate above DS3-gathers them.
 Result<exec::MultiColumnOp*> BuildLatePositionStream(
     const SelectionQuery& query, Strategy strategy, const PlanConfig& config,
     Plan* plan) {
-  const bool attach = config.use_multicolumn;
+  CSTORE_RETURN_IF_ERROR(CheckStrategy(query, strategy, config));
+  const size_t nf = query.num_filters();
+  if (nf == 0) {
+    // Nothing to filter: every position of every window qualifies, which
+    // the index leaf reports over the whole column without reading it.
+    const codec::ColumnReader* reader = query.columns[0].reader;
+    return plan->Own(std::make_unique<exec::IndexScan>(
+        reader, position::Range{0, reader->num_values()}, &plan->stats(),
+        config.scan_range));
+  }
   if (strategy == Strategy::kLmParallel) {
     std::vector<exec::MultiColumnOp*> scans;
-    scans.reserve(query.columns.size());
-    for (uint32_t c = 0; c < query.columns.size(); ++c) {
-      const auto& col = query.columns[c];
-      if (UsesIndex(config, col)) {
-        CSTORE_ASSIGN_OR_RETURN(position::Range range,
-                                col.reader->PositionRangeFor(col.pred));
-        scans.push_back(plan->Own(std::make_unique<exec::IndexScan>(
-            col.reader, range, &plan->stats(), config.scan_range)));
-      } else {
-        scans.push_back(plan->Own(std::make_unique<exec::DS1Scan>(
-            col.reader, c, col.pred, attach, &plan->stats(),
-            config.scan_range)));
-      }
+    scans.reserve(nf);
+    for (size_t i = 0; i < nf; ++i) {
+      CSTORE_ASSIGN_OR_RETURN(exec::MultiColumnOp * scan,
+                              LateLeaf(query, query.filter(i), config, plan));
+      scans.push_back(scan);
     }
     if (scans.size() == 1) return scans[0];
     return plan->Own(
@@ -59,32 +96,10 @@ Result<exec::MultiColumnOp*> BuildLatePositionStream(
   }
 
   CSTORE_CHECK(strategy == Strategy::kLmPipelined);
-  // Position filtering (DS3-style jumps) on bit-vector data is not
-  // supported: "it is impossible to know in advance in which bit-string any
-  // particular position is located" (Section 4.1). An index lookup avoids
-  // value access entirely, so it remains legal even there.
-  for (uint32_t c = 1; c < query.columns.size(); ++c) {
-    if (query.columns[c].reader->meta().encoding ==
-            codec::Encoding::kBitVector &&
-        !UsesIndex(config, query.columns[c])) {
-      return Status::NotSupported(
-          "LM-pipelined cannot position-filter bit-vector column '" +
-          query.columns[c].reader->name() + "'");
-    }
-  }
-  exec::MultiColumnOp* stream = nullptr;
-  if (UsesIndex(config, query.columns[0])) {
-    CSTORE_ASSIGN_OR_RETURN(
-        position::Range range,
-        query.columns[0].reader->PositionRangeFor(query.columns[0].pred));
-    stream = plan->Own(std::make_unique<exec::IndexScan>(
-        query.columns[0].reader, range, &plan->stats(), config.scan_range));
-  } else {
-    stream = plan->Own(std::make_unique<exec::DS1Scan>(
-        query.columns[0].reader, 0, query.columns[0].pred, attach,
-        &plan->stats(), config.scan_range));
-  }
-  for (uint32_t c = 1; c < query.columns.size(); ++c) {
+  CSTORE_ASSIGN_OR_RETURN(exec::MultiColumnOp * stream,
+                          LateLeaf(query, query.filter(0), config, plan));
+  for (size_t i = 1; i < nf; ++i) {
+    const uint32_t c = query.filter(i);
     const auto& col = query.columns[c];
     if (UsesIndex(config, col)) {
       CSTORE_ASSIGN_OR_RETURN(position::Range range,
@@ -93,35 +108,54 @@ Result<exec::MultiColumnOp*> BuildLatePositionStream(
           stream, col.reader, range, &plan->stats()));
     } else {
       stream = plan->Own(std::make_unique<exec::DS1PipelinedScan>(
-          stream, col.reader, c, col.pred, attach, &plan->stats()));
+          stream, col.reader, c, col.pred, config.use_multicolumn,
+          &plan->stats()));
     }
   }
   return stream;
+}
+
+/// The predicate plan-order step `i` applies: its column's, or none for an
+/// output-only column.
+std::optional<codec::Predicate> StepPredicate(const SelectionQuery& query,
+                                              const std::vector<uint32_t>& order,
+                                              size_t i) {
+  if (i >= query.num_filters()) return std::nullopt;
+  return query.columns[order[i]].pred;
 }
 
 Result<exec::TupleOp*> BuildEarlyTupleStream(const SelectionQuery& query,
                                              Strategy strategy,
                                              const PlanConfig& config,
                                              Plan* plan) {
+  const std::vector<uint32_t> order = query.PlanOrder();
+  // Both read the columns in plan order and emit them in the query's
+  // layout: SPC directly, EM-pipelined through its last DS4's stitch.
+  std::vector<uint32_t> out_slots;
+  if (!std::is_sorted(order.begin(), order.end())) out_slots = order;
   if (strategy == Strategy::kEmParallel) {
     std::vector<exec::SpcScan::Input> inputs;
-    inputs.reserve(query.columns.size());
-    for (const auto& col : query.columns) {
-      inputs.push_back(exec::SpcScan::Input{col.reader, col.pred});
+    inputs.reserve(order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      inputs.push_back(exec::SpcScan::Input{query.columns[order[i]].reader,
+                                            StepPredicate(query, order, i)});
     }
     return static_cast<exec::TupleOp*>(
         plan->Own(std::make_unique<exec::SpcScan>(
-            std::move(inputs), &plan->stats(), config.scan_range)));
+            std::move(inputs), &plan->stats(), config.scan_range,
+            std::move(out_slots))));
   }
 
   CSTORE_CHECK(strategy == Strategy::kEmPipelined);
   exec::TupleOp* stream = plan->Own(std::make_unique<exec::DS2Scan>(
-      query.columns[0].reader, query.columns[0].pred, &plan->stats(),
-      config.scan_range));
-  for (uint32_t c = 1; c < query.columns.size(); ++c) {
+      query.columns[order[0]].reader, StepPredicate(query, order, 0),
+      &plan->stats(), config.scan_range));
+  for (size_t i = 1; i < order.size(); ++i) {
     stream = plan->Own(std::make_unique<exec::DS4ScanMerge>(
-        stream, query.columns[c].reader, query.columns[c].pred,
-        &plan->stats(), config.scan_range));
+        stream, query.columns[order[i]].reader,
+        StepPredicate(query, order, i), &plan->stats(), config.scan_range,
+        i + 1 == order.size() ? std::move(out_slots)
+                              : std::vector<uint32_t>()));
   }
   return stream;
 }
@@ -147,21 +181,24 @@ Status CheckSnapshotGeneration(const SelectionQuery& query,
   return Status::OK();
 }
 
-/// Maps each scan column to its snapshot schema column (readers are keyed
-/// by storage file). Only needed when a tail leaf is built.
+/// Maps each scan column, in plan order, to its snapshot schema column
+/// (readers are keyed by storage file). Only needed when a tail leaf is
+/// built.
 Result<std::vector<exec::WsScanColumn>> WsColumnsFor(
     const SelectionQuery& query, const write::WriteSnapshot& snap) {
+  const std::vector<uint32_t> order = query.PlanOrder();
   std::vector<exec::WsScanColumn> cols;
-  cols.reserve(query.columns.size());
-  for (uint32_t c = 0; c < query.columns.size(); ++c) {
-    int idx = snap.ColumnIndexForFile(query.columns[c].reader->name());
+  cols.reserve(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const codec::ColumnReader* reader = query.columns[order[i]].reader;
+    int idx = snap.ColumnIndexForFile(reader->name());
     if (idx < 0) {
       return Status::InvalidArgument(
-          "column file '" + query.columns[c].reader->name() +
+          "column file '" + reader->name() +
           "' is not part of the write snapshot's table");
     }
-    cols.push_back(exec::WsScanColumn{c, static_cast<size_t>(idx),
-                                      query.columns[c].pred});
+    cols.push_back(exec::WsScanColumn{order[i], static_cast<size_t>(idx),
+                                      StepPredicate(query, order, i)});
   }
   return cols;
 }
@@ -246,6 +283,21 @@ bool UsesIndex(const PlanConfig& config,
          column.reader->SupportsIndexLookup(column.pred);
 }
 
+Status CheckStrategy(const SelectionQuery& query, Strategy strategy,
+                     const PlanConfig& config) {
+  if (strategy != Strategy::kLmPipelined) return Status::OK();
+  for (size_t i = 1; i < query.num_filters(); ++i) {
+    const SelectionQuery::Column& col = query.columns[query.filter(i)];
+    if (!PositionFilterable(col.reader->meta().encoding,
+                            UsesIndex(config, col))) {
+      return Status::NotSupported(
+          "LM-pipelined cannot position-filter bit-vector column '" +
+          col.reader->name() + "'");
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<Plan>> BuildSelectionPlan(const SelectionQuery& query,
                                                  Strategy strategy,
                                                  const PlanConfig& config) {
@@ -298,9 +350,12 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
     // The aggregator consumes positions + mini-columns directly; no tuples
     // are constructed below it.
     uint32_t gidx = query.global ? query.agg_index : query.group_index;
-    exec::LateAggOp::ColumnSource group{gidx, cols[gidx].reader};
-    exec::LateAggOp::ColumnSource agg{query.agg_index,
-                                      cols[query.agg_index].reader};
+    auto source = [&](uint32_t c) {
+      return exec::LateAggOp::ColumnSource{c, cols[c].reader,
+                                           !query.selection.is_filter(c)};
+    };
+    exec::LateAggOp::ColumnSource group = source(gidx);
+    exec::LateAggOp::ColumnSource agg = source(query.agg_index);
     exec::LateAggOp* root = plan->Own(std::make_unique<exec::LateAggOp>(
         stream, group, agg, query.func, query.global, &plan->stats()));
     plan->SetRoot(root);

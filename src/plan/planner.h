@@ -104,10 +104,20 @@ class Plan {
 bool UsesIndex(const PlanConfig& config,
                const SelectionQuery::Column& column);
 
-/// Builds the operator tree for a selection query under `strategy`.
-/// Fails with NotSupported for LM-pipelined over bit-vector columns beyond
-/// the first (position filtering on bit-vector data is not supported —
-/// Section 4.1).
+/// The planner's one legality check, which the advisor's ranking also
+/// takes: NotSupported for LM-pipelined when a filter after its first is
+/// an unindexed bit-vector column (position filtering on bit-vector data
+/// is not supported — Section 4.1), OK otherwise. Filters are taken in the
+/// query's filter order, so an output-only bit-vector column is legal.
+Status CheckStrategy(const SelectionQuery& query, Strategy strategy,
+                     const PlanConfig& config);
+
+/// Builds the operator tree for a selection query under `strategy`
+/// (CheckStrategy's verdict first). The plan filters the query's filters
+/// in order and reads its output-only columns without filtering them: LM
+/// plans DS3-gather them in the MERGE, EM-pipelined fetches them with DS4s
+/// after its last filter, and SPC reads them only in windows where a row
+/// passed. Output tuples hold the columns in `query.columns` order.
 Result<std::unique_ptr<Plan>> BuildSelectionPlan(const SelectionQuery& query,
                                                  Strategy strategy,
                                                  const PlanConfig& config);

@@ -4,7 +4,9 @@
 #ifndef CSTORE_PLAN_QUERY_H_
 #define CSTORE_PLAN_QUERY_H_
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "codec/column_reader.h"
@@ -20,13 +22,46 @@ namespace cstore {
 namespace plan {
 
 /// SELECT col_1, ..., col_k FROM projection WHERE pred_1(col_1) AND ... —
-/// every listed column is both filtered (pred may be True) and output.
+/// the output tuples hold the columns in this order. Without a filter
+/// order, every listed column is filtered (pred may be True), in column
+/// order.
 struct SelectionQuery {
   struct Column {
     const codec::ColumnReader* reader = nullptr;
     codec::Predicate pred;
   };
   std::vector<Column> columns;
+  // The planned conjunction of a SQL SELECT: the columns the plan filters,
+  // in the order it applies their predicates. Every other column is
+  // output-only: its predicate is True, and the plan reads it for the
+  // result without ever filtering it. Unset (typed plans): every column is
+  // filtered, in column order.
+  std::optional<std::vector<uint32_t>> filter_order;
+
+  size_t num_filters() const {
+    return filter_order ? filter_order->size() : columns.size();
+  }
+  /// The i-th column the plan filters (i < num_filters()).
+  uint32_t filter(size_t i) const {
+    return filter_order ? (*filter_order)[i] : static_cast<uint32_t>(i);
+  }
+  /// False for an output-only column.
+  bool is_filter(uint32_t c) const {
+    return !filter_order || std::find(filter_order->begin(),
+                                      filter_order->end(),
+                                      c) != filter_order->end();
+  }
+  /// Every column in plan order: the num_filters() filters in the order
+  /// the plan applies them, then the output-only columns in column order.
+  std::vector<uint32_t> PlanOrder() const {
+    std::vector<uint32_t> order;
+    order.reserve(columns.size());
+    for (size_t i = 0; i < num_filters(); ++i) order.push_back(filter(i));
+    for (uint32_t c = 0; c < columns.size(); ++c) {
+      if (!is_filter(c)) order.push_back(c);
+    }
+    return order;
+  }
 };
 
 /// SELECT group_col, AGG(agg_col) FROM projection WHERE ... GROUP BY

@@ -3,6 +3,8 @@
 #ifndef CSTORE_PLAN_STRATEGY_H_
 #define CSTORE_PLAN_STRATEGY_H_
 
+#include "codec/encoding.h"
+
 namespace cstore {
 namespace plan {
 
@@ -39,6 +41,15 @@ inline constexpr Strategy kAllStrategies[] = {
     Strategy::kLmPipelined,
     Strategy::kLmParallel,
 };
+
+/// Section 4.1's rule: LM-pipelined position-filters each filter after its
+/// first, and bit-vector data cannot be position-filtered ("it is
+/// impossible to know in advance in which bit-string any particular
+/// position is located"). An index-answered filter reads no values, so it
+/// stays legal. plan::CheckStrategy applies this to a query's filters.
+inline bool PositionFilterable(codec::Encoding encoding, bool index) {
+  return encoding != codec::Encoding::kBitVector || index;
+}
 
 inline bool IsLate(Strategy s) {
   return s == Strategy::kLmPipelined || s == Strategy::kLmParallel;

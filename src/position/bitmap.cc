@@ -62,27 +62,13 @@ void Bitmap::OrWith(const Bitmap& other) {
 
 size_t Bitmap::CountRuns(size_t limit) const {
   size_t runs = 0;
-  bool in_run = false;
-  for (size_t w = 0; w < words_.size(); ++w) {
-    uint64_t word = words_[w];
-    if (word == 0) {
-      in_run = false;
-      continue;
-    }
-    if (word == ~uint64_t{0}) {
-      if (!in_run) {
-        if (++runs > limit) return runs;
-        in_run = true;
-      }
-      continue;
-    }
-    for (int bit = 0; bit < static_cast<int>(bit_util::kBitsPerWord); ++bit) {
-      bool set = (word >> bit) & 1;
-      if (set && !in_run) {
-        if (++runs > limit) return runs;
-      }
-      in_run = set;
-    }
+  uint64_t carry = 0;  // the previous word's top bit
+  for (uint64_t word : words_) {
+    // A run begins at each set bit whose lower neighbour is clear.
+    runs += static_cast<size_t>(
+        bit_util::PopCount(word & ~((word << 1) | carry)));
+    if (runs > limit) return runs;
+    carry = word >> (bit_util::kBitsPerWord - 1);
   }
   return runs;
 }

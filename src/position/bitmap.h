@@ -77,40 +77,35 @@ class Bitmap {
   /// implemented by masking the boundary words.
   void MaskToRange(Position b, Position e);
 
-  /// Number of maximal runs of set bits, counting at most `limit + 1` (an
-  /// early-exit cardinality probe used to decide representation changes
-  /// without materializing the runs).
+  /// Number of maximal runs of set bits; once the count passes `limit` it
+  /// returns early with some count above `limit` (a cardinality probe used
+  /// to decide representation changes without materializing the runs).
   size_t CountRuns(size_t limit) const;
 
   /// Invokes fn(begin, end) for every maximal run of set bits, as absolute
-  /// positions.
+  /// positions. Word at a time: each run boundary is the lowest set bit of
+  /// the word (a run begins) or of its complement (it ends), above the
+  /// boundary before it.
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {
     const size_t nw = words_.size();
     Position run_begin = kInvalidPosition;
     for (size_t w = 0; w < nw; ++w) {
-      uint64_t word = words_[w];
-      if (word == 0) {
-        if (run_begin != kInvalidPosition) {
-          fn(run_begin, base_ + w * bit_util::kBitsPerWord);
-          run_begin = kInvalidPosition;
-        }
-        continue;
-      }
-      if (word == ~uint64_t{0}) {
+      const uint64_t word = words_[w];
+      const Position word_base = base_ + w * bit_util::kBitsPerWord;
+      int from = 0;  // bits below it are consumed
+      while (from < static_cast<int>(bit_util::kBitsPerWord)) {
+        const uint64_t above = ~uint64_t{0} << from;
         if (run_begin == kInvalidPosition) {
-          run_begin = base_ + w * bit_util::kBitsPerWord;
-        }
-        continue;
-      }
-      Position word_base = base_ + w * bit_util::kBitsPerWord;
-      for (int bit = 0; bit < static_cast<int>(bit_util::kBitsPerWord);
-           ++bit) {
-        bool set = (word >> bit) & 1;
-        if (set && run_begin == kInvalidPosition) {
-          run_begin = word_base + bit;
-        } else if (!set && run_begin != kInvalidPosition) {
-          fn(run_begin, word_base + bit);
+          const uint64_t set = word & above;
+          if (set == 0) break;
+          from = bit_util::CountTrailingZeros(set);
+          run_begin = word_base + from;
+        } else {
+          const uint64_t clear = ~word & above;
+          if (clear == 0) break;
+          from = bit_util::CountTrailingZeros(clear);
+          fn(run_begin, word_base + from);
           run_begin = kInvalidPosition;
         }
       }

@@ -13,9 +13,10 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
-#include "storage/page.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
+#include "storage/buffer_pool.h"
+#include "storage/page.h"
 #include "util/stopwatch.h"
 
 namespace cstore {
@@ -120,7 +121,6 @@ struct QueryState {
   plan::PlanTemplate own_tmpl;
   const plan::PlanTemplate* tmpl = &own_tmpl;
   std::mutex* mu = nullptr;
-  storage::BufferPool* pool = nullptr;
   Scheduler::Sink sink;
   // Streaming mode: chunks leave through here during execution instead of
   // being buffered in partials (thread-safe by contract; false = cancel).
@@ -513,22 +513,19 @@ Scheduler::~Scheduler() {
   pool_.reset();  // joins; workers drain all remaining queries first
 }
 
-QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
-                              storage::BufferPool* pool, Sink sink,
+QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl, Sink sink,
                               int priority) {
   SubmitOptions options;
   options.sink = std::move(sink);
   options.priority = priority;
-  return Submit(tmpl, pool, std::move(options));
+  return Submit(tmpl, std::move(options));
 }
 
 QueryTicket Scheduler::Submit(const plan::PlanTemplate& tmpl,
-                              storage::BufferPool* pool,
                               SubmitOptions options) {
   auto q = std::make_shared<QueryState>();
   q->own_tmpl = tmpl;
   q->mu = &mu_;
-  q->pool = pool;
   q->sink = std::move(options.sink);
   q->stream_sink = std::move(options.stream_sink);
   q->on_complete = std::move(options.on_complete);
@@ -731,14 +728,12 @@ void Scheduler::Finalize(const std::shared_ptr<QueryState>& q) {
   if (q->on_complete) q->on_complete();
 }
 
-ExecResult RunOnCaller(const plan::PlanTemplate& tmpl,
-                       storage::BufferPool* pool, Scheduler::Sink sink,
+ExecResult RunOnCaller(const plan::PlanTemplate& tmpl, Scheduler::Sink sink,
                        const std::string& label, int priority) {
   std::mutex mu;
   QueryState q;
   q.tmpl = &tmpl;
   q.mu = &mu;
-  q.pool = pool;
   q.sink = std::move(sink);
   q.priority = std::max(1, priority);
   q.query_id = obs::NextQueryId();

@@ -46,7 +46,6 @@
 
 #include "plan/parallel.h"
 #include "sched/worker_pool.h"
-#include "storage/buffer_pool.h"
 #include "util/status.h"
 
 namespace cstore {
@@ -141,13 +140,11 @@ class Scheduler {
   /// left at the default); `tmpl.config.num_workers` is ignored — the pool
   /// decides parallelism. `priority >= 1` gives the query that many
   /// consecutive morsel claims per round-robin rotation.
-  QueryTicket Submit(const plan::PlanTemplate& tmpl,
-                     storage::BufferPool* pool, Sink sink = nullptr,
+  QueryTicket Submit(const plan::PlanTemplate& tmpl, Sink sink = nullptr,
                      int priority = 1);
 
   /// As above, with the full option set (streaming sinks, completion hook).
-  QueryTicket Submit(const plan::PlanTemplate& tmpl,
-                     storage::BufferPool* pool, SubmitOptions options);
+  QueryTicket Submit(const plan::PlanTemplate& tmpl, SubmitOptions options);
 
   /// Enqueues generic background work (e.g. a TupleMover compaction pass)
   /// as a single indivisible task on the same pool: it interleaves with
@@ -206,8 +203,7 @@ class Scheduler {
 /// 1-worker pool's. `sink` (optional) receives the result as Submit's does;
 /// a failed run never calls it. Writes the query's system.query_log row
 /// (an empty `label` becomes "plan:<kind>"); no scheduler metric counts it.
-ExecResult RunOnCaller(const plan::PlanTemplate& tmpl,
-                       storage::BufferPool* pool, Scheduler::Sink sink,
+ExecResult RunOnCaller(const plan::PlanTemplate& tmpl, Scheduler::Sink sink,
                        const std::string& label = {}, int priority = 1);
 
 /// Registers the scheduler's metric families (queue depth, latency

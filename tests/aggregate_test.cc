@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,48 @@ TEST_F(AggPlanTest, GlobalRleFastPathAgreesWithPlain) {
       plan::PlanTemplate::Agg(q, Strategy::kLmParallel));
   ASSERT_TRUE(rle_r.ok() && pl_r.ok());
   EXPECT_EQ(rle_r->tuples.value(0, 1), pl_r->tuples.value(0, 1));
+}
+
+TEST_F(AggPlanTest, OutputOnlyRleColumnsAggregateRunAtATime) {
+  // A planned conjunction filters neither the group column nor the global
+  // aggregate's input below, so no scan attaches their blocks. The late
+  // aggregate reads them compressed itself: it zips runs and gathers no
+  // value, and answers as every other strategy does.
+  const size_t n = 150000;
+  std::vector<Value> g = testing::SortedRunnyValues(n, 120, 30.0, 71);
+  std::vector<Value> v = testing::RunnyValues(n, 9, 40.0, 72);
+  std::vector<Value> f = testing::RunnyValues(n, 100, 1.0, 73);
+  const auto* rg = Load("og", Encoding::kRle, g);
+  const auto* rv = Load("ov", Encoding::kRle, v);
+  const auto* rf = Load("of", Encoding::kUncompressed, f);
+
+  plan::AggQuery grouped;
+  grouped.selection.columns.push_back({rg, Predicate::True()});
+  grouped.selection.columns.push_back({rv, Predicate::LessThan(7)});
+  grouped.selection.filter_order = std::vector<uint32_t>{1};
+  grouped.group_index = 0;
+  grouped.agg_index = 1;
+
+  plan::AggQuery global;
+  global.selection.columns.push_back({rv, Predicate::True()});
+  global.selection.columns.push_back({rf, Predicate::LessThan(60)});
+  global.selection.filter_order = std::vector<uint32_t>{1};
+  global.agg_index = 0;
+  global.global = true;
+
+  for (const plan::AggQuery* q : {&grouped, &global}) {
+    std::optional<uint64_t> checksum;
+    for (Strategy s : plan::kAllStrategies) {
+      auto r =
+          api::Connection(db_.get()).Query(plan::PlanTemplate::Agg(*q, s));
+      ASSERT_TRUE(r.ok()) << StrategyName(s) << ": " << r.status().ToString();
+      if (!checksum) checksum = r->stats.checksum;
+      EXPECT_EQ(r->stats.checksum, *checksum) << StrategyName(s);
+      if (plan::IsLate(s)) {
+        EXPECT_EQ(r->stats.exec.values_gathered, 0u) << StrategyName(s);
+      }
+    }
+  }
 }
 
 TEST_F(AggPlanTest, AggregationOverEveryEncodingAgrees) {

@@ -402,6 +402,32 @@ TEST(AdvisorTest, BitVectorDemotesLmPipelined) {
   EXPECT_NE(advisor.ChooseSelection(in), Strategy::kLmPipelined);
 }
 
+TEST(AdvisorTest, PlannerVerdictDecidesLmPipelined) {
+  // The SQL front end hands the advisor the planner's verdict over every
+  // filter: a bit-vector third filter refuses LM-pipelined although col2
+  // is plain, and an output-only bit-vector col2 (gathered, never
+  // position-filtered) leaves it legal.
+  Advisor advisor(Paper());
+  SelectionModelInput in;
+  in.col1 = MakeCol(3, 600000, 80, codec::Encoding::kRle);
+  in.col2 = MakeCol(74, 600000, 1, codec::Encoding::kUncompressed);
+  in.sf1 = 0.01;
+  in.lm_pipelined_supported = false;
+  EXPECT_EQ(advisor.RankSelection(in).back().strategy,
+            Strategy::kLmPipelined);
+  EXPECT_FALSE(advisor.RankSelection(in).back().supported);
+  EXPECT_FALSE(advisor.RankAggregation(in, 10).back().supported);
+  EXPECT_FALSE(advisor.RankSort(in, 10).back().supported);
+  EXPECT_NE(Advisor::Heuristic(in, true), Strategy::kLmPipelined);
+
+  in.col2 = MakeCol(20, 600000, 1, codec::Encoding::kBitVector);
+  in.sf2 = 1.0;
+  in.lm_pipelined_supported = true;
+  for (const model::StrategyPrediction& p : advisor.RankSelection(in)) {
+    EXPECT_TRUE(p.supported) << StrategyName(p.strategy);
+  }
+}
+
 /// SELECT k, v FROM t WHERE k = c over 150 000 rows stored sorted by k
 /// (uncompressed, 10 rows per key; v unpredicated), warm: the CPU terms
 /// decide, as in a server with disk simulation off.

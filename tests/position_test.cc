@@ -140,6 +140,54 @@ TEST(BitmapTest, CountRunsEarlyExit) {
   EXPECT_EQ(bm.CountRuns(10000), 3200u);
 }
 
+TEST(BitmapTest, RunWalksMatchNaiveBitWalk) {
+  // ForEachRun and CountRuns find run boundaries a word at a time; a
+  // bit-by-bit walk is the reference. Densities from empty to full, with
+  // runs long enough to cover whole all-zero and all-one words and to
+  // cross word boundaries, sizes that are not a multiple of 64, and a
+  // non-zero base.
+  Random rng(0xb17);
+  for (int round = 0; round < 200; ++round) {
+    const Position base = rng.Uniform(3) == 0 ? 0 : rng.Uniform(1 << 20);
+    const uint64_t nbits = 1 + rng.Uniform(700);
+    const double density = round % 10 == 0 ? 0.0
+                           : round % 10 == 1 ? 1.0
+                                             : rng.NextDouble();
+    const double mean_run = 1.0 + rng.NextDouble() * 150.0;
+    Bitmap bm(base, nbits);
+    // Alternate set and clear stretches with geometric lengths.
+    bool set = rng.NextDouble() < density;
+    for (uint64_t i = 0; i < nbits;) {
+      uint64_t len = 1 + rng.Uniform(static_cast<uint64_t>(2 * mean_run));
+      len = std::min<uint64_t>(len, nbits - i);
+      if (set) bm.SetRange(base + i, base + i + len);
+      i += len;
+      set = density >= 1.0 || (density > 0.0 && rng.NextDouble() < density);
+    }
+    std::vector<std::pair<Position, Position>> want;
+    for (uint64_t i = 0; i < nbits;) {
+      if (!bm.Get(base + i)) {
+        ++i;
+        continue;
+      }
+      uint64_t j = i;
+      while (j < nbits && bm.Get(base + j)) ++j;
+      want.emplace_back(base + i, base + j);
+      i = j;
+    }
+    std::vector<std::pair<Position, Position>> got;
+    bm.ForEachRun([&](Position b, Position e) { got.emplace_back(b, e); });
+    const std::string where = "round " + std::to_string(round) + " base " +
+                              std::to_string(base) + " nbits " +
+                              std::to_string(nbits);
+    EXPECT_EQ(got, want) << where;
+    EXPECT_EQ(bm.CountRuns(nbits), want.size()) << where;
+    if (!want.empty()) {
+      EXPECT_GT(bm.CountRuns(want.size() - 1), want.size() - 1) << where;
+    }
+  }
+}
+
 TEST(BitmapTest, ForEachSetAscending) {
   Bitmap bm(5, 100);
   bm.Set(7);

@@ -1,19 +1,26 @@
 // Robustness tests: corruption detection, resource-exhaustion error paths
-// (no crashes, clean Status propagation), and a randomized query fuzzer
+// (no crashes, clean Status propagation), a randomized query fuzzer
 // comparing every strategy against a naive evaluator on arbitrary
-// encoding/predicate/width combinations.
+// encoding/predicate/width combinations, and the permutation check: SQL
+// statements that differ only in the order they name their conditions and
+// select-list columns plan alike.
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/connection.h"
 #include "db/database.h"
+#include "exec/sort.h"
 #include "test_util.h"
 
 namespace cstore {
@@ -305,6 +312,281 @@ TEST_F(RobustnessTest, WideRleBlocksAgreeWithNaiveRowByRow) {
         EXPECT_EQ(r->stats.output_tuples, want.size()) << where;
         EXPECT_TRUE(testing::RowsByPosition(r->tuples) == want) << where;
       }
+    }
+  }
+}
+
+// --- Permutation check ------------------------------------------------------
+
+/// One WHERE conjunct: its SQL text and what it selects.
+struct Conjunct {
+  std::string sql;
+  int column;
+  Predicate pred;
+};
+
+Conjunct RandomConjunct(Random* rng, int column, const std::string& name,
+                        int domain) {
+  const Value a = rng->UniformRange(-1, domain);
+  const std::string av = std::to_string(a);
+  switch (rng->Uniform(7)) {
+    case 0:
+      return {name + " < " + av, column, Predicate::LessThan(a)};
+    case 1:
+      return {name + " <= " + av, column, Predicate::LessEqual(a)};
+    case 2:
+      return {name + " = " + av, column, Predicate::Equal(a)};
+    case 3:
+      return {name + " >= " + av, column, Predicate::GreaterEqual(a)};
+    case 4:
+      return {name + " > " + av, column, Predicate::GreaterThan(a)};
+    case 5: {
+      const Value b = a + rng->UniformRange(0, domain / 2);
+      return {name + " BETWEEN " + av + " AND " + std::to_string(b), column,
+              Predicate::Between(a, b)};
+    }
+    default:
+      return {name + " <> " + av, column, Predicate::NotEqual(a)};
+  }
+}
+
+/// Every ordering of `items` (at most 3! of them).
+template <typename T>
+std::vector<std::vector<T>> Permutations(std::vector<T> items) {
+  std::vector<size_t> idx(items.size());
+  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::vector<std::vector<T>> out;
+  do {
+    std::vector<T> perm;
+    for (size_t i : idx) perm.push_back(items[i]);
+    out.push_back(std::move(perm));
+  } while (std::next_permutation(idx.begin(), idx.end()));
+  return out;
+}
+
+TEST_F(RobustnessTest, PermutedStatementsPlanAlike) {
+  // The planner filters a statement's conditioned columns in rank order and
+  // reads the rest for the result, whatever order the SQL names them in.
+  // Over a table with RLE-sorted, RLE, plain, dictionary and bit-vector
+  // columns, a delete mask and a write-store tail, seeded random
+  // selections, GROUP BYs and ORDER BY ... LIMITs (select lists that name
+  // unconditioned columns included) run in every order of their WHERE
+  // conjuncts and of their select list, under every strategy at 1, 2 and 4
+  // workers. Every ordering must return the naive evaluator's rows (mapped
+  // back to one column order) and the same NotSupported verdict, and for a
+  // fixed strategy and worker count every ordering must do the same work.
+  // RunStats::checksum digests the plan's output tuples, whose layout
+  // follows the select list, so it is compared across the conjunct orders
+  // of each select-list order.
+  struct Column {
+    std::string name;
+    Encoding enc;
+    int domain;
+    std::vector<Value> values;
+  };
+  const size_t n = 70000;  // two 64K windows, two morsels when parallel
+  std::vector<Column> cols = {
+      {"rs", Encoding::kRle, 400, testing::SortedRunnyValues(n, 400, 30, 11)},
+      {"rl", Encoding::kRle, 40, testing::RunnyValues(n, 40, 12, 12)},
+      {"pl", Encoding::kUncompressed, 100, testing::RunnyValues(n, 100, 1, 13)},
+      {"dc", Encoding::kDict, 25, testing::RunnyValues(n, 25, 2, 14)},
+      {"bv", Encoding::kBitVector, 8, testing::RunnyValues(n, 8, 1.5, 15)},
+  };
+  const int k = static_cast<int>(cols.size());
+  std::vector<std::pair<std::string, std::string>> schema;
+  for (const Column& c : cols) {
+    ASSERT_OK(db_->CreateColumn("p." + c.name, c.enc, c.values));
+    schema.emplace_back(c.name, "p." + c.name);
+  }
+  ASSERT_OK(db_->RegisterTable("p", schema));
+
+  // The naive table: live rows as (position, values), deletes applied
+  // before the write-store tail is appended.
+  std::vector<std::pair<Position, std::vector<Value>>> live;
+  for (size_t i = 0; i < n; ++i) {
+    if (cols[2].values[i] == 13) continue;
+    std::vector<Value> row;
+    for (const Column& c : cols) row.push_back(c.values[i]);
+    live.emplace_back(i, std::move(row));
+  }
+  api::Connection writer(db_.get());
+  ASSERT_OK(writer.Query("DELETE FROM p WHERE pl = 13").status());
+  Random rng(0x5eed);
+  std::string insert = "INSERT INTO p VALUES ";
+  for (int r = 0; r < 40; ++r) {
+    std::vector<Value> row;
+    for (const Column& c : cols) row.push_back(rng.UniformRange(0, c.domain));
+    insert += std::string(r ? ", (" : "(");
+    for (int c = 0; c < k; ++c) {
+      insert += (c ? ", " : "") + std::to_string(row[c]);
+    }
+    insert += ")";
+    live.emplace_back(n + r, std::move(row));
+  }
+  ASSERT_OK(writer.Query(insert).status());
+
+  std::map<int, std::unique_ptr<api::Connection>> conns;
+  for (int workers : {1, 2, 4}) {
+    api::Connection::Settings settings;
+    settings.num_workers = workers;
+    conns[workers] =
+        std::make_unique<api::Connection>(db_.get(), nullptr, settings);
+  }
+
+  enum Shape { kSelect, kGroupBy, kOrderBy };
+  const char* funcs[] = {"SUM", "COUNT", "MIN", "MAX"};
+  for (int round = 0; round < 6; ++round) {
+    const Shape shape = static_cast<Shape>(round % 3);
+    // 1-3 conjuncts over distinct columns.
+    std::vector<int> order(k);
+    for (int c = 0; c < k; ++c) order[c] = c;
+    std::shuffle(order.begin(), order.end(),
+                 std::mt19937_64(rng.Next()));
+    std::vector<Conjunct> conjuncts;
+    const int nconj = 1 + static_cast<int>(rng.Uniform(3));
+    for (int i = 0; i < nconj; ++i) {
+      const Column& c = cols[order[i]];
+      conjuncts.push_back(RandomConjunct(&rng, order[i], c.name, c.domain));
+    }
+    // Select items: column indices; a GROUP BY's are (group, aggregate).
+    std::shuffle(order.begin(), order.end(),
+                 std::mt19937_64(rng.Next()));
+    const int nitems =
+        shape == kGroupBy ? 2 : 1 + static_cast<int>(rng.Uniform(3));
+    std::vector<int> items(order.begin(), order.begin() + nitems);
+    const char* func = funcs[rng.Uniform(4)];
+    const int sort_col = static_cast<int>(rng.Uniform(k));
+    const bool desc = rng.Bernoulli(0.5);
+    const uint64_t limit = 1 + rng.Uniform(300);
+    auto item_sql = [&](int i) {
+      return shape == kGroupBy && i == items[1]
+                 ? std::string(func) + "(" + cols[i].name + ")"
+                 : cols[i].name;
+    };
+
+    // Naive answer, in `items` order.
+    std::vector<std::pair<Position, std::vector<Value>>> pass;
+    for (const auto& [pos, row] : live) {
+      bool ok = true;
+      for (const Conjunct& cj : conjuncts) ok = ok && cj.pred.Eval(row[cj.column]);
+      if (ok) pass.emplace_back(pos, row);
+    }
+    std::vector<std::vector<Value>> want;
+    if (shape == kGroupBy) {
+      std::map<Value, std::pair<Value, uint64_t>> groups;  // acc, count
+      for (const auto& [pos, row] : pass) {
+        const Value v = row[items[1]];
+        auto [it, fresh] = groups.try_emplace(row[items[0]], v, 0);
+        Value& acc = it->second.first;
+        if (!fresh) {
+          if (func[1] == 'U') acc += v;
+          if (func[1] == 'I') acc = std::min(acc, v);
+          if (func[1] == 'A') acc = std::max(acc, v);
+        }
+        ++it->second.second;
+      }
+      for (const auto& [g, state] : groups) {
+        want.push_back({g, func[0] == 'C' ? static_cast<Value>(state.second)
+                                          : state.first});
+      }
+    } else {
+      if (shape == kOrderBy) {
+        std::sort(pass.begin(), pass.end(), [&](const auto& a, const auto& b) {
+          return exec::SortRowLess(a.second[sort_col], a.first,
+                                   b.second[sort_col], b.first, desc);
+        });
+        if (pass.size() > limit) pass.resize(limit);
+      }
+      for (const auto& [pos, row] : pass) {
+        std::vector<Value> out{static_cast<Value>(pos)};
+        for (int i : items) out.push_back(row[i]);
+        want.push_back(std::move(out));
+      }
+    }
+
+    // Work one ordering does, which every other must repeat exactly.
+    using Work = std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
+    struct Cell {
+      bool seen = false;
+      bool supported = false;
+      Work work;
+      std::map<std::vector<int>, uint64_t> checksum;  // per select order
+    };
+    std::map<std::pair<int, int>, Cell> cells;  // (strategy, workers)
+    for (const std::vector<Conjunct>& conj : Permutations(conjuncts)) {
+      for (const std::vector<int>& sel : Permutations(items)) {
+        std::string sql = "SELECT ";
+        for (size_t i = 0; i < sel.size(); ++i) {
+          sql += (i ? ", " : "") + item_sql(sel[i]);
+        }
+        sql += " FROM p WHERE ";
+        for (size_t i = 0; i < conj.size(); ++i) {
+          sql += (i ? " AND " : "") + conj[i].sql;
+        }
+        if (shape == kGroupBy) sql += " GROUP BY " + cols[items[0]].name;
+        if (shape == kOrderBy) {
+          sql += " ORDER BY " + cols[sort_col].name + (desc ? " DESC" : "") +
+                 " LIMIT " + std::to_string(limit);
+        }
+        // The advisor ranks only what the planner builds.
+        const Status picked = conns[1]->Query(sql).status();
+        EXPECT_TRUE(picked.ok()) << sql << ": " << picked.ToString();
+        for (int s = 0; s < 4; ++s) {
+          for (int workers : {1, 2, 4}) {
+            const Strategy strategy = plan::kAllStrategies[s];
+            const std::string where = "round " + std::to_string(round) + " " +
+                                      StrategyName(strategy) + " workers=" +
+                                      std::to_string(workers) + ": " + sql;
+            auto r = conns[workers]->Query(sql, strategy);
+            Cell& cell = cells[{s, workers}];
+            if (!cell.seen) {
+              cell.seen = true;
+              cell.supported = r.ok();
+            }
+            if (!r.ok()) {
+              EXPECT_TRUE(r.status().IsNotSupported())
+                  << where << ": " << r.status().ToString();
+              EXPECT_FALSE(cell.supported) << where;
+              continue;
+            }
+            ASSERT_TRUE(cell.supported) << where;
+            // Map the result back to `items` order.
+            std::vector<std::vector<Value>> got;
+            const exec::TupleChunk& t = r->tuples;
+            for (size_t row = 0; row < t.num_tuples(); ++row) {
+              std::vector<Value> out;
+              if (shape != kGroupBy) {
+                out.push_back(static_cast<Value>(t.position(row)));
+              }
+              for (int i : items) {
+                const size_t slot =
+                    std::find(sel.begin(), sel.end(), i) - sel.begin();
+                out.push_back(t.value(row, static_cast<uint32_t>(slot)));
+              }
+              got.push_back(std::move(out));
+            }
+            if (shape == kSelect) std::sort(got.begin(), got.end());
+            EXPECT_TRUE(got == want)
+                << where << ": " << got.size() << " rows, want "
+                << want.size();
+            const exec::ExecStats& e = r->stats.exec;
+            const Work work{e.predicate_evals, e.blocks_fetched,
+                            e.tuples_constructed, e.values_gathered,
+                            e.position_ands};
+            auto [it, first] = cell.checksum.try_emplace(sel, r->stats.checksum);
+            if (cell.checksum.size() == 1 && first) {
+              cell.work = work;
+            } else {
+              EXPECT_TRUE(work == cell.work) << where;
+              EXPECT_EQ(r->stats.checksum, it->second) << where;
+            }
+          }
+        }
+      }
+    }
+    for (int workers : {1, 2, 4}) {
+      // SPC builds every statement.
+      EXPECT_TRUE((cells[{1, workers}].supported)) << "round " << round;
     }
   }
 }

@@ -168,7 +168,7 @@ TEST_F(SchedTest, TicketsCompleteUnderQueuePressure) {
   const int kRounds = 3;
   for (int round = 0; round < kRounds; ++round) {
     for (const plan::PlanTemplate& tmpl : templates) {
-      tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+      tickets.push_back(scheduler.Submit(tmpl));
     }
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -191,7 +191,7 @@ TEST_F(SchedTest, ExecStatsNotCrossContaminated) {
   {
     sched::Scheduler scheduler(opts);
     const sched::ExecResult& r =
-        scheduler.Submit(templates[0], db_->pool()).Wait();
+        scheduler.Submit(templates[0]).Wait();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     solo = r.stats.exec;
   }
@@ -200,7 +200,7 @@ TEST_F(SchedTest, ExecStatsNotCrossContaminated) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl));
   }
   const sched::ExecResult& r = tickets[0].Wait();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -229,7 +229,7 @@ TEST_F(SchedTest, IoStatsAttributedPerQueryNotPerPool) {
   {
     sched::Scheduler scheduler(opts);
     const sched::ExecResult& r =
-        scheduler.Submit(templates[0], db_->pool()).Wait();
+        scheduler.Submit(templates[0]).Wait();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     solo_requests = r.stats.io.cache_hits + r.stats.io.physical_reads;
   }
@@ -238,7 +238,7 @@ TEST_F(SchedTest, IoStatsAttributedPerQueryNotPerPool) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (const plan::PlanTemplate& tmpl : templates) {
-    tickets.push_back(scheduler.Submit(tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(tmpl));
   }
   const sched::ExecResult& r = tickets[0].Wait();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -267,7 +267,7 @@ TEST_F(SchedTest, PriorityQueriesCompleteAndStayCorrect) {
   std::vector<sched::QueryTicket> tickets;
   for (size_t i = 0; i < templates.size(); ++i) {
     // Alternate priorities 1..3: correctness must be priority-independent.
-    tickets.push_back(scheduler.Submit(templates[i], db_->pool(), nullptr,
+    tickets.push_back(scheduler.Submit(templates[i], nullptr,
                                        1 + static_cast<int>(i % 3)));
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -292,8 +292,8 @@ TEST_F(SchedTest, InstantiationErrorSurfacesOnTicketOnly) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool());
-  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool());
+  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl);
+  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl);
   EXPECT_FALSE(bad_ticket.Wait().status.ok());
   const sched::ExecResult& good = good_ticket.Wait();
   ASSERT_TRUE(good.status.ok()) << good.status.ToString();
@@ -317,8 +317,8 @@ TEST_F(SchedTest, JoinBuildBarrierGatesProbeMorsels) {
   sched::Scheduler scheduler(opts);
   std::vector<sched::QueryTicket> tickets;
   for (int i = 0; i < 3; ++i) {
-    tickets.push_back(scheduler.Submit(join_tmpl, db_->pool()));
-    tickets.push_back(scheduler.Submit(scan_tmpl, db_->pool()));
+    tickets.push_back(scheduler.Submit(join_tmpl));
+    tickets.push_back(scheduler.Submit(scan_tmpl));
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
     const sched::ExecResult r = tickets[i].Wait();
@@ -347,8 +347,8 @@ TEST_F(SchedTest, JoinBuildFailureSurfacesOnTicket) {
   sched::Scheduler::Options opts;
   opts.num_workers = 4;
   sched::Scheduler scheduler(opts);
-  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl, db_->pool());
-  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl, db_->pool());
+  sched::QueryTicket bad_ticket = scheduler.Submit(bad_tmpl);
+  sched::QueryTicket good_ticket = scheduler.Submit(good_tmpl);
   EXPECT_FALSE(bad_ticket.Wait().status.ok());
   const sched::ExecResult good = good_ticket.Wait();
   ASSERT_TRUE(good.status.ok()) << good.status.ToString();
@@ -363,7 +363,7 @@ TEST_F(SchedTest, SchedulerDestructorDrainsUnwaitedTickets) {
     sched::Scheduler::Options opts;
     opts.num_workers = 2;
     sched::Scheduler scheduler(opts);
-    abandoned = scheduler.Submit(tmpl, db_->pool());
+    abandoned = scheduler.Submit(tmpl);
     // Destructor runs with the query possibly still in flight.
   }
   const sched::ExecResult& r = abandoned.Wait();
@@ -437,7 +437,7 @@ TEST_F(SchedTest, SelectionSinkReceivesEveryRowInOneChunk) {
       sched::Scheduler scheduler(opts);
       SinkLog log;
       const sched::ExecResult r =
-          scheduler.Submit(tmpl, db_->pool(), log.Sink()).Wait();
+          scheduler.Submit(tmpl, log.Sink()).Wait();
       const std::string where =
           std::string(StrategyName(s)) + " workers=" + std::to_string(workers);
       ASSERT_OK(r.status);
@@ -463,8 +463,7 @@ TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
   SinkLog empty;
   ASSERT_OK(scheduler
                 .Submit(plan::PlanTemplate::Selection(none,
-                                                      Strategy::kEmParallel),
-                        db_->pool(), empty.Sink())
+                                                      Strategy::kEmParallel), empty.Sink())
                 .Wait()
                 .status);
   EXPECT_TRUE(empty.chunks.empty());
@@ -478,8 +477,7 @@ TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
   SinkLog groups;
   const sched::ExecResult agg_r =
       scheduler
-          .Submit(plan::PlanTemplate::Agg(agg, Strategy::kLmParallel),
-                  db_->pool(), groups.Sink())
+          .Submit(plan::PlanTemplate::Agg(agg, Strategy::kLmParallel), groups.Sink())
           .Wait();
   ASSERT_OK(agg_r.status);
   ASSERT_EQ(groups.chunks.size(), 1u);
@@ -496,8 +494,7 @@ TEST_F(SchedTest, SinkDeliveryPerQueryShape) {
   SinkLog merged;
   const sched::ExecResult sort_r =
       scheduler
-          .Submit(plan::PlanTemplate::Sort(sort, Strategy::kLmParallel),
-                  db_->pool(), merged.Sink())
+          .Submit(plan::PlanTemplate::Sort(sort, Strategy::kLmParallel), merged.Sink())
           .Wait();
   ASSERT_OK(sort_r.status);
   EXPECT_EQ(merged.chunks.size(), 1u) << "a sink receives one chunk";
@@ -527,7 +524,7 @@ TEST_F(SchedTest, CallerThreadRunExecutesOnCallingThread) {
     int calls = 0;
     std::thread::id sink_thread;
     const sched::ExecResult r = sched::RunOnCaller(
-        tmpl, db_->pool(), [&](exec::TupleChunk&& chunk) {
+        tmpl, [&](exec::TupleChunk&& chunk) {
           ++calls;
           sink_thread = std::this_thread::get_id();
           EXPECT_GT(chunk.num_tuples(), 0u);
@@ -634,7 +631,7 @@ TEST_F(SchedTest, FailingCallerThreadRunsSkipTheSinkAndLogOneError) {
     log.Clear();
     bool sink_called = false;
     const sched::ExecResult r = sched::RunOnCaller(
-        tmpl, db_->pool(),
+        tmpl,
         [&](exec::TupleChunk&&) { sink_called = true; }, "failing");
     EXPECT_FALSE(r.status.ok());
     if (tmpl.kind == plan::PlanTemplate::Kind::kSelection) {

@@ -3,6 +3,10 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "test_util.h"
+#include "tpch/loader.h"
 
 namespace cstore {
 namespace {
@@ -449,6 +454,186 @@ TEST_F(SqlEngineTest, DateLiteralBinding) {
     if (v < 366) ++expected;
   }
   EXPECT_EQ(r->tuples.num_tuples(), expected);
+}
+
+// --- Planned conjunctions over lineitem at sf 0.02 (sql_shell's data) -------
+
+class PlanOrderTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = new TempDir();
+    db::Database::Options opts;
+    opts.dir = dir_->path();
+    auto db = db::Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).value().release();
+    ASSERT_OK(tpch::LoadLineitem(db_, 0.02).status());
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    delete dir_;
+    db_ = nullptr;
+    dir_ = nullptr;
+  }
+
+  static TempDir* dir_;
+  static db::Database* db_;
+};
+
+TempDir* PlanOrderTest::dir_ = nullptr;
+db::Database* PlanOrderTest::db_ = nullptr;
+
+TEST_F(PlanOrderTest, SelectListOrderDoesNotChangeTheWork) {
+  // The planner filters shipdate, then quantity, whatever order the select
+  // list names the columns in: every list does the `shipdate, quantity`
+  // list's predicate evaluations, and lists of the same columns do the
+  // same work in every counter.
+  const std::string from =
+      " FROM lineitem WHERE shipdate < '1992-06-01' AND quantity < 5";
+  api::Connection conn(db_);
+  for (plan::Strategy s : plan::kAllStrategies) {
+    const std::string name = plan::StrategyName(s);
+    ASSERT_OK_AND_ASSIGN(api::QueryResult ref,
+                         conn.Query("SELECT shipdate, quantity" + from, s));
+    ASSERT_GT(ref.stats.output_tuples, 0u);
+    if (plan::IsPipelined(s)) {
+      // Pipelined plans evaluate quantity only where shipdate passed.
+      EXPECT_LT(ref.stats.exec.predicate_evals, 120000u) << name;
+    }
+    std::map<std::string, plan::RunStats> by_list;
+    for (const char* list : {"linenum, quantity", "quantity, linenum",
+                             "quantity, shipdate", "shipdate, quantity"}) {
+      ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                           conn.Query(std::string("SELECT ") + list + from, s));
+      EXPECT_EQ(r.stats.output_tuples, ref.stats.output_tuples)
+          << name << ": " << list;
+      EXPECT_EQ(r.stats.exec.predicate_evals, ref.stats.exec.predicate_evals)
+          << name << ": " << list;
+      by_list[list] = r.stats;
+    }
+    for (auto [a, b] : {std::pair{"linenum, quantity", "quantity, linenum"},
+                        std::pair{"quantity, shipdate", "shipdate, quantity"}}) {
+      const exec::ExecStats& x = by_list[a].exec;
+      const exec::ExecStats& y = by_list[b].exec;
+      EXPECT_EQ(x.blocks_fetched, y.blocks_fetched) << name << ": " << a;
+      EXPECT_EQ(x.tuples_constructed, y.tuples_constructed)
+          << name << ": " << a;
+      EXPECT_EQ(x.values_gathered, y.values_gathered) << name << ": " << a;
+      EXPECT_EQ(x.position_ands, y.position_ands) << name << ": " << a;
+    }
+  }
+}
+
+TEST_F(PlanOrderTest, ExplainPrintsThePlanOrder) {
+  // analytic GROUP BY shape: returnflag has no condition, so it is read
+  // for the result, after the two filters.
+  api::Connection conn(db_);
+  ASSERT_OK_AND_ASSIGN(
+      std::string report,
+      conn.Explain("SELECT returnflag, SUM(quantity) FROM lineitem WHERE "
+                   "shipdate < '1994-03-01' AND quantity < 10 "
+                   "GROUP BY returnflag"));
+  const size_t at = report.find("\norder: shipdate{filter, sf=");
+  ASSERT_NE(at, std::string::npos) << report;
+  const std::string line =
+      report.substr(at + 1, report.find('\n', at + 1) - at - 1);
+  const size_t quantity = line.find(" quantity{filter, sf=0.");
+  const size_t returnflag = line.find(" returnflag{output-only, sf=1.000, RL=");
+  EXPECT_NE(quantity, std::string::npos) << line;
+  EXPECT_NE(returnflag, std::string::npos) << line;
+  EXPECT_LT(quantity, returnflag) << line;
+}
+
+TEST_F(PlanOrderTest, EqualRanksBreakTiesByColumnName) {
+  // Both conditions select nothing on RL-1 columns, so both rank -1:
+  // linenum_bv filters first whatever the select list says, which keeps
+  // LM-pipelined legal (its bit-vector column is not position-filtered)
+  // and the work the same.
+  api::Connection conn(db_);
+  const std::string from =
+      " FROM lineitem WHERE quantity > 100 AND linenum_bv > 100";
+  std::optional<plan::RunStats> first;
+  for (const char* list : {"quantity, linenum_bv", "linenum_bv, quantity"}) {
+    const std::string sql = std::string("SELECT ") + list + from;
+    ASSERT_OK_AND_ASSIGN(std::string report, conn.Explain(sql));
+    EXPECT_NE(report.find("\norder: linenum_bv{filter, sf=0.000, RL=1.0} "
+                          "quantity{filter, sf=0.000, RL=1.0}\n"),
+              std::string::npos)
+        << report;
+    for (plan::Strategy s : {plan::Strategy::kEmPipelined,
+                             plan::Strategy::kLmPipelined}) {
+      ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn.Query(sql, s));
+      EXPECT_EQ(r.stats.output_tuples, 0u);
+      if (s != plan::Strategy::kEmPipelined) continue;
+      if (!first) first = r.stats;
+      EXPECT_EQ(r.stats.exec.blocks_fetched, first->exec.blocks_fetched)
+          << list;
+      EXPECT_EQ(r.stats.exec.predicate_evals, first->exec.predicate_evals)
+          << list;
+    }
+  }
+}
+
+TEST_F(PlanOrderTest, AdvisorRanksOnlyPlansThePlannerBuilds) {
+  // A bit-vector column in each scan position. LM-pipelined cannot
+  // position-filter it once it is a filter after the first; the advisor's
+  // ranking takes the planner's verdict, so every strategy it marks
+  // supported builds and answers, every one it marks unsupported is
+  // NotSupported, and its own pick always runs.
+  const std::string early = "shipdate < '1992-03-01'";
+  const std::vector<std::pair<std::string, bool>> cases = {
+      // select list, conditioned: second in the order
+      {"SELECT linenum_bv, shipdate FROM lineitem WHERE linenum_bv < 3 AND " +
+           early,
+       false},
+      // a GROUP BY's aggregate input
+      {"SELECT shipdate, SUM(linenum_bv) FROM lineitem WHERE " + early +
+           " AND linenum_bv < 3 GROUP BY shipdate",
+       false},
+      // WHERE-only
+      {"SELECT shipdate, SUM(quantity) FROM lineitem WHERE " + early +
+           " AND linenum_bv < 3 GROUP BY shipdate",
+       false},
+      {"SELECT quantity, shipdate FROM lineitem WHERE " + early +
+           " AND linenum_bv < 3 ORDER BY quantity DESC LIMIT 10",
+       false},
+      // the only filter: first, so never position-filtered
+      {"SELECT shipdate, linenum_bv FROM lineitem WHERE linenum_bv = 2", true},
+      // unconditioned: output-only, gathered
+      {"SELECT linenum_bv, quantity FROM lineitem WHERE " + early +
+           " AND quantity < 10",
+       true},
+  };
+  api::Connection conn(db_);
+  for (const auto& [sql, lm_pipelined] : cases) {
+    ASSERT_OK_AND_ASSIGN(std::string report, conn.Explain(sql));
+    std::optional<uint64_t> checksum;
+    for (plan::Strategy s : plan::kAllStrategies) {
+      const std::string name = plan::StrategyName(s);
+      const size_t at = report.find("\n  " + name + " ");
+      ASSERT_NE(at, std::string::npos) << name << "\n" << report;
+      const std::string line =
+          report.substr(at + 1, report.find('\n', at + 1) - at - 1);
+      const bool supported = line.find("unsupported") == std::string::npos;
+      if (s == plan::Strategy::kLmPipelined) {
+        EXPECT_EQ(supported, lm_pipelined) << sql;
+      }
+      Result<api::QueryResult> r = conn.Query(sql, s);
+      if (!supported) {
+        EXPECT_TRUE(r.status().IsNotSupported())
+            << name << ": " << sql << ": " << r.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << name << ": " << sql << ": "
+                          << r.status().ToString();
+      if (!checksum) checksum = r->stats.checksum;
+      EXPECT_EQ(r->stats.checksum, *checksum) << name << ": " << sql;
+    }
+    Result<api::QueryResult> picked = conn.Query(sql);
+    ASSERT_TRUE(picked.ok()) << sql << ": " << picked.status().ToString();
+    EXPECT_EQ(picked->stats.checksum, *checksum) << sql;
+  }
 }
 
 }  // namespace
