@@ -8,8 +8,8 @@
 //   reparse    Connection::Query on a freshly formatted SQL string per
 //              execution — parse, bind, snapshot, advise every time
 //   prepared   api::PreparedStatement::Execute({key}) — parsed/bound once;
-//              per execution only the snapshot is re-captured and the
-//              advisor re-runs on cached column statistics
+//              each execution snapshots, resolves, advises and plans as
+//              the reparse mode does, on the bound statement
 //
 // Both run the same keys and must return identical row counts/checksums
 // (verified; mismatch exits non-zero). Reported: QPS each and the speedup.

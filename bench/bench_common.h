@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -83,7 +84,12 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
       opts.concurrency_sweep = ParseIntList(a + 14);
       if (opts.concurrency_sweep.empty()) opts.concurrency_sweep = {8};
     } else {
-      std::fprintf(stderr, "unknown arg: %s\n", a);
+      std::fprintf(stderr,
+                   "unknown arg %s; usage: %s [--sf=F] [--points=N] "
+                   "[--disk=0|1] [--dir=PATH] [--runs=N] [--workers=N,...] "
+                   "[--concurrency=N,...]\n",
+                   a, argv[0]);
+      std::exit(2);
     }
   }
   return opts;

@@ -1,6 +1,6 @@
 // Hot-path scalability: isolates each core-contention fix in turn.
 //
-// Three phases, each a worker sweep over the same mixed batch of
+// Two phases, each a worker sweep over the same mixed batch of
 // selections and aggregations, every result checksum-verified against a
 // serial (workers=1) ground-truth run — any mismatch fails the process:
 //
@@ -14,9 +14,6 @@
 //               single result bit.
 //   chunk_pool  global TupleChunk pool off vs on at each worker count:
 //               QPS plus pool pressure (acquires / reuses / allocs).
-//   stmt_cache  N threads preparing + executing the same SQL through
-//               private parses vs one shared api::StatementCache
-//               (prepares/sec, hit/miss counts, single-parse check).
 //
 //   ./build/bench_scaling --sf=0.05 --workers=1,2,4,8,16 --runs=2
 //
@@ -32,7 +29,6 @@
 #include <vector>
 
 #include "api/connection.h"
-#include "api/statement_cache.h"
 #include "bench_common.h"
 #include "exec/chunk_pool.h"
 #include "sched/scheduler.h"
@@ -346,7 +342,7 @@ int main(int argc, char** argv) {
   }
   shard_table.Print();
 
-  // --- Phases 2+3 run against the 8-shard database ----------------------
+  // --- Phase 2 runs against the 8-shard database ------------------------
   db::Database::Options dbo;
   dbo.dir = opts.dir;
   dbo.pool_frames = 16384;
@@ -402,76 +398,6 @@ int main(int argc, char** argv) {
   }
   exec::GlobalChunkPool().set_enabled(true);
   pool_table.Print();
-
-  // --- Phase 3: statement cache miss vs hit -----------------------------
-  // T threads each Prepare + Execute the same SQL `iters` times: private
-  // parses ("uncached") vs one shared StatementCache ("cached", where the
-  // cache must record exactly one miss — the single-parse guarantee).
-  const std::string sql =
-      "SELECT shipdate, SUM(quantity) FROM lineitem "
-      "WHERE quantity < 30 GROUP BY shipdate";
-  const int threads = std::min(8, max_workers);
-  const int iters = 50;
-  api::Connection root(db.get());
-  auto truth = root.Query(sql);
-  CSTORE_CHECK(truth.ok()) << truth.status().ToString();
-  const uint64_t sql_checksum = truth->stats.checksum;
-
-  std::printf("\n# fig=scaling/stmt_cache  threads=%d iters=%d\n", threads,
-              iters);
-  TablePrinter cache_table({"mode", "wall_ms", "prepares_per_s", "hits",
-                            "misses"});
-  for (bool cached : {false, true}) {
-    api::StatementCache cache;
-    std::atomic<int> thread_mismatches{0};
-    Stopwatch wall;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&, cached]() {
-        api::Connection conn(db.get());
-        if (cached) conn.set_statement_cache(&cache);
-        for (int i = 0; i < iters; ++i) {
-          auto prep = conn.Prepare(sql);
-          CSTORE_CHECK(prep.ok()) << prep.status().ToString();
-          auto r = prep->Execute();
-          CSTORE_CHECK(r.ok()) << r.status().ToString();
-          if (r->stats.checksum != sql_checksum) {
-            thread_mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    const double ms = wall.ElapsedMillis();
-    if (thread_mismatches.load() > 0) {
-      std::fprintf(stderr, "MISMATCH (stmt_cache %s): %d\n",
-                   cached ? "cached" : "uncached", thread_mismatches.load());
-      mismatches += thread_mismatches.load();
-    }
-    api::StatementCache::Stats cs = cache.stats();
-    if (cached && cs.misses != 1) {
-      std::fprintf(stderr,
-                   "stmt cache parsed %llu times for one SQL text "
-                   "(single-parse guarantee broken)\n",
-                   static_cast<unsigned long long>(cs.misses));
-      ++mismatches;
-    }
-    const double prep_rate = threads * iters * 1000.0 / ms;
-    cache_table.AddRow({cached ? "cached" : "uncached", Fmt(ms),
-                        Fmt(prep_rate), std::to_string(cs.hits),
-                        std::to_string(cs.misses)});
-    json.AddRow()
-        .Str("phase", "stmt_cache")
-        .Str("mode", cached ? "cached" : "uncached")
-        .Int("threads", threads)
-        .Int("iters", iters)
-        .Num("wall_ms", ms)
-        .Num("prepares_per_s", prep_rate)
-        .Int("cache_hits", cs.hits)
-        .Int("cache_misses", cs.misses);
-  }
-  cache_table.Print();
 
   json.WriteAndReport();
   if (mismatches > 0) {

@@ -50,12 +50,11 @@
 // lines and #-comments skipped; strategy prefixes honoured per line)
 // concurrently through one pooled api::Connection over a --pool=N-worker
 // scheduler, and prints per-statement latency plus batch throughput — the
-// heavy-traffic shape the scheduler exists for. Statements without a
-// strategy prefix are prepared through a shared api::StatementCache, so a
-// script that repeats a statement shape parses and binds it once; the
-// cache's hit/miss totals print with the batch summary. Any statement that
-// fails to parse or execute is reported with the offending SQL and the
-// process exits non-zero.
+// heavy-traffic shape the scheduler exists for. Each statement goes
+// through Connection::Submit, which labels it in system.queries and the
+// query log with its SQL text. Any statement that fails to parse or
+// execute is reported with the offending SQL and the process exits
+// non-zero.
 //
 // Writes are supported everywhere: INSERT INTO t VALUES (...), (...),
 // DELETE FROM t [WHERE ...], and UPDATE t SET c = v [WHERE ...] go to the
@@ -67,7 +66,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -77,7 +75,6 @@
 
 #include "api/connection.h"
 #include "api/encode.h"
-#include "api/statement_cache.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -267,33 +264,15 @@ int RunScript(db::Database* db, const std::string& path, int pool_workers) {
   sched::Scheduler::Options opts;
   opts.num_workers = pool_workers;
   sched::Scheduler scheduler(opts);
-  api::StatementCache stmt_cache;
   api::Connection conn(db, &scheduler);
-  conn.set_statement_cache(&stmt_cache);
   std::printf("launching %zu statements on a %d-worker pool ...\n",
               statements.size(), scheduler.num_workers());
 
   Stopwatch batch;
   std::vector<api::PendingResult> pendings;
   pendings.reserve(statements.size());
-  // Statements without a strategy prefix go through Prepare so repeated
-  // statement shapes share one parse+bind via the cache; prepared handles
-  // must outlive their in-flight executions.
-  std::deque<api::PreparedStatement> prepared;
   for (size_t i = 0; i < statements.size(); ++i) {
-    if (strategies[i].has_value()) {
-      pendings.push_back(conn.Submit(statements[i], strategies[i]));
-      continue;
-    }
-    auto p = conn.Prepare(statements[i]);
-    if (!p.ok() || p->param_count() != 0) {
-      // Parse/bind errors (and `?` placeholders a script can't fill) fall
-      // back to Submit, which carries any error in the waitable handle.
-      pendings.push_back(conn.Submit(statements[i], strategies[i]));
-      continue;
-    }
-    prepared.push_back(std::move(*p));
-    pendings.push_back(prepared.back().Submit());
+    pendings.push_back(conn.Submit(statements[i], strategies[i]));
   }
 
   int failures = 0;
@@ -324,10 +303,6 @@ int RunScript(db::Database* db, const std::string& path, int pool_workers) {
   std::printf("-- batch: %zu statements in %.1f ms (%.1f qps), %d failed\n",
               statements.size(), wall_ms,
               statements.size() * 1000.0 / wall_ms, failures);
-  api::StatementCache::Stats cs = stmt_cache.stats();
-  std::printf("-- statement cache: %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.misses));
   // Per-strategy latency percentiles from the scheduler's histograms
   // (process-lifetime totals; with one batch per process that's the batch).
   const char* labels[] = {"EM-pipelined", "EM-parallel", "LM-pipelined",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "api/statement_cache.h"
 #include "exec/chunk_pool.h"
 #include "exec/morsel_source.h"
 #include "model/calibrate.h"
@@ -111,13 +110,18 @@ Result<plan::Strategy> Connection::ChooseStrategy(
   return advisor.ChooseSelection(input);
 }
 
-Result<Connection::Runnable> Connection::MakeRunnable(
-    BoundSelect* bound, const ResolvedSelect& resolved,
+Result<Connection::Runnable> Connection::PlanBound(
+    BoundSelect* bound, const std::vector<Value>& params,
+    std::shared_ptr<const write::WriteSnapshot> snapshot,
     std::optional<plan::Strategy> per_call, int num_workers) {
+  obs::SpanTimer span("plan", "sql");
+  CSTORE_ASSIGN_OR_RETURN(
+      ResolvedSelect resolved,
+      internal::ResolveSelect(db_, bound, params, std::move(snapshot)));
   Runnable run;
   plan::PlanConfig config;
   config.num_workers = num_workers;
-  config.snapshot = resolved.snapshot;
+  config.snapshot = std::move(resolved.snapshot);
   CSTORE_ASSIGN_OR_RETURN(
       run.strategy,
       ChooseStrategy(resolved.scan(),
@@ -125,17 +129,17 @@ Result<Connection::Runnable> Connection::MakeRunnable(
                      per_call, config));
   if (bound->has_order) {
     plan::SortQuery sort;
-    sort.selection = resolved.selection;
+    sort.selection = std::move(resolved.selection);
     sort.sort_index = bound->sort_slot;
     sort.desc = bound->sort_desc;
     sort.limit = bound->limit;
     run.tmpl = plan::PlanTemplate::Sort(std::move(sort), run.strategy, config);
+  } else if (resolved.is_aggregate) {
+    run.tmpl = plan::PlanTemplate::Agg(std::move(resolved.agg), run.strategy,
+                                       config);
   } else {
-    run.tmpl =
-        resolved.is_aggregate
-            ? plan::PlanTemplate::Agg(resolved.agg, run.strategy, config)
-            : plan::PlanTemplate::Selection(resolved.selection, run.strategy,
-                                            config);
+    run.tmpl = plan::PlanTemplate::Selection(std::move(resolved.selection),
+                                             run.strategy, config);
   }
   run.output_slots = bound->output_slots;
   run.output_names = bound->output_names;
@@ -347,15 +351,11 @@ Result<Connection::PlannedSelect> Connection::PlanSelect(
     obs::SpanTimer span("bind", "sql");
     CSTORE_ASSIGN_OR_RETURN(planned.bound,
                             internal::BindSelect(db_, stmt.select));
-    CSTORE_ASSIGN_OR_RETURN(
-        planned.resolved,
-        internal::ResolveSelect(db_, &planned.bound, params,
-                                planned.bound.bind_snapshot));
   }
-  obs::SpanTimer span("plan", "sql");
-  CSTORE_ASSIGN_OR_RETURN(planned.run,
-                          MakeRunnable(&planned.bound, planned.resolved,
-                                       strategy, num_workers));
+  CSTORE_ASSIGN_OR_RETURN(
+      planned.run, PlanBound(&planned.bound, params,
+                             planned.bound.bind_snapshot, strategy,
+                             num_workers));
   return planned;
 }
 
@@ -448,21 +448,30 @@ Result<PreparedStatement> Connection::Prepare(const std::string& sql) {
   PreparedStatement prepared;
   prepared.conn_ = this;
   prepared.sql_ = sql;
-  if (stmt_cache_ != nullptr) {
-    // Shared parse+bind: copy the immutable cached entry into this
-    // session's statement. Everything per-execution (snapshot, parameter
-    // predicates, strategy, reader refresh) happens on the copy, so cached
-    // and uncached prepares behave identically from here on.
-    CSTORE_ASSIGN_OR_RETURN(std::shared_ptr<const internal::ParsedAndBound> e,
-                            stmt_cache_->GetOrBind(db_, sql));
-    prepared.stmt_ = e->stmt;
-    prepared.bound_ = e->bound;
+  {
+    obs::SpanTimer span("parse", "sql");
+    CSTORE_ASSIGN_OR_RETURN(prepared.stmt_, sql::ParseStatement(sql));
+  }
+  const sql::ParsedStatement& st = prepared.stmt_;
+  if (st.explain != sql::ParsedStatement::Explain::kNone) {
+    return Status::InvalidArgument(
+        "cannot prepare an EXPLAIN statement; use Query");
+  }
+  using Kind = sql::ParsedStatement::Kind;
+  if (st.kind == Kind::kSelect) {
+    obs::SpanTimer span("bind", "sql");
+    CSTORE_ASSIGN_OR_RETURN(prepared.bound_,
+                            internal::BindSelect(db_, st.select));
+    // Every execution captures its own snapshot.
+    prepared.bound_.bind_snapshot.reset();
     return prepared;
   }
-  CSTORE_ASSIGN_OR_RETURN(internal::ParsedAndBound e,
-                          internal::ParseAndBind(db_, sql));
-  prepared.stmt_ = std::move(e.stmt);
-  prepared.bound_ = std::move(e.bound);
+  const std::string& table = st.kind == Kind::kInsert   ? st.insert.table
+                             : st.kind == Kind::kDelete ? st.del.table
+                                                        : st.update.table;
+  if (!db_->HasTable(table)) {
+    return Status::NotFound("unknown table in write statement");
+  }
   return prepared;
 }
 
@@ -526,15 +535,6 @@ std::string Connection::PressureReport() const {
                 static_cast<unsigned long long>(pages.allocs),
                 static_cast<unsigned long long>(pages.discards));
   out += buf;
-  if (stmt_cache_ != nullptr) {
-    const StatementCache::Stats sc = stmt_cache_->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "statement cache: hits=%llu misses=%llu evictions=%llu\n",
-                  static_cast<unsigned long long>(sc.hits),
-                  static_cast<unsigned long long>(sc.misses),
-                  static_cast<unsigned long long>(sc.evictions));
-    out += buf;
-  }
   return out;
 }
 
@@ -571,21 +571,24 @@ Result<QueryResult> Connection::ExplainStatement(
   CSTORE_ASSIGN_OR_RETURN(PlannedSelect planned,
                           PlanSelect(stmt, strategy, num_workers, params));
   const BoundSelect& bound = planned.bound;
-  const ResolvedSelect& resolved = planned.resolved;
   Runnable& run = planned.run;
+  const plan::PlanTemplate& tmpl = run.tmpl;
+  using Kind = plan::PlanTemplate::Kind;
+  const bool is_agg = tmpl.kind == Kind::kAgg;
+  const plan::SelectionQuery& scan =
+      is_agg                     ? tmpl.agg.selection
+      : tmpl.kind == Kind::kSort ? tmpl.sort.selection
+                                 : tmpl.selection;
 
   // The model's predictions — what EXPLAIN without ANALYZE reports.
-  model::SelectionModelInput input =
-      ModelInputFor(resolved.scan(), run.tmpl.config);
+  model::SelectionModelInput input = ModelInputFor(scan, tmpl.config);
   model::Advisor advisor(Params());
   std::string report = "strategy: ";
   report += plan::StrategyName(run.strategy);
   report += "\n";
-  report += DescribeOrder(bound.scan_column_names, resolved.scan(),
-                          run.tmpl.config);
-  report += resolved.is_aggregate
-                ? advisor.ExplainAggregation(input,
-                                             GroupEstimateFor(resolved.agg))
+  report += DescribeOrder(bound.scan_column_names, scan, tmpl.config);
+  report += is_agg ? advisor.ExplainAggregation(input,
+                                                GroupEstimateFor(tmpl.agg))
             : bound.has_order
                 ? advisor.ExplainSort(input, static_cast<double>(bound.limit))
                 : advisor.ExplainSelection(input);
@@ -719,21 +722,6 @@ std::string Connection::Metrics() const {
   out += "# TYPE cstore_page_pool_allocs counter\n";
   obs::AppendSample(&out, "cstore_page_pool_allocs",
                     static_cast<double>(pages.allocs));
-  if (stmt_cache_ != nullptr) {
-    const StatementCache::Stats sc = stmt_cache_->stats();
-    const uint64_t sc_lookups = sc.hits + sc.misses;
-    out += "# TYPE cstore_statement_cache_hit_ratio gauge\n";
-    obs::AppendSample(&out, "cstore_statement_cache_hit_ratio",
-                      sc_lookups == 0 ? 0.0
-                                      : static_cast<double>(sc.hits) /
-                                            static_cast<double>(sc_lookups));
-    out += "# TYPE cstore_statement_cache_hits counter\n";
-    obs::AppendSample(&out, "cstore_statement_cache_hits",
-                      static_cast<double>(sc.hits));
-    out += "# TYPE cstore_statement_cache_misses counter\n";
-    obs::AppendSample(&out, "cstore_statement_cache_misses",
-                      static_cast<double>(sc.misses));
-  }
   return out;
 }
 
@@ -757,122 +745,6 @@ Result<RowCursor> Connection::Stream(const plan::PlanTemplate& tmpl) {
   Runnable run;
   run.tmpl = tmpl;
   run.strategy = tmpl.strategy;
-  return StreamRunnable(run);
-}
-
-// --- PreparedStatement back ends --------------------------------------------
-
-Status Connection::PrepareRun(PreparedStatement* stmt,
-                              const std::vector<Value>& params,
-                              int num_workers) {
-  BoundSelect& bound = stmt->bound_;
-  CSTORE_ASSIGN_OR_RETURN(auto snapshot, db_->SnapshotTable(bound.table));
-
-  if (!stmt->has_template_) {
-    // First execution: build the template through the generic path.
-    CSTORE_ASSIGN_OR_RETURN(
-        ResolvedSelect resolved,
-        internal::ResolveSelect(db_, &bound, params, std::move(snapshot)));
-    CSTORE_ASSIGN_OR_RETURN(
-        Runnable run, MakeRunnable(&bound, resolved, std::nullopt,
-                                   num_workers));
-    stmt->template_ = std::move(run.tmpl);
-    stmt->has_template_ = true;
-    return Status::OK();
-  }
-
-  // Steady state: mutate the cached template in place — no re-bind, no
-  // plan-description rebuild.
-  plan::PlanTemplate& tmpl = stmt->template_;
-  const bool is_agg = tmpl.kind == plan::PlanTemplate::Kind::kAgg;
-  plan::SelectionQuery& scan =
-      is_agg                                          ? tmpl.agg.selection
-      : tmpl.kind == plan::PlanTemplate::Kind::kSort ? tmpl.sort.selection
-                                                      : tmpl.selection;
-
-  CSTORE_ASSIGN_OR_RETURN(bool refreshed,
-                          internal::RefreshReaders(db_, &bound, *snapshot));
-  if (refreshed) {
-    for (size_t i = 0; i < bound.readers.size(); ++i) {
-      scan.columns[i].reader = bound.readers[i];
-    }
-  }
-
-  // Fold the parameterized conditions straight into the scan columns via
-  // the bind-time slot mapping — no names, no allocations.
-  stmt->bounds_scratch_.assign(scan.columns.size(), internal::Bounds());
-  for (size_t j = 0; j < bound.conditions.size(); ++j) {
-    const sql::Condition& cond = bound.conditions[j];
-    CSTORE_ASSIGN_OR_RETURN(Value a, LiteralValue(cond.a, params));
-    Value b = 0;
-    if (cond.op == sql::Condition::Op::kBetween) {
-      CSTORE_ASSIGN_OR_RETURN(b, LiteralValue(cond.b, params));
-    }
-    CSTORE_RETURN_IF_ERROR(
-        stmt->bounds_scratch_[bound.condition_slots[j]].Add(cond.op, a, b));
-  }
-  for (size_t i = 0; i < scan.columns.size(); ++i) {
-    CSTORE_ASSIGN_OR_RETURN(scan.columns[i].pred,
-                            stmt->bounds_scratch_[i].ToPredicate());
-  }
-  OrderConjunction(bound.scan_column_names, &scan);
-  tmpl.config.snapshot = std::move(snapshot);
-  tmpl.config.num_workers = num_workers;
-  CSTORE_ASSIGN_OR_RETURN(
-      tmpl.strategy, ChooseStrategy(scan, is_agg ? &tmpl.agg : nullptr,
-                                    std::nullopt, tmpl.config));
-  return Status::OK();
-}
-
-Result<QueryResult> Connection::ExecutePrepared(
-    PreparedStatement* stmt, const std::vector<Value>& params) {
-  if (stmt->is_write()) return ExecuteWrite(stmt->stmt_, params);
-  CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
-  CSTORE_ASSIGN_OR_RETURN(QueryResult result,
-                          RunTemplateSync(stmt->template_, stmt->sql_));
-  result.tuples =
-      ProjectChunk(stmt->bound_.output_slots, std::move(result.tuples));
-  result.column_names = stmt->bound_.output_names;
-  result.strategy = stmt->template_.strategy;
-  return result;
-}
-
-PendingResult Connection::SubmitPrepared(PreparedStatement* stmt,
-                                         const std::vector<Value>& params) {
-  PendingResult pending;
-  pending.engaged_ = true;
-  pending.early_ = [&]() -> Status {
-    if (stmt->is_write()) {
-      CSTORE_ASSIGN_OR_RETURN(QueryResult result,
-                              ExecuteWrite(stmt->stmt_, params));
-      pending.immediate_ = std::move(result);
-      return Status::OK();
-    }
-    CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
-    Runnable run;
-    run.tmpl = stmt->template_;
-    run.output_slots = stmt->bound_.output_slots;
-    run.output_names = stmt->bound_.output_names;
-    run.strategy = stmt->template_.strategy;
-    run.label = stmt->sql_;
-    pending = SubmitRunnable(run);
-    return Status::OK();
-  }();
-  return pending;
-}
-
-Result<RowCursor> Connection::StreamPrepared(
-    PreparedStatement* stmt, const std::vector<Value>& params) {
-  if (stmt->is_write()) {
-    return Status::InvalidArgument("cannot stream a write statement");
-  }
-  CSTORE_RETURN_IF_ERROR(PrepareRun(stmt, params, EffectiveWorkers(0)));
-  Runnable run;
-  run.tmpl = stmt->template_;
-  run.output_slots = stmt->bound_.output_slots;
-  run.output_names = stmt->bound_.output_names;
-  run.strategy = stmt->template_.strategy;
-  run.label = stmt->sql_;
   return StreamRunnable(run);
 }
 

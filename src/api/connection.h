@@ -9,7 +9,9 @@
 //   Query(sql)    — synchronous; returns a materialized api::QueryResult
 //   Submit(sql)   — asynchronous; returns an api::PendingResult handle
 //   Stream(sql)   — streaming; returns an api::RowCursor with backpressure
-//   Prepare(sql)  — parse/bind once, execute many times with `?` params
+//   Prepare(sql)  — parse/bind once, execute many times with `?` params;
+//                   each execution resolves, advises and plans as one-shot
+//                   SQL does, under a fresh snapshot
 //   Query/Submit/Stream(plan::PlanTemplate) — the typed-plan path the
 //                   paper-figure benches use (no SQL, no projection)
 //
@@ -66,8 +68,6 @@
 
 namespace cstore {
 namespace api {
-
-class StatementCache;
 
 class Connection {
  public:
@@ -132,19 +132,13 @@ class Connection {
   Result<RowCursor> Stream(const std::string& sql,
                            std::optional<plan::Strategy> strategy = {});
 
-  /// Parses and binds once; the returned statement executes many times
-  /// with `?` parameter values, re-capturing only the snapshot per run.
-  /// The statement borrows this Connection and must not outlive it. With a
-  /// statement cache attached, the parse+bind is shared across sessions.
+  /// Parses (span "parse") and binds (span "bind") once; the returned
+  /// statement executes many times with `?` parameter values, each
+  /// execution planned like one-shot SQL under a fresh snapshot. A write's
+  /// target table must exist, so a prepare fails fast; EXPLAIN is a
+  /// one-shot diagnostic and is rejected. The statement borrows this
+  /// Connection and must not outlive it.
   Result<PreparedStatement> Prepare(const std::string& sql);
-
-  /// Attaches a shared statement cache: subsequent Prepare(sql) calls
-  /// resolve through it, so concurrent sessions presenting the same SQL
-  /// share one parse+bind. The cache must belong to the same Database and
-  /// outlive this Connection. Session setup only (like set_settings); pass
-  /// nullptr to detach.
-  void set_statement_cache(StatementCache* cache) { stmt_cache_ = cache; }
-  StatementCache* statement_cache() const { return stmt_cache_; }
 
   /// The advisor's per-strategy cost report for `sql`, without executing.
   /// Statements with `?` parameters take their values via `params` (one per
@@ -168,7 +162,7 @@ class Connection {
   /// Prometheus-style metrics dump: the process-wide MetricsRegistry
   /// (scheduler counters, queue depth, latency histograms) plus this
   /// database's gauges — buffer-pool hit ratio and lock contention,
-  /// retired fds, chunk/page-pool pressure, statement-cache hit rate.
+  /// retired fds, chunk/page-pool pressure.
   std::string Metrics() const;
 
   // --- Typed plans ------------------------------------------------------
@@ -187,17 +181,7 @@ class Connection {
 
  private:
   friend class PreparedStatement;
-
-  /// Statement pieces every SQL path shares after binding.
-  struct Runnable {
-    plan::PlanTemplate tmpl;
-    std::vector<uint32_t> output_slots;
-    std::vector<std::string> output_names;
-    plan::Strategy strategy = plan::Strategy::kLmParallel;
-    // Query identity in system.queries / system.query_log: the SQL text.
-    // Empty (typed-plan paths) falls back to "plan:<kind>".
-    std::string label;
-  };
+  using Runnable = internal::Runnable;
 
   int EffectiveWorkers(int per_call) const;
   /// The pool a query of `workers` runs on: the shared scheduler of a
@@ -216,20 +200,23 @@ class Connection {
                                         const plan::AggQuery* agg,
                                         std::optional<plan::Strategy> per_call,
                                         const plan::PlanConfig& config);
-  /// Builds the plan template for a resolved statement.
-  Result<Runnable> MakeRunnable(internal::BoundSelect* bound,
-                                const internal::ResolvedSelect& resolved,
-                                std::optional<plan::Strategy> per_call,
-                                int num_workers);
+  /// The one route from a bound SELECT to its plan, taken by one-shot SQL
+  /// and by every prepared execution (span "plan"): resolves `bound` for
+  /// `params` under `snapshot` (internal::ResolveSelect: reader refresh,
+  /// condition fold, conjunction order), chooses the strategy and builds
+  /// the plan template.
+  Result<Runnable> PlanBound(
+      internal::BoundSelect* bound, const std::vector<Value>& params,
+      std::shared_ptr<const write::WriteSnapshot> snapshot,
+      std::optional<plan::Strategy> per_call, int num_workers);
 
-  /// A SELECT through the SQL front end: bound, resolved and planned.
+  /// A SELECT through the SQL front end: bound and planned.
   struct PlannedSelect {
     internal::BoundSelect bound;
-    internal::ResolvedSelect resolved;
     Runnable run;
   };
-  /// Binds and resolves a parsed SELECT with `params` (span "bind"), then
-  /// plans it (span "plan").
+  /// Binds a parsed SELECT (span "bind"), then plans it with `params`
+  /// under its bind-time snapshot (PlanBound).
   Result<PlannedSelect> PlanSelect(const sql::ParsedStatement& stmt,
                                    std::optional<plan::Strategy> strategy,
                                    int num_workers,
@@ -273,23 +260,9 @@ class Connection {
   PendingResult SubmitRunnable(const Runnable& run, bool materialize = true);
   Result<RowCursor> StreamRunnable(const Runnable& run);
 
-  // PreparedStatement back ends.
-  Result<QueryResult> ExecutePrepared(PreparedStatement* stmt,
-                                      const std::vector<Value>& params);
-  PendingResult SubmitPrepared(PreparedStatement* stmt,
-                               const std::vector<Value>& params);
-  Result<RowCursor> StreamPrepared(PreparedStatement* stmt,
-                                   const std::vector<Value>& params);
-  /// Refreshes the prepared statement's cached plan template for one
-  /// execution: new snapshot, parameter predicates, strategy — and readers,
-  /// only if a compaction swapped the generation since the last run.
-  Status PrepareRun(PreparedStatement* stmt,
-                    const std::vector<Value>& params, int num_workers);
-
   db::Database* db_;
   sched::Scheduler* scheduler_;  // null = standalone session
   Settings settings_;
-  StatementCache* stmt_cache_ = nullptr;  // not owned; may be null
   // Standalone session pools, keyed by worker count; destroying a pool
   // drains the queries submitted to it.
   std::mutex pools_mu_;

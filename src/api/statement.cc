@@ -7,8 +7,6 @@
 
 #include "api/connection.h"
 #include "model/cost_params.h"
-#include "obs/trace.h"
-#include "sql/parser.h"
 #include "tpch/dates.h"
 #include "util/string_dict.h"
 
@@ -98,6 +96,24 @@ Result<Value> LiteralValue(const sql::Literal& lit,
   return util::StringDict::Global().Intern(lit.date_text);
 }
 
+namespace {
+
+/// Per-column accumulated bounds from one or more WHERE conditions.
+struct Bounds {
+  bool has_lower = false;
+  Value lower = 0;  // inclusive
+  bool has_upper = false;
+  Value upper = 0;  // inclusive
+  bool has_not_eq = false;
+  Value neq_value = 0;
+  // `v < INT64_MIN` / `v > INT64_MAX`: satisfiable by nothing (and not
+  // representable as an inclusive bound without overflowing).
+  bool impossible = false;
+
+  Status Add(sql::Condition::Op op, Value a, Value b);
+  Result<codec::Predicate> ToPredicate() const;
+};
+
 Status Bounds::Add(sql::Condition::Op op, Value a, Value b) {
   auto add_lower = [this](Value v) {
     lower = has_lower ? std::max(lower, v) : v;
@@ -166,6 +182,29 @@ Result<codec::Predicate> Bounds::ToPredicate() const {
   return codec::Predicate::True();
 }
 
+/// Re-resolves `bound`'s readers against `snapshot`'s generation when the
+/// file fingerprint changed (a compaction swapped the table since bind);
+/// no-op otherwise.
+Status RefreshReaders(db::Database* db, BoundSelect* bound,
+                      const write::WriteSnapshot& snapshot) {
+  // Logical rows and positions are preserved by the tuple mover, so results
+  // are unaffected — only the file handles change.
+  if (snapshot.column_files() == bound->bound_files) return Status::OK();
+  for (size_t i = 0; i < bound->readers.size(); ++i) {
+    int idx = bound->scan_schema_index[i];
+    if (idx < 0 ||
+        static_cast<size_t>(idx) >= snapshot.column_files().size()) {
+      return Status::Internal("scan column lost its schema slot");
+    }
+    CSTORE_ASSIGN_OR_RETURN(bound->readers[i],
+                            db->GetColumn(snapshot.column_files()[idx]));
+  }
+  bound->bound_files = snapshot.column_files();
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::vector<std::pair<std::string, codec::Predicate>>> FoldConditions(
     const std::vector<sql::Condition>& conditions,
     const std::vector<Value>& params) {
@@ -200,33 +239,6 @@ Result<std::vector<std::pair<std::string, codec::Predicate>>> FoldConditions(
   for (const auto& [col, bound] : bounds) {
     CSTORE_ASSIGN_OR_RETURN(codec::Predicate pred, bound.ToPredicate());
     out.emplace_back(*col, pred);
-  }
-  return out;
-}
-
-Result<ParsedAndBound> ParseAndBind(db::Database* db, const std::string& sql) {
-  ParsedAndBound out;
-  {
-    obs::SpanTimer span("parse", "sql");
-    CSTORE_ASSIGN_OR_RETURN(out.stmt, sql::ParseStatement(sql));
-  }
-  using Kind = sql::ParsedStatement::Kind;
-  if (out.stmt.explain != sql::ParsedStatement::Explain::kNone) {
-    return Status::InvalidArgument(
-        "cannot prepare an EXPLAIN statement; use Query");
-  }
-  if (out.stmt.kind == Kind::kSelect) {
-    obs::SpanTimer span("bind", "sql");
-    CSTORE_ASSIGN_OR_RETURN(out.bound, BindSelect(db, out.stmt.select));
-    out.bound.bind_snapshot.reset();
-    return out;
-  }
-  const sql::ParsedStatement& st = out.stmt;
-  const std::string& table = st.kind == Kind::kInsert   ? st.insert.table
-                             : st.kind == Kind::kDelete ? st.del.table
-                                                        : st.update.table;
-  if (!db->HasTable(table)) {
-    return Status::NotFound("unknown table in write statement");
   }
   return out;
 }
@@ -294,21 +306,6 @@ Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q) {
   cond_columns.erase(std::unique(cond_columns.begin(), cond_columns.end()),
                      cond_columns.end());
 
-  // Condition → scan-slot mapping (filled just before returning, once the
-  // scan column list is final). Every condition column is in the scan list
-  // by construction.
-  auto fill_condition_slots = [&bound]() {
-    bound.condition_slots.reserve(bound.conditions.size());
-    for (const sql::Condition& cond : bound.conditions) {
-      for (uint32_t i = 0; i < bound.scan_column_names.size(); ++i) {
-        if (bound.scan_column_names[i] == cond.column) {
-          bound.condition_slots.push_back(i);
-          break;
-        }
-      }
-    }
-  };
-
   // Aggregate vs. plain selection.
   uint32_t num_agg = 0;
   for (const sql::SelectItem& item : items) {
@@ -341,7 +338,6 @@ Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q) {
       bound.output_slots.push_back(1);
       bound.output_names.push_back(std::string("agg(") + agg_item.column +
                                    ")");
-      fill_condition_slots();
       return bound;
     }
     if (num_agg != 1 || items.size() != 2) {
@@ -378,7 +374,6 @@ Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q) {
           item.aggregated ? std::string("agg(") + item.column + ")"
                           : item.column);
     }
-    fill_condition_slots();
     return bound;
   }
 
@@ -399,34 +394,13 @@ Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q) {
   for (const std::string& col : cond_columns) {
     CSTORE_RETURN_IF_ERROR(add_scan_column(col).status());
   }
-  fill_condition_slots();
   return bound;
-}
-
-Result<bool> RefreshReaders(db::Database* db, BoundSelect* bound,
-                            const write::WriteSnapshot& snapshot) {
-  // A compaction since bind swapped the table to a new generation of column
-  // files; re-resolve the readers against this snapshot's files. (Logical
-  // rows and positions are preserved by the tuple mover, so results are
-  // unaffected — only the file handles change.)
-  if (snapshot.column_files() == bound->bound_files) return false;
-  for (size_t i = 0; i < bound->readers.size(); ++i) {
-    int idx = bound->scan_schema_index[i];
-    if (idx < 0 ||
-        static_cast<size_t>(idx) >= snapshot.column_files().size()) {
-      return Status::Internal("scan column lost its schema slot");
-    }
-    CSTORE_ASSIGN_OR_RETURN(bound->readers[i],
-                            db->GetColumn(snapshot.column_files()[idx]));
-  }
-  bound->bound_files = snapshot.column_files();
-  return true;
 }
 
 Result<ResolvedSelect> ResolveSelect(
     db::Database* db, BoundSelect* bound, const std::vector<Value>& params,
     std::shared_ptr<const write::WriteSnapshot> snapshot) {
-  CSTORE_RETURN_IF_ERROR(RefreshReaders(db, bound, *snapshot).status());
+  CSTORE_RETURN_IF_ERROR(RefreshReaders(db, bound, *snapshot));
 
   CSTORE_ASSIGN_OR_RETURN(auto folded, FoldConditions(bound->conditions,
                                                       params));
@@ -477,23 +451,51 @@ Status PreparedStatement::CheckParams(
   return Status::OK();
 }
 
+Result<internal::Runnable> PreparedStatement::Plan(
+    const std::vector<Value>& params) {
+  CSTORE_ASSIGN_OR_RETURN(auto snapshot,
+                          conn_->database()->SnapshotTable(bound_.table));
+  CSTORE_ASSIGN_OR_RETURN(
+      internal::Runnable run,
+      conn_->PlanBound(&bound_, params, std::move(snapshot), std::nullopt,
+                       conn_->EffectiveWorkers(0)));
+  run.label = sql_;
+  return run;
+}
+
 Result<QueryResult> PreparedStatement::Execute(
     const std::vector<Value>& params) {
   CSTORE_RETURN_IF_ERROR(CheckParams(params));
-  return conn_->ExecutePrepared(this, params);
+  if (is_write()) return conn_->ExecuteWrite(stmt_, params);
+  CSTORE_ASSIGN_OR_RETURN(internal::Runnable run, Plan(params));
+  return conn_->RunRunnableSync(run);
 }
 
 PendingResult PreparedStatement::Submit(const std::vector<Value>& params) {
   PendingResult pending;
   pending.engaged_ = true;
-  pending.early_ = CheckParams(params);
-  if (!pending.early_.ok()) return pending;
-  return conn_->SubmitPrepared(this, params);
+  pending.early_ = [&]() -> Status {
+    CSTORE_RETURN_IF_ERROR(CheckParams(params));
+    if (is_write()) {
+      CSTORE_ASSIGN_OR_RETURN(QueryResult result,
+                              conn_->ExecuteWrite(stmt_, params));
+      pending.immediate_ = std::move(result);
+      return Status::OK();
+    }
+    CSTORE_ASSIGN_OR_RETURN(internal::Runnable run, Plan(params));
+    pending = conn_->SubmitRunnable(run);
+    return Status::OK();
+  }();
+  return pending;
 }
 
 Result<RowCursor> PreparedStatement::Stream(const std::vector<Value>& params) {
   CSTORE_RETURN_IF_ERROR(CheckParams(params));
-  return conn_->StreamPrepared(this, params);
+  if (is_write()) {
+    return Status::InvalidArgument("cannot stream a write statement");
+  }
+  CSTORE_ASSIGN_OR_RETURN(internal::Runnable run, Plan(params));
+  return conn_->StreamRunnable(run);
 }
 
 }  // namespace api

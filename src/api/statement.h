@@ -8,15 +8,16 @@
 //            fix the scan-column order, resolve column readers, compute the
 //            output projection. Everything that does not depend on
 //            parameter values or the table's current write state.
-//   Resolve  (per execution)  — capture a fresh write snapshot, substitute
-//            `?` parameters, fold WHERE conditions into per-column
-//            predicates, order the conjunction (OrderConjunction), and
-//            (only if a compaction swapped the table's generation since
-//            bind) re-resolve the readers.
+//   Resolve  (per execution)  — substitute `?` parameters, fold WHERE
+//            conditions into per-column predicates, order the conjunction
+//            (OrderConjunction), and (only if a compaction swapped the
+//            table's generation since bind) re-resolve the readers.
 //
-// Connection::Query re-binds every statement; api::PreparedStatement binds
-// once and resolves per execution — that is the whole difference bench_api
-// measures.
+// Every execution, one-shot or prepared, resolves and plans through one
+// step (Connection::PlanBound): one-shot SQL under its bind-time snapshot,
+// a prepared execution under a fresh one. Connection::Query re-parses and
+// re-binds every statement; api::PreparedStatement parses and binds once —
+// that is the whole difference bench_api measures.
 
 #ifndef CSTORE_API_STATEMENT_H_
 #define CSTORE_API_STATEMENT_H_
@@ -67,22 +68,6 @@ namespace internal {
 Result<Value> LiteralValue(const sql::Literal& lit,
                            const std::vector<Value>& params);
 
-/// Per-column accumulated bounds from one or more WHERE conditions.
-struct Bounds {
-  bool has_lower = false;
-  Value lower = 0;  // inclusive
-  bool has_upper = false;
-  Value upper = 0;  // inclusive
-  bool has_not_eq = false;
-  Value neq_value = 0;
-  // `v < INT64_MIN` / `v > INT64_MAX`: satisfiable by nothing (and not
-  // representable as an inclusive bound without overflowing).
-  bool impossible = false;
-
-  Status Add(sql::Condition::Op op, Value a, Value b);
-  Result<codec::Predicate> ToPredicate() const;
-};
-
 /// Folds WHERE conditions into one predicate per column (range conditions
 /// intersect; mixing `<>` with ranges on one column is rejected). Shared by
 /// every statement kind so SELECT / DELETE / UPDATE semantics never
@@ -103,11 +88,9 @@ struct BoundSelect {
   // Generation fingerprint the readers were resolved against; when a fresh
   // snapshot disagrees, Resolve re-resolves the readers.
   std::vector<std::string> bound_files;
-  // Unresolved WHERE conditions (may contain parameters), and the scan
-  // column each one folds into — precomputed so a prepared execution folds
-  // bounds without touching a single column name.
+  // Unresolved WHERE conditions (may contain parameters); every execution
+  // folds them (FoldConditions).
   std::vector<sql::Condition> conditions;
-  std::vector<uint32_t> condition_slots;
 
   bool is_aggregate = false;
   bool agg_global = false;
@@ -130,8 +113,8 @@ struct BoundSelect {
   std::shared_ptr<const write::WriteSnapshot> bind_snapshot;
 };
 
-/// Execute-time product: a runnable query description plus the snapshot it
-/// must run under.
+/// Execute-time product: a query description plus the snapshot it must run
+/// under.
 struct ResolvedSelect {
   plan::SelectionQuery selection;
   bool is_aggregate = false;
@@ -145,25 +128,6 @@ struct ResolvedSelect {
 
 Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q);
 
-/// What Prepare keeps of a statement, cached or not: the parse and, for a
-/// SELECT, its binding (`bound` is meaningful for SELECTs only).
-struct ParsedAndBound {
-  sql::ParsedStatement stmt;
-  BoundSelect bound;
-};
-
-/// Parses `sql` (span "parse") and binds a SELECT (span "bind") without a
-/// bind-time snapshot: every execution captures its own. A write's target
-/// table must exist, so a prepare fails fast. EXPLAIN is a one-shot
-/// diagnostic, not a reusable statement shape, and is rejected.
-Result<ParsedAndBound> ParseAndBind(db::Database* db, const std::string& sql);
-
-/// Re-resolves `bound`'s readers against `snapshot`'s generation when the
-/// file fingerprint changed (a compaction swapped the table since bind);
-/// no-op otherwise. Returns whether a refresh happened.
-Result<bool> RefreshReaders(db::Database* db, BoundSelect* bound,
-                            const write::WriteSnapshot& snapshot);
-
 /// Resolves `bound` for one execution under `snapshot` with the given
 /// parameter values. Mutates `bound` only to refresh readers after a
 /// generation change.
@@ -171,14 +135,27 @@ Result<ResolvedSelect> ResolveSelect(
     db::Database* db, BoundSelect* bound, const std::vector<Value>& params,
     std::shared_ptr<const write::WriteSnapshot> snapshot);
 
+/// A planned SELECT, ready for any execution back end: its plan template
+/// plus the projection applied to the template's output tuples.
+struct Runnable {
+  plan::PlanTemplate tmpl;
+  std::vector<uint32_t> output_slots;
+  std::vector<std::string> output_names;
+  plan::Strategy strategy = plan::Strategy::kLmParallel;
+  // Query identity in system.queries / system.query_log: the SQL text.
+  // Empty (typed-plan paths) falls back to "plan:<kind>".
+  std::string label;
+};
+
 }  // namespace internal
 
 /// A statement parsed and bound once, executable many times with `?`
 /// parameter values. Each execution captures a fresh write snapshot (so it
-/// sees all writes completed before the call) and re-runs the strategy
-/// advisor against the cached column statistics with the new parameter
-/// selectivities. Not thread-safe: one PreparedStatement per thread, or
-/// external synchronization. Must not outlive its Connection.
+/// sees all writes completed before the call), then resolves, advises and
+/// plans exactly as one-shot SQL does, so the new parameter values pick
+/// the conjunction order and the strategy. Not thread-safe: one
+/// PreparedStatement per thread, or external synchronization. Must not
+/// outlive its Connection.
 class PreparedStatement {
  public:
   PreparedStatement() = default;
@@ -212,18 +189,14 @@ class PreparedStatement {
   friend class Connection;
 
   Status CheckParams(const std::vector<Value>& params) const;
+  /// Plans a SELECT execution under a fresh snapshot, labelled with its
+  /// SQL text.
+  Result<internal::Runnable> Plan(const std::vector<Value>& params);
 
   Connection* conn_ = nullptr;
   sql::ParsedStatement stmt_;
   std::string sql_;  // original text — the query-log label of each execution
   internal::BoundSelect bound_;  // selects only
-  // The reusable plan template, built once at prepare. Each execution
-  // mutates only what changed: the snapshot, the predicates (from the new
-  // parameter values), the strategy, and — only after a compaction — the
-  // column readers. This is what makes Execute cheaper than re-binding.
-  bool has_template_ = false;
-  plan::PlanTemplate template_;
-  std::vector<internal::Bounds> bounds_scratch_;  // one per scan column
 };
 
 }  // namespace api

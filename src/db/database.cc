@@ -519,9 +519,11 @@ Result<uint64_t> Database::UpdateWhere(
     set_slots.emplace_back(static_cast<size_t>(idx), value);
   }
 
-  // Scan *every* column (the updated rows are re-inserted whole), with the
-  // WHERE predicates attached to their columns.
+  // Read every column (the updated rows are re-inserted whole), but filter
+  // only the WHERE columns, in schema order; the MERGE gathers the rest at
+  // the surviving positions.
   plan::SelectionQuery query;
+  query.filter_order.emplace();
   for (size_t c = 0; c < snap->column_names().size(); ++c) {
     CSTORE_ASSIGN_OR_RETURN(const codec::ColumnReader* reader,
                             GetColumn(snap->column_files()[c]));
@@ -529,6 +531,9 @@ Result<uint64_t> Database::UpdateWhere(
     col.reader = reader;
     for (const auto& [name, pred] : conds) {
       if (name == snap->column_names()[c]) col.pred = pred;
+    }
+    if (!col.pred.is_true()) {
+      query.filter_order->push_back(static_cast<uint32_t>(c));
     }
     query.columns.push_back(col);
   }

@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "api/connection.h"
-#include "api/statement_cache.h"
 #include "db/database.h"
 #include "obs/query_log.h"
 #include "plan/executor.h"
@@ -52,11 +52,12 @@ class ApiTest : public ::testing::Test {
         "t", {{"a", "t.a"}, {"b", "t.b"}, {"c", "t.c"}}));
   }
 
-  /// Rows of `t` (by current reference vectors) passing a<alim && b<blim.
-  uint64_t CountRef(Value alim, Value blim) {
+  /// Rows of `t` (by current reference vectors) passing a<alim && b<blim
+  /// && c<clim.
+  uint64_t CountRef(Value alim, Value blim, Value clim) {
     uint64_t n = 0;
     for (size_t i = 0; i < a_.size(); ++i) {
-      if (a_[i] < alim && b_[i] < blim) ++n;
+      if (a_[i] < alim && b_[i] < blim && c_[i] < clim) ++n;
     }
     return n;
   }
@@ -682,27 +683,133 @@ TEST_F(ApiTest, DroppedCursorUnregistersAndLogsCancelled) {
 // --- PreparedStatement ------------------------------------------------------
 
 TEST_F(ApiTest, PreparedMatchesUnpreparedAcrossParams) {
-  api::Connection conn(db_.get());
-  api::Connection other(db_.get());
-  ASSERT_OK_AND_ASSIGN(
-      api::PreparedStatement prepared,
-      conn.Prepare("SELECT a, b FROM t WHERE a < ? AND b < ?"));
-  EXPECT_EQ(prepared.param_count(), 2);
-  EXPECT_EQ(prepared.column_names(),
-            (std::vector<std::string>{"a", "b"}));
-  for (Value alim : {Value{0}, Value{57}, Value{200}, Value{1000}}) {
-    for (Value blim : {Value{3}, Value{7}}) {
-      ASSERT_OK_AND_ASSIGN(api::QueryResult p,
-                           prepared.Execute({alim, blim}));
-      std::string sql = "SELECT a, b FROM t WHERE a < " +
-                        std::to_string(alim) + " AND b < " +
-                        std::to_string(blim);
-      ASSERT_OK_AND_ASSIGN(api::QueryResult u, other.Query(sql));
-      EXPECT_EQ(p.tuples.num_tuples(), u.tuples.num_tuples()) << sql;
-      EXPECT_EQ(p.stats.checksum, u.stats.checksum) << sql;
-      EXPECT_EQ(p.tuples.num_tuples(), CountRef(alim, blim)) << sql;
+  // Each form is prepared once per worker count. Every execution after
+  // the first plans like one-shot SQL with the literals inlined: same
+  // strategy, same work counters, same rows. The chunk-pool counters depend
+  // on pool state and are left out. The parameter values move the
+  // advisor's pick and the order of the b and c filters (a, answered by
+  // its index, always goes first).
+  struct Form {
+    const char* sql;
+    bool ordered;  // GROUP BY and ORDER BY rows come in a fixed order
+  };
+  const Form forms[] = {
+      {"SELECT a, b FROM t WHERE a < ? AND b < ? AND c < ?", false},
+      {"SELECT a, SUM(c) FROM t WHERE a < ? AND b < ? AND c < ? GROUP BY a",
+       true},
+      {"SELECT a, b, c FROM t WHERE a < ? AND b < ? AND c < ? "
+       "ORDER BY c DESC LIMIT 25",
+       true},
+  };
+  const std::vector<Value> params[] = {{0, 3, 50},    {57, 7, 10},
+                                       {200, 3, 90},  {1000, 1, 100},
+                                       {1000, 6, 10}, {1000, 7, 100}};
+  auto inline_params = [](std::string sql, const std::vector<Value>& vals) {
+    for (Value v : vals) sql.replace(sql.find('?'), 1, std::to_string(v));
+    return sql;
+  };
+  auto rows = [](const api::QueryResult& r, bool ordered) {
+    std::vector<std::vector<Value>> out;
+    for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+      out.emplace_back(r.tuples.tuple(i),
+                       r.tuples.tuple(i) + r.tuples.width());
+    }
+    if (!ordered) std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  struct Session {
+    std::unique_ptr<api::Connection> conn;   // runs the prepared forms
+    std::unique_ptr<api::Connection> other;  // runs the inlined SQL
+    std::vector<api::PreparedStatement> prepared;  // one per form
+  };
+  std::vector<Session> sessions;
+  for (int workers : {1, 2}) {
+    api::Connection::Settings settings;
+    settings.num_workers = workers;
+    Session& s = sessions.emplace_back();
+    s.conn = std::make_unique<api::Connection>(db_.get(), nullptr, settings);
+    s.other = std::make_unique<api::Connection>(db_.get(), nullptr, settings);
+    for (const Form& form : forms) {
+      ASSERT_OK_AND_ASSIGN(api::PreparedStatement p,
+                           s.conn->Prepare(form.sql));
+      EXPECT_EQ(p.param_count(), 3);
+      s.prepared.push_back(std::move(p));
+    }
+    // The first execution; the checks below cover re-executions only.
+    for (api::PreparedStatement& p : s.prepared) {
+      ASSERT_OK(p.Execute({100, 5, 50}).status());
     }
   }
+  EXPECT_EQ(sessions[0].prepared[0].column_names(),
+            (std::vector<std::string>{"a", "b"}));
+
+  std::set<plan::Strategy> picked;
+  for (bool after_writes : {false, true}) {
+    if (after_writes) {
+      // A write-store tail that takes the table past one chunk window (so
+      // 2 workers split it into two morsels), then a delete mask.
+      std::vector<std::vector<Value>> tail;
+      Random rng(23);
+      for (int i = 0; i < 12000; ++i) {
+        tail.push_back({static_cast<Value>(rng.Uniform(500)),
+                        static_cast<Value>(rng.Uniform(7)),
+                        static_cast<Value>(rng.Uniform(100))});
+        a_.push_back(tail.back()[0]);
+        b_.push_back(tail.back()[1]);
+        c_.push_back(tail.back()[2]);
+      }
+      ASSERT_OK(db_->Insert("t", tail));
+      ASSERT_OK_AND_ASSIGN(
+          uint64_t deleted,
+          db_->DeleteWhere("t", {{"c", codec::Predicate::LessThan(20)}}));
+      ASSERT_GT(deleted, 0u);
+      size_t kept = 0;
+      for (size_t i = 0; i < a_.size(); ++i) {
+        if (c_[i] < 20) continue;
+        a_[kept] = a_[i];
+        b_[kept] = b_[i];
+        c_[kept] = c_[i];
+        ++kept;
+      }
+      a_.resize(kept);
+      b_.resize(kept);
+      c_.resize(kept);
+    }
+    for (Session& s : sessions) {
+      const int workers = s.conn->settings().num_workers;
+      for (size_t f = 0; f < std::size(forms); ++f) {
+        for (const std::vector<Value>& vals : params) {
+          const std::string sql = inline_params(forms[f].sql, vals);
+          const std::string what = sql + " at " + std::to_string(workers) +
+                                   " workers" +
+                                   (after_writes ? ", after writes" : "");
+          ASSERT_OK_AND_ASSIGN(api::QueryResult p,
+                               s.prepared[f].Execute(vals));
+          ASSERT_OK_AND_ASSIGN(api::QueryResult u, s.other->Query(sql));
+          picked.insert(p.strategy);
+          EXPECT_EQ(p.strategy, u.strategy) << what;
+          EXPECT_EQ(rows(p, forms[f].ordered), rows(u, forms[f].ordered))
+              << what;
+          EXPECT_EQ(p.stats.checksum, u.stats.checksum) << what;
+          const exec::ExecStats& pe = p.stats.exec;
+          const exec::ExecStats& ue = u.stats.exec;
+          EXPECT_EQ(pe.blocks_fetched, ue.blocks_fetched) << what;
+          EXPECT_EQ(pe.blocks_skipped, ue.blocks_skipped) << what;
+          EXPECT_EQ(pe.predicate_evals, ue.predicate_evals) << what;
+          EXPECT_EQ(pe.values_gathered, ue.values_gathered) << what;
+          EXPECT_EQ(pe.tuples_constructed, ue.tuples_constructed) << what;
+          EXPECT_EQ(pe.position_ands, ue.position_ands) << what;
+          if (f == 0) {
+            EXPECT_EQ(p.tuples.num_tuples(),
+                      CountRef(vals[0], vals[1], vals[2]))
+                << what;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(picked.size(), 2u);
 }
 
 TEST_F(ApiTest, PreparedParamValidation) {
@@ -850,6 +957,63 @@ TEST_F(ApiTest, UpdateEndToEnd) {
   ASSERT_OK_AND_ASSIGN(api::QueryResult total,
                        conn.Query("SELECT COUNT(a) FROM t"));
   EXPECT_EQ(static_cast<size_t>(total.tuples.value(0, 0)), a_.size());
+}
+
+TEST_F(ApiTest, UpdateFiltersOnlyItsWhereColumns) {
+  // An UPDATE finds its rows with the 1-worker LM-parallel scan of SELECT
+  // over every column: it filters only the WHERE columns and gathers the
+  // rest, so its work counters are that SELECT's.
+  const size_t n = 3 * kChunkPositions;
+  std::vector<std::vector<Value>> want(n);
+  std::vector<Value> a(n), b(n), c(n);
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<Value>(i / 4);  // sorted: answered by the index
+    b[i] = static_cast<Value>((i * 7919) % 11);
+    c[i] = static_cast<Value>(i % 97);
+    want[i] = {a[i], b[i], c[i]};
+  }
+  ASSERT_OK(db_->CreateColumn("u.a", codec::Encoding::kUncompressed, a));
+  ASSERT_OK(db_->CreateColumn("u.b", codec::Encoding::kUncompressed, b));
+  ASSERT_OK(db_->CreateColumn("u.c", codec::Encoding::kUncompressed, c));
+  ASSERT_OK(
+      db_->RegisterTable("u", {{"a", "u.a"}, {"b", "u.b"}, {"c", "u.c"}}));
+
+  struct Shape {
+    const char* where;
+    bool (*match)(const std::vector<Value>& row);
+    Value set_c;
+  };
+  const Shape shapes[] = {
+      {"a < 1000", [](const std::vector<Value>& r) { return r[0] < 1000; },
+       1000},
+      {"b = 5", [](const std::vector<Value>& r) { return r[1] == 5; }, 2000},
+  };
+  api::Connection conn(db_.get());
+  for (const Shape& shape : shapes) {
+    const std::string where = std::string(" WHERE ") + shape.where;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult select,
+        conn.Query("SELECT a, b, c FROM u" + where, plan::Strategy::kLmParallel,
+                   1));
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult update,
+        conn.Query("UPDATE u SET c = " + std::to_string(shape.set_c) + where));
+    EXPECT_EQ(update.rows_affected, select.tuples.num_tuples()) << where;
+    EXPECT_EQ(update.stats.exec.predicate_evals,
+              select.stats.exec.predicate_evals)
+        << where;
+    EXPECT_EQ(update.stats.exec.blocks_fetched,
+              select.stats.exec.blocks_fetched)
+        << where;
+
+    for (std::vector<Value>& row : want) {
+      if (shape.match(row)) row[2] = shape.set_c;
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_OK_AND_ASSIGN(api::QueryResult all,
+                         conn.Query("SELECT a, b, c FROM u"));
+    EXPECT_TRUE(Bag(all) == want) << where;
+  }
 }
 
 TEST_F(ApiTest, UpdateValidation) {
@@ -1113,124 +1277,6 @@ TEST_F(ApiTest, StreamSurfacesQueryErrorThroughNext) {
     if (!*has) break;
   }
   EXPECT_FALSE(final_status.ok());
-}
-
-// --- Shared statement cache -------------------------------------------------
-
-TEST_F(ApiTest, StatementCacheMatchesUncachedPrepare) {
-  api::StatementCache cache;
-  api::Connection plain(db_.get());
-  api::Connection cached(db_.get());
-  cached.set_statement_cache(&cache);
-  const char* statements[] = {
-      "SELECT a, b FROM t WHERE a < ? AND b < ?",
-      "SELECT a, SUM(b) FROM t WHERE b < ? GROUP BY a",
-      "SELECT COUNT(b) FROM t WHERE a < ?",
-  };
-  for (const char* sql : statements) {
-    ASSERT_OK_AND_ASSIGN(api::PreparedStatement p1, plain.Prepare(sql));
-    ASSERT_OK_AND_ASSIGN(api::PreparedStatement p2, cached.Prepare(sql));
-    EXPECT_EQ(p1.param_count(), p2.param_count()) << sql;
-    EXPECT_EQ(p1.column_names(), p2.column_names()) << sql;
-    std::vector<Value> params;
-    for (int i = 0; i < p1.param_count(); ++i) params.push_back(100);
-    ASSERT_OK_AND_ASSIGN(api::QueryResult r1, p1.Execute(params));
-    ASSERT_OK_AND_ASSIGN(api::QueryResult r2, p2.Execute(params));
-    EXPECT_EQ(r1.stats.checksum, r2.stats.checksum) << sql;
-    EXPECT_EQ(r1.tuples.num_tuples(), r2.tuples.num_tuples()) << sql;
-  }
-  // Second pass over the same statements: every Prepare is now a hit.
-  api::StatementCache::Stats before = cache.stats();
-  EXPECT_EQ(before.misses, 3u);
-  for (const char* sql : statements) {
-    ASSERT_OK_AND_ASSIGN(api::PreparedStatement p, cached.Prepare(sql));
-    (void)p;
-  }
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().hits, before.hits + 3u);
-}
-
-TEST_F(ApiTest, StatementCacheErrorsAreNotCached) {
-  api::StatementCache cache;
-  api::Connection conn(db_.get());
-  conn.set_statement_cache(&cache);
-  EXPECT_FALSE(conn.Prepare("SELECT nope FROM t").ok());
-  EXPECT_FALSE(conn.Prepare("SELECT a FROM missing WHERE a < 1").ok());
-  EXPECT_EQ(cache.size(), 0u);
-  // A failing statement becomes valid once the catalog catches up.
-  std::vector<Value> x(1000, 5);
-  ASSERT_OK(db_->CreateColumn("late.x", codec::Encoding::kUncompressed, x));
-  ASSERT_OK(db_->RegisterTable("late", {{"x", "late.x"}}));
-  ASSERT_OK_AND_ASSIGN(api::PreparedStatement p,
-                       conn.Prepare("SELECT x FROM late WHERE x < 9"));
-  ASSERT_OK_AND_ASSIGN(api::QueryResult r, p.Execute());
-  EXPECT_EQ(r.tuples.num_tuples(), 1000u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST_F(ApiTest, StatementCacheEvictsFifoPerStripe) {
-  // One stripe, two slots: the third distinct statement evicts the first.
-  api::StatementCache cache(/*num_stripes=*/1, /*max_entries_per_stripe=*/2);
-  api::Connection conn(db_.get());
-  conn.set_statement_cache(&cache);
-  const char* statements[] = {
-      "SELECT a FROM t WHERE a < 10",
-      "SELECT b FROM t WHERE b < 3",
-      "SELECT c FROM t WHERE c < 50",
-  };
-  for (const char* sql : statements) {
-    ASSERT_OK_AND_ASSIGN(api::PreparedStatement p, conn.Prepare(sql));
-    (void)p;
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // The evicted statement re-parses (a miss), and still runs correctly.
-  ASSERT_OK_AND_ASSIGN(api::PreparedStatement p,
-                       conn.Prepare(statements[0]));
-  EXPECT_EQ(cache.stats().misses, 4u);
-  ASSERT_OK_AND_ASSIGN(api::QueryResult r, p.Execute());
-  EXPECT_EQ(r.stats.output_tuples, r.tuples.num_tuples());
-}
-
-TEST_F(ApiTest, StatementCacheConcurrentSessionsSingleParse) {
-  // N sessions race Prepare+Execute of one SQL text through a shared cache:
-  // results must be bit-identical to the uncached serial run, and the cache
-  // must have parsed exactly once (the single-parse guarantee).
-  api::StatementCache cache;
-  api::Connection root(db_.get());
-  const char* sql = "SELECT a, SUM(b) FROM t WHERE a < ? GROUP BY a";
-  ASSERT_OK_AND_ASSIGN(api::PreparedStatement truth_stmt, root.Prepare(sql));
-  ASSERT_OK_AND_ASSIGN(api::QueryResult truth, truth_stmt.Execute({250}));
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 20;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      api::Connection conn(db_.get());
-      conn.set_statement_cache(&cache);
-      for (int i = 0; i < kIters; ++i) {
-        auto p = conn.Prepare(sql);
-        if (!p.ok()) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        auto r = p->Execute({250});
-        if (!r.ok() || r->stats.checksum != truth.stats.checksum ||
-            r->tuples.num_tuples() != truth.tuples.num_tuples()) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  api::StatementCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);  // one parse for kThreads * kIters prepares
-  EXPECT_EQ(stats.hits, uint64_t{kThreads} * kIters - 1u);
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace
