@@ -12,7 +12,9 @@
 //              the reparse mode does, on the bound statement
 //
 // Both run the same keys and must return identical row counts/checksums
-// (verified; mismatch exits non-zero). Reported: QPS each and the speedup.
+// (verified; mismatch exits non-zero). Reported: QPS each, the speedup,
+// and heap allocations per execution in the last run, counted by this
+// binary's global operator new (reported, not gated).
 //
 // Panel 2 — RowCursor vs FetchAll. One permissive selection is drained
 // twice: materialized (QueryResult holds the whole result) and streamed
@@ -31,6 +33,9 @@
 //
 //   ./build/bench_api --runs=3
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -44,6 +49,9 @@ using namespace cstore::bench;  // NOLINT
 
 namespace {
 
+// Every heap allocation this process makes (operator new below).
+std::atomic<uint64_t> g_allocations{0};
+
 constexpr size_t kPointRows = 50000;   // hot working set for point queries
 constexpr size_t kScanRows = 1000000;  // large result for the cursor panel
 constexpr size_t kSmallRows = 4 * kChunkPositions;  // several morsels
@@ -56,6 +64,14 @@ uint64_t ChunkBytes(const exec::TupleChunk& t) {
 }
 
 }  // namespace
+
+void* operator new(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 int main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
@@ -127,9 +143,17 @@ int main(int argc, char** argv) {
   uint64_t prepared_rows = 0;
   uint64_t reparse_checksum = 0;
   uint64_t prepared_checksum = 0;
+  double reparse_allocs = 0;
+  double prepared_allocs = 0;
+  auto allocs_per_exec_since = [](uint64_t start) {
+    return static_cast<double>(
+               g_allocations.load(std::memory_order_relaxed) - start) /
+           kPointQueries;
+  };
   for (int run = 0; run < opts.runs; ++run) {
     uint64_t rows = 0;
     uint64_t checksum = 0;  // wrapping sum: order-independent
+    uint64_t allocs = g_allocations.load(std::memory_order_relaxed);
     Stopwatch w;
     for (int i = 0; i < kPointQueries; ++i) {
       std::string sql = "SELECT a FROM points WHERE a >= " +
@@ -141,6 +165,7 @@ int main(int argc, char** argv) {
       checksum += r->stats.checksum;
     }
     reparse_best = std::min(reparse_best, w.ElapsedMillis());
+    reparse_allocs = allocs_per_exec_since(allocs);
     reparse_rows = rows;
     reparse_checksum = checksum;
 
@@ -149,6 +174,7 @@ int main(int argc, char** argv) {
     CSTORE_CHECK(prepared.ok()) << prepared.status().ToString();
     rows = 0;
     checksum = 0;
+    allocs = g_allocations.load(std::memory_order_relaxed);
     w.Restart();
     for (int i = 0; i < kPointQueries; ++i) {
       auto r = prepared->Execute({keys[i], keys[i]});
@@ -157,6 +183,7 @@ int main(int argc, char** argv) {
       checksum += r->stats.checksum;
     }
     prepared_best = std::min(prepared_best, w.ElapsedMillis());
+    prepared_allocs = allocs_per_exec_since(allocs);
     prepared_rows = rows;
     prepared_checksum = checksum;
   }
@@ -167,10 +194,15 @@ int main(int argc, char** argv) {
   table.AddRow({"point-query", "reparse", "qps", Fmt(reparse_qps, 0)});
   table.AddRow({"point-query", "prepared", "qps", Fmt(prepared_qps, 0)});
   table.AddRow({"point-query", "prepared", "speedup", Fmt(speedup, 2)});
+  table.AddRow(
+      {"point-query", "reparse", "allocs/exec", Fmt(reparse_allocs, 2)});
+  table.AddRow(
+      {"point-query", "prepared", "allocs/exec", Fmt(prepared_allocs, 2)});
   json.AddRow().Str("panel", "point").Str("mode", "reparse")
-      .Num("qps", reparse_qps);
+      .Num("qps", reparse_qps).Num("allocs_per_exec", reparse_allocs);
   json.AddRow().Str("panel", "point").Str("mode", "prepared")
-      .Num("qps", prepared_qps).Num("speedup", speedup);
+      .Num("qps", prepared_qps).Num("speedup", speedup)
+      .Num("allocs_per_exec", prepared_allocs);
 
   // --- Panel 2: RowCursor vs FetchAll ------------------------------------
   const char* scan_sql = "SELECT a, b FROM scans WHERE b < 900";

@@ -1,26 +1,23 @@
-// Hot-path scalability: isolates each core-contention fix in turn.
+// Hot-path scalability: the buffer pool and the chunk pool, each in turn.
 //
-// Two phases, each a worker sweep over the same mixed batch of
-// selections and aggregations, every result checksum-verified against a
-// serial (workers=1) ground-truth run — any mismatch fails the process:
+//   pool_stress  a raw Fetch stress loop: W threads hammer one warm
+//                128-frame pool (the pool mutex isolated from all query
+//                work), reporting fetch throughput and the pool's lock
+//                counters (acquisitions, contended share, blocked time).
+//                Every Fetch takes the mutex exactly once and a page
+//                release takes none, so acquisitions must equal the Fetch
+//                calls; any other count fails the process.
+//   chunk_pool   global TupleChunk pool off vs on over a mixed batch of
+//                selections and aggregations at the largest worker count:
+//                QPS plus pool pressure (acquires / reuses / allocs). Every
+//                result checksum is verified against a serial (workers=1)
+//                ground-truth run; any mismatch fails the process.
 //
-//   shards      buffer pool with 1 shard vs 8 shards, two views: a raw
-//               Fetch stress loop (W threads hammering a warm pool — the
-//               pool lock isolated from all query work) reporting fetch
-//               throughput and the pool's contention counters
-//               (acquisitions, contended share, blocked time), and the
-//               query batch reporting QPS. Sharding must cut the
-//               contended share at high worker counts without changing a
-//               single result bit.
-//   chunk_pool  global TupleChunk pool off vs on at each worker count:
-//               QPS plus pool pressure (acquires / reuses / allocs).
-//
-//   ./build/bench_scaling --sf=0.05 --workers=1,2,4,8,16 --runs=2
+//   ./build/bench_scaling --sf=0.05 --workers=1,2,4 --runs=1 --disk=0
 //
 // Emits BENCH_scaling.json next to the other bench JSON artifacts. Note:
 // on a single-core host threads never truly overlap, so the contended
-// share is ~0 under every layout — the sharding delta needs real parallel
-// hardware to appear (the checksum verification is meaningful regardless).
+// share is ~0 at every worker count.
 
 #include <algorithm>
 #include <atomic>
@@ -42,7 +39,7 @@ namespace {
 struct QuerySpec {
   std::string name;
   plan::PlanTemplate tmpl;
-  // Serial (workers=1) ground truth, identical across pool layouts.
+  // Serial (workers=1) ground truth.
   uint64_t checksum = 0;
   uint64_t output_tuples = 0;
 };
@@ -77,34 +74,22 @@ std::vector<QuerySpec> BuildSpecs(const tpch::LineitemColumns& li) {
 }
 
 /// Serial ground truth (doubles as pool warm-up so the timed batches
-/// measure lock traffic on the hit path, not first-touch I/O).
-void FillGroundTruth(db::Database* db, std::vector<QuerySpec>* specs,
-                     bool verify_existing, int* mismatches) {
+/// measure the hit path, not first-touch I/O).
+void FillGroundTruth(db::Database* db, std::vector<QuerySpec>* specs) {
   api::Connection conn(db);
   for (QuerySpec& spec : *specs) {
     plan::PlanTemplate tmpl = spec.tmpl;
     tmpl.config.num_workers = 1;
     auto r = conn.Query(tmpl);
     CSTORE_CHECK(r.ok()) << spec.name << ": " << r.status().ToString();
-    if (verify_existing) {
-      // Same data under a different pool layout must read back bit-equal.
-      if (r->stats.checksum != spec.checksum ||
-          r->stats.output_tuples != spec.output_tuples) {
-        std::fprintf(stderr, "MISMATCH (serial, resharded pool) %s\n",
-                     spec.name.c_str());
-        ++*mismatches;
-      }
-    } else {
-      spec.checksum = r->stats.checksum;
-      spec.output_tuples = r->stats.output_tuples;
-    }
+    spec.checksum = r->stats.checksum;
+    spec.output_tuples = r->stats.output_tuples;
   }
 }
 
 /// Contention numbers from one raw Fetch stress run: `threads` workers
 /// each sweep the (pre-warmed) pool's blocks `rounds` times from a
-/// different starting offset, so every shard sees traffic from every
-/// thread. Returns wall ms; counters land in `*stats`.
+/// different starting offset. Returns wall ms; counters land in `*stats`.
 double StressPool(storage::BufferPool* pool, storage::FileId file,
                   uint64_t num_blocks, int threads, int rounds,
                   storage::IoStats* stats, int* mismatches) {
@@ -183,15 +168,13 @@ int main(int argc, char** argv) {
                               ? 16
                               : opts.concurrency_sweep.front();
   int mismatches = 0;
+  int lock_count_errors = 0;
   BenchJson json("scaling");
 
-  // --- Phase 1a: raw pool stress (the shard lock in isolation) ----------
+  // --- Phase 1: raw pool stress (the pool mutex in isolation) ----------
   // Query batches bury lock traffic under morsel work; this loop is pure
-  // Fetch on a warm pool, so the single-mutex ceiling — and the sharded
-  // layout removing it — shows up directly in the contention counters.
-  const size_t shard_configs[2] = {1, 8};
-  // contended share per (shards index 0/1, workers index) for the summary.
-  std::vector<std::vector<double>> shares(2);
+  // Fetch on a warm pool, so the mutex's cost shows up directly in the
+  // throughput and the contention counters.
   {
     auto fm = storage::FileManager::Open(opts.dir + "_poolstress");
     CSTORE_CHECK(fm.ok()) << fm.status().ToString();
@@ -206,159 +189,72 @@ int main(int argc, char** argv) {
       auto a = fm.value()->AppendBlock(file, page);
       CSTORE_CHECK(a.ok()) << a.status().ToString();
     }
+    const int rounds = 200 * opts.runs;
     std::printf("# fig=scaling/pool_stress  blocks=%llu rounds=%d\n",
-                static_cast<unsigned long long>(kBlocks), 200 * opts.runs);
-    TablePrinter stress_table({"shards", "workers", "wall_ms", "mfetch_s",
-                               "lock_acq", "contended", "cont_share",
+                static_cast<unsigned long long>(kBlocks), rounds);
+    TablePrinter stress_table({"workers", "wall_ms", "mfetch_s", "lock_acq",
+                               "acq_per_fetch", "contended", "cont_share",
                                "wait_ms"});
-    for (int cfg = 0; cfg < 2; ++cfg) {
-      storage::BufferPool pool(fm.value().get(), 128, nullptr,
-                               shard_configs[cfg]);
-      // Warm: the stress loop must measure the hit path, not I/O.
-      for (uint64_t b = 0; b < kBlocks; ++b) {
-        auto r = pool.Fetch(file, b);
-        CSTORE_CHECK(r.ok()) << r.status().ToString();
+    storage::BufferPool pool(fm.value().get(), 128);
+    // Warm: the stress loop must measure the hit path, not I/O.
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      auto r = pool.Fetch(file, b);
+      CSTORE_CHECK(r.ok()) << r.status().ToString();
+    }
+    for (int workers : opts.worker_sweep) {
+      storage::IoStats st;
+      double ms = StressPool(&pool, file, kBlocks, workers, rounds, &st,
+                             &mismatches);
+      const uint64_t fetches = uint64_t{kBlocks} * rounds * workers;
+      const double share =
+          st.pool_lock_acquisitions == 0
+              ? 0.0
+              : static_cast<double>(st.pool_lock_contended) /
+                    static_cast<double>(st.pool_lock_acquisitions);
+      const double per_fetch = static_cast<double>(st.pool_lock_acquisitions) /
+                               static_cast<double>(fetches);
+      const double mfetch = fetches / (ms * 1000.0);
+      if (st.pool_lock_acquisitions != fetches) {
+        std::fprintf(stderr,
+                     "LOCK COUNT (workers=%d): %llu acquisitions for %llu "
+                     "fetches; expected one per Fetch\n",
+                     workers,
+                     static_cast<unsigned long long>(
+                         st.pool_lock_acquisitions),
+                     static_cast<unsigned long long>(fetches));
+        ++lock_count_errors;
       }
-      for (int workers : opts.worker_sweep) {
-        storage::IoStats st;
-        double ms = StressPool(&pool, file, kBlocks, workers,
-                               200 * opts.runs, &st, &mismatches);
-        const double share =
-            st.pool_lock_acquisitions == 0
-                ? 0.0
-                : static_cast<double>(st.pool_lock_contended) /
-                      static_cast<double>(st.pool_lock_acquisitions);
-        shares[cfg].push_back(share);
-        const double mfetch =
-            workers * 200.0 * opts.runs * kBlocks / (ms * 1000.0);
-        stress_table.AddRow(
-            {std::to_string(shard_configs[cfg]), std::to_string(workers),
-             Fmt(ms), Fmt(mfetch, 2),
-             std::to_string(st.pool_lock_acquisitions),
-             std::to_string(st.pool_lock_contended),
-             Fmt(share * 100.0, 2) + "%",
-             Fmt(st.pool_lock_wait_ns / 1e6, 2)});
-        json.AddRow()
-            .Str("phase", "pool_stress")
-            .Int("shards", shard_configs[cfg])
-            .Int("workers", workers)
-            .Num("wall_ms", ms)
-            .Num("mfetches_per_s", mfetch)
-            .Int("lock_acquisitions", st.pool_lock_acquisitions)
-            .Int("lock_contended", st.pool_lock_contended)
-            .Num("contended_share", share)
-            .Num("lock_wait_ms", st.pool_lock_wait_ns / 1e6);
-      }
+      stress_table.AddRow(
+          {std::to_string(workers), Fmt(ms), Fmt(mfetch, 2),
+           std::to_string(st.pool_lock_acquisitions), Fmt(per_fetch, 2),
+           std::to_string(st.pool_lock_contended),
+           Fmt(share * 100.0, 2) + "%", Fmt(st.pool_lock_wait_ns / 1e6, 2)});
+      json.AddRow()
+          .Str("phase", "pool_stress")
+          .Int("workers", workers)
+          .Num("wall_ms", ms)
+          .Num("mfetches_per_s", mfetch)
+          .Int("fetches", fetches)
+          .Int("lock_acquisitions", st.pool_lock_acquisitions)
+          .Int("lock_contended", st.pool_lock_contended)
+          .Num("contended_share", share)
+          .Num("lock_wait_ms", st.pool_lock_wait_ns / 1e6);
     }
     stress_table.Print();
-    for (size_t w = 0; w < opts.worker_sweep.size(); ++w) {
-      if (opts.worker_sweep[w] < 4) continue;
-      const char* verdict = "";
-      if (shares[0][w] < 0.0001) {
-        // threads never truly overlapped (single-core host): there is no
-        // single-mutex contention for sharding to remove.
-        verdict = "  [no contention to remove on this host]";
-      } else if (shares[1][w] >= shares[0][w]) {
-        verdict = "  [no improvement]";
-      }
-      std::printf(
-          "# workers=%d: contended share %.2f%% (1 shard) -> %.2f%% "
-          "(8 shards)%s\n",
-          opts.worker_sweep[w], shares[0][w] * 100.0, shares[1][w] * 100.0,
-          verdict);
-    }
   }
 
-  // --- Phase 1b: buffer-pool sharding under real query batches ----------
-  // Reopen the same database directory under each pool layout; the serial
-  // run re-verifies ground truth so a sharding bug that corrupts reads
-  // cannot hide behind "both layouts agree with themselves".
-  std::printf("\n# fig=scaling/shards  sf=%.3g concurrency=%d runs=%d\n",
-              opts.sf, concurrency, opts.runs);
-  TablePrinter shard_table({"shards", "workers", "wall_ms", "qps",
-                            "lock_acq", "contended", "cont_share",
-                            "wait_ms"});
-  std::vector<QuerySpec> specs;
-  for (int cfg = 0; cfg < 2; ++cfg) {
-    db::Database::Options dbo;
-    dbo.dir = opts.dir;
-    dbo.pool_frames = 16384;
-    dbo.pool_shards = shard_configs[cfg];
-    dbo.disk.enabled = false;  // hot-path bench: no simulated-disk charges
-    auto db_r = db::Database::Open(dbo);
-    CSTORE_CHECK(db_r.ok()) << db_r.status().ToString();
-    auto db = std::move(db_r).value();
-    auto li = tpch::LoadLineitem(db.get(), opts.sf);
-    CSTORE_CHECK(li.ok()) << li.status().ToString();
-
-    std::vector<QuerySpec> cfg_specs = BuildSpecs(*li);
-    if (cfg == 0) {
-      FillGroundTruth(db.get(), &cfg_specs, false, &mismatches);
-      specs = cfg_specs;  // remember ground truth for the reshard check
-    } else {
-      for (size_t i = 0; i < cfg_specs.size(); ++i) {
-        cfg_specs[i].checksum = specs[i].checksum;
-        cfg_specs[i].output_tuples = specs[i].output_tuples;
-      }
-      FillGroundTruth(db.get(), &cfg_specs, true, &mismatches);
-    }
-
-    for (int workers : opts.worker_sweep) {
-      double best = 1e100;
-      storage::IoStats pool_stats;
-      for (int run = 0; run < opts.runs; ++run) {
-        db->pool()->ResetStats();
-        double ms =
-            RunBatch(db.get(), cfg_specs, workers, concurrency, &mismatches);
-        if (ms < best) {
-          best = ms;
-          pool_stats = db->pool()->stats();
-        }
-      }
-      const double share =
-          pool_stats.pool_lock_acquisitions == 0
-              ? 0.0
-              : static_cast<double>(pool_stats.pool_lock_contended) /
-                    static_cast<double>(pool_stats.pool_lock_acquisitions);
-      const double qps = concurrency * 1000.0 / best;
-      shard_table.AddRow({std::to_string(shard_configs[cfg]),
-                          std::to_string(workers), Fmt(best), Fmt(qps),
-                          std::to_string(pool_stats.pool_lock_acquisitions),
-                          std::to_string(pool_stats.pool_lock_contended),
-                          Fmt(share * 100.0, 2) + "%",
-                          Fmt(pool_stats.pool_lock_wait_ns / 1e6, 2)});
-      json.AddRow()
-          .Str("phase", "shards")
-          .Int("shards", shard_configs[cfg])
-          .Int("workers", workers)
-          .Int("concurrency", concurrency)
-          .Num("wall_ms", best)
-          .Num("qps", qps)
-          .Int("lock_acquisitions", pool_stats.pool_lock_acquisitions)
-          .Int("lock_contended", pool_stats.pool_lock_contended)
-          .Num("contended_share", share)
-          .Num("lock_wait_ms", pool_stats.pool_lock_wait_ns / 1e6);
-    }
-  }
-  shard_table.Print();
-
-  // --- Phase 2 runs against the 8-shard database ------------------------
+  // --- Serial ground truth for phase 2 ----------------------------------
   db::Database::Options dbo;
   dbo.dir = opts.dir;
   dbo.pool_frames = 16384;
-  dbo.pool_shards = 8;
-  dbo.disk.enabled = false;
+  dbo.disk.enabled = false;  // hot-path bench: no simulated-disk charges
   auto db_r = db::Database::Open(dbo);
   CSTORE_CHECK(db_r.ok()) << db_r.status().ToString();
   auto db = std::move(db_r).value();
   auto li = tpch::LoadLineitem(db.get(), opts.sf);
   CSTORE_CHECK(li.ok()) << li.status().ToString();
   std::vector<QuerySpec> hot_specs = BuildSpecs(*li);
-  for (size_t i = 0; i < hot_specs.size(); ++i) {
-    hot_specs[i].checksum = specs[i].checksum;
-    hot_specs[i].output_tuples = specs[i].output_tuples;
-  }
-  FillGroundTruth(db.get(), &hot_specs, true, &mismatches);
+  FillGroundTruth(db.get(), &hot_specs);
 
   // --- Phase 2: chunk pool off vs on ------------------------------------
   const int max_workers = *std::max_element(opts.worker_sweep.begin(),
@@ -402,6 +298,11 @@ int main(int argc, char** argv) {
   json.WriteAndReport();
   if (mismatches > 0) {
     std::fprintf(stderr, "%d checksum mismatches\n", mismatches);
+    return 1;
+  }
+  if (lock_count_errors > 0) {
+    std::fprintf(stderr, "%d pool_stress runs miscounted lock acquisitions\n",
+                 lock_count_errors);
     return 1;
   }
   return 0;

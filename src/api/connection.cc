@@ -388,7 +388,7 @@ Result<QueryResult> Connection::Query(const std::string& sql,
   CSTORE_ASSIGN_OR_RETURN(sql::ParsedStatement stmt,
                           FrontEnd(sql, strategy, workers, &planned));
   if (stmt.explain != sql::ParsedStatement::Explain::kNone) {
-    return ExplainStatement(stmt, strategy, workers, {});
+    return ExplainStatement(stmt, sql, strategy, workers, {});
   }
   if (stmt.kind != sql::ParsedStatement::Kind::kSelect) {
     return ExecuteWrite(stmt, {});
@@ -412,8 +412,9 @@ PendingResult Connection::Submit(const std::string& sql,
       // EXPLAIN [ANALYZE] runs to completion here (its product is a
       // report, not a stream of chunks) and rides back as an immediate
       // result, like a write.
-      CSTORE_ASSIGN_OR_RETURN(QueryResult result,
-                              ExplainStatement(stmt, strategy, workers, {}));
+      CSTORE_ASSIGN_OR_RETURN(
+          QueryResult result,
+          ExplainStatement(stmt, sql, strategy, workers, {}));
       pending.immediate_ = std::move(result);
       return Status::OK();
     }
@@ -566,8 +567,9 @@ std::string DescribeOrder(const std::vector<std::string>& names,
 }  // namespace
 
 Result<QueryResult> Connection::ExplainStatement(
-    const sql::ParsedStatement& stmt, std::optional<plan::Strategy> strategy,
-    int num_workers, const std::vector<Value>& params) {
+    const sql::ParsedStatement& stmt, const std::string& sql,
+    std::optional<plan::Strategy> strategy, int num_workers,
+    const std::vector<Value>& params) {
   CSTORE_ASSIGN_OR_RETURN(PlannedSelect planned,
                           PlanSelect(stmt, strategy, num_workers, params));
   const BoundSelect& bound = planned.bound;
@@ -600,6 +602,7 @@ Result<QueryResult> Connection::ExplainStatement(
   if (stmt.explain == sql::ParsedStatement::Explain::kAnalyze) {
     auto profile = std::make_shared<obs::PlanProfile>();
     run.tmpl.config.profile = profile;
+    run.label = sql;
     CSTORE_ASSIGN_OR_RETURN(QueryResult executed, RunRunnableSync(run));
     out.stats = executed.stats;
     report += "plan (actual, all workers summed):\n";
@@ -663,8 +666,8 @@ Result<QueryResult> Connection::ExplainSql(
         " parameter(s), got " + std::to_string(params.size()));
   }
   stmt.explain = kind;
-  return ExplainStatement(stmt, std::nullopt, EffectiveWorkers(num_workers),
-                          params);
+  return ExplainStatement(stmt, sql, std::nullopt,
+                          EffectiveWorkers(num_workers), params);
 }
 
 std::string Connection::Metrics() const {

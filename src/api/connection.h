@@ -236,8 +236,9 @@ class Connection {
 
   /// EXPLAIN / EXPLAIN ANALYZE back end (stmt.explain selects which): the
   /// advisor's prediction report, plus — for ANALYZE — the executed plan's
-  /// per-operator actuals.
+  /// per-operator actuals. The run is labelled `sql` in the query log.
   Result<QueryResult> ExplainStatement(const sql::ParsedStatement& stmt,
+                                       const std::string& sql,
                                        std::optional<plan::Strategy> strategy,
                                        int num_workers,
                                        const std::vector<Value>& params);
@@ -248,8 +249,8 @@ class Connection {
                                  int num_workers,
                                  sql::ParsedStatement::Explain kind);
 
-  /// Shared-resource pressure section appended to Explain output: shard
-  /// lock contention, retired fds, chunk/page-pool recycling.
+  /// Shared-resource pressure section appended to Explain output: buffer
+  /// pool mutex contention, retired fds, chunk/page-pool recycling.
   std::string PressureReport() const;
 
   /// Runs `tmpl` to completion: on the caller's thread when a standalone

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <thread>
 
 #include "exec/chunk_pool.h"
 #include "exec/sys_scan.h"
@@ -29,19 +28,6 @@ std::string GenerationBaseName(const std::string& file) {
   return file.substr(0, dot);
 }
 
-/// Auto shard count: one shard per ~256 frames (16 MB), capped by the
-/// hardware thread count and 8. Tiny pools (tests pin whole windows out of
-/// a handful of frames) stay at 1 shard, where capacity splitting cannot
-/// strand free frames behind the wrong hash.
-size_t ResolvePoolShards(size_t requested, size_t pool_frames) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  size_t by_capacity = pool_frames / 256;
-  size_t shards = std::min<size_t>(8, std::min<size_t>(
-                                          hw == 0 ? 4 : hw, by_capacity));
-  return std::max<size_t>(1, shards);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
@@ -50,8 +36,7 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
                           storage::FileManager::Open(options.dir));
   db->disk_model_.set_params(options.disk);
   db->pool_ = std::make_unique<storage::BufferPool>(
-      db->files_.get(), options.pool_frames, &db->disk_model_,
-      ResolvePoolShards(options.pool_shards, options.pool_frames));
+      db->files_.get(), options.pool_frames, &db->disk_model_);
   CSTORE_RETURN_IF_ERROR(db->LoadCatalog());
   return db;
 }

@@ -41,13 +41,9 @@ class Database {
  public:
   struct Options {
     std::string dir;
-    // Buffer-pool capacity in 64 KB frames (default 8192 = 512 MB).
+    // Buffer-pool capacity in 64 KB frames (default 8192 = 512 MB). The
+    // pool is one CLOCK frame table under one mutex (storage::BufferPool).
     size_t pool_frames = 8192;
-    // Buffer-pool shards (0 = auto: scale with hardware threads, but keep
-    // each shard ≥ 256 frames so tiny test pools stay unsharded and a
-    // shard always covers a pinned scan window). Set 1 to force the
-    // single-mutex layout.
-    size_t pool_shards = 0;
     // Simulated-disk parameters (disabled by default).
     storage::DiskModel::Params disk;
   };

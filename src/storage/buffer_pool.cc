@@ -1,7 +1,7 @@
 #include "storage/buffer_pool.h"
 
-#include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "util/logging.h"
 
@@ -14,6 +14,13 @@ namespace {
 // counter updates to the task's own IoStats attributes I/O per query even
 // when many queries share the pool.
 thread_local IoStats* t_io_sink = nullptr;
+
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
 }  // namespace
 
 void BufferPool::SetThreadAttribution(IoStats* sink) { t_io_sink = sink; }
@@ -56,149 +63,80 @@ const Page& PageRef::page() const {
 
 void PageRef::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(frame_);
+    // Release ordering: this pin's reads of the page happen before a CLOCK
+    // sweep that sees the count at 0 refills the frame.
+    const uint32_t pins = pool_->frames_[frame_].pin_count.fetch_sub(
+        1, std::memory_order_release);
+    CSTORE_DCHECK(pins > 0);
     pool_ = nullptr;
     frame_ = UINT32_MAX;
   }
 }
 
 BufferPool::BufferPool(FileManager* files, size_t capacity_frames,
-                       const DiskModel* disk_model, size_t num_shards)
-    : files_(files),
-      disk_model_(disk_model),
-      frames_(capacity_frames),
-      shards_(std::max<size_t>(1, std::min(num_shards, capacity_frames))) {
+                       const DiskModel* disk_model)
+    : files_(files), disk_model_(disk_model), frames_(capacity_frames) {
   CSTORE_CHECK(capacity_frames > 0);
-  // Contiguous frame ranges per shard (remainder to the first shards); the
-  // free lists hand out the lowest-numbered frame of a shard first.
-  uint32_t next = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    size_t count = shard_capacity(s);
-    shards_[s].free_frames.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      uint32_t frame = next + static_cast<uint32_t>(count - 1 - i);
-      frames_[frame].shard = static_cast<uint32_t>(s);
-      frames_[frame].lru_it = shards_[s].lru.end();
-      shards_[s].free_frames.push_back(frame);
-    }
-    next += static_cast<uint32_t>(count);
-  }
 }
 
-size_t BufferPool::shard_capacity(size_t shard) const {
-  size_t base = frames_.size() / shards_.size();
-  size_t rem = frames_.size() % shards_.size();
-  return base + (shard < rem ? 1 : 0);
-}
-
-std::unique_lock<std::mutex> BufferPool::LockShard(const Shard& shard) {
-  stats_.pool_lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  if (t_io_sink != nullptr) ++t_io_sink->pool_lock_acquisitions;
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
+std::unique_lock<std::mutex> BufferPool::Lock() {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  IoStats acquired;
+  acquired.pool_lock_acquisitions = 1;
   if (!lock.owns_lock()) {
-    stats_.pool_lock_contended.fetch_add(1, std::memory_order_relaxed);
-    auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     lock.lock();
-    uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    stats_.pool_lock_wait_ns.fetch_add(ns, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) {
-      ++t_io_sink->pool_lock_contended;
-      t_io_sink->pool_lock_wait_ns += ns;
-    }
+    acquired.pool_lock_contended = 1;
+    acquired.pool_lock_wait_ns = NanosSince(start);
   }
+  Account(acquired);
   return lock;
 }
 
+void BufferPool::Account(const IoStats& delta) {
+  stats_ += delta;
+  if (t_io_sink != nullptr) *t_io_sink += delta;
+}
+
 IoStats BufferPool::stats() const {
-  IoStats out;
-  out.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-  out.physical_reads = stats_.physical_reads.load(std::memory_order_relaxed);
-  out.seeks = stats_.seeks.load(std::memory_order_relaxed);
-  out.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  out.pool_lock_acquisitions =
-      stats_.pool_lock_acquisitions.load(std::memory_order_relaxed);
-  out.pool_lock_contended =
-      stats_.pool_lock_contended.load(std::memory_order_relaxed);
-  out.pool_lock_wait_ns =
-      stats_.pool_lock_wait_ns.load(std::memory_order_relaxed);
-  out.physical_read_ns =
-      stats_.physical_read_ns.load(std::memory_order_relaxed);
-  out.charged_io_micros =
-      stats_.charged_io_micros.load(std::memory_order_relaxed);
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 void BufferPool::ResetStats() {
-  stats_.cache_hits.store(0, std::memory_order_relaxed);
-  stats_.physical_reads.store(0, std::memory_order_relaxed);
-  stats_.seeks.store(0, std::memory_order_relaxed);
-  stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.pool_lock_acquisitions.store(0, std::memory_order_relaxed);
-  stats_.pool_lock_contended.store(0, std::memory_order_relaxed);
-  stats_.pool_lock_wait_ns.store(0, std::memory_order_relaxed);
-  stats_.physical_read_ns.store(0, std::memory_order_relaxed);
-  stats_.charged_io_micros.store(0.0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.Reset();
 }
 
-void BufferPool::Pin(uint32_t frame, Shard& s) {
-  Frame& f = frames_[frame];
-  if (f.pin_count == 0 && f.lru_it != s.lru.end()) {
-    s.lru.erase(f.lru_it);
-    f.lru_it = s.lru.end();
-  }
-  ++f.pin_count;
-}
-
-void BufferPool::Unpin(uint32_t frame) {
-  Frame& f = frames_[frame];
-  Shard& s = shards_[f.shard];  // shard assignment is immutable
-  auto lock = LockShard(s);
-  CSTORE_DCHECK(f.pin_count > 0);
-  if (--f.pin_count == 0) {
-    f.lru_it = s.lru.insert(s.lru.end(), frame);
-  }
-}
-
-Result<uint32_t> BufferPool::GetFreeFrame(Shard& s) {
-  if (!s.free_frames.empty()) {
-    uint32_t frame = s.free_frames.back();
-    s.free_frames.pop_back();
+Result<uint32_t> BufferPool::ClaimFrame() {
+  // Two revolutions: the first may do no more than clear reference bits.
+  for (size_t step = 0; step < 2 * frames_.size(); ++step) {
+    const uint32_t frame = static_cast<uint32_t>(hand_);
+    if (++hand_ == frames_.size()) hand_ = 0;
+    Frame& f = frames_[frame];
+    // Acquire pairs with PageRef::Release: the last reader is done with the
+    // page before the frame is refilled.
+    if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
+    if (f.valid) {
+      if (f.referenced) {
+        f.referenced = false;
+        continue;
+      }
+      map_.erase(Key{f.file.id, f.block_no});
+      f.valid = false;
+      Account({.evictions = 1});
+    }
     return frame;
   }
-  if (s.lru.empty()) {
-    std::string detail = std::to_string(frames_.size());
-    if (shards_.size() > 1) {
-      size_t shard_index = static_cast<size_t>(&s - shards_.data());
-      detail += ", shard capacity " +
-                std::to_string(shard_capacity(shard_index)) + " of " +
-                std::to_string(shards_.size()) + " shards";
-    }
-    return Status::Internal(
-        "buffer pool exhausted: all frames pinned (capacity " + detail + ")");
-  }
-  uint32_t victim = s.lru.front();
-  s.lru.pop_front();
-  Frame& f = frames_[victim];
-  CSTORE_DCHECK(f.pin_count == 0);
-  f.lru_it = s.lru.end();
-  if (f.valid) {
-    s.map.erase(Key{f.file.id, f.block_no});
-    f.valid = false;
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) ++t_io_sink->evictions;
-  }
-  return victim;
+  return Status::Internal(
+      "buffer pool exhausted: all frames pinned (capacity " +
+      std::to_string(frames_.size()) + ")");
 }
 
-bool BufferPool::RecordReadForSeeks(FileId file, uint64_t block_no) {
+bool BufferPool::AdvanceStream(FileId file, uint64_t block_no) {
   // A read is sequential when it continues any active stream of this file
   // (its own worker's previous claim + 1); otherwise it starts a new stream
-  // and is a seek. Streams are global across shards — consecutive blocks of
-  // one scan hash to different shards.
-  std::lock_guard<std::mutex> lock(seek_mu_);
+  // and is a seek.
   std::vector<uint64_t>& streams = next_sequential_[file.id];
   for (uint64_t& next : streams) {
     if (next == block_no) {
@@ -206,169 +144,106 @@ bool BufferPool::RecordReadForSeeks(FileId file, uint64_t block_no) {
       return true;
     }
   }
-  stats_.seeks.fetch_add(1, std::memory_order_relaxed);
-  if (t_io_sink != nullptr) ++t_io_sink->seeks;
   streams.push_back(block_no + 1);
   if (streams.size() > kMaxSeekStreams) streams.erase(streams.begin());
   return false;
 }
 
-void BufferPool::WithdrawReadFromSeeks(FileId file, uint64_t block_no,
-                                       bool sequential) {
-  // Best-effort for the stream — a concurrent claim may have advanced it
-  // past our entry meanwhile, in which case it stays.
-  std::lock_guard<std::mutex> lock(seek_mu_);
+void BufferPool::WithdrawFromStream(FileId file, uint64_t block_no,
+                                    bool sequential) {
+  // Best-effort — a concurrent claim may have advanced the stream past our
+  // entry meanwhile, in which case it stays.
   std::vector<uint64_t>& streams = next_sequential_[file.id];
-  if (sequential) {
-    for (uint64_t& next : streams) {
-      if (next == block_no + 1) {
-        next = block_no;  // rewind the stream we advanced
-        break;
-      }
+  for (size_t i = streams.size(); i-- > 0;) {
+    if (streams[i] != block_no + 1) continue;
+    if (sequential) {
+      streams[i] = block_no;  // rewind the stream we advanced
+    } else {
+      streams.erase(streams.begin() + i);  // drop the stream we started
     }
-  } else {
-    stats_.seeks.fetch_sub(1, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) --t_io_sink->seeks;
-    for (size_t i = streams.size(); i-- > 0;) {
-      if (streams[i] == block_no + 1) {
-        streams.erase(streams.begin() + i);  // drop ours
-        break;
-      }
-    }
+    return;
   }
 }
 
 Result<PageRef> BufferPool::Fetch(FileId file, uint64_t block_no) {
-  Key key{file.id, block_no};
-  Shard& s = shards_[ShardFor(key)];
-  std::unique_lock<std::mutex> lock = LockShard(s);
-  auto it = s.map.find(key);
-  if (it != s.map.end()) {
-    uint32_t frame = it->second;
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) ++t_io_sink->cache_hits;
-    Pin(frame, s);
-    // Another worker is still reading this block; wait until its payload is
-    // complete. The pin taken above keeps the frame from being evicted.
-    s.loaded_cv.wait(lock, [&] { return !frames_[frame].loading; });
-    if (!frames_[frame].valid) {
+  const Key key{file.id, block_no};
+  std::unique_lock<std::mutex> lock = Lock();
+  if (auto it = map_.find(key); it != map_.end()) {
+    const uint32_t frame = it->second;
+    Frame& f = frames_[frame];
+    f.pin_count.fetch_add(1, std::memory_order_relaxed);
+    f.referenced = true;
+    Account({.cache_hits = 1});
+    // Another thread is still reading this block; wait until its payload is
+    // complete. The pin taken above keeps the frame from being reclaimed.
+    loaded_cv_.wait(lock, [&f] { return !f.loading; });
+    if (!f.valid) {
       // The loader failed and withdrew the block; retry from scratch.
+      f.pin_count.fetch_sub(1, std::memory_order_relaxed);
       lock.unlock();
-      Unpin(frame);
       return Fetch(file, block_no);
     }
     return PageRef(this, frame);
   }
 
-  CSTORE_ASSIGN_OR_RETURN(uint32_t frame, GetFreeFrame(s));
+  CSTORE_ASSIGN_OR_RETURN(const uint32_t frame, ClaimFrame());
   Frame& f = frames_[frame];
   f.file = file;
   f.block_no = block_no;
-  f.valid = false;
   f.loading = true;
-  f.pin_count = 0;
-  s.map[key] = frame;
-  Pin(frame, s);
+  f.referenced = false;
+  f.pin_count.store(1, std::memory_order_relaxed);
+  map_.emplace(key, frame);
+  // The stream advances at claim time, in mutex order, so a worker's next
+  // block continues it even while this read is in flight.
+  const bool sequential = AdvanceStream(file, block_no);
 
-  // Account the read while still ordered by the shard lock (seek streams
-  // take their own global mutex, nested inside it).
-  stats_.physical_reads.fetch_add(1, std::memory_order_relaxed);
-  if (t_io_sink != nullptr) ++t_io_sink->physical_reads;
-  bool sequential = RecordReadForSeeks(file, block_no);
-  if (disk_model_ != nullptr) {
-    double micros = disk_model_->CostForRead(sequential);
-    stats_.AddChargedMicros(micros);
-    if (t_io_sink != nullptr) t_io_sink->charged_io_micros += micros;
-  }
-
-  // The actual file read runs without the shard lock so concurrent workers
-  // overlap their I/O. The pinned+loading frame cannot be evicted or
-  // re-claimed meanwhile.
+  // The actual file read runs without the mutex so concurrent workers
+  // overlap their I/O. The pinned+loading frame cannot be reclaimed
+  // meanwhile.
   lock.unlock();
-  auto read_start = std::chrono::steady_clock::now();
+  const auto read_start = std::chrono::steady_clock::now();
   Status st = files_->ReadBlock(file, block_no, &f.page);
-  uint64_t read_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - read_start)
-          .count());
+  const uint64_t read_ns = NanosSince(read_start);
   lock.lock();
-  if (st.ok()) {
-    // Only successful reads contribute timing (a failed read's counters
-    // are withdrawn below; its time is noise, not I/O cost).
-    stats_.physical_read_ns.fetch_add(read_ns, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) t_io_sink->physical_read_ns += read_ns;
-  }
 
   f.loading = false;
   if (!st.ok()) {
-    // Withdraw the block and its accounting: the read never happened, so
-    // the counters and the sequential-stream cursor must not keep it.
-    stats_.physical_reads.fetch_sub(1, std::memory_order_relaxed);
-    if (t_io_sink != nullptr) --t_io_sink->physical_reads;
-    if (disk_model_ != nullptr) {
-      double micros = disk_model_->CostForRead(sequential);
-      stats_.AddChargedMicros(-micros);
-      if (t_io_sink != nullptr) t_io_sink->charged_io_micros -= micros;
-    }
-    WithdrawReadFromSeeks(file, block_no, sequential);
-    // Waiters see valid == false and retry.
-    s.map.erase(key);
-    CSTORE_DCHECK(f.pin_count > 0);
-    if (--f.pin_count == 0) {
-      s.free_frames.push_back(frame);
-    }
-    s.loaded_cv.notify_all();
+    // The read never happened: withdraw the block and the stream advance,
+    // and count nothing. Waiters see valid == false and retry.
+    WithdrawFromStream(file, block_no, sequential);
+    map_.erase(key);
+    f.pin_count.fetch_sub(1, std::memory_order_relaxed);
+    loaded_cv_.notify_all();
     return st;
   }
   f.valid = true;
-  s.loaded_cv.notify_all();
+  Account({.physical_reads = 1,
+           .seeks = sequential ? 0u : 1u,
+           .physical_read_ns = read_ns,
+           .charged_io_micros = disk_model_ != nullptr
+                                    ? disk_model_->CostForRead(sequential)
+                                    : 0.0});
+  loaded_cv_.notify_all();
   return PageRef(this, frame);
 }
 
 void BufferPool::Clear() {
-  // Lock every shard (in index order) so the sweep sees a quiesced pool.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (Shard& s : shards_) locks.push_back(LockShard(s));
-  for (Shard& s : shards_) {
-    s.map.clear();
-    s.lru.clear();
-    s.free_frames.clear();
-  }
-  for (size_t i = frames_.size(); i-- > 0;) {
-    Frame& f = frames_[i];
-    CSTORE_CHECK(f.pin_count == 0) << "Clear() with pinned pages";
+  std::unique_lock<std::mutex> lock = Lock();
+  for (Frame& f : frames_) {
+    CSTORE_CHECK(f.pin_count.load(std::memory_order_acquire) == 0)
+        << "Clear() with pinned pages";
     f.valid = false;
-    Shard& s = shards_[f.shard];
-    f.lru_it = s.lru.end();
-    // Reverse iteration refills each shard's free list highest-frame first,
-    // so pop_back hands out the lowest frame, as at construction.
-    s.free_frames.push_back(static_cast<uint32_t>(i));
+    f.referenced = false;
   }
-  std::lock_guard<std::mutex> seek_lock(seek_mu_);
+  map_.clear();
+  hand_ = 0;
   next_sequential_.clear();
 }
 
 size_t BufferPool::num_cached() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    n += s.map.size();
-  }
-  return n;
-}
-
-double BufferPool::ResidentFraction(FileId file,
-                                    uint64_t total_blocks) const {
-  if (total_blocks == 0) return 1.0;
-  uint64_t resident = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& [key, frame] : s.map) {
-      if (key.file == file.id) ++resident;
-    }
-  }
-  return static_cast<double>(resident) / static_cast<double>(total_blocks);
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 }  // namespace storage

@@ -1,32 +1,28 @@
-// BufferPool: fixed-capacity cache of 64 KB pages with LRU replacement and
+// BufferPool: fixed-capacity cache of 64 KB pages with CLOCK replacement and
 // pin counting.
 //
 // The paper's cost model exposes the buffer pool through the factor F
 // ("fraction of pages of a column in the buffer pool"): a properly pipelined
 // LM plan re-accesses columns while their blocks are still resident, making
-// the re-access I/O-free (Section 2.2). The pool records hits, physical
-// reads and seeks so that experiments can verify this behaviour, and charges
-// the DiskModel for cold reads.
+// the re-access I/O-free (Section 2.2). CLOCK (one reference bit per frame)
+// keeps such a re-read block resident: a hit sets the frame's bit, and the
+// hand that picks a miss's frame gives a set bit a second chance before it
+// evicts. The pool records hits, physical reads and seeks so that
+// experiments can verify this behaviour, and charges the DiskModel for cold
+// reads.
 //
 // Thread safety: Fetch / PageRef release / Clear may be called concurrently
-// from morsel workers. The pool is sharded by page-id hash: each shard owns
-// its own mutex, block map, free list and LRU, so workers touching disjoint
-// blocks never contend. Capacity is split across shards up front (a shard
-// can exhaust independently — pick num_shards so capacity/num_shards still
-// covers the widest pinned window). Statistics counters are process-global
-// atomics so stats() snapshots without taking any shard lock, and every
-// shard-lock acquisition is instrumented: acquisitions, contended
-// acquisitions and nanoseconds spent blocked are counted, which is how
-// benchmarks demonstrate (rather than assert) that sharding removed the
-// single-mutex ceiling. Page payloads are read lock-free — frames_ never
-// resizes and a pinned frame cannot be evicted or overwritten. The physical
-// file read on a miss happens *outside* the shard mutex (the frame is
-// pinned and flagged `loading`; concurrent requesters of the same block
-// wait on the shard's condition variable), so cold scans from multiple
-// workers overlap their I/O instead of serializing on a pool lock.
-// Sequential-stream seek detection is global (a stream's consecutive blocks
-// hash to different shards) behind its own mutex, taken only on the miss
-// path where a physical read dwarfs it.
+// from morsel workers. One mutex guards the frame table's metadata, the
+// block map, the CLOCK hand, the seek streams and the counters; every
+// Fetch takes it once, instrumented (acquisitions, contended acquisitions
+// and nanoseconds spent blocked are counted). A frame's pin count is
+// atomic: pins rise only under the mutex, and PageRef release lowers them
+// without it, so a sweep that sees a count of 0 under the mutex may reuse
+// the frame. Page payloads are read lock-free — frames_ never resizes and a
+// pinned frame cannot be evicted or overwritten. The physical file read on
+// a miss happens *outside* the mutex (the frame is pinned and flagged
+// `loading`; concurrent requesters of the same block wait on a condition
+// variable), so cold scans from multiple workers overlap their I/O.
 
 #ifndef CSTORE_STORAGE_BUFFER_POOL_H_
 #define CSTORE_STORAGE_BUFFER_POOL_H_
@@ -34,7 +30,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -68,6 +63,7 @@ class PageRef {
   const BlockHeader* header() const { return page().header(); }
   const char* payload() const { return page().payload(); }
 
+  /// Drops the pin: one atomic decrement, no lock, no allocation.
   void Release();
 
  private:
@@ -77,11 +73,9 @@ class PageRef {
 
 class BufferPool {
  public:
-  /// `capacity_frames` 64 KB frames split evenly over `num_shards` shards;
-  /// `disk_model` may be null (no charging). num_shards is clamped to
-  /// [1, capacity_frames].
+  /// `capacity_frames` 64 KB frames; `disk_model` may be null (no charging).
   BufferPool(FileManager* files, size_t capacity_frames,
-             const DiskModel* disk_model = nullptr, size_t num_shards = 1);
+             const DiskModel* disk_model = nullptr);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -93,8 +87,7 @@ class BufferPool {
   /// to measure cold-cache behaviour.
   void Clear();
 
-  /// Consistent-enough snapshot of the I/O counters (each counter is read
-  /// atomically; cross-counter skew is possible while scans are in flight).
+  /// Snapshot of the I/O counters.
   IoStats stats() const;
   void ResetStats();
 
@@ -119,14 +112,7 @@ class BufferPool {
   };
 
   size_t capacity() const { return frames_.size(); }
-  size_t num_shards() const { return shards_.size(); }
-  /// Frames owned by shard `shard` (capacity split, remainder to the first
-  /// shards).
-  size_t shard_capacity(size_t shard) const;
   size_t num_cached() const;
-
-  /// Fraction of `total_blocks` currently cached for `file` — the model's F.
-  double ResidentFraction(FileId file, uint64_t total_blocks) const;
 
  private:
   friend class PageRef;
@@ -135,14 +121,15 @@ class BufferPool {
     Page page;
     FileId file;
     uint64_t block_no = 0;
-    uint32_t shard = 0;  // owning shard; fixed at construction
-    uint32_t pin_count = 0;
+    // Raised only under mu_; PageRef::Release lowers it without the lock,
+    // so a count of 0 seen under mu_ stays 0 until mu_ is released.
+    std::atomic<uint32_t> pin_count{0};
     bool valid = false;
-    // A physical read is in flight (frame pinned, shard mutex released);
-    // same-block requesters wait on the shard's loaded_cv.
+    // A physical read is in flight (frame pinned, mu_ released);
+    // same-block requesters wait on loaded_cv_.
     bool loading = false;
-    // Position in the shard's lru when unpinned; lru.end() otherwise.
-    std::list<uint32_t>::iterator lru_it;
+    // CLOCK reference bit: set by a hit, cleared as the hand passes.
+    bool referenced = false;
   };
 
   struct Key {
@@ -158,70 +145,41 @@ class BufferPool {
     }
   };
 
-  /// One independent slice of the pool. Frames are partitioned across
-  /// shards at construction; a block's shard is fixed by its key hash, so
-  /// two Fetches contend only when their blocks share a shard.
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable loaded_cv;
-    std::vector<uint32_t> free_frames;
-    std::list<uint32_t> lru;  // front = least recently used, unpinned only
-    std::unordered_map<Key, uint32_t, KeyHash> map;
-  };
+  /// Locks mu_, counting the acquisition and — when the lock was held by
+  /// someone else — the contention and the time spent blocked.
+  std::unique_lock<std::mutex> Lock();
 
-  // Atomic mirror of IoStats; charged time uses a CAS loop (fetch_add on
-  // atomic<double> is C++20).
-  struct AtomicIoStats {
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> physical_reads{0};
-    std::atomic<uint64_t> seeks{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> pool_lock_acquisitions{0};
-    std::atomic<uint64_t> pool_lock_contended{0};
-    std::atomic<uint64_t> pool_lock_wait_ns{0};
-    std::atomic<uint64_t> physical_read_ns{0};
-    std::atomic<double> charged_io_micros{0.0};
+  /// Adds `delta` to the pool's counters and to the calling thread's
+  /// attribution sink. Requires mu_.
+  void Account(const IoStats& delta);
 
-    void AddChargedMicros(double micros) {
-      double cur = charged_io_micros.load(std::memory_order_relaxed);
-      while (!charged_io_micros.compare_exchange_weak(
-          cur, cur + micros, std::memory_order_relaxed)) {
-      }
-    }
-  };
+  /// Advances the CLOCK hand to an unpinned frame and empties it: an
+  /// invalid frame is taken at once, a referenced one loses its bit and is
+  /// passed over, any other is evicted. Requires mu_.
+  Result<uint32_t> ClaimFrame();
 
-  size_t ShardFor(const Key& key) const {
-    return shards_.size() == 1 ? 0 : KeyHash()(key) % shards_.size();
-  }
-
-  /// Locks a shard's mutex, counting the acquisition and — when the lock
-  /// was held by someone else — the contention and the time spent blocked.
-  std::unique_lock<std::mutex> LockShard(const Shard& shard);
-
-  void Pin(uint32_t frame, Shard& s);      // requires s.mu held
-  void Unpin(uint32_t frame);              // takes the owning shard's mutex
-  Result<uint32_t> GetFreeFrame(Shard& s);  // requires s.mu held
-
-  /// Seek-stream accounting on the miss path; returns whether the read
-  /// continued an active sequential stream. Takes seek_mu_.
-  bool RecordReadForSeeks(FileId file, uint64_t block_no);
-  void WithdrawReadFromSeeks(FileId file, uint64_t block_no, bool sequential);
+  /// Seek-stream accounting on the miss path: advances the stream this
+  /// read continues, or starts one. Returns whether the read was
+  /// sequential. WithdrawFromStream undoes it for a failed read. Both
+  /// require mu_.
+  bool AdvanceStream(FileId file, uint64_t block_no);
+  void WithdrawFromStream(FileId file, uint64_t block_no, bool sequential);
 
   FileManager* files_;
   const DiskModel* disk_model_;
   std::vector<Frame> frames_;
-  std::vector<Shard> shards_;
+  mutable std::mutex mu_;
+  std::condition_variable loaded_cv_;
+  std::unordered_map<Key, uint32_t, KeyHash> map_;
+  size_t hand_ = 0;
   // Seek detection: the next block each active sequential stream of a file
   // expects. Concurrent morsel workers each advance their own stream, so an
   // interleaved parallel scan is charged the same seeks as its serial
-  // counterpart (one per stream start) rather than one per block. Global —
-  // a stream's consecutive blocks land on different shards — and guarded by
-  // its own mutex, touched only on the (already expensive) miss path.
-  // Bounded per file; oldest stream evicted beyond kMaxSeekStreams.
+  // counterpart (one per stream start) rather than one per block. Bounded
+  // per file; oldest stream evicted beyond kMaxSeekStreams.
   static constexpr size_t kMaxSeekStreams = 64;
-  mutable std::mutex seek_mu_;
   std::unordered_map<uint32_t, std::vector<uint64_t>> next_sequential_;
-  AtomicIoStats stats_;
+  IoStats stats_;
 };
 
 }  // namespace storage

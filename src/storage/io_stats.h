@@ -18,14 +18,14 @@ struct IoStats {
   // Physical reads that were not sequential with the previous read of the
   // same file (the analytical model charges SEEK for these).
   uint64_t seeks = 0;
-  // Frames reclaimed from the LRU list to serve a miss.
+  // Valid frames the CLOCK hand reclaimed to serve a miss.
   uint64_t evictions = 0;
-  // Buffer-pool shard lock acquisitions (Fetch / Unpin), and how many of
-  // them found the lock held by another thread. Their ratio is the pool's
-  // contended-acquisition share — the number sharding exists to shrink.
+  // Buffer-pool mutex acquisitions (one per Fetch; releasing a page takes
+  // no lock), and how many of them found the mutex held by another thread.
+  // Their ratio is the pool's contended-acquisition share.
   uint64_t pool_lock_acquisitions = 0;
   uint64_t pool_lock_contended = 0;
-  // Wall time spent blocked on contended shard-lock acquisitions.
+  // Wall time spent blocked on contended pool-mutex acquisitions.
   uint64_t pool_lock_wait_ns = 0;
   // Wall time spent inside successful physical block reads (the real file
   // system call, not the DiskModel's simulated charge).

@@ -174,7 +174,7 @@ Status WriteStore::DeleteAndInsert(
 }
 
 std::shared_ptr<const WriteSnapshot> WriteStore::Snapshot() const {
-  auto snap = std::shared_ptr<WriteSnapshot>(new WriteSnapshot());
+  std::shared_ptr<WriteSnapshot> snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (cached_snapshot_ != nullptr &&
@@ -183,6 +183,7 @@ std::shared_ptr<const WriteSnapshot> WriteStore::Snapshot() const {
         cached_snapshot_->delete_epoch() == delete_log_.size()) {
       return cached_snapshot_;
     }
+    snap.reset(new WriteSnapshot());
     snap->base_rows_ = base_rows_;
     snap->tail_rows_ = pending_[0].size();
     snap->delete_epoch_ = delete_log_.size();

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -395,6 +396,32 @@ TEST_F(ObsTest, ExplainAnalyzeApiWithParams) {
       conn.ExplainAnalyze("SELECT shipdate FROM lineitem WHERE shipdate < ?",
                           {})
           .ok());
+}
+
+TEST_F(ObsTest, ExplainAnalyzeRunIsLoggedWithItsStatementText) {
+  api::Connection conn(db_);
+  const std::string select = "SELECT linenum FROM lineitem WHERE linenum < 3";
+  const std::string explain = "EXPLAIN ANALYZE " + select;
+  // The label system.query_log shows for the one run `run` makes.
+  auto logged_label = [&](const std::function<Status()>& run) -> Value {
+    obs::QueryLog::Global().Clear();
+    Status st = run();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    auto rows = conn.Query("SELECT label FROM system.query_log");
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok() || rows->tuples.num_tuples() != 1) return 0;
+    return rows->tuples.tuple(0)[0];
+  };
+  util::StringDict& dict = util::StringDict::Global();
+  // Query and Submit log the whole EXPLAIN ANALYZE statement.
+  EXPECT_EQ(logged_label([&] { return conn.Query(explain).status(); }),
+            dict.Intern(explain));
+  EXPECT_EQ(
+      logged_label([&] { return conn.Submit(explain).Wait().status(); }),
+      dict.Intern(explain));
+  // ExplainAnalyze logs the SELECT it was given.
+  EXPECT_EQ(logged_label([&] { return conn.ExplainAnalyze(select).status(); }),
+            dict.Intern(select));
 }
 
 TEST_F(ObsTest, ConnectionMetricsDump) {
