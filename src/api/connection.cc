@@ -12,8 +12,6 @@
 #include "obs/trace.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
-#include "storage/page.h"
-#include "storage/page_pool.h"
 
 namespace cstore {
 namespace api {
@@ -494,8 +492,6 @@ std::string Connection::PressureReport() const {
   const storage::IoStats io = db_->pool()->stats();
   const util::ObjectPool<exec::TupleChunk>::Stats chunks =
       exec::GlobalChunkPool().stats();
-  const util::ObjectPool<storage::Page>::Stats pages =
-      storage::GlobalPagePool().stats();
   char buf[256];
   std::string out = "-- shared-resource pressure --\n";
   const double contended_pct =
@@ -527,14 +523,6 @@ std::string Connection::PressureReport() const {
                 static_cast<unsigned long long>(chunks.reuses),
                 static_cast<unsigned long long>(chunks.allocs),
                 static_cast<unsigned long long>(chunks.discards));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "page pool: acquires=%llu reuses=%llu allocs=%llu "
-                "discards=%llu\n",
-                static_cast<unsigned long long>(pages.acquires),
-                static_cast<unsigned long long>(pages.reuses),
-                static_cast<unsigned long long>(pages.allocs),
-                static_cast<unsigned long long>(pages.discards));
   out += buf;
   return out;
 }
@@ -717,14 +705,6 @@ std::string Connection::Metrics() const {
   out += "# TYPE cstore_chunk_pool_allocs counter\n";
   obs::AppendSample(&out, "cstore_chunk_pool_allocs",
                     static_cast<double>(chunks.allocs));
-  const util::ObjectPool<storage::Page>::Stats pages =
-      storage::GlobalPagePool().stats();
-  out += "# TYPE cstore_page_pool_acquires counter\n";
-  obs::AppendSample(&out, "cstore_page_pool_acquires",
-                    static_cast<double>(pages.acquires));
-  out += "# TYPE cstore_page_pool_allocs counter\n";
-  obs::AppendSample(&out, "cstore_page_pool_allocs",
-                    static_cast<double>(pages.allocs));
   return out;
 }
 

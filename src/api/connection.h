@@ -162,7 +162,7 @@ class Connection {
   /// Prometheus-style metrics dump: the process-wide MetricsRegistry
   /// (scheduler counters, queue depth, latency histograms) plus this
   /// database's gauges — buffer-pool hit ratio and lock contention,
-  /// retired fds, chunk/page-pool pressure.
+  /// retired fds, chunk-pool pressure.
   std::string Metrics() const;
 
   // --- Typed plans ------------------------------------------------------
@@ -250,7 +250,7 @@ class Connection {
                                  sql::ParsedStatement::Explain kind);
 
   /// Shared-resource pressure section appended to Explain output: buffer
-  /// pool mutex contention, retired fds, chunk/page-pool recycling.
+  /// pool mutex contention, retired fds, chunk-pool recycling.
   std::string PressureReport() const;
 
   /// Runs `tmpl` to completion: on the caller's thread when a standalone

@@ -249,7 +249,7 @@ Result<BoundSelect> BindSelect(db::Database* db, const sql::ParsedQuery& q) {
   bound.conditions = q.conditions;
   // First reference to a system.* table materializes the virtual schema.
   if (db::Database::IsSystemTable(q.table)) {
-    CSTORE_RETURN_IF_ERROR(db->EnsureSystemTables());
+    db->EnsureSystemTables();
   }
   if (!db->HasTable(q.table)) {
     return Status::NotFound("unknown table '" + q.table + "'");

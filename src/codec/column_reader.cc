@@ -86,17 +86,18 @@ Result<std::unique_ptr<ColumnReader>> ColumnReader::Open(
                               " blocks, file has " + std::to_string(nblocks));
   }
   return std::unique_ptr<ColumnReader>(
-      new ColumnReader(files, pool, name, file, std::move(meta)));
+      new ColumnReader(pool, name, file, std::move(meta)));
+}
+
+std::unique_ptr<ColumnReader> ColumnReader::Empty(std::string name) {
+  return std::unique_ptr<ColumnReader>(new ColumnReader(
+      /*pool=*/nullptr, std::move(name), storage::FileId(), ColumnMeta()));
 }
 
 Result<EncodedBlock> ColumnReader::FetchBlock(uint64_t block_no) const {
   CSTORE_ASSIGN_OR_RETURN(storage::PageRef ref, pool_->Fetch(file_, block_no));
   CSTORE_ASSIGN_OR_RETURN(BlockView view, BlockView::FromPage(ref.page()));
-  EncodedBlock out;
-  out.ref = std::move(ref);
-  out.view = view;
-  out.block_no = block_no;
-  return out;
+  return EncodedBlock{std::move(ref), view};
 }
 
 bool ColumnReader::SupportsIndexLookup(const Predicate& pred) const {

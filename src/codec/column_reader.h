@@ -20,11 +20,12 @@ namespace codec {
 
 /// A pinned, decodable block: the PageRef keeps the buffer-pool frame
 /// resident while the view is in use. Movable; pointers inside the view stay
-/// valid across moves because the underlying frame does not move.
+/// valid across moves because the underlying frame does not move. A write
+/// snapshot's tail blocks leave `ref` empty: their views point into the
+/// snapshot's own tail values.
 struct EncodedBlock {
   storage::PageRef ref;
   BlockView view;
-  uint64_t block_no = 0;
 };
 
 class ColumnReader {
@@ -32,6 +33,11 @@ class ColumnReader {
   static Result<std::unique_ptr<ColumnReader>> Open(
       storage::FileManager* files, storage::BufferPool* pool,
       const std::string& name);
+
+  /// A zero-row column held only in memory: it touches no file and no
+  /// buffer pool. Its meta is the default ColumnMeta, which is what
+  /// ColumnWriter writes for zero values.
+  static std::unique_ptr<ColumnReader> Empty(std::string name);
 
   const ColumnMeta& meta() const { return meta_; }
   const std::string& name() const { return name_; }
@@ -68,15 +74,13 @@ class ColumnReader {
   Result<Position> LowerBound(Value x, bool strict) const;
 
  private:
-  ColumnReader(storage::FileManager* files, storage::BufferPool* pool,
-               std::string name, storage::FileId file, ColumnMeta meta)
-      : files_(files),
-        pool_(pool),
+  ColumnReader(storage::BufferPool* pool, std::string name,
+               storage::FileId file, ColumnMeta meta)
+      : pool_(pool),
         name_(std::move(name)),
         file_(file),
         meta_(std::move(meta)) {}
 
-  storage::FileManager* files_;
   storage::BufferPool* pool_;
   std::string name_;
   storage::FileId file_;

@@ -34,8 +34,6 @@ class ColumnWriter {
   /// The writer must not be used afterwards.
   Result<ColumnMeta> Finish();
 
-  uint64_t num_appended() const { return pos_; }
-
  private:
   ColumnWriter(storage::FileManager* files, std::string name,
                storage::FileId file, Encoding encoding);

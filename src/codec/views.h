@@ -1,4 +1,5 @@
-// Zero-copy views over encoded 64 KB blocks.
+// Zero-copy views over encoded 64 KB blocks (and, as uncompressed blocks,
+// over a write snapshot's in-memory tail values).
 //
 // A view interprets a block's payload in place (the mini-columns of
 // Section 3.6 are exactly these views kept pinned in the buffer pool, "each
@@ -71,9 +72,10 @@ struct BitVectorPayloadHeader {
 class UncompressedView {
  public:
   UncompressedView(const storage::BlockHeader* h, const char* payload)
-      : start_(h->start_pos),
-        n_(h->num_values),
-        values_(reinterpret_cast<const Value*>(payload)) {}
+      : UncompressedView(h->start_pos, h->num_values,
+                         reinterpret_cast<const Value*>(payload)) {}
+  UncompressedView(Position start, uint32_t n, const Value* values)
+      : start_(start), n_(n), values_(values) {}
 
   Position start_pos() const { return start_; }
   uint32_t num_values() const { return n_; }
@@ -236,6 +238,14 @@ class BlockView {
 
   /// Interprets an in-memory page. The page must outlive the view.
   static Result<BlockView> FromPage(const storage::Page& page);
+
+  /// Views `n` plain values as an uncompressed block whose first value
+  /// sits at position `start` (a write snapshot's tail, read where it
+  /// lives). The values must outlive the view.
+  static BlockView Uncompressed(Position start, uint32_t n,
+                                const Value* values) {
+    return BlockView(UncompressedView(start, n, values));
+  }
 
   Encoding encoding() const;
   Position start_pos() const;

@@ -6,7 +6,6 @@
 #include "exec/chunk_pool.h"
 #include "exec/sys_scan.h"
 #include "sched/scheduler.h"
-#include "storage/page_pool.h"
 #include "util/string_dict.h"
 
 namespace cstore {
@@ -181,36 +180,22 @@ bool Database::IsSystemTable(const std::string& table) {
   return exec::IsSystemTableName(table);
 }
 
-Status Database::EnsureSystemTables() {
+void Database::EnsureSystemTables() {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
   for (const exec::SysTableDef& def : exec::SysTables()) {
-    {
-      std::lock_guard<std::mutex> lock(catalog_mu_);
-      if (tables_.count(def.name) > 0) continue;
-    }
-    // Back each column with an (empty) on-disk file: the planner validates
-    // tables through their readers, and a zero-row reader matches the
-    // synthetic snapshot's base_rows = 0 exactly. Created once per
-    // directory, reused on reopen.
-    std::vector<std::pair<std::string, std::string>> mapping;
-    mapping.reserve(def.columns.size());
+    if (tables_.count(def.name) > 0) continue;
+    // Back each column with an in-memory zero-row reader: the planner
+    // validates tables through their readers, and a zero-row read store
+    // matches the synthetic snapshot's base_rows = 0 exactly.
+    TableInfo& info = tables_[def.name];
     for (size_t c = 0; c < def.columns.size(); ++c) {
       std::string file = exec::SysColumnFileName(def, c);
-      if (!files_->Exists(file)) {
-        CSTORE_RETURN_IF_ERROR(
-            CreateColumn(file, codec::Encoding::kUncompressed, {}));
-      }
-      mapping.emplace_back(def.columns[c].name, file);
+      std::unique_ptr<codec::ColumnReader>& reader = columns_[file];
+      if (reader == nullptr) reader = codec::ColumnReader::Empty(file);
+      info.columns.emplace_back(def.columns[c].name, std::move(file));
     }
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    if (tables_.count(def.name) > 0) continue;  // lost a benign race
-    for (const auto& [col, file] : mapping) {
-      CSTORE_RETURN_IF_ERROR(GetColumnLocked(file).status());
-    }
-    TableInfo& info = tables_[def.name];
-    info.columns = std::move(mapping);
     // No SaveCatalogLocked: virtual registrations are per-process.
   }
-  return Status::OK();
 }
 
 namespace {
@@ -232,7 +217,7 @@ Result<std::shared_ptr<const write::WriteSnapshot>> Database::SystemSnapshot(
   if (def == nullptr) {
     return Status::NotFound("unknown system table '" + table + "'");
   }
-  CSTORE_RETURN_IF_ERROR(EnsureSystemTables());
+  EnsureSystemTables();
 
   std::vector<std::vector<Value>> cols;
   if (table == "system.metrics") {
@@ -308,12 +293,6 @@ Result<std::shared_ptr<const write::WriteSnapshot>> Database::SystemSnapshot(
     add("chunk_pool", "reuses", chunks.reuses);
     add("chunk_pool", "allocs", chunks.allocs);
     add("chunk_pool", "discards", chunks.discards);
-    const util::ObjectPool<storage::Page>::Stats pages =
-        storage::GlobalPagePool().stats();
-    add("page_pool", "acquires", pages.acquires);
-    add("page_pool", "reuses", pages.reuses);
-    add("page_pool", "allocs", pages.allocs);
-    add("page_pool", "discards", pages.discards);
     add("file_manager", "retired_fds", files_->retired_fd_count());
   }
   return exec::MakeSysSnapshot(*def, std::move(cols));
@@ -405,8 +384,9 @@ Result<std::shared_ptr<const write::WriteSnapshot>> Database::SnapshotTable(
   return ws->Snapshot();
 }
 
-Result<uint64_t> Database::DeleteWhere(
+Result<Database::FoundRows> Database::FindRows(
     const std::string& table,
+    const std::vector<std::pair<std::string, Value>>& sets,
     const std::vector<std::pair<std::string, codec::Predicate>>& conds,
     plan::RunStats* scan_stats) {
   if (IsSystemTable(table)) {
@@ -414,55 +394,101 @@ Result<uint64_t> Database::DeleteWhere(
                                    "' is read-only");
   }
   // Hold the store itself (not the table name) across the scan: if the
-  // table is re-registered concurrently, the delete lands in the store the
+  // table is re-registered concurrently, the mutation lands in the store the
   // scan actually saw instead of corrupting the new incarnation.
-  std::shared_ptr<write::WriteStore> ws;
+  FoundRows found;
   {
     std::lock_guard<std::mutex> lock(catalog_mu_);
     CSTORE_RETURN_IF_ERROR(EnsureWriteStoreLocked(table).status());
-    ws = tables_.find(table)->second.ws;
+    found.ws = tables_.find(table)->second.ws;
   }
-  // Serialize against other scan-then-apply mutations of this table: a
-  // DELETE racing an UPDATE of the same rows could otherwise resurrect
-  // them (the UPDATE re-inserts images its snapshot saw as live).
-  std::lock_guard<std::mutex> mutation_lock(ws->scan_mutation_mu());
-  std::shared_ptr<const write::WriteSnapshot> snap = ws->Snapshot();
+  // Serialize against other scan-then-apply mutations of this table: two
+  // UPDATEs racing on the same rows would each re-insert them, and an
+  // UPDATE racing a DELETE could resurrect the rows the DELETE removed.
+  found.lock = std::unique_lock<std::mutex>(found.ws->scan_mutation_mu());
+  found.snap = found.ws->Snapshot();
+  const write::WriteSnapshot& snap = *found.snap;
+  auto column_index = [&](const std::string& name) -> Result<size_t> {
+    const int idx = snap.ColumnIndexForName(name);
+    if (idx < 0) {
+      return Status::NotFound("no column '" + name + "' in table '" + table +
+                              "'");
+    }
+    return static_cast<size_t>(idx);
+  };
 
-  // Find the matching positions with a regular snapshot scan (LM-parallel:
-  // positions only, no wasted tuple construction beyond the scan columns).
+  // The SET and WHERE columns' schema slots, the WHERE ones in schema
+  // order; an unknown column fails here, before anything is scanned or
+  // written.
+  found.set_slots.reserve(sets.size());
+  for (const auto& [name, value] : sets) {
+    CSTORE_ASSIGN_OR_RETURN(const size_t c, column_index(name));
+    found.set_slots.emplace_back(c, value);
+  }
+  std::vector<std::pair<size_t, codec::Predicate>> filters;
+  filters.reserve(conds.size());
+  for (const auto& [name, pred] : conds) {
+    CSTORE_ASSIGN_OR_RETURN(const size_t c, column_index(name));
+    filters.emplace_back(c, pred);
+  }
+  std::stable_sort(filters.begin(), filters.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+
+  // Read every column in schema order (an UPDATE) or none yet, then
+  // filter the WHERE columns, a column named twice once per condition. A
+  // scan with no WHERE column reads the first column and filters nothing.
+  const bool all_columns = !sets.empty();
   plan::SelectionQuery query;
-  if (conds.empty()) {
-    int idx = 0;  // "delete everything": scan the first column with TRUE
+  query.filter_order.emplace();
+  auto add_column = [&](size_t c, codec::Predicate pred) -> Status {
     CSTORE_ASSIGN_OR_RETURN(const codec::ColumnReader* reader,
-                            GetColumn(snap->column_files()[idx]));
-    query.columns.push_back({reader, codec::Predicate::True()});
-  } else {
-    for (const auto& [col, pred] : conds) {
-      int idx = snap->ColumnIndexForName(col);
-      if (idx < 0) {
-        return Status::NotFound("no column '" + col + "' in table '" + table +
-                                "'");
-      }
-      CSTORE_ASSIGN_OR_RETURN(const codec::ColumnReader* reader,
-                              GetColumn(snap->column_files()[idx]));
-      query.columns.push_back({reader, pred});
+                            GetColumn(snap.column_files()[c]));
+    query.columns.push_back({reader, pred});
+    return Status::OK();
+  };
+  if (all_columns) {
+    for (size_t c = 0; c < snap.column_names().size(); ++c) {
+      CSTORE_RETURN_IF_ERROR(add_column(c, codec::Predicate::True()));
     }
   }
+  for (const auto& [c, pred] : filters) {
+    uint32_t col = static_cast<uint32_t>(c);
+    if (!all_columns || query.is_filter(col)) {
+      col = static_cast<uint32_t>(query.columns.size());
+      CSTORE_RETURN_IF_ERROR(add_column(c, pred));
+    } else {
+      query.columns[col].pred = pred;
+    }
+    query.filter_order->push_back(col);
+  }
+  if (query.columns.empty()) {
+    CSTORE_RETURN_IF_ERROR(add_column(0, codec::Predicate::True()));
+  }
+
   plan::PlanConfig config;
-  config.snapshot = snap;
+  config.snapshot = found.snap;
   // One chunk, its rows in ascending position order (one worker).
-  exec::TupleChunk rows;
   const sched::ExecResult r = sched::RunOnCaller(
       plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
                                     config),
-      [&rows](exec::TupleChunk&& chunk) { rows = std::move(chunk); });
+      [&found](exec::TupleChunk&& chunk) { found.rows = std::move(chunk); });
   CSTORE_RETURN_IF_ERROR(r.status);
   if (scan_stats != nullptr) *scan_stats = r.stats;
+  return found;
+}
 
-  if (!rows.empty()) {
-    CSTORE_RETURN_IF_ERROR(ws->MarkDeleted(rows.positions()));
+Result<uint64_t> Database::DeleteWhere(
+    const std::string& table,
+    const std::vector<std::pair<std::string, codec::Predicate>>& conds,
+    plan::RunStats* scan_stats) {
+  CSTORE_ASSIGN_OR_RETURN(FoundRows found,
+                          FindRows(table, {}, conds, scan_stats));
+  if (!found.rows.empty()) {
+    CSTORE_RETURN_IF_ERROR(found.ws->MarkDeleted(found.rows.positions()));
   }
-  return rows.num_tuples();
+  return found.rows.num_tuples();
 }
 
 Result<uint64_t> Database::UpdateWhere(
@@ -473,82 +499,23 @@ Result<uint64_t> Database::UpdateWhere(
   if (sets.empty()) {
     return Status::InvalidArgument("UPDATE needs at least one SET column");
   }
-  if (IsSystemTable(table)) {
-    return Status::InvalidArgument("system table '" + table +
-                                   "' is read-only");
-  }
-  // As in DeleteWhere: hold the store itself across the scan so the update
-  // lands in the incarnation the scan saw.
-  std::shared_ptr<write::WriteStore> ws;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    CSTORE_RETURN_IF_ERROR(EnsureWriteStoreLocked(table).status());
-    ws = tables_.find(table)->second.ws;
-  }
-  // Serialize against other scan-then-apply mutations: two UPDATEs racing
-  // on the same rows would each scan the same snapshot and re-insert the
-  // row twice (duplicating it); an UPDATE racing a DELETE could resurrect
-  // deleted rows. Updates of one table execute one at a time.
-  std::lock_guard<std::mutex> mutation_lock(ws->scan_mutation_mu());
-  std::shared_ptr<const write::WriteSnapshot> snap = ws->Snapshot();
+  CSTORE_ASSIGN_OR_RETURN(FoundRows found,
+                          FindRows(table, sets, conds, scan_stats));
 
-  // Resolve SET columns to schema slots.
-  std::vector<std::pair<size_t, Value>> set_slots;
-  set_slots.reserve(sets.size());
-  for (const auto& [col, value] : sets) {
-    int idx = snap->ColumnIndexForName(col);
-    if (idx < 0) {
-      return Status::NotFound("no column '" + col + "' in table '" + table +
-                              "'");
-    }
-    set_slots.emplace_back(static_cast<size_t>(idx), value);
-  }
-
-  // Read every column (the updated rows are re-inserted whole), but filter
-  // only the WHERE columns, in schema order; the MERGE gathers the rest at
-  // the surviving positions.
-  plan::SelectionQuery query;
-  query.filter_order.emplace();
-  for (size_t c = 0; c < snap->column_names().size(); ++c) {
-    CSTORE_ASSIGN_OR_RETURN(const codec::ColumnReader* reader,
-                            GetColumn(snap->column_files()[c]));
-    plan::SelectionQuery::Column col;
-    col.reader = reader;
-    for (const auto& [name, pred] : conds) {
-      if (name == snap->column_names()[c]) col.pred = pred;
-    }
-    if (!col.pred.is_true()) {
-      query.filter_order->push_back(static_cast<uint32_t>(c));
-    }
-    query.columns.push_back(col);
-  }
-  for (const auto& [name, pred] : conds) {
-    if (snap->ColumnIndexForName(name) < 0) {
-      return Status::NotFound("no column '" + name + "' in table '" + table +
-                              "'");
-    }
-  }
-
-  plan::PlanConfig config;
-  config.snapshot = snap;
-  // One chunk, its rows in ascending position order (one worker).
-  exec::TupleChunk found;
-  const sched::ExecResult r = sched::RunOnCaller(
-      plan::PlanTemplate::Selection(query, plan::Strategy::kLmParallel,
-                                    config),
-      [&found](exec::TupleChunk&& chunk) { found = std::move(chunk); });
-  CSTORE_RETURN_IF_ERROR(r.status);
-  if (scan_stats != nullptr) *scan_stats = r.stats;
-
+  // Each row is its tuple's first (schema-width) values: any further
+  // values are a twice-named WHERE column's second read.
+  const size_t width = found.snap->column_names().size();
   std::vector<std::vector<Value>> rows;
-  rows.reserve(found.num_tuples());
-  for (size_t i = 0; i < found.num_tuples(); ++i) {
-    std::vector<Value> row(found.tuple(i), found.tuple(i) + found.width());
-    for (const auto& [slot, value] : set_slots) row[slot] = value;
+  rows.reserve(found.rows.num_tuples());
+  for (size_t i = 0; i < found.rows.num_tuples(); ++i) {
+    const Value* tuple = found.rows.tuple(i);
+    std::vector<Value> row(tuple, tuple + width);
+    for (const auto& [slot, value] : found.set_slots) row[slot] = value;
     rows.push_back(std::move(row));
   }
   if (!rows.empty()) {
-    CSTORE_RETURN_IF_ERROR(ws->DeleteAndInsert(found.positions(), rows));
+    CSTORE_RETURN_IF_ERROR(
+        found.ws->DeleteAndInsert(found.rows.positions(), rows));
   }
   return rows.size();
 }

@@ -86,13 +86,13 @@ class Database {
   /// Registers the system.* virtual tables (system.metrics, system.queries,
   /// system.query_log, system.tables, system.pools) in this database's
   /// catalog. Idempotent and cheap after the first call. The registrations
-  /// are backed by empty column files (created on first use) so the
-  /// planner's reader-based validation sees a zero-row read store; all data
-  /// arrives through the synthetic snapshot built per query by
-  /// SnapshotTable. Not persisted to the catalog sidecar — virtual tables
-  /// re-register on every open. The SQL binder calls this lazily on the
-  /// first reference to a system table.
-  Status EnsureSystemTables();
+  /// are backed by in-memory zero-row readers (codec::ColumnReader::Empty),
+  /// so the planner's reader-based validation sees a zero-row read store
+  /// and nothing is written to the directory; all data arrives through the
+  /// synthetic snapshot built per query by SnapshotTable. Not persisted to
+  /// the catalog sidecar — virtual tables re-register on every open. The
+  /// SQL binder calls this lazily on the first reference to a system table.
+  void EnsureSystemTables();
 
   /// Resolves table.column to its reader (current generation).
   Result<const codec::ColumnReader*> GetTableColumn(
@@ -183,6 +183,30 @@ class Database {
 
   Database() = default;
 
+  /// The rows a DELETE or UPDATE applies to, found by FindRows. `lock`
+  /// holds ws->scan_mutation_mu() until the caller has applied them.
+  struct FoundRows {
+    std::shared_ptr<write::WriteStore> ws;
+    std::unique_lock<std::mutex> lock;
+    std::shared_ptr<const write::WriteSnapshot> snap;
+    // The SET columns' schema slots and values.
+    std::vector<std::pair<size_t, Value>> set_slots;
+    // Ascending positions; one value per scanned column.
+    exec::TupleChunk rows;
+  };
+
+  /// The row-finding scan of DeleteWhere and UpdateWhere: takes the table's
+  /// scan_mutation_mu and a fresh snapshot, then finds the rows matching
+  /// all of `conds` with a 1-worker LM-parallel scan that filters the WHERE
+  /// columns in schema order. A DELETE (no `sets`) reads only those
+  /// columns; an UPDATE re-inserts whole rows, so it reads every column in
+  /// schema order first. NotFound for an unknown SET or WHERE column,
+  /// before any scan.
+  Result<FoundRows> FindRows(
+      const std::string& table,
+      const std::vector<std::pair<std::string, Value>>& sets,
+      const std::vector<std::pair<std::string, codec::Predicate>>& conds,
+      plan::RunStats* scan_stats);
   /// Builds the synthetic snapshot serving one system table.
   Result<std::shared_ptr<const write::WriteSnapshot>> SystemSnapshot(
       const std::string& table);

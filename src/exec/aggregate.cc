@@ -172,7 +172,7 @@ Result<const MiniColumn*> LateAggOp::MiniFor(const MultiColumnChunk& chunk,
                                              MiniColumn* fetched) {
   if (const MiniColumn* mini = chunk.FindMini(src.column)) return mini;
   if (!read_runs) return nullptr;
-  *fetched = MiniColumn(src.column, &src.reader->meta());
+  *fetched = MiniColumn(src.column);
   CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(
       src.reader, chunk.desc, stats_,
       [&](codec::EncodedBlock& blk, std::span<const position::Range>) {

@@ -80,8 +80,6 @@ class GroupAccumulator {
   /// Emits (group, aggregate) tuples sorted by group value.
   void Emit(TupleChunk* out) const;
 
-  size_t num_groups() const { return groups_.size(); }
-
  private:
   struct State {
     int64_t acc = 0;

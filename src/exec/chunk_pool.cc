@@ -17,11 +17,7 @@ PooledChunk AcquireChunk(ExecStats* stats) {
   chunk->Reset(0);
   if (stats != nullptr) {
     ++stats->chunk_pool_acquires;
-    if (reused) {
-      ++stats->chunk_pool_reuses;
-    } else {
-      ++stats->chunk_pool_allocs;
-    }
+    if (reused) ++stats->chunk_pool_reuses;
   }
   return chunk;
 }

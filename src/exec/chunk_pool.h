@@ -6,8 +6,8 @@
 // AcquireChunk hands back a cleared chunk whose vectors keep their grown
 // capacity from earlier use, so a warmed-up worker executes morsels with
 // zero chunk allocation. Pool pressure is recorded in ExecStats
-// (chunk_pool_acquires / _reuses / _allocs) when a stats sink is given, and
-// always in the global pool's own counters.
+// (chunk_pool_acquires / _reuses) when a stats sink is given, and always in
+// the global pool's own counters.
 //
 // The pool can be disabled (GlobalChunkPool().set_enabled(false)) to make
 // every acquire a plain allocation — benchmarks use this to isolate the

@@ -55,7 +55,7 @@ Result<bool> DS1Scan::NextImpl(MultiColumnChunk* out) {
   out->desc = std::move(desc);
   out->minis.clear();
   if (attach_mini_) {
-    MiniColumn mini(column_, &reader_->meta());
+    MiniColumn mini(column_);
     for (auto& blk : blocks) mini.AddBlock(std::move(blk));
     out->minis.push_back(std::move(mini));
   }
@@ -149,7 +149,7 @@ Result<bool> DS1PipelinedScan::NextImpl(MultiColumnChunk* out) {
 
   // Only the blocks holding a valid position are read; each is refined at
   // those positions alone (a jump per run, not a scan of the block).
-  MiniColumn mini(column_, &reader_->meta());
+  MiniColumn mini(column_);
   position::SetBuilder builder(wb, we);
   uint64_t fetched = 0;
   CSTORE_RETURN_IF_ERROR(ForEachCoveringBlock(

@@ -26,12 +26,11 @@ struct ExecStats {
   uint64_t tuples_constructed = 0;
   // Position-set intersections performed by AND.
   uint64_t position_ands = 0;
-  // Chunk-pool pressure: scratch TupleChunks acquired, how many were
-  // recycled buffers and how many fell through to a fresh allocation.
-  // reuses + allocs == acquires; a warmed-up steady state has allocs ≈ 0.
+  // Chunk-pool pressure: scratch TupleChunks acquired and how many were
+  // recycled buffers (the rest fell through to a fresh allocation); a
+  // warmed-up steady state reuses ≈ every acquire.
   uint64_t chunk_pool_acquires = 0;
   uint64_t chunk_pool_reuses = 0;
-  uint64_t chunk_pool_allocs = 0;
 
   void Reset() { *this = ExecStats(); }
 
@@ -46,7 +45,6 @@ struct ExecStats {
     position_ands += o.position_ands;
     chunk_pool_acquires += o.chunk_pool_acquires;
     chunk_pool_reuses += o.chunk_pool_reuses;
-    chunk_pool_allocs += o.chunk_pool_allocs;
   }
 };
 

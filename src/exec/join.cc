@@ -26,9 +26,9 @@ Status JoinBuildTable::PinPayload(ExecStats* stats) {
     payload_mini_.AddBlock(
         std::make_shared<codec::EncodedBlock>(std::move(blk)));
   }
-  // The snapshot's synthetic uncompressed payload blocks extend the
-  // mini-column (their start positions sit right after the read store,
-  // keeping blocks ascending).
+  // The snapshot's tail blocks, uncompressed views over its payload tail
+  // values, extend the mini-column (their start positions sit right after
+  // the read store, keeping blocks ascending).
   const write::WriteSnapshot* snap =
       spec_.snapshot != nullptr && spec_.snapshot->has_state()
           ? spec_.snapshot.get()

@@ -10,8 +10,8 @@
 //       read-only by every probe morsel. The build merges the inner table's
 //       WriteSnapshot when one is attached: deleted positions are masked
 //       out and write-store tail rows are folded into the table (and, for
-//       kMultiColumn, the snapshot's synthetic tail blocks extend the
-//       pinned payload mini-column).
+//       kMultiColumn, the snapshot's tail blocks, uncompressed views over
+//       its tail values, extend the pinned payload mini-column).
 //   JoinProbeOp — the probe phase: consumes one morsel's outer-side stream
 //       (positions + key mini-column for JoinLeftMode::kLate, constructed
 //       tuples for kEarly), probes the built table, and emits joined
@@ -130,11 +130,11 @@ class JoinBuildTable {
 
  private:
   explicit JoinBuildTable(const Spec& spec)
-      : spec_(spec), payload_mini_(/*column=*/1, &spec.right_payload->meta()) {}
+      : spec_(spec), payload_mini_(/*column=*/1) {}
 
   Status DoBuild(ExecStats* stats);
   /// kMultiColumn: pins the payload column's blocks (plus the snapshot's
-  /// synthetic tail blocks) into payload_mini_, ascending.
+  /// tail blocks) into payload_mini_, ascending.
   Status PinPayload(ExecStats* stats);
 
   Spec spec_;

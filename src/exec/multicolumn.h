@@ -37,11 +37,9 @@ using ColumnId = uint32_t;
 class MiniColumn {
  public:
   MiniColumn() = default;
-  MiniColumn(ColumnId column, const codec::ColumnMeta* meta)
-      : column_(column), meta_(meta) {}
+  explicit MiniColumn(ColumnId column) : column_(column) {}
 
   ColumnId column() const { return column_; }
-  const codec::ColumnMeta* meta() const { return meta_; }
 
   void AddBlock(std::shared_ptr<codec::EncodedBlock> block) {
     blocks_.push_back(std::move(block));
@@ -76,7 +74,6 @@ class MiniColumn {
 
  private:
   ColumnId column_ = 0;
-  const codec::ColumnMeta* meta_ = nullptr;
   // Ascending, possibly with gaps (pipelined scans skip blocks with no
   // valid positions).
   std::vector<std::shared_ptr<codec::EncodedBlock>> blocks_;

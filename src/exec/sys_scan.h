@@ -2,9 +2,9 @@
 //
 // The engine already has a leaf that serves in-memory rows through the
 // standard block machinery: the write-store tail scan (ws_scan) consumes a
-// WriteSnapshot whose rows are packed as synthetic uncompressed 64 KB
-// blocks. A virtual table is exactly that snapshot with base_rows = 0 —
-// *every* row lives in the synthetic tail, no column file is ever read. The
+// WriteSnapshot whose tail rows are viewed as uncompressed blocks in
+// place. A virtual table is exactly that snapshot with base_rows = 0 —
+// *every* row lives in the tail, no column file is ever read. The
 // planner, predicates, delete masks, aggregates, and all four
 // materialization strategies work unchanged; WsScanPos / WsScanTuple are
 // the "sys scan" leaves.
@@ -45,13 +45,6 @@ struct SysColumn {
 struct SysTableDef {
   const char* name;  // full "system.xxx" name
   std::vector<SysColumn> columns;
-
-  int ColumnIndex(const std::string& col) const {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (col == columns[i].name) return static_cast<int>(i);
-    }
-    return -1;
-  }
 };
 
 /// True for names in the system schema ("system." prefix).
@@ -64,9 +57,9 @@ const std::vector<SysTableDef>& SysTables();
 const SysTableDef* FindSysTable(const std::string& table);
 
 /// Storage-file name registered for column `c` of `def` — the readers
-/// behind these names are empty (the data never touches disk), they exist
-/// so the planner's reader-based validation and morsel accounting see a
-/// zero-row read store in front of the synthetic tail.
+/// behind these names are in-memory zero-row readers (no file is ever
+/// created), they exist so the planner's reader-based validation and
+/// morsel accounting see a zero-row read store in front of the tail.
 std::string SysColumnFileName(const SysTableDef& def, size_t c);
 
 /// Packs column-major `columns` (one vector per def column, equal lengths)

@@ -67,7 +67,7 @@ Result<bool> WsScanPos::NextImpl(MultiColumnChunk* out) {
   // downstream value access (Merge, LateAgg) never falls back to a reader —
   // write-store positions are beyond every reader's block range.
   for (const WsScanColumn& col : columns_) {
-    MiniColumn mini(col.column, snapshot_->tail_meta(col.snap_index));
+    MiniColumn mini(col.column);
     for (const auto& blk : snapshot_->tail_blocks(col.snap_index)) {
       if (blk->view.end_pos() <= wb || blk->view.start_pos() >= we) continue;
       mini.AddBlock(blk);

@@ -4,8 +4,9 @@
 //   WsScanPos     — late-materialization tail leaf: serves the snapshot's
 //                   write-store rows as position-descriptor chunks (all
 //                   predicates ANDed, deletes masked), attaching every scan
-//                   column as an uncompressed in-memory mini-column so
-//                   Merge / LateAgg never re-fetch through the buffer pool
+//                   column as a mini-column of the snapshot's tail blocks
+//                   (uncompressed views over its tail values) so Merge /
+//                   LateAgg never re-fetch through the buffer pool
 //                   (write-store positions have no disk blocks to fetch).
 //   WsScanTuple   — early-materialization tail leaf: same rows, same
 //                   predicates, emitted as constructed tuples.

@@ -58,7 +58,6 @@ struct QueryLogEntry {
   uint64_t pool_lock_wait_ns = 0;
   uint64_t chunk_pool_acquires = 0;
   uint64_t chunk_pool_reuses = 0;
-  uint64_t chunk_pool_allocs = 0;
   bool slow = false;  // total_usec >= the threshold at record time
 };
 

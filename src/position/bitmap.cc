@@ -53,13 +53,6 @@ void Bitmap::AndWith(const Bitmap& other) {
   }
 }
 
-void Bitmap::OrWith(const Bitmap& other) {
-  CSTORE_CHECK(base_ == other.base_ && nbits_ == other.nbits_);
-  for (size_t w = 0; w < words_.size(); ++w) {
-    words_[w] |= other.words_[w];
-  }
-}
-
 size_t Bitmap::CountRuns(size_t limit) const {
   size_t runs = 0;
   uint64_t carry = 0;  // the previous word's top bit

@@ -27,7 +27,6 @@ class Bitmap {
         words_(bit_util::WordsForBits(nbits), 0) {}
 
   Position base() const { return base_; }
-  uint64_t size_bits() const { return nbits_; }
   Position end() const { return base_ + nbits_; }
 
   const uint64_t* words() const { return words_.data(); }
@@ -67,9 +66,6 @@ class Bitmap {
 
   /// In-place word-wise AND with `other` (same window required).
   void AndWith(const Bitmap& other);
-
-  /// In-place word-wise OR (same window required).
-  void OrWith(const Bitmap& other);
 
   /// Keeps only bits within [b, e), clearing everything outside. Used for
   /// intersecting a bitmap with a position range, which "is even faster

@@ -363,7 +363,6 @@ void RecordQueryLog(QueryState& q, const Status& status, int workers,
   e.pool_lock_wait_ns = stats.io.pool_lock_wait_ns;
   e.chunk_pool_acquires = stats.exec.chunk_pool_acquires;
   e.chunk_pool_reuses = stats.exec.chunk_pool_reuses;
-  e.chunk_pool_allocs = stats.exec.chunk_pool_allocs;
   log.Record(std::move(e));
 }
 

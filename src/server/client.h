@@ -31,7 +31,6 @@ class HttpClient {
   /// Connects to host:port (host is an IPv4 literal or "localhost").
   Status Connect(const std::string& host, int port);
   void Close();
-  bool connected() const { return fd_ >= 0; }
 
   /// One request over the kept-alive connection. Reconnects once if the
   /// server closed the idle connection under us. `target` is the raw

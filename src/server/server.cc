@@ -133,7 +133,6 @@ void Server::ServeConn(int fd) {
     // Scope: the session and socket die before ConnDone lets Stop return.
     api::Connection session(db_, &scheduler_);
     api::Connection::Settings settings;
-    settings.stream_queue_chunks = options_.stream_queue_chunks;
     settings.stream_byte_account = &output_bytes_;
     session.set_settings(settings);
 

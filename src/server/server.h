@@ -63,8 +63,6 @@ class Server {
     // Shared scheduler pool width; 0 = hardware concurrency.
     int pool_workers = 0;
     AdmissionController::Options admission;
-    // Per-session RowCursor depth (see Connection::Settings).
-    size_t stream_queue_chunks = 4;
   };
 
   /// `db` is not owned and must outlive the server.

@@ -1,23 +1,23 @@
 // ObjectPool: a lock-striped free list of reusable heap objects.
 //
 // Steady-state query execution allocates the same transient buffers over
-// and over (TupleChunk scratch per morsel, 64 KB tail pages per write
-// snapshot). Recycling them through a pool turns those per-morsel mallocs
-// into a stack pop — and, because the stripes are keyed by thread, workers
-// mostly hit a stripe nobody else touches.
+// and over (TupleChunk scratch per morsel; exec::GlobalChunkPool is this
+// pool's one user). Recycling them through a pool turns those per-morsel
+// mallocs into a stack pop — and, because the stripes are keyed by thread,
+// workers mostly hit a stripe nobody else touches.
 //
 // The pool hands out unique_ptr<T, Releaser> handles; when a handle dies,
 // the object returns to the releasing thread's stripe (capped; overflow is
 // deleted). The pool does NOT reset objects — callers must clear any state
-// they care about on acquire (TupleChunk::Reset, Page reuse overwrites the
-// header/payload it needs). Disabling the pool makes Acquire behave like
-// plain `new` and Release like plain `delete`, so benchmarks can isolate
-// the pool's contribution without changing call sites.
+// they care about on acquire (TupleChunk::Reset). Disabling the pool makes
+// Acquire behave like plain `new` and Release like plain `delete`, so
+// benchmarks can isolate the pool's contribution without changing call
+// sites.
 //
 // Thread safety: all methods may be called concurrently. Objects may be
 // released from a different thread than the one that acquired them. The
-// pool must outlive every handle it issued (the global pools below are
-// leaked singletons for exactly this reason).
+// pool must outlive every handle it issued (the global chunk pool is a
+// leaked singleton for exactly this reason).
 
 #ifndef CSTORE_UTIL_OBJECT_POOL_H_
 #define CSTORE_UTIL_OBJECT_POOL_H_
@@ -90,8 +90,8 @@ class ObjectPool {
     return Ptr(new T(), Releaser(this));
   }
 
-  /// Turning the pool off drains nothing: already-idle objects stay until
-  /// Trim(), but subsequent Acquire/Release bypass the free lists.
+  /// Turning the pool off drains nothing: already-idle objects stay, but
+  /// subsequent Acquire/Release bypass the free lists.
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -111,27 +111,9 @@ class ObjectPool {
     discards_.store(0, std::memory_order_relaxed);
   }
 
-  /// Idle objects currently retained across all stripes.
-  size_t idle_count() const {
-    size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      n += s.idle.size();
-    }
-    return n;
-  }
-
-  /// Frees every retained idle object (outstanding handles are unaffected).
-  void Trim() {
-    for (Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.idle.clear();
-    }
-  }
-
  private:
   struct Stripe {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::vector<std::unique_ptr<T>> idle;
   };
 

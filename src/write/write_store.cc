@@ -1,7 +1,6 @@
 #include "write/write_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "codec/views.h"
 #include "util/logging.h"
@@ -42,47 +41,17 @@ int WriteSnapshot::ColumnIndexForName(const std::string& name) const {
 }
 
 void WriteSnapshot::BuildTailBlocks() {
-  const size_t k = names_.size();
-  tail_blocks_.resize(k);
-  metas_.resize(k);
-  if (tail_rows_ == 0) return;
-
   const uint64_t per_block = codec::kUncompressedValuesPerBlock;
-  const uint64_t blocks_per_col = (tail_rows_ + per_block - 1) / per_block;
-  pages_.reserve(k * blocks_per_col);
-  for (size_t i = 0; i < k * blocks_per_col; ++i) {
-    pages_.push_back(storage::AcquirePage());
-  }
-
-  for (size_t c = 0; c < k; ++c) {
-    codec::ColumnMeta& meta = metas_[c];
-    meta.encoding = codec::Encoding::kUncompressed;
-    meta.num_values = tail_rows_;
-    meta.num_blocks = blocks_per_col;
-    const std::vector<Value>& values = tail_values_[c];
-    meta.min_value = *std::min_element(values.begin(), values.end());
-    meta.max_value = *std::max_element(values.begin(), values.end());
-    tail_blocks_[c].reserve(blocks_per_col);
-    for (uint64_t b = 0; b < blocks_per_col; ++b) {
-      uint64_t off = b * per_block;
-      uint32_t n = static_cast<uint32_t>(
+  tail_blocks_.resize(names_.size());
+  for (size_t c = 0; c < names_.size(); ++c) {
+    const Value* values = tail_values_[c].data();
+    tail_blocks_[c].reserve((tail_rows_ + per_block - 1) / per_block);
+    for (uint64_t off = 0; off < tail_rows_; off += per_block) {
+      const uint32_t n = static_cast<uint32_t>(
           std::min<uint64_t>(per_block, tail_rows_ - off));
-      storage::Page& page = *pages_[c * blocks_per_col + b];
-      storage::BlockHeader* h = page.header();
-      h->magic = storage::BlockHeader::kMagic;
-      h->encoding = static_cast<uint8_t>(codec::Encoding::kUncompressed);
-      h->num_values = n;
-      h->payload_len = n * sizeof(Value);
-      h->start_pos = base_rows_ + off;
-      std::memcpy(page.payload(), values.data() + off, n * sizeof(Value));
-      meta.block_start_pos.push_back(h->start_pos);
-      meta.block_first_value.push_back(values[off]);
-
-      auto view_or = codec::BlockView::FromPage(page);
-      CSTORE_CHECK(view_or.ok()) << view_or.status().ToString();
       auto block = std::make_shared<codec::EncodedBlock>();
-      block->view = *view_or;  // PageRef stays invalid: no pool frame pinned
-      block->block_no = b;
+      block->view =
+          codec::BlockView::Uncompressed(base_rows_ + off, n, values + off);
       tail_blocks_[c].push_back(std::move(block));
     }
   }

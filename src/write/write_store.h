@@ -22,11 +22,12 @@
 // appending to the store; in-flight queries cannot see them (epoch-based
 // snapshot isolation for single-table statements).
 //
-// The snapshot also pre-packs its row tail into synthetic *uncompressed
-// 64 KB blocks* (standard BlockHeader + payload, built in memory, never
-// touching the buffer pool). The scan tail operators hand these to the
-// regular mini-column machinery, so Merge / LateAgg consume write-store
-// rows through the exact same BlockView code path as disk-resident data.
+// The snapshot also views its row tail as *uncompressed blocks* of
+// kUncompressedValuesPerBlock values each: BlockViews that point straight
+// into the snapshot's own tail values (no copy, no page, never touching the
+// buffer pool). The scan tail operators hand these to the regular
+// mini-column machinery, so Merge / LateAgg consume write-store rows
+// through the exact same BlockView code path as disk-resident data.
 
 #ifndef CSTORE_WRITE_WRITE_STORE_H_
 #define CSTORE_WRITE_WRITE_STORE_H_
@@ -37,10 +38,8 @@
 #include <string>
 #include <vector>
 
-#include "codec/column_meta.h"
 #include "codec/column_reader.h"
 #include "position/position_set.h"
-#include "storage/page_pool.h"
 #include "util/common.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -111,21 +110,18 @@ class WriteSnapshot {
     return tail_values_[c][pos - base_rows_];
   }
 
-  /// The tail of schema column `c` packed as synthetic uncompressed
-  /// EncodedBlocks (start_pos = logical positions). Empty when
-  /// tail_rows() == 0. The blocks pin no buffer-pool frames; their pages
-  /// are owned by this snapshot.
+  /// The tail of schema column `c` as uncompressed EncodedBlocks (start_pos
+  /// = logical positions): block b views the kUncompressedValuesPerBlock
+  /// values of tail_values(c) from entry b * kUncompressedValuesPerBlock.
+  /// Empty when tail_rows() == 0. The blocks pin no buffer-pool frames;
+  /// their views point into this snapshot, so they must not outlive it.
   const std::vector<std::shared_ptr<codec::EncodedBlock>>& tail_blocks(
       size_t c) const {
     return tail_blocks_[c];
   }
 
-  /// Minimal metadata describing the tail of schema column `c` (for
-  /// MiniColumn plumbing).
-  const codec::ColumnMeta* tail_meta(size_t c) const { return &metas_[c]; }
-
   /// Builds a free-standing snapshot whose *entire* content is a tail:
-  /// base_rows = 0, every row lives in the synthetic in-memory blocks.
+  /// base_rows = 0, every row lives in the in-memory tail blocks.
   /// This is how virtual tables (system.*) materialize — the planner,
   /// delete masks, and all four strategies consume the result exactly like
   /// a real table whose read store happens to be empty. `columns` is
@@ -133,6 +129,10 @@ class WriteSnapshot {
   static std::shared_ptr<const WriteSnapshot> Synthetic(
       std::vector<std::string> names, std::vector<std::string> files,
       std::vector<std::vector<Value>> columns);
+
+  // A copy's tail blocks would still view the original's tail_values_.
+  WriteSnapshot(const WriteSnapshot&) = delete;
+  WriteSnapshot& operator=(const WriteSnapshot&) = delete;
 
  private:
   friend class WriteStore;
@@ -146,13 +146,9 @@ class WriteSnapshot {
   std::vector<std::string> files_;
   std::vector<std::vector<Value>> tail_values_;  // [schema col][tail row]
   std::vector<Position> deleted_;                // sorted, unique
-  // Synthetic uncompressed blocks over the tail. The 64 KB buffers come
-  // from the global page pool (snapshots are rebuilt after every write, so
-  // recycling them removes the dominant write-path allocation) and return
-  // to it when the snapshot dies.
-  std::vector<storage::PooledPage> pages_;
+  // Uncompressed views over tail_values_, which never changes once they
+  // are built.
   std::vector<std::vector<std::shared_ptr<codec::EncodedBlock>>> tail_blocks_;
-  std::vector<codec::ColumnMeta> metas_;
 };
 
 /// The mutable per-table write store: an append-only uncompressed insert

@@ -962,7 +962,9 @@ TEST_F(ApiTest, UpdateEndToEnd) {
 TEST_F(ApiTest, UpdateFiltersOnlyItsWhereColumns) {
   // An UPDATE finds its rows with the 1-worker LM-parallel scan of SELECT
   // over every column: it filters only the WHERE columns and gathers the
-  // rest, so its work counters are that SELECT's.
+  // rest, so its work counters are that SELECT's. A DELETE of the same
+  // WHERE reads only the WHERE columns, so its counters are those of the
+  // SELECT of its WHERE columns.
   const size_t n = 3 * kChunkPositions;
   std::vector<std::vector<Value>> want(n);
   std::vector<Value> a(n), b(n), c(n);
@@ -980,13 +982,15 @@ TEST_F(ApiTest, UpdateFiltersOnlyItsWhereColumns) {
 
   struct Shape {
     const char* where;
+    const char* where_columns;
     bool (*match)(const std::vector<Value>& row);
     Value set_c;
   };
   const Shape shapes[] = {
-      {"a < 1000", [](const std::vector<Value>& r) { return r[0] < 1000; },
-       1000},
-      {"b = 5", [](const std::vector<Value>& r) { return r[1] == 5; }, 2000},
+      {"a < 1000", "a",
+       [](const std::vector<Value>& r) { return r[0] < 1000; }, 1000},
+      {"b = 5", "b", [](const std::vector<Value>& r) { return r[1] == 5; },
+       2000},
   };
   api::Connection conn(db_.get());
   for (const Shape& shape : shapes) {
@@ -1014,6 +1018,77 @@ TEST_F(ApiTest, UpdateFiltersOnlyItsWhereColumns) {
                          conn.Query("SELECT a, b, c FROM u"));
     EXPECT_TRUE(Bag(all) == want) << where;
   }
+
+  // The DELETEs run after both UPDATEs, so each still matches rows that the
+  // UPDATEs moved into the write-store tail.
+  for (const Shape& shape : shapes) {
+    const std::string where = std::string(" WHERE ") + shape.where;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult select_where,
+        conn.Query(std::string("SELECT ") + shape.where_columns + " FROM u" +
+                       where,
+                   plan::Strategy::kLmParallel, 1));
+    ASSERT_OK_AND_ASSIGN(api::QueryResult del,
+                         conn.Query("DELETE FROM u" + where));
+    EXPECT_EQ(del.rows_affected, select_where.tuples.num_tuples()) << where;
+    EXPECT_GT(del.rows_affected, 0u) << where;
+    EXPECT_EQ(del.stats.exec.predicate_evals,
+              select_where.stats.exec.predicate_evals)
+        << where;
+    EXPECT_EQ(del.stats.exec.blocks_fetched,
+              select_where.stats.exec.blocks_fetched)
+        << where;
+
+    std::erase_if(want, shape.match);
+    ASSERT_OK_AND_ASSIGN(api::QueryResult rest,
+                         conn.Query("SELECT a, b, c FROM u"));
+    EXPECT_TRUE(Bag(rest) == want) << where;
+  }
+}
+
+TEST_F(ApiTest, DeleteOfUnknownWhereColumnChangesNothing) {
+  api::Connection conn(db_.get());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult before,
+                       conn.Query("SELECT a, b, c FROM t"));
+  EXPECT_TRUE(
+      conn.Query("DELETE FROM t WHERE ghost < 5").status().IsNotFound());
+  EXPECT_TRUE(conn.Query("DELETE FROM t WHERE a < 5 AND ghost < 5")
+                  .status()
+                  .IsNotFound());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult after,
+                       conn.Query("SELECT a, b, c FROM t"));
+  EXPECT_EQ(Bag(after), Bag(before));
+  ASSERT_OK_AND_ASSIGN(auto snap, db_->SnapshotTable("t"));
+  EXPECT_FALSE(snap->has_state());
+}
+
+TEST_F(ApiTest, WritesApplyEveryConditionOnATwiceNamedColumn) {
+  // Database::UpdateWhere / DeleteWhere take the conditions unfolded: a
+  // column named twice must pass both of them.
+  const std::vector<std::pair<std::string, codec::Predicate>> conds = {
+      {"c", codec::Predicate::GreaterEqual(10)},
+      {"c", codec::Predicate::LessThan(20)}};
+  std::vector<std::vector<Value>> want;
+  uint64_t hits = 0;
+  for (size_t i = 0; i < a_.size(); ++i) {
+    const bool hit = c_[i] >= 10 && c_[i] < 20;
+    hits += hit;
+    if (!hit) want.push_back({a_[i], b_[i], c_[i]});
+  }
+  ASSERT_GT(hits, 0u);
+  ASSERT_OK_AND_ASSIGN(uint64_t updated,
+                       db_->UpdateWhere("t", {{"b", 99}}, conds));
+  EXPECT_EQ(updated, hits);
+  api::Connection conn(db_.get());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult moved,
+                       conn.Query("SELECT COUNT(a) FROM t WHERE b = 99"));
+  EXPECT_EQ(static_cast<uint64_t>(moved.tuples.value(0, 0)), hits);
+  ASSERT_OK_AND_ASSIGN(uint64_t deleted, db_->DeleteWhere("t", conds));
+  EXPECT_EQ(deleted, hits);
+  std::sort(want.begin(), want.end());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult rest,
+                       conn.Query("SELECT a, b, c FROM t"));
+  EXPECT_TRUE(Bag(rest) == want);
 }
 
 TEST_F(ApiTest, UpdateValidation) {
@@ -1027,6 +1102,22 @@ TEST_F(ApiTest, UpdateValidation) {
                   .IsNotFound());
   // Double assignment of one column is rejected at parse time.
   EXPECT_FALSE(conn.Query("UPDATE t SET a = 1, a = 2").ok());
+  // An unknown SET or WHERE column fails before the row-finding scan.
+  plan::RunStats stats;
+  EXPECT_TRUE(db_->UpdateWhere("t", {{"ghost", 1}}, {}, &stats)
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(db_->UpdateWhere("t", {{"a", 1}},
+                               {{"ghost", codec::Predicate::LessThan(5)}},
+                               &stats)
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(
+      db_->DeleteWhere("t", {{"ghost", codec::Predicate::LessThan(5)}}, &stats)
+          .status()
+          .IsNotFound());
+  EXPECT_EQ(stats.exec.blocks_fetched, 0u);
+  EXPECT_EQ(stats.exec.predicate_evals, 0u);
 }
 
 TEST_F(ApiTest, UpdateIsSnapshotAtomic) {

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,6 +31,7 @@
 
 #include "api/connection.h"
 #include "db/database.h"
+#include "exec/sys_scan.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/query_log.h"
@@ -791,7 +793,7 @@ TEST_F(ObsTest, SystemQueriesTablesPoolsAndLogCrossCheck) {
             static_cast<Value>(li_->shipdate->num_values()));
 
   // system.pools: buffer-pool counters equal the IoStats ground truth
-  // (a system-table scan serves synthetic in-memory blocks — it does no
+  // (a system-table scan serves in-memory tail blocks — it does no
   // buffer-pool I/O itself, so the value cannot move between the snapshot
   // and this check).
   const storage::IoStats io = db_->pool()->stats();
@@ -831,6 +833,35 @@ TEST_F(ObsTest, SystemQueriesTablesPoolsAndLogCrossCheck) {
   EXPECT_FALSE(
       conn.Query("UPDATE system.metrics SET value = 0 WHERE value = 42")
           .ok());
+}
+
+TEST(SystemTableStorageTest, ReadingSystemTablesWritesNoFile) {
+  // System tables are registered over in-memory zero-row readers: querying
+  // every one of them, before and after a reopen, leaves a fresh directory
+  // empty.
+  TempDir dir;
+  auto files_in_dir = [&dir] {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator(dir.path())) {
+      ++n;
+    }
+    return n;
+  };
+  db::Database::Options opts;
+  opts.dir = dir.path();
+  for (int open = 0; open < 2; ++open) {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<db::Database> db,
+                         db::Database::Open(opts));
+    api::Connection conn(db.get());
+    for (const exec::SysTableDef& def : exec::SysTables()) {
+      const std::string sql = std::string("SELECT ") + def.columns[0].name +
+                              " FROM " + def.name;
+      const Status st = conn.Query(sql).status();
+      ASSERT_TRUE(st.ok()) << sql << ": " << st.ToString();
+      EXPECT_EQ(files_in_dir(), 0u) << "open " << open << ": " << sql;
+    }
+  }
 }
 
 TEST(StringDictTest, InternLookupRoundTrip) {

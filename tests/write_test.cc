@@ -8,7 +8,9 @@
 // strategy, at 1/2/4 workers, before and after compaction, and regardless
 // of writes applied after the snapshot was taken.
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -425,6 +427,168 @@ TEST_F(WriteScenarioTest, ConcurrentWritersMoverAndScans) {
           << StrategyName(s) << " workers=" << workers;
       EXPECT_EQ(r->stats.output_tuples, baseline->stats.output_tuples);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A multi-block tail read in place: its blocks view the snapshot's values.
+// ---------------------------------------------------------------------------
+
+TEST_F(WriteTest, MultiBlockTailIsReadInPlace) {
+  // A read store of a size that is a multiple of neither 64 nor
+  // kChunkPositions, so the first tail block starts mid-window, and a tail
+  // of 4 blocks, one of which crosses the window boundary at 131 072.
+  constexpr size_t kBase = 120001;
+  constexpr size_t kTail = 30000;
+  constexpr size_t kPerBlock = codec::kUncompressedValuesPerBlock;
+  static_assert(kBase % 64 != 0 && kBase % kChunkPositions != 0);
+  static_assert(kTail > 3 * kPerBlock);
+  OpenDb();
+  // Columns: k unique and sorted, g runny (RLE), v plain, d dictionary.
+  std::vector<Value> k(kBase);
+  for (size_t i = 0; i < kBase; ++i) k[i] = static_cast<Value>(i);
+  std::vector<Value> g = testing::RunnyValues(kBase, 40, 6.0, 21);
+  std::vector<Value> v = testing::RunnyValues(kBase, 100, 1.0, 22);
+  std::vector<Value> d = testing::RunnyValues(kBase, 500, 2.0, 23);
+  MakeTable("t", {{"k", codec::Encoding::kUncompressed, k},
+                  {"g", codec::Encoding::kRle, g},
+                  {"v", codec::Encoding::kUncompressed, v},
+                  {"d", codec::Encoding::kDict, d}});
+  RefTable ref(4);
+  for (size_t i = 0; i < kBase; ++i) ref.Append({{k[i], g[i], v[i], d[i]}});
+
+  // The tail's v reaches above the read store's, so a descending Top-N
+  // draws its rows from the tail blocks.
+  Random rng(24);
+  std::vector<std::vector<Value>> tail;
+  for (size_t i = 0; i < kTail; ++i) {
+    tail.push_back({static_cast<Value>(kBase + i),
+                    static_cast<Value>(rng.Uniform(40)),
+                    static_cast<Value>(rng.Uniform(120)),
+                    static_cast<Value>(rng.Uniform(500))});
+  }
+  ASSERT_OK(db_->Insert("t", tail));
+  ref.Append(tail);
+  // Deletes in the read store and the tail, and a run inside tail block 1.
+  const codec::Predicate hit13 = codec::Predicate::Equal(13);
+  const codec::Predicate in_block1 =
+      codec::Predicate::Between(kBase + 9000, kBase + 9100);
+  ASSERT_OK_AND_ASSIGN(uint64_t d13, db_->DeleteWhere("t", {{"v", hit13}}));
+  EXPECT_EQ(d13, ref.DeleteWhere(2, hit13));
+  ASSERT_OK_AND_ASSIGN(uint64_t d1, db_->DeleteWhere("t", {{"k", in_block1}}));
+  EXPECT_EQ(d1, ref.DeleteWhere(0, in_block1));
+  EXPECT_GT(d1, 0u);
+
+  ASSERT_OK_AND_ASSIGN(auto snap, db_->SnapshotTable("t"));
+  ASSERT_EQ(snap->base_rows(), kBase);
+  ASSERT_EQ(snap->tail_rows(), kTail);
+
+  // Views: block b of column c is tail_values(c) from b * kPerBlock on.
+  bool crosses_window = false;
+  for (size_t c = 0; c < 4; ++c) {
+    const auto& blocks = snap->tail_blocks(c);
+    ASSERT_EQ(blocks.size(), 4u);
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const codec::UncompressedView* u = blocks[b]->view.AsUncompressed();
+      ASSERT_NE(u, nullptr);
+      EXPECT_EQ(u->values(), snap->tail_values(c).data() + b * kPerBlock)
+          << "column " << c << " block " << b;
+      EXPECT_EQ(u->start_pos(), kBase + b * kPerBlock);
+      EXPECT_EQ(u->num_values(), std::min(kPerBlock, kTail - b * kPerBlock));
+      EXPECT_FALSE(blocks[b]->ref.valid());
+      crosses_window |= u->start_pos() / kChunkPositions !=
+                        (u->end_pos() - 1) / kChunkPositions;
+    }
+  }
+  EXPECT_TRUE(crosses_window);
+
+  // Selection and GROUP BY, every strategy at 1, 2 and 4 workers.
+  const std::vector<codec::Predicate> preds = {
+      codec::Predicate::True(), codec::Predicate::Between(5, 30),
+      codec::Predicate::LessThan(90), codec::Predicate::True()};
+  CheckSelectionAllStrategies(snap, preds, ref.ExpectedSelection(preds),
+                              "tail-sel");
+  CheckAggAllStrategies(snap, preds, 1, 2, ref.ExpectedGroupSum(preds, 1, 2),
+                        "tail-agg");
+
+  // ORDER BY v DESC LIMIT 1000 WHERE g BETWEEN 5 AND 30: ties broken by
+  // position.
+  const std::vector<codec::Predicate> sort_preds = {
+      codec::Predicate::True(), codec::Predicate::Between(5, 30),
+      codec::Predicate::True(), codec::Predicate::True()};
+  std::vector<size_t> order;
+  for (size_t i = 0; i < ref.rows(); ++i) {
+    if (ref.Passes(i, sort_preds)) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return ref.cols[2][x] > ref.cols[2][y];
+  });
+  order.resize(1000);
+  ASSERT_GE(ref.cols[2][order.back()], 100);  // every row from the tail
+  plan::SortQuery sort;
+  sort.selection = MakeSelection(BindColumns(*snap), sort_preds);
+  sort.sort_index = 2;
+  sort.desc = true;
+  sort.limit = order.size();
+  for (plan::Strategy s : plan::kAllStrategies) {
+    for (int workers : kWorkerCounts) {
+      plan::PlanConfig config;
+      config.num_workers = workers;
+      config.snapshot = snap;
+      ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                           api::Connection(db_.get()).Query(
+                               plan::PlanTemplate::Sort(sort, s, config)));
+      ASSERT_EQ(r.tuples.num_tuples(), order.size())
+          << StrategyName(s) << " workers=" << workers;
+      for (size_t i = 0; i < order.size(); ++i) {
+        for (uint32_t c = 0; c < 4; ++c) {
+          ASSERT_EQ(r.tuples.value(i, c), ref.cols[c][order[i]])
+              << StrategyName(s) << " workers=" << workers << " row " << i;
+        }
+      }
+    }
+  }
+
+  // A right-multicolumn join whose inner side is this table: outer keys
+  // o.key hit read-store and tail rows of t.k, deleted ones included.
+  constexpr size_t kOuter = 20000;
+  std::vector<Value> okey(kOuter);
+  std::vector<Value> opay(kOuter);
+  for (size_t i = 0; i < kOuter; ++i) {
+    okey[i] = static_cast<Value>(rng.Uniform(kBase + kTail + 100));
+    opay[i] = static_cast<Value>(i);
+  }
+  MakeTable("o", {{"key", codec::Encoding::kUncompressed, okey},
+                  {"payload", codec::Encoding::kUncompressed, opay}});
+  std::multiset<std::pair<Value, Value>> expected;
+  for (size_t i = 0; i < kOuter; ++i) {
+    const size_t pos = static_cast<size_t>(okey[i]);  // t.k == position
+    if (pos < ref.rows() && !ref.deleted[pos]) {
+      expected.emplace(opay[i], ref.cols[2][pos]);
+    }
+  }
+  plan::JoinQuery join;
+  ASSERT_OK_AND_ASSIGN(join.left_key, db_->GetColumn("o_key"));
+  ASSERT_OK_AND_ASSIGN(join.left_payload, db_->GetColumn("o_payload"));
+  ASSERT_OK_AND_ASSIGN(join.right_key, db_->GetColumn("t_k"));
+  ASSERT_OK_AND_ASSIGN(join.right_payload, db_->GetColumn("t_v"));
+  join.right_snapshot = snap;
+  ASSERT_OK_AND_ASSIGN(auto outer_snap, db_->SnapshotTable("o"));
+  for (int workers : kWorkerCounts) {
+    plan::PlanConfig config;
+    config.num_workers = workers;
+    config.snapshot = outer_snap;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult r,
+        api::Connection(db_.get()).Query(plan::PlanTemplate::Join(
+            join, exec::JoinRightMode::kMultiColumn, config)));
+    std::multiset<std::pair<Value, Value>> got;
+    for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+      got.emplace(r.tuples.value(i, 0), r.tuples.value(i, 1));
+    }
+    EXPECT_TRUE(got == expected) << "workers=" << workers << " got "
+                                 << got.size() << " expected "
+                                 << expected.size();
   }
 }
 
