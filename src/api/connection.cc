@@ -244,6 +244,14 @@ bool RunsParallel(const plan::PlanTemplate& tmpl) {
 
 }  // namespace
 
+bool Connection::RunsOnCaller(const plan::PlanTemplate& tmpl,
+                              bool streamed) const {
+  // A stream holds a caller-thread result whole, so only the one-window
+  // half of the rule bounds its memory.
+  if (!streamed && scheduler_ == nullptr && !RunsParallel(tmpl)) return true;
+  return tmpl.TouchedPositions() <= kChunkPositions;
+}
+
 Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
                                                 const std::string& label) {
   QueryResult result;
@@ -251,7 +259,7 @@ Result<QueryResult> Connection::RunTemplateSync(const plan::PlanTemplate& tmpl,
     result.tuples = std::move(chunk);
   };
   sched::ExecResult done;
-  if (scheduler_ == nullptr && !RunsParallel(tmpl)) {
+  if (RunsOnCaller(tmpl, /*streamed=*/false)) {
     done = sched::RunOnCaller(tmpl, std::move(sink), label,
                               settings_.priority);
   } else {
@@ -305,16 +313,32 @@ PendingResult Connection::SubmitRunnable(const Runnable& run,
 
 Result<RowCursor> Connection::StreamRunnable(const Runnable& run) {
   RowCursor cursor;
+  cursor.output_slots_ = run.output_slots;
+  cursor.column_names_ = run.output_names;
+  cursor.strategy_ = run.strategy;
+
+  if (RunsOnCaller(run.tmpl, /*streamed=*/true)) {
+    // The whole run happens here; the cursor hands out its one chunk and
+    // then the final status, as a drained pool stream would.
+    auto hold = [&cursor](exec::TupleChunk&& chunk) {
+      cursor.held_bytes_ = chunk.num_tuples() *
+                           std::max<uint32_t>(1, chunk.width()) * sizeof(Value);
+      cursor.held_ = std::move(chunk);
+    };
+    sched::ExecResult done = sched::RunOnCaller(run.tmpl, std::move(hold),
+                                                run.label, settings_.priority);
+    cursor.stats_ = std::move(done.stats);
+    cursor.final_status_ = std::move(done.status);
+    cursor.finished_ = true;
+    return cursor;
+  }
+
   cursor.queue_ =
       std::make_shared<ChunkQueue>(std::max<size_t>(1,
                                                     settings_.stream_queue_chunks));
   if (settings_.stream_byte_account != nullptr) {
     cursor.queue_->set_byte_account(settings_.stream_byte_account);
   }
-  cursor.output_slots_ = run.output_slots;
-  cursor.column_names_ = run.output_names;
-  cursor.strategy_ = run.strategy;
-
   sched::Scheduler* scheduler = scheduler_;
   if (scheduler == nullptr) {
     // Standalone session: a private pool per stream, not the session pool.

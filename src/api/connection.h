@@ -15,22 +15,30 @@
 //   Query/Submit/Stream(plan::PlanTemplate) — the typed-plan path the
 //                   paper-figure benches use (no SQL, no projection)
 //
-// Every query runs through one executor (sched/scheduler.h). Pooled
-// connections run everything on the shared scheduler, interleaving with
-// other sessions' queries at morsel granularity. Standalone connections (no
-// scheduler) own long-lived session pools instead — one sched::Scheduler
-// per worker count the session runs at, created on first use — and run
-// every Submit, and every synchronous query with work for more than one
-// worker, there. Two things stay off the session pools on purpose:
+// Every query runs through one executor (sched/scheduler.h), in one of two
+// places. Query, a prepared Execute and Stream choose by one rule on every
+// session (RunsOnCaller):
 //
-//   * A 1-worker synchronous query runs the executor's task and finalize
-//     on the caller's thread (sched::RunOnCaller). A 1-worker pool gives
-//     the same rows and order, but the hand-off to its thread more than
-//     doubles a point query's latency.
-//   * A stream gets a private pool per cursor (RowCursor::own_scheduler_).
-//     A consumer that stops reading blocks the producing worker in
-//     ChunkQueue::Push; on a shared session pool, a session that runs
-//     another statement while it holds an undrained cursor would deadlock.
+//   * The caller's thread (sched::RunOnCaller), when the plan touches at
+//     most one window's positions (PlanTemplate::TouchedPositions() <=
+//     kChunkPositions): an index lookup, or a scan of a table of one
+//     window. A morsel is at least one window, so a pool could only hand
+//     the whole plan to one worker, and the two thread hand-offs would
+//     dominate a point query's latency. A standalone session's synchronous
+//     query with work for one worker runs there too, whatever its size. A
+//     stream run there returns a cursor that already holds its one result
+//     chunk and its final stats.
+//   * A pool, otherwise. Pooled connections run on the shared scheduler,
+//     interleaving with other sessions' queries at morsel granularity.
+//     Standalone connections own long-lived session pools instead — one
+//     sched::Scheduler per worker count the session runs at, created on
+//     first use — but a stream gets a private pool per cursor
+//     (RowCursor::own_scheduler_). A consumer that stops reading blocks
+//     the producing worker in ChunkQueue::Push; on a shared session pool,
+//     a session that runs another statement while it holds an undrained
+//     cursor would deadlock.
+//
+// Submit always goes to a pool.
 //
 // Destroying a standalone Connection waits for its submitted queries, so
 // their PendingResults still resolve afterwards.
@@ -75,7 +83,8 @@ class Connection {
     // Worker count of a standalone connection's queries: its session pool
     // width (1 = synchronous queries run on the caller's thread) and the
     // advisor's parallelism input. Pooled connections take parallelism from
-    // the scheduler's pool width.
+    // the scheduler's pool width. A plan touching at most one window runs
+    // on the caller's thread at any width.
     int num_workers = 1;
     // Session-wide strategy override; the advisor picks when unset.
     // Per-call overrides win over this.
@@ -128,7 +137,9 @@ class Connection {
                        std::optional<plan::Strategy> strategy = {});
 
   /// Streaming execution of a SELECT: chunks flow to the returned cursor
-  /// through a bounded queue (see Settings::stream_queue_chunks).
+  /// through a bounded queue (see Settings::stream_queue_chunks). A plan
+  /// that touches at most one window runs here, on the caller's thread,
+  /// and the cursor holds its result.
   Result<RowCursor> Stream(const std::string& sql,
                            std::optional<plan::Strategy> strategy = {});
 
@@ -167,10 +178,9 @@ class Connection {
 
   // --- Typed plans ------------------------------------------------------
 
-  /// Runs a typed plan template. Standalone sessions honour
-  /// `tmpl.config.num_workers` (the session pool of that width; 1 runs
-  /// Query on the caller's thread); pooled sessions let the pool decide
-  /// parallelism.
+  /// Runs a typed plan template, where RunsOnCaller says. On a pool,
+  /// standalone sessions honour `tmpl.config.num_workers` (the session
+  /// pool of that width); pooled sessions let the pool decide parallelism.
   /// `materialize = false` skips output buffering entirely — Wait() returns
   /// stats and an empty tuple chunk (what benches measuring QPS/latency
   /// want).
@@ -253,8 +263,15 @@ class Connection {
   /// pool mutex contention, retired fds, chunk-pool recycling.
   std::string PressureReport() const;
 
-  /// Runs `tmpl` to completion: on the caller's thread when a standalone
-  /// session has work for one worker, else on a pool.
+  /// Where a Query, Execute or Stream of `tmpl` runs: true for the
+  /// caller's thread (sched::RunOnCaller), false for a pool. On every
+  /// session, a plan that touches at most kChunkPositions positions
+  /// (PlanTemplate::TouchedPositions) runs on the caller. A standalone
+  /// session's synchronous run with work for one worker does too; a
+  /// `streamed` one of more than one window does not, since the caller
+  /// would hold its whole result at once.
+  bool RunsOnCaller(const plan::PlanTemplate& tmpl, bool streamed) const;
+  /// Runs `tmpl` to completion, where RunsOnCaller says.
   Result<QueryResult> RunTemplateSync(const plan::PlanTemplate& tmpl,
                                       const std::string& label = {});
   Result<QueryResult> RunRunnableSync(const Runnable& run);

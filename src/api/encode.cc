@@ -1,5 +1,6 @@
 #include "api/encode.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "util/string_dict.h"
@@ -7,17 +8,28 @@
 namespace cstore {
 namespace api {
 
-std::string RenderValue(Value v) {
-  if (util::StringDict::IsDictId(v)) {
-    const std::string* s = util::StringDict::Global().Lookup(v);
-    if (s != nullptr) return *s;
-  }
-  return std::to_string(static_cast<long long>(v));
+namespace {
+
+/// The interned string behind `v`, or null when `v` renders as a number.
+/// One dictionary lookup (one mutex acquisition), only for ids in the
+/// dictionary range.
+const std::string* DictString(Value v) {
+  return util::StringDict::IsDictId(v) ? util::StringDict::Global().Lookup(v)
+                                       : nullptr;
 }
 
-bool IsStringValue(Value v) {
-  return util::StringDict::IsDictId(v) &&
-         util::StringDict::Global().Lookup(v) != nullptr;
+/// Appends `v` in decimal, without a temporary string.
+void AppendInt(std::string* out, Value v) {
+  char buf[24];  // INT64_MIN takes 20
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
+std::string RenderValue(Value v) {
+  const std::string* s = DictString(v);
+  return s != nullptr ? *s : std::to_string(v);
 }
 
 Result<Wire> ParseWire(const std::string& name) {
@@ -104,10 +116,10 @@ void ResultEncoder::AppendRow(std::string* out, const exec::TupleChunk& chunk,
     for (uint32_t c = 0; c < chunk.width(); ++c) {
       if (c > 0) out->push_back(',');
       const Value v = chunk.value(i, c);
-      if (IsStringValue(v)) {
-        AppendJsonString(out, RenderValue(v));
+      if (const std::string* s = DictString(v)) {
+        AppendJsonString(out, *s);
       } else {
-        *out += std::to_string(static_cast<long long>(v));
+        AppendInt(out, v);
       }
     }
     out->push_back(']');
@@ -115,7 +127,12 @@ void ResultEncoder::AppendRow(std::string* out, const exec::TupleChunk& chunk,
   }
   for (uint32_t c = 0; c < chunk.width(); ++c) {
     if (c > 0) out->push_back(',');
-    AppendCsvField(out, RenderValue(chunk.value(i, c)));
+    const Value v = chunk.value(i, c);
+    if (const std::string* s = DictString(v)) {
+      AppendCsvField(out, *s);
+    } else {
+      AppendInt(out, v);  // digits and '-' never need CSV quoting
+    }
   }
   out->push_back('\n');
 }

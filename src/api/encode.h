@@ -27,10 +27,6 @@ namespace api {
 /// else renders as a decimal integer.
 std::string RenderValue(Value v);
 
-/// True when `v` resolved through the StringDict (callers that quote
-/// strings differently from numbers — JSON, CSV — branch on this).
-bool IsStringValue(Value v);
-
 /// Wire formats the server speaks.
 enum class Wire {
   kJson,

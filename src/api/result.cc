@@ -137,12 +137,15 @@ Status RowCursor::FinishStream() {
 }
 
 Result<bool> RowCursor::Next(exec::TupleChunk* chunk) {
-  if (queue_ == nullptr) {
+  if (!valid()) {
     return Status::Internal("Next on a default-constructed RowCursor");
   }
   if (finished_) {
     CSTORE_RETURN_IF_ERROR(final_status_);
-    return false;
+    if (held_.empty()) return false;
+    *chunk = ProjectChunk(output_slots_, std::move(held_));
+    held_ = exec::TupleChunk();
+    return true;
   }
   exec::TupleChunk raw;
   if (queue_->Pop(&raw)) {
@@ -175,7 +178,7 @@ Result<QueryResult> RowCursor::FetchAll() {
 }
 
 uint64_t RowCursor::peak_buffered_bytes() const {
-  return queue_ == nullptr ? 0
+  return queue_ == nullptr ? held_bytes_
                            : queue_->peak_buffered_values() * sizeof(Value);
 }
 

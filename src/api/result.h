@@ -13,6 +13,11 @@
 // surfaces an execution error raised after Stream() returned; FetchAll()
 // drains the cursor into a materialized QueryResult for callers that want
 // the old semantics.
+//
+// A stream of a plan that touches at most one window's positions runs
+// inside Stream() on the caller's thread (api/connection.h): its cursor
+// already holds the one result chunk and the final stats, with no pool and
+// no queue behind it, and Next() hands out the chunk, then the status.
 
 #ifndef CSTORE_API_RESULT_H_
 #define CSTORE_API_RESULT_H_
@@ -145,7 +150,9 @@ class PendingResult {
 /// Streaming cursor over a query's output chunks, read with the blocking
 /// Next (or FetchAll). Move-only; destroying an unfinished cursor cancels
 /// the query. Chunk order across workers is unspecified (bag semantics)
-/// exactly as in the materialized paths.
+/// exactly as in the materialized paths. A cursor whose query ran on the
+/// caller's thread is finished from the start: it holds the result and
+/// never blocks.
 class RowCursor {
  public:
   RowCursor() = default;
@@ -176,10 +183,16 @@ class RowCursor {
   const plan::RunStats& stats() const { return stats_; }
 
   /// High-water mark of buffered result bytes while streaming (valid any
-  /// time; final after the stream ends).
+  /// time; final after the stream ends). A caller-thread run held its
+  /// whole result, so that is its peak.
   uint64_t peak_buffered_bytes() const;
 
-  bool valid() const { return queue_ != nullptr; }
+  bool valid() const { return queue_ != nullptr || finished_; }
+
+  /// True once the query has ended: from the start for a run on the
+  /// caller's thread (the cursor holds its result), once Next returned
+  /// false for a pool run. Until then chunks may still be on their way.
+  bool finished() const { return finished_; }
 
  private:
   friend class Connection;
@@ -188,7 +201,11 @@ class RowCursor {
   /// Waits for the query's final result once the stream ended.
   Status FinishStream();
 
+  // A pool run's chunks arrive through queue_; a caller-thread run's one
+  // chunk waits in held_ (empty once Next handed it out).
   std::shared_ptr<ChunkQueue> queue_;
+  exec::TupleChunk held_;
+  uint64_t held_bytes_ = 0;
   sched::QueryTicket ticket_;
   // A standalone connection's stream runs on a private pool parked here,
   // not on the session pool: see Connection's header for the deadlock a

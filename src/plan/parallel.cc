@@ -73,6 +73,34 @@ Position PlanTemplate::TotalPositions() const {
   return 0;
 }
 
+Position PlanTemplate::TouchedPositions() const {
+  if (kind == Kind::kJoin) {
+    // The hash build reads the whole inner side, its tail included.
+    const Position inner =
+        (join.right_key != nullptr ? join.right_key->num_values() : 0) +
+        (join.right_snapshot != nullptr ? join.right_snapshot->tail_rows()
+                                        : 0);
+    return TotalPositions() + inner;
+  }
+  const SelectionQuery* scan = kind == Kind::kSelection ? &selection
+                               : kind == Kind::kAgg     ? &agg.selection
+                                                        : &sort.selection;
+  // LM-parallel ANDs every filter's leaf, and a DS1 leaf reads every
+  // window; LM-pipelined refines the first leaf's positions only.
+  if (!IsLate(strategy) || scan->num_filters() == 0 ||
+      (strategy == Strategy::kLmParallel && scan->num_filters() > 1)) {
+    return TotalPositions();
+  }
+  const SelectionQuery::Column& first = scan->columns[scan->filter(0)];
+  if (!UsesIndex(config, first)) return TotalPositions();
+  Result<position::Range> range = first.reader->PositionRangeFor(first.pred);
+  // A failed lookup is the plan's to report, wherever it runs.
+  if (!range.ok()) return TotalPositions();
+  const Position tail =
+      config.snapshot != nullptr ? config.snapshot->tail_rows() : 0;
+  return range->end - range->begin + tail;
+}
+
 Position PlanTemplate::MorselPositions(int workers) const {
   if (config.morsel_positions != exec::kDefaultMorselPositions) {
     return config.morsel_positions;

@@ -6,8 +6,8 @@
 // BuildSortPlan factories, restricted to one morsel of the position space.
 //
 // One executor, sched/scheduler.h, runs every template, in one of two
-// places: on a pool's workers, or — for a 1-worker query — on the caller's
-// thread (sched::RunOnCaller) as one task over the full position space.
+// places: on a pool's workers, or on the caller's thread
+// (sched::RunOnCaller) as one task over the full position space.
 // Either way each task instantiates and drains a plan into its worker's
 // partial, and one finalize merges the partials:
 //
@@ -29,6 +29,12 @@
 // table (JoinBuildTable), then probe morsels partition the outer side
 // exactly like scan morsels (an empty outer side is one task, still after
 // the build).
+//
+// Which of the two places a template runs in is the session's choice
+// (api/connection.h), made from TouchedPositions(): a plan that reads at
+// most one window's positions runs on the caller's thread on every
+// session, since a morsel is at least one window and a pool could only
+// hand the whole plan to one worker.
 
 #ifndef CSTORE_PLAN_PARALLEL_H_
 #define CSTORE_PLAN_PARALLEL_H_
@@ -71,6 +77,18 @@ struct PlanTemplate {
   /// Size of the position space morsels partition (the scanned projection's
   /// row count — for joins, the *outer* side's, write-store tail included).
   Position TotalPositions() const;
+
+  /// Positions a run of the whole template reads. A late plan whose
+  /// positions come from the sorted index alone (the index-answered column
+  /// is its only filter, or its first filter under LM-pipelined, which
+  /// refines only the index's positions) touches the index range plus the
+  /// write-store tail; a join touches its outer side plus the inner side
+  /// its hash build reads; every other plan touches TotalPositions(). The
+  /// lookup costs one binary search per bound, as the plan's own does.
+  /// api::Connection runs a plan touching at most kChunkPositions on the
+  /// caller's thread: a morsel is at least one window, so no pool could
+  /// split its work.
+  Position TouchedPositions() const;
 
   /// Positions per morsel on a pool of `workers`: config.morsel_positions,
   /// or sized from TotalPositions() and the pool width when left at the

@@ -1,5 +1,5 @@
 // The query executor: many concurrent queries on one worker pool, and a
-// 1-worker query on the caller's thread.
+// query no pool could split on the caller's thread.
 //
 // A query runs as tasks plus one finalize. A task is a join's hash build
 // (PlanTemplate::BuildJoinTable), a background job, or one plan instance
@@ -20,7 +20,8 @@
 //     costs the query latency, never the pool throughput. Empty scans are
 //     one task. No lock is taken on the output path during execution.
 //   * RunOnCaller runs the build task (joins only) and one task over the
-//     full position range on the calling thread, then finalizes there.
+//     full position range on the calling thread, then finalizes there:
+//     for a plan no pool could split (api/connection.h states the rule).
 //
 // Correctness contract (tests/sched_test.cc): for every query in a
 // concurrent mixed batch, output_tuples and the order-independent checksum
@@ -31,8 +32,11 @@
 //
 // wall_micros measures submit → finalize on a pool (queueing latency is
 // part of a query's reported latency, which is what a throughput bench
-// wants) and start → finalize on the caller's thread. The cstore_sched_*
-// metrics, the latency histograms and system.queries count pool work only.
+// wants) and start → finalize on the caller's thread. A caller-thread run
+// writes its system.query_log row and nothing else: the cstore_sched_*
+// metrics (queries and morsels executed, the in-flight gauge admission
+// control reads, queue wait), the latency histograms and system.queries
+// count pool work only.
 
 #ifndef CSTORE_SCHED_SCHEDULER_H_
 #define CSTORE_SCHED_SCHEDULER_H_

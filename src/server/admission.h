@@ -5,7 +5,10 @@
 // engine already maintains rather than new counters:
 //
 //   * in-flight queries — the scheduler's cstore_sched_inflight_queries
-//     gauge (every submitted-but-unfinalized query, any session);
+//     gauge (every submitted-but-unfinalized query, any session). It
+//     counts pool work only: a statement whose plan touches at most one
+//     window runs on its handler thread (api/connection.h), so it passes
+//     this gate like any other request but never adds to the count;
 //   * buffered output bytes — the shared gauge every server session's
 //     ChunkQueue accounts into (Connection::Settings::stream_byte_account):
 //     results produced but not yet drained to clients, i.e. the memory a

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -17,6 +18,9 @@ namespace {
 
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 constexpr size_t kMaxBodyBytes = 64 * 1024 * 1024;
+// A response is sent once its buffer would hold this much. Smaller pieces
+// are copied into the buffer; the rest leaves from where it lies.
+constexpr size_t kFlushBytes = 64 * 1024;
 
 std::string ToLower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(c));
@@ -164,24 +168,54 @@ bool HttpConn::ReadRequest(HttpRequest* out) {
   return true;
 }
 
-bool HttpConn::WriteAll(const char* data, size_t n) {
-  if (broken_) return false;
-  while (n > 0) {
-    const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
+bool HttpConn::Send(std::initializer_list<std::string_view> pieces) {
+  iovec iov[4];
+  size_t n = 0;
+  if (!out_.empty()) iov[n++] = {out_.data(), out_.size()};
+  for (std::string_view piece : pieces) {
+    if (!piece.empty()) {
+      iov[n++] = {const_cast<char*>(piece.data()), piece.size()};
+    }
+  }
+  size_t first = 0;  // iov[first..n) is still unsent
+  while (first < n && !broken_) {
+    msghdr msg = {};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = n - first;
+    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w <= 0) {
       if (w < 0 && errno == EINTR) continue;
       broken_ = true;  // client went away (EPIPE/ECONNRESET) or fatal error
-      return false;
+      break;
     }
-    data += w;
-    n -= static_cast<size_t>(w);
+    size_t sent = static_cast<size_t>(w);
+    while (first < n && sent >= iov[first].iov_len) {
+      sent -= iov[first++].iov_len;
+    }
+    if (sent > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
-  return true;
+  // The buffer only ever holds pieces below kFlushBytes; a connection keeps
+  // no more than that between responses.
+  if (out_.capacity() > kFlushBytes) {
+    std::string().swap(out_);
+  } else {
+    out_.clear();
+  }
+  return !broken_;
+}
+
+bool HttpConn::Flush() {
+  if (broken_) return false;
+  return out_.empty() || Send({});
 }
 
 bool HttpConn::WriteResponse(int status, const std::string& content_type,
                              const std::string& body, bool keep_alive,
                              const std::string& extra_headers) {
+  if (broken_) return false;
   char head[384];
   std::snprintf(head, sizeof(head),
                 "HTTP/1.1 %d %s\r\nContent-Type: %s\r\n"
@@ -189,30 +223,46 @@ bool HttpConn::WriteResponse(int status, const std::string& content_type,
                 status, HttpStatusText(status), content_type.c_str(),
                 body.size(), extra_headers.c_str(),
                 keep_alive ? "keep-alive" : "close");
-  return WriteAll(head, std::strlen(head)) &&
-         WriteAll(body.data(), body.size());
+  out_ += head;
+  return Send({body});
 }
 
 bool HttpConn::StartChunked(int status, const std::string& content_type,
                             bool keep_alive) {
+  if (broken_) return false;
   char head[256];
   std::snprintf(head, sizeof(head),
                 "HTTP/1.1 %d %s\r\nContent-Type: %s\r\n"
                 "Transfer-Encoding: chunked\r\nConnection: %s\r\n\r\n",
                 status, HttpStatusText(status), content_type.c_str(),
                 keep_alive ? "keep-alive" : "close");
-  return WriteAll(head, std::strlen(head));
+  out_ += head;
+  return true;
 }
 
 bool HttpConn::WriteChunk(const std::string& data) {
-  if (data.empty()) return !broken_;  // empty chunk would end the stream
+  if (broken_) return false;
+  if (data.empty()) return true;  // an empty chunk would end the stream
   char size_line[32];
-  std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
-  return WriteAll(size_line, std::strlen(size_line)) &&
-         WriteAll(data.data(), data.size()) && WriteAll("\r\n", 2);
+  const int len =
+      std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
+  const std::string_view size(size_line, static_cast<size_t>(len));
+  if (out_.size() + size.size() + data.size() + 2 < kFlushBytes) {
+    out_ += size;
+    out_ += data;
+    out_ += "\r\n";
+    return true;
+  }
+  // The buffer would reach kFlushBytes: send it and this chunk together,
+  // the chunk from where it lies.
+  return Send({size, data, "\r\n"});
 }
 
-bool HttpConn::EndChunked() { return WriteAll("0\r\n\r\n", 5); }
+bool HttpConn::EndChunked() {
+  if (broken_) return false;
+  out_ += "0\r\n\r\n";
+  return Send({});
+}
 
 TcpListener::~TcpListener() { Shutdown(); }
 

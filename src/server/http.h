@@ -4,9 +4,18 @@
 // headers + Content-Length bodies in, fixed or chunked responses out,
 // keep-alive by default. Chunked transfer encoding is the streaming path:
 // each result batch goes out as one chunk, so a query's memory stays
-// bounded by the RowCursor queue no matter the result size — and a failed
-// write (client gone) surfaces immediately, letting the caller drop the
-// cursor and cancel the query.
+// bounded by the RowCursor queue no matter the result size.
+//
+// A response's small pieces (status line, headers, each chunk's size line
+// and CRLF, chunks under 64 KB, the terminator) collect in one buffer per
+// connection. It is sent when the response ends, or together with the
+// piece that would take it to 64 KB, which leaves from where it lies with
+// no copy, so a small response costs one system call and, under
+// TCP_NODELAY, one TCP segment. The server flushes after each chunk of a
+// result still being produced on the pool (Flush), so a client that has
+// gone away fails the next chunk's send, letting the caller drop the
+// cursor and cancel the query. The cost: a response's first bytes leave
+// with its first flush, not ahead of it.
 //
 // Server side: TcpListener accepts; HttpConn speaks the protocol on one
 // accepted socket. Both are used by server.cc only. The matching client
@@ -16,8 +25,10 @@
 #define CSTORE_SERVER_HTTP_H_
 
 #include <atomic>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -42,10 +53,10 @@ std::string UrlDecode(const std::string& s);
 /// Canonical reason phrase for the handful of codes the server emits.
 const char* HttpStatusText(int code);
 
-/// Server side of one accepted connection. Owns the fd. All writes use
-/// MSG_NOSIGNAL and full-write loops; any failure latches `broken`, after
-/// which every call is a cheap no-op returning false — callers just fall
-/// out of their streaming loops.
+/// Server side of one accepted connection. Owns the fd. Every response is
+/// buffered as above and sent with MSG_NOSIGNAL full-write loops; any
+/// failure latches `broken`, after which every call is a cheap no-op
+/// returning false — callers just fall out of their streaming loops.
 class HttpConn {
  public:
   explicit HttpConn(int fd) : fd_(fd) {}
@@ -58,30 +69,39 @@ class HttpConn {
   /// case the connection is done.
   bool ReadRequest(HttpRequest* out);
 
-  /// Writes one complete response with Content-Length. `extra_headers`,
-  /// if non-empty, is spliced verbatim into the header block — each line
-  /// CRLF-terminated (e.g. "Retry-After: 1\r\n").
+  /// Writes one complete response with Content-Length, head and body in
+  /// one send. `extra_headers`, if non-empty, is spliced verbatim into the
+  /// header block — each line CRLF-terminated (e.g. "Retry-After: 1\r\n").
   bool WriteResponse(int status, const std::string& content_type,
                      const std::string& body, bool keep_alive,
                      const std::string& extra_headers = "");
 
   /// Streaming response: status + headers with chunked transfer encoding,
   /// then any number of WriteChunk calls, then EndChunked. Empty chunks are
-  /// skipped (an empty chunk would terminate the stream).
+  /// skipped (an empty chunk would terminate the stream). WriteChunk sends
+  /// only once the buffer would reach 64 KB, EndChunked sends the rest, so
+  /// each returns false only from a failed send.
   bool StartChunked(int status, const std::string& content_type,
                     bool keep_alive);
   bool WriteChunk(const std::string& data);
   bool EndChunked();
 
+  /// Sends whatever is buffered now; false once the connection broke.
+  bool Flush();
+
   bool broken() const { return broken_; }
   int fd() const { return fd_; }
 
  private:
-  bool WriteAll(const char* data, size_t n);
+  /// Sends the buffer followed by at most three `pieces`, which are not
+  /// copied, in one sendmsg where the socket takes it whole, then empties
+  /// the buffer.
+  bool Send(std::initializer_list<std::string_view> pieces);
 
   int fd_;
   bool broken_ = false;
   std::string buf_;  // read-ahead spanning keep-alive requests
+  std::string out_;  // small pieces of the response being written
 };
 
 /// Listening socket. Shutdown() closes the fd from another thread, which

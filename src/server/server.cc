@@ -240,7 +240,11 @@ void Server::HandleQuery(api::Connection* session, HttpConn* conn,
     }
     if (!*has) break;
     rows += chunk.num_tuples();
-    if (!conn->WriteChunk(enc.EncodeChunk(chunk))) {
+    // A query still running on the pool sends each chunk as it comes, so a
+    // client that has gone away fails the next send and cancels it; a
+    // result held whole leaves with the rest of the response.
+    if (!conn->WriteChunk(enc.EncodeChunk(chunk)) ||
+        (!cursor->finished() && !conn->Flush())) {
       // Client went away mid-stream. Dropping the cursor (scope exit)
       // cancels the query in the scheduler; it logs as "cancelled".
       disconnects_total_->Inc();

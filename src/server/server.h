@@ -3,7 +3,10 @@
 // dedicated session (its own api::Connection over the server's shared
 // Scheduler), so concurrent clients interleave at morsel granularity
 // exactly like concurrent in-process sessions — the server adds transport,
-// admission control, and ops routes, not a second execution path.
+// admission control, and ops routes, not a second execution path. Every
+// SELECT goes through Connection::Stream; one whose plan touches at most
+// one window (an index lookup, a one-window table) runs right there on the
+// connection's handler thread, with no hand-off to the pool and back.
 //
 // Routes:
 //   GET  /health                    liveness probe ("ok")
@@ -16,10 +19,12 @@
 //   GET  /log                       system.query_log (recent history)
 //
 // SELECT results flow through api::RowCursor into chunked transfer
-// encoding — bounded memory regardless of result size, and a client that
-// disconnects mid-stream fails the next chunk write, which drops the
-// cursor and cancels the query inside the scheduler (freeing its remaining
-// morsels; the query logs as status "cancelled").
+// encoding — bounded memory regardless of result size. A result the
+// handler thread holds whole leaves in one send() (http.h); one still
+// running on the pool leaves chunk by chunk, so a client that disconnects
+// mid-stream fails the next chunk's send, which drops the cursor and
+// cancels the query inside the scheduler (freeing its remaining morsels;
+// the query logs as status "cancelled").
 //
 // Admission control (admission.h) runs before any statement is parsed:
 // requests shed with HTTP 503 + Retry-After once the engine passes the

@@ -3,7 +3,9 @@
 // concurrent compaction), RowCursor backpressure and cancellation, the
 // UPDATE statement end to end, the join-side snapshot merge, EXPLAIN with
 // `?` parameters, an execution error surfacing through the cursor, and the
-// standalone routing: inline at 1 worker, long-lived session pools above.
+// routing: a plan touching at most one window on the caller's thread on
+// every session, standalone sessions inline at 1 worker and on long-lived
+// session pools above.
 
 #include <algorithm>
 #include <atomic>
@@ -20,6 +22,7 @@
 
 #include "api/connection.h"
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "plan/executor.h"
 #include "test_util.h"
@@ -135,17 +138,34 @@ TEST_F(ApiTest, SubmitCarriesErrorsInHandle) {
   EXPECT_FALSE(empty.Wait().ok());
 }
 
+/// Queries the shared scheduler counter has seen: every pool run, on any
+/// pool, adds one; a caller-thread run adds none.
+uint64_t PoolQueries() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("cstore_sched_queries_total")
+      ->value();
+}
+
 TEST_F(ApiTest, PooledConnectionRunsOnSharedScheduler) {
+  MakeBigTable();
   sched::Scheduler::Options so;
   so.num_workers = 2;
   sched::Scheduler scheduler(so);
   api::Connection pooled(db_.get(), &scheduler);
   api::Connection standalone(db_.get());
-  const char* sql = "SELECT a, SUM(b) FROM t GROUP BY a";
-  ASSERT_OK_AND_ASSIGN(api::QueryResult p, pooled.Query(sql));
-  ASSERT_OK_AND_ASSIGN(api::QueryResult s, standalone.Query(sql));
-  EXPECT_EQ(p.stats.checksum, s.stats.checksum);
-  EXPECT_EQ(p.tuples.num_tuples(), s.tuples.num_tuples());
+  // t fits in one window, so the pooled session runs it on the caller's
+  // thread; big spans seven and goes to the shared pool.
+  for (const char* sql : {"SELECT a, SUM(b) FROM t GROUP BY a",
+                          "SELECT COUNT(x) FROM big WHERE x < 500"}) {
+    const uint64_t pool_before = PoolQueries();
+    ASSERT_OK_AND_ASSIGN(api::QueryResult p, pooled.Query(sql));
+    EXPECT_EQ(PoolQueries() - pool_before,
+              std::string(sql).find("big") != std::string::npos ? 1u : 0u)
+        << sql;
+    ASSERT_OK_AND_ASSIGN(api::QueryResult s, standalone.Query(sql));
+    EXPECT_EQ(p.stats.checksum, s.stats.checksum) << sql;
+    EXPECT_EQ(p.tuples.num_tuples(), s.tuples.num_tuples()) << sql;
+  }
 }
 
 // --- Standalone routing: inline at 1 worker, session pools above ----------
@@ -398,12 +418,19 @@ TEST_F(ApiTest, SortedKeyLookupRunsLmPipelinedOnTheIndex) {
       const std::string sql =
           "SELECT k, v FROM s WHERE k = " + std::to_string(key);
       for (api::Connection* conn : sessions) {
-        ASSERT_OK_AND_ASSIGN(api::QueryResult r, conn->Query(sql));
-        EXPECT_EQ(r.strategy, plan::Strategy::kLmPipelined)
-            << phase << ": " << sql;
-        EXPECT_EQ(Bag(r), want(key)) << phase << ": " << sql;
-        // The lookup never evaluates the predicate on the read store.
-        EXPECT_LT(r.stats.exec.predicate_evals, 1000u) << phase << ": " << sql;
+        // Query runs the lookup on the caller's thread, Submit on a pool.
+        ASSERT_OK_AND_ASSIGN(api::QueryResult query, conn->Query(sql));
+        ASSERT_OK_AND_ASSIGN(api::QueryResult submitted,
+                             conn->Submit(sql).Wait());
+        for (const api::QueryResult* r : {&query, &submitted}) {
+          const char* route = r == &query ? " (Query)" : " (Submit)";
+          EXPECT_EQ(r->strategy, plan::Strategy::kLmPipelined)
+              << phase << ": " << sql << route;
+          EXPECT_EQ(Bag(*r), want(key)) << phase << ": " << sql << route;
+          // The lookup never evaluates the predicate on the read store.
+          EXPECT_LT(r->stats.exec.predicate_evals, 1000u)
+              << phase << ": " << sql << route;
+        }
       }
     }
   };
@@ -435,6 +462,202 @@ TEST_F(ApiTest, SortedKeyLookupRunsLmPipelinedOnTheIndex) {
   ASSERT_GT(deleted, 0u);
   EXPECT_EQ(del.rows_affected, deleted);
   check("after writes");
+}
+
+/// Rows system.query_log holds for `label`.
+size_t LoggedRuns(const std::string& label) {
+  size_t n = 0;
+  for (const obs::QueryLogEntry& e : obs::QueryLog::Global().Snapshot()) {
+    n += e.label == label;
+  }
+  return n;
+}
+
+TEST_F(ApiTest, PlansTouchingOneWindowRunOnTheCaller) {
+  // `s` is stored sorted by k (10 rows per key) over three windows, with a
+  // write-store tail and deletes in both stores.
+  const size_t n = 180000;
+  std::vector<Value> k(n), v(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<Value>(i / 10);
+    v[i] = static_cast<Value>((i * 7919) % 1000);
+  }
+  ASSERT_OK(db_->CreateColumn("s.k", codec::Encoding::kUncompressed, k));
+  ASSERT_OK(db_->CreateColumn("s.v", codec::Encoding::kUncompressed, v));
+  ASSERT_OK(db_->RegisterTable("s", {{"k", "s.k"}, {"v", "s.v"}}));
+  api::Connection writer(db_.get());
+  ASSERT_OK(writer
+                .Query("INSERT INTO s VALUES (7, 1), (7, 2), (6554, 3), "
+                       "(20000, 4), (20000, 5)")
+                .status());
+  ASSERT_OK_AND_ASSIGN(api::QueryResult del_read,
+                       writer.Query("DELETE FROM s WHERE k = 7 AND v > 500"));
+  ASSERT_GT(del_read.rows_affected, 0u);
+  ASSERT_OK_AND_ASSIGN(api::QueryResult del_tail,
+                       writer.Query("DELETE FROM s WHERE k = 20000 AND v = 4"));
+  ASSERT_EQ(del_tail.rows_affected, 1u);
+
+  sched::Scheduler shared(sched::Scheduler::Options{2});
+  api::Connection pooled(db_.get(), &shared);
+  api::Connection::Settings two_workers;
+  two_workers.num_workers = 2;
+  api::Connection standalone(db_.get(), nullptr, two_workers);
+  api::Connection reference(db_.get());  // 1 worker: the reference run
+
+  struct Case {
+    std::string sql;  // one `?` per param
+    std::vector<Value> params;
+    plan::Strategy strategy;
+    bool on_caller;
+  };
+  const std::vector<Case> cases = {
+      // A point lookup, and a lookup straddling the first window boundary
+      // (positions 65 530 to 65 549, plus a tail row), answered by the
+      // index: at most one window's positions.
+      {"SELECT k, v FROM s WHERE k = ?", {7}, plan::Strategy::kLmParallel,
+       true},
+      {"SELECT k, v FROM s WHERE k = ?", {7}, plan::Strategy::kLmPipelined,
+       true},
+      {"SELECT k, v FROM s WHERE k >= ? AND k <= ?", {6553, 6554},
+       plan::Strategy::kLmParallel, true},
+      {"SELECT k, v FROM s WHERE k >= ? AND k <= ?", {6553, 6554},
+       plan::Strategy::kLmPipelined, true},
+      {"SELECT k, v FROM s WHERE k >= ? AND k <= ? AND v < ?",
+       {6553, 6554, 500}, plan::Strategy::kLmPipelined, true},
+      // More than one window: a wide index range, the lookup under an EM
+      // plan (which scans every window), and LM-parallel with a second
+      // filter the index does not answer.
+      {"SELECT k, v FROM s WHERE k < ?", {7000}, plan::Strategy::kLmParallel,
+       false},
+      {"SELECT k, v FROM s WHERE k = ?", {7}, plan::Strategy::kEmParallel,
+       false},
+      {"SELECT k, v FROM s WHERE k = ? AND v < ?", {7, 500},
+       plan::Strategy::kLmParallel, false},
+  };
+  // The SQL text with its parameters written in, for Query and Stream.
+  auto literal = [](const Case& c) {
+    std::string out;
+    size_t next = 0;
+    for (char ch : c.sql) {
+      if (ch == '?') {
+        out += std::to_string(c.params[next++]);
+      } else {
+        out.push_back(ch);
+      }
+    }
+    return out;
+  };
+
+  for (const Case& c : cases) {
+    const std::string sql = literal(c);
+    ASSERT_OK_AND_ASSIGN(api::QueryResult want,
+                         reference.Query(sql, c.strategy));
+    ASSERT_GT(want.tuples.num_tuples(), 0u) << sql;
+    for (api::Connection* conn : {&pooled, &standalone}) {
+      const char* session = conn == &pooled ? "shared pool" : "standalone";
+      api::Connection::Settings settings = conn->settings();
+      settings.strategy = c.strategy;
+      conn->set_settings(settings);
+      ASSERT_OK_AND_ASSIGN(api::PreparedStatement prepared,
+                           conn->Prepare(c.sql));
+      for (const char* path : {"Query", "Execute", "Stream"}) {
+        const std::string label = path == std::string("Execute") ? c.sql : sql;
+        const uint64_t pool_before = PoolQueries();
+        const size_t logged_before = LoggedRuns(label);
+        Result<api::QueryResult> got = Status::Internal("not run");
+        if (path == std::string("Query")) {
+          got = conn->Query(sql);
+        } else if (path == std::string("Execute")) {
+          got = prepared.Execute(c.params);
+        } else {
+          Result<api::RowCursor> cursor = conn->Stream(sql);
+          ASSERT_TRUE(cursor.ok()) << cursor.status().ToString() << sql;
+          // A caller-thread run's cursor holds its result from the start.
+          EXPECT_EQ(cursor->finished(), c.on_caller) << session << ": " << sql;
+          got = cursor->FetchAll();
+        }
+        ASSERT_TRUE(got.ok()) << got.status().ToString() << " " << session
+                              << " " << path << ": " << sql;
+        EXPECT_EQ(got->strategy, c.strategy) << session << " " << path;
+        EXPECT_EQ(Bag(*got), Bag(want)) << session << " " << path << ": "
+                                        << sql;
+        EXPECT_EQ(got->stats.checksum, want.stats.checksum)
+            << session << " " << path << ": " << sql;
+        EXPECT_EQ(PoolQueries() - pool_before, c.on_caller ? 0u : 1u)
+            << session << " " << path << ": " << sql;
+        EXPECT_EQ(LoggedRuns(label), logged_before + 1)
+            << session << " " << path << ": " << sql;
+      }
+    }
+  }
+
+  // A join touches its outer side plus the inner side its hash build
+  // reads: a 4-row outer side over a three-window inner table runs on a
+  // pool, over a 100-row one on the caller's thread.
+  std::vector<Value> uk(n), up(n);
+  for (size_t i = 0; i < n; ++i) {
+    uk[i] = static_cast<Value>(i);
+    up[i] = static_cast<Value>((i * 31) % 1000);
+  }
+  const std::vector<Value> ok = {7, 65540, 170000, 200000};
+  ASSERT_OK(db_->CreateColumn("u.k", codec::Encoding::kUncompressed, uk));
+  ASSERT_OK(db_->CreateColumn("u.p", codec::Encoding::kUncompressed, up));
+  ASSERT_OK(db_->CreateColumn(
+      "c.k", codec::Encoding::kUncompressed,
+      std::vector<Value>(uk.begin(), uk.begin() + 100)));
+  ASSERT_OK(db_->CreateColumn(
+      "c.p", codec::Encoding::kUncompressed,
+      std::vector<Value>(up.begin(), up.begin() + 100)));
+  ASSERT_OK(db_->CreateColumn("o.k", codec::Encoding::kUncompressed, ok));
+  ASSERT_OK(db_->CreateColumn("o.p", codec::Encoding::kUncompressed,
+                              std::vector<Value>{1, 2, 3, 4}));
+  plan::JoinQuery big_inner;
+  ASSERT_OK_AND_ASSIGN(big_inner.left_key, db_->GetColumn("o.k"));
+  ASSERT_OK_AND_ASSIGN(big_inner.left_payload, db_->GetColumn("o.p"));
+  big_inner.left_pred = codec::Predicate::True();
+  ASSERT_OK_AND_ASSIGN(big_inner.right_key, db_->GetColumn("u.k"));
+  ASSERT_OK_AND_ASSIGN(big_inner.right_payload, db_->GetColumn("u.p"));
+  plan::JoinQuery small_inner = big_inner;
+  ASSERT_OK_AND_ASSIGN(small_inner.right_key, db_->GetColumn("c.k"));
+  ASSERT_OK_AND_ASSIGN(small_inner.right_payload, db_->GetColumn("c.p"));
+  for (const plan::JoinQuery* q : {&big_inner, &small_inner}) {
+    const bool on_caller = q == &small_inner;
+    const char* name = on_caller ? "small inner" : "big inner";
+    plan::PlanConfig config;
+    ASSERT_OK_AND_ASSIGN(
+        api::QueryResult want,
+        reference.Query(plan::PlanTemplate::Join(
+            *q, exec::JoinRightMode::kMultiColumn, config)));
+    ASSERT_GT(want.tuples.num_tuples(), 0u) << name;
+    config.num_workers = 2;
+    const plan::PlanTemplate tmpl =
+        plan::PlanTemplate::Join(*q, exec::JoinRightMode::kMultiColumn, config);
+    // Query on the shared pool; Stream on both sessions (a standalone
+    // session's synchronous run of a one-morsel plan is on its caller
+    // whatever it touches).
+    const std::pair<api::Connection*, bool> routes[] = {
+        {&pooled, false}, {&pooled, true}, {&standalone, true}};
+    for (auto [conn, streamed] : routes) {
+      const std::string route =
+          std::string(name) +
+          (conn == &pooled ? " shared pool" : " standalone") +
+          (streamed ? " Stream" : " Query");
+      const uint64_t pool_before = PoolQueries();
+      Result<api::QueryResult> got = Status::Internal("not run");
+      if (streamed) {
+        Result<api::RowCursor> cursor = conn->Stream(tmpl);
+        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString() << route;
+        EXPECT_EQ(cursor->finished(), on_caller) << route;
+        got = cursor->FetchAll();
+      } else {
+        got = conn->Query(tmpl);
+      }
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << " " << route;
+      EXPECT_EQ(Bag(*got), Bag(want)) << route;
+      EXPECT_EQ(got->stats.checksum, want.stats.checksum) << route;
+      EXPECT_EQ(PoolQueries() - pool_before, on_caller ? 0u : 1u) << route;
+    }
+  }
 }
 
 // --- Cost-model calibration -------------------------------------------------

@@ -740,9 +740,10 @@ TEST_F(JoinWriteTest, BuildUnderDeletesAcrossInnerBlocksMatchesBruteForce) {
 
 TEST_F(JoinWriteTest, EmptySidesJoinCleanly) {
   // Zero-row tables on either side of the join, at every worker count, on
-  // a standalone session (inline at 1 worker, the session pool above) and
-  // on a shared scheduler. An empty outer side is the scheduler's
-  // single-task path; it still runs after the build.
+  // a standalone session and on a shared scheduler, each through Query
+  // (which runs a join this small on the caller's thread) and Submit
+  // (always a pool). An empty outer side is the scheduler's single-task
+  // path; it still runs after the build.
   const std::vector<Value> orders_key = {1, 2, 3, 2, 9};
   const std::vector<Value> orders_payload = {10, 20, 30, 40, 50};
   const std::vector<Value> customer_key = {1, 2, 3};
@@ -807,35 +808,47 @@ TEST_F(JoinWriteTest, EmptySidesJoinCleanly) {
   sched::Scheduler scheduler(so);
   api::Connection standalone(db_.get());
   api::Connection pooled(db_.get(), &scheduler);
+  // Both routes of a session: Query and Submit.
+  auto run = [](api::Connection* conn, bool submit,
+                const plan::PlanTemplate& tmpl) {
+    return submit ? conn->Submit(tmpl).Wait() : conn->Query(tmpl);
+  };
   for (api::Connection* conn : {&standalone, &pooled}) {
-    const char* route = conn == &standalone ? "standalone" : "pooled";
-    for (JoinRightMode mode : kAllModes) {
-      for (int workers : kWorkerCounts) {
-        plan::PlanConfig config = JoinWorkerConfig(workers);
-        for (const plan::JoinQuery* q : {&empty_outer, &empty_inner}) {
-          auto r = conn->Query(plan::PlanTemplate::Join(*q, mode, config));
-          ASSERT_TRUE(r.ok()) << route << " " << JoinRightModeName(mode)
-                              << " workers=" << workers << ": "
-                              << r.status().ToString();
-          EXPECT_EQ(r->stats.output_tuples, 0u)
+    for (bool submit : {false, true}) {
+      const std::string route =
+          std::string(conn == &standalone ? "standalone" : "pooled") +
+          (submit ? " Submit" : " Query");
+      for (JoinRightMode mode : kAllModes) {
+        for (int workers : kWorkerCounts) {
+          plan::PlanConfig config = JoinWorkerConfig(workers);
+          for (const plan::JoinQuery* q : {&empty_outer, &empty_inner}) {
+            auto r =
+                run(conn, submit, plan::PlanTemplate::Join(*q, mode, config));
+            ASSERT_TRUE(r.ok()) << route << " " << JoinRightModeName(mode)
+                                << " workers=" << workers << ": "
+                                << r.status().ToString();
+            EXPECT_EQ(r->stats.output_tuples, 0u)
+                << route << " " << JoinRightModeName(mode)
+                << (q == &empty_outer ? " empty outer" : " empty inner")
+                << " workers=" << workers;
+            EXPECT_EQ(r->tuples.num_tuples(), 0u);
+          }
+          ASSERT_OK_AND_ASSIGN(
+              api::QueryResult inner_r,
+              run(conn, submit,
+                  plan::PlanTemplate::Join(tail_inner, mode, config)));
+          EXPECT_TRUE(rows_of(inner_r) == tail_inner_expected)
               << route << " " << JoinRightModeName(mode)
-              << (q == &empty_outer ? " empty outer" : " empty inner")
-              << " workers=" << workers;
-          EXPECT_EQ(r->tuples.num_tuples(), 0u);
+              << " tail-only inner workers=" << workers;
+          config.snapshot = tail_snap;
+          ASSERT_OK_AND_ASSIGN(
+              api::QueryResult outer_r,
+              run(conn, submit,
+                  plan::PlanTemplate::Join(empty_outer, mode, config)));
+          EXPECT_TRUE(rows_of(outer_r) == tail_outer_expected)
+              << route << " " << JoinRightModeName(mode)
+              << " tail-only outer workers=" << workers;
         }
-        ASSERT_OK_AND_ASSIGN(
-            api::QueryResult inner_r,
-            conn->Query(plan::PlanTemplate::Join(tail_inner, mode, config)));
-        EXPECT_TRUE(rows_of(inner_r) == tail_inner_expected)
-            << route << " " << JoinRightModeName(mode)
-            << " tail-only inner workers=" << workers;
-        config.snapshot = tail_snap;
-        ASSERT_OK_AND_ASSIGN(
-            api::QueryResult outer_r,
-            conn->Query(plan::PlanTemplate::Join(empty_outer, mode, config)));
-        EXPECT_TRUE(rows_of(outer_r) == tail_outer_expected)
-            << route << " " << JoinRightModeName(mode)
-            << " tail-only outer workers=" << workers;
       }
     }
   }

@@ -744,7 +744,8 @@ TEST_F(ObsTest, SystemTablesAnswerThroughAllStrategies) {
   ASSERT_EQ(agg.tuples.num_tuples(), 1u);
   EXPECT_EQ(agg.tuples.tuple(0)[0], 42);
 
-  // Pooled scheduler path.
+  // A pooled session: Query runs a system table this small on the caller's
+  // thread, Submit on the scheduler's pool.
   sched::Scheduler::Options so;
   so.num_workers = 4;
   sched::Scheduler scheduler(so);
@@ -752,6 +753,9 @@ TEST_F(ObsTest, SystemTablesAnswerThroughAllStrategies) {
   ASSERT_OK_AND_ASSIGN(api::QueryResult pr, pooled.Query(sql, {}));
   ASSERT_EQ(pr.tuples.num_tuples(), 1u);
   EXPECT_EQ(pr.tuples.tuple(0)[0], 42);
+  ASSERT_OK_AND_ASSIGN(api::QueryResult submitted, pooled.Submit(sql).Wait());
+  ASSERT_EQ(submitted.tuples.num_tuples(), 1u);
+  EXPECT_EQ(submitted.tuples.tuple(0)[0], 42);
 }
 
 TEST_F(ObsTest, SystemQueriesTablesPoolsAndLogCrossCheck) {

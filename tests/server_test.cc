@@ -1,4 +1,5 @@
-// SQL server front-end tests: the shared result encoder (JSON/CSV), the
+// SQL server front-end tests: the shared result encoder (JSON/CSV), one
+// send() per response (HttpConn over a record-preserving socket), the
 // wire protocol end to end over real sockets, checksum-verified results
 // under 8+ concurrent clients, admission control shedding on both pressure
 // signals (in-flight cap and buffered-output cap) while admitted queries
@@ -12,7 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,8 +28,10 @@
 #include "db/database.h"
 #include "obs/metrics.h"
 #include "server/client.h"
+#include "server/http.h"
 #include "server/server.h"
 #include "test_util.h"
+#include "util/string_dict.h"
 
 namespace cstore {
 namespace {
@@ -78,10 +84,199 @@ TEST(ResultEncoderTest, CsvQuotingOnlyWhenNeeded) {
   EXPECT_STREQ(enc.content_type(), "text/csv");
 }
 
+TEST(ResultEncoderTest, IntegersAndDictionaryStringsInBothWires) {
+  // INT64_MAX lies in the dictionary's id range but names no entry, so it
+  // renders as a number; the interned string needs escaping and quoting.
+  const Value str = util::StringDict::Global().Intern("say \"hi\", 2");
+  const Value kMin = std::numeric_limits<Value>::min();
+  const Value kMax = std::numeric_limits<Value>::max();
+  EXPECT_EQ(api::RenderValue(str), "say \"hi\", 2");
+  EXPECT_EQ(api::RenderValue(kMin), "-9223372036854775808");
+  EXPECT_EQ(api::RenderValue(kMax), "9223372036854775807");
+  EXPECT_EQ(api::RenderValue(0), "0");
+
+  exec::TupleChunk chunk(5);
+  Value* row = chunk.AppendTuple(0);
+  row[0] = 0;
+  row[1] = -42;
+  row[2] = kMin;
+  row[3] = kMax;
+  row[4] = str;
+  row = chunk.AppendTuple(1);
+  row[0] = 1;
+  row[1] = str;
+  row[2] = -1;
+  row[3] = 123456789;
+  row[4] = 9;
+
+  api::ResultEncoder json(api::Wire::kJson, {"a", "b", "c", "d", "e"});
+  EXPECT_EQ(json.EncodeChunk(chunk),
+            "[0,-42,-9223372036854775808,9223372036854775807,"
+            "\"say \\\"hi\\\", 2\"],"
+            "[1,\"say \\\"hi\\\", 2\",-1,123456789,9]");
+  api::ResultEncoder csv(api::Wire::kCsv, {"a", "b", "c", "d", "e"});
+  EXPECT_EQ(csv.EncodeChunk(chunk),
+            "0,-42,-9223372036854775808,9223372036854775807,"
+            "\"say \"\"hi\"\", 2\"\n"
+            "1,\"say \"\"hi\"\", 2\",-1,123456789,9\n");
+}
+
 TEST(ResultEncoderTest, ParseWire) {
   ASSERT_TRUE(api::ParseWire("json").ok());
   ASSERT_TRUE(api::ParseWire("csv").ok());
   EXPECT_FALSE(api::ParseWire("xml").ok());
+}
+
+// --- HttpConn: one send per response ----------------------------------------
+
+/// Runs `write` on an HttpConn over one end of a SOCK_SEQPACKET socketpair,
+/// where every send() arrives as one record, and returns the records the
+/// other end received, in order.
+std::vector<std::string> SentRecords(
+    const std::function<void(server::HttpConn*)>& write) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair: " << std::strerror(errno);
+    return {};
+  }
+  std::vector<std::string> records;
+  std::thread reader([&] {
+    std::vector<char> buf(1 << 20);  // larger than any record sent here
+    for (;;) {
+      const ssize_t n = ::recv(fds[1], buf.data(), buf.size(), 0);
+      if (n <= 0) return;  // the writer's end closed
+      records.emplace_back(buf.data(), static_cast<size_t>(n));
+    }
+  });
+  {
+    server::HttpConn conn(fds[0]);  // closes its end on scope exit
+    write(&conn);
+  }
+  reader.join();
+  ::close(fds[1]);
+  return records;
+}
+
+/// One chunk of chunked transfer encoding, as it goes on the wire.
+std::string Framed(const std::string& data) {
+  char size_line[32];
+  std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
+  return size_line + data + "\r\n";
+}
+
+constexpr char kChunkedHead[] =
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    "Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+
+TEST(HttpConnTest, EachResponseLeavesInOneSend) {
+  const std::string error = "{\"error\":\"overloaded\"}\n";
+  std::vector<std::string> records =
+      SentRecords([&](server::HttpConn* conn) {
+        EXPECT_TRUE(conn->WriteResponse(503, "application/json", error,
+                                        /*keep_alive=*/false,
+                                        "Retry-After: 1\r\n"));
+      });
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0],
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\nContent-Length: " +
+                std::to_string(error.size()) +
+                "\r\nRetry-After: 1\r\nConnection: close\r\n\r\n" + error);
+
+  // A one-chunk SELECT: header, two data chunks (an empty one is skipped),
+  // footer and terminator.
+  const std::vector<std::string> pieces = {
+      "{\"columns\":[\"k\"],\"rows\":[", "[1],[2]", "", ",[3]",
+      "],\"rows_out\":3,\"wall_ms\":0.010}\n"};
+  records = SentRecords([&](server::HttpConn* conn) {
+    EXPECT_TRUE(conn->StartChunked(200, "application/json", true));
+    for (const std::string& piece : pieces) {
+      EXPECT_TRUE(conn->WriteChunk(piece));
+    }
+    EXPECT_TRUE(conn->EndChunked());
+  });
+  std::string want = kChunkedHead;
+  for (const std::string& piece : pieces) {
+    if (!piece.empty()) want += Framed(piece);
+  }
+  want += "0\r\n\r\n";
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], want);
+}
+
+TEST(HttpConnTest, LargeResponseLeavesIn64KbPieces) {
+  std::vector<std::string> chunks;
+  for (int i = 0; i < 10; ++i) {
+    chunks.push_back(std::string(15 * 1024, static_cast<char>('a' + i)));
+  }
+  const std::vector<std::string> records =
+      SentRecords([&](server::HttpConn* conn) {
+        EXPECT_TRUE(conn->StartChunked(200, "application/json", true));
+        for (const std::string& chunk : chunks) {
+          EXPECT_TRUE(conn->WriteChunk(chunk));
+        }
+        EXPECT_TRUE(conn->EndChunked());
+      });
+  std::string want = kChunkedHead;
+  for (const std::string& chunk : chunks) want += Framed(chunk);
+  want += "0\r\n\r\n";
+
+  ASSERT_GE(records.size(), 2u);
+  std::string got;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i + 1 < records.size()) {
+      EXPECT_GE(records[i].size(), 64u * 1024) << "record " << i;
+    }
+    got += records[i];
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(HttpConnTest, FlushAndLargePiecesLeaveAtOnce) {
+  // A result still running on the pool: the server flushes after each
+  // chunk, so each leaves in its own send, the head with the first.
+  const std::vector<std::string> pieces = {"{\"rows\":[", "[1]", ",[2]",
+                                           "]}\n"};
+  std::vector<std::string> records =
+      SentRecords([&](server::HttpConn* conn) {
+        EXPECT_TRUE(conn->StartChunked(200, "application/json", true));
+        EXPECT_TRUE(conn->WriteChunk(pieces[0]));
+        EXPECT_TRUE(conn->WriteChunk(pieces[1]));
+        EXPECT_TRUE(conn->Flush());
+        EXPECT_TRUE(conn->Flush());  // nothing buffered: no send
+        EXPECT_TRUE(conn->WriteChunk(pieces[2]));
+        EXPECT_TRUE(conn->Flush());
+        EXPECT_TRUE(conn->WriteChunk(pieces[3]));
+        EXPECT_TRUE(conn->EndChunked());
+      });
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0],
+            kChunkedHead + Framed(pieces[0]) + Framed(pieces[1]));
+  EXPECT_EQ(records[1], Framed(pieces[2]));
+  EXPECT_EQ(records[2], Framed(pieces[3]) + "0\r\n\r\n");
+
+  // A chunk and a body larger than the buffer's 64 KB leave in one send
+  // with what was buffered before them; the connection's next response
+  // is again one send.
+  const std::string big(100 * 1024, 'x');
+  records = SentRecords([&](server::HttpConn* conn) {
+    EXPECT_TRUE(conn->StartChunked(200, "application/json", true));
+    EXPECT_TRUE(conn->WriteChunk(pieces[0]));
+    EXPECT_TRUE(conn->WriteChunk(big));
+    EXPECT_TRUE(conn->WriteChunk(pieces[3]));
+    EXPECT_TRUE(conn->EndChunked());
+    EXPECT_TRUE(conn->WriteResponse(200, "text/plain", big, true));
+    EXPECT_TRUE(conn->WriteResponse(200, "text/plain", "ok", true));
+  });
+  const std::string fixed_head =
+      "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: ";
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0], kChunkedHead + Framed(pieces[0]) + Framed(big));
+  EXPECT_EQ(records[1], Framed(pieces[3]) + "0\r\n\r\n");
+  EXPECT_EQ(records[2], fixed_head + std::to_string(big.size()) +
+                            "\r\nConnection: keep-alive\r\n\r\n" + big);
+  EXPECT_EQ(records[3],
+            fixed_head + "2\r\nConnection: keep-alive\r\n\r\nok");
 }
 
 // --- server fixture ---------------------------------------------------------
@@ -291,15 +486,19 @@ TEST_F(ServerTest, RoutesAndEncodings) {
 }
 
 TEST_F(ServerTest, EightConcurrentClientsChecksumVerified) {
+  MakeBigTable();
   server::Server::Options opts;
   opts.pool_workers = 4;
   server::Server srv(db_.get(), opts);
   ASSERT_OK(srv.Start());
 
+  // t fits in one window, so its statements run on the handler threads;
+  // the statement over big runs on the pool, where the clients meet.
   const std::vector<std::string> sqls = {
       "SELECT a, b FROM t WHERE a < 250 AND b < 6",
       "SELECT a, SUM(b) FROM t WHERE b < 6 GROUP BY a",
       "SELECT COUNT(b) FROM t WHERE a < 100",
+      "SELECT SUM(x) FROM big WHERE x < 100",
   };
   std::vector<long long> want_sum(sqls.size());
   std::vector<uint64_t> want_rows(sqls.size());
@@ -493,7 +692,45 @@ TEST_F(ServerTest, OutputByteCapShedsOnStalledReader) {
   srv.Stop();
 }
 
+TEST_F(ServerTest, PoolStreamToAClosedClientCountsADisconnect) {
+  // A result still running on the pool is sent chunk by chunk: a client
+  // that closed its socket before the response fails the second chunk's
+  // send, which the server counts as a disconnect. A response sent whole
+  // at its end would meet the closed socket only once, and unnoticed.
+  MakeBigTable();
+  server::Server::Options opts;
+  opts.pool_workers = 2;
+  server::Server srv(db_.get(), opts);
+  ASSERT_OK(srv.Start());
+  obs::Counter* disconnects = obs::MetricsRegistry::Global().GetCounter(
+      "cstore_server_client_disconnects_total");
+  ASSERT_NE(disconnects, nullptr);
+  const uint64_t before = disconnects->value();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(srv.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // Seven windows of big, about 650 small CSV rows from each.
+  const char* req =
+      "GET /query?q=SELECT+x+FROM+big+WHERE+x+%3C+10&format=csv HTTP/1.1\r\n"
+      "Host: t\r\n\r\n";
+  ASSERT_EQ(::send(fd, req, std::strlen(req), MSG_NOSIGNAL),
+            static_cast<ssize_t>(std::strlen(req)));
+  ::close(fd);
+  EXPECT_TRUE(WaitFor([&] { return disconnects->value() > before; }))
+      << "the server never noticed the closed client";
+  srv.Stop();
+}
+
 TEST_F(ServerTest, LowPriorityNotStarvedByHighPriorityFlood) {
+  // Both statements scan big's seven windows, so both run on the pool: t
+  // fits in one window and would run on the handler threads.
+  MakeBigTable();
   server::Server::Options opts;
   opts.pool_workers = 2;
   server::Server srv(db_.get(), opts);
@@ -506,7 +743,7 @@ TEST_F(ServerTest, LowPriorityNotStarvedByHighPriorityFlood) {
       server::HttpClient client;
       if (!client.Connect("localhost", srv.port()).ok()) return;
       while (!stop.load(std::memory_order_relaxed)) {
-        auto r = client.Query("SELECT a, SUM(b) FROM t GROUP BY a", "csv",
+        auto r = client.Query("SELECT SUM(x) FROM big WHERE x < 900", "csv",
                               "high");
         if (!r.ok()) return;
       }
@@ -515,13 +752,14 @@ TEST_F(ServerTest, LowPriorityNotStarvedByHighPriorityFlood) {
 
   // The low-priority query must land (weighted round-robin always deals it
   // at least one morsel claim per rotation) while the flood runs.
+  const std::string sql = "SELECT COUNT(x) FROM big WHERE x < 100";
   long long want_sum = 0;
   uint64_t want_rows = 0;
-  Reference("SELECT COUNT(b) FROM t WHERE a < 100", &want_sum, &want_rows);
+  Reference(sql, &want_sum, &want_rows);
   server::HttpClient low;
   ASSERT_OK(low.Connect("localhost", srv.port()));
   for (int i = 0; i < 3; ++i) {
-    auto r = low.Query("SELECT COUNT(b) FROM t WHERE a < 100", "csv", "low");
+    auto r = low.Query(sql, "csv", "low");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->status, 200);
     long long sum = 0;
