@@ -5,7 +5,7 @@
 // behave identically everywhere instead of being reimplemented per
 // consumer.
 //
-// The encoder is streaming-shaped: Header() / AppendChunk() / Footer()
+// The encoder is streaming-shaped: Header() / EncodeChunk() / Footer()
 // compose into one valid document, so the server can emit each RowCursor
 // chunk as it arrives (HTTP chunked transfer) without ever materializing
 // the result. Encoding a materialized QueryResult is the same three calls.

@@ -94,7 +94,32 @@ std::unique_ptr<ColumnReader> ColumnReader::Empty(std::string name) {
       /*pool=*/nullptr, std::move(name), storage::FileId(), ColumnMeta()));
 }
 
+std::unique_ptr<ColumnReader> ColumnReader::WithTail(
+    const ColumnReader& stored,
+    const std::vector<std::shared_ptr<EncodedBlock>>& tail) {
+  std::unique_ptr<ColumnReader> reader(
+      new ColumnReader(stored.pool_, stored.name_, stored.file_, stored.meta_));
+  reader->block_start_pos_ = stored.meta_.block_start_pos;
+  for (const auto& blk : tail) {
+    // Contiguous, and full but for the last, as BlockContaining assumes.
+    CSTORE_DCHECK(blk->view.start_pos() == reader->num_values_ &&
+                  (blk == tail.back() ||
+                   blk->view.num_values() == kUncompressedValuesPerBlock));
+    reader->tail_.push_back(blk->view);
+    reader->block_start_pos_.push_back(blk->view.start_pos());
+    reader->num_values_ += blk->view.num_values();
+  }
+  return reader;
+}
+
 Result<EncodedBlock> ColumnReader::FetchBlock(uint64_t block_no) const {
+  if (block_no >= meta_.num_blocks) {
+    if (block_no - meta_.num_blocks >= tail_.size()) {
+      return Status::OutOfRange("block " + std::to_string(block_no) +
+                                " beyond column " + name_);
+    }
+    return EncodedBlock{storage::PageRef(), tail_[block_no - meta_.num_blocks]};
+  }
   CSTORE_ASSIGN_OR_RETURN(storage::PageRef ref, pool_->Fetch(file_, block_no));
   CSTORE_ASSIGN_OR_RETURN(BlockView view, BlockView::FromPage(ref.page()));
   return EncodedBlock{std::move(ref), view};
@@ -193,7 +218,7 @@ Result<position::Range> ColumnReader::PositionRangeFor(
 }
 
 Result<Value> ColumnReader::ValueAt(Position pos) const {
-  if (pos >= meta_.num_values) {
+  if (pos >= num_values_) {
     return Status::OutOfRange("position " + std::to_string(pos) +
                               " beyond column " + name_);
   }

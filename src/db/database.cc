@@ -436,10 +436,19 @@ Result<Database::FoundRows> Database::FindRows(
                      return x.first < y.first;
                    });
 
-  // Read every column in schema order (an UPDATE) or none yet, then
-  // filter the WHERE columns, a column named twice once per condition. A
-  // scan with no WHERE column reads the first column and filters nothing.
   const bool all_columns = !sets.empty();
+  if (!all_columns && filters.empty()) {
+    // A DELETE without WHERE matches every live row and reads no column.
+    found.rows.Reset(0);
+    snap.LiveSet(0, snap.total_rows()).ForEachPosition([&](Position p) {
+      found.rows.AppendTuple(p);
+    });
+    return found;
+  }
+
+  // Read every column in schema order (an UPDATE) or none yet, then
+  // filter the WHERE columns, a column named twice once per condition. An
+  // UPDATE without WHERE filters nothing.
   plan::SelectionQuery query;
   query.filter_order.emplace();
   auto add_column = [&](size_t c, codec::Predicate pred) -> Status {
@@ -462,9 +471,6 @@ Result<Database::FoundRows> Database::FindRows(
       query.columns[col].pred = pred;
     }
     query.filter_order->push_back(col);
-  }
-  if (query.columns.empty()) {
-    CSTORE_RETURN_IF_ERROR(add_column(0, codec::Predicate::True()));
   }
 
   plan::PlanConfig config;

@@ -114,7 +114,8 @@ class Database {
   /// Deletes every row of `table` matching all of `conds` (column name →
   /// predicate; empty = delete every row), as of a snapshot taken at entry.
   /// Returns the number of rows deleted; `scan_stats` (optional) receives
-  /// the RunStats of the position-finding scan. Deleted rows keep their
+  /// the RunStats of the position-finding scan, which an empty `conds`
+  /// does without (it leaves them untouched). Deleted rows keep their
   /// logical positions; scans mask them from results.
   Result<uint64_t> DeleteWhere(
       const std::string& table,
@@ -199,9 +200,10 @@ class Database {
   /// scan_mutation_mu and a fresh snapshot, then finds the rows matching
   /// all of `conds` with a 1-worker LM-parallel scan that filters the WHERE
   /// columns in schema order. A DELETE (no `sets`) reads only those
-  /// columns; an UPDATE re-inserts whole rows, so it reads every column in
-  /// schema order first. NotFound for an unknown SET or WHERE column,
-  /// before any scan.
+  /// columns, and without `conds` runs no scan: its rows are the
+  /// snapshot's live positions, each a zero-width tuple. An UPDATE
+  /// re-inserts whole rows, so it reads every column in schema order
+  /// first. NotFound for an unknown SET or WHERE column, before any scan.
   Result<FoundRows> FindRows(
       const std::string& table,
       const std::vector<std::pair<std::string, Value>>& sets,

@@ -38,7 +38,17 @@ Result<bool> DS1Scan::NextImpl(MultiColumnChunk* out) {
   if (use_bitmap) {
     position::Bitmap bm(wb, we - wb);
     for (const auto& blk : blocks) {
-      stats_->predicate_evals += blk->view.EvalPredicate(pred_, nullptr, &bm);
+      if (blk->view.PredicateNeedsBitmap()) {
+        stats_->predicate_evals += blk->view.EvalPredicate(pred_, nullptr, &bm);
+        continue;
+      }
+      // A write snapshot's uncompressed tail block after a bit-vector
+      // column's last stored block.
+      position::SetBuilder builder(wb, we);
+      stats_->predicate_evals +=
+          blk->view.EvalPredicate(pred_, &builder, nullptr);
+      std::move(builder).Build().ForEachRange(
+          [&](Position b, Position e) { bm.SetRange(b, e); });
     }
     desc = position::PositionSet::FromBitmap(std::move(bm)).Compacted();
   } else {

@@ -11,13 +11,16 @@ namespace exec {
 
 struct ExecStats {
   // Blocks fetched by data-source operators (block iterator getNext calls).
+  // A write snapshot's tail blocks count like stored ones, though they
+  // never touch the buffer pool, so its I/O statistics leave them out.
   uint64_t blocks_fetched = 0;
   // Blocks skipped entirely by pipelined strategies: per chunk window, the
   // blocks overlapping the window that hold none of its valid positions.
   // Counted per window, so the total is the same for every worker count
   // and morsel size.
   uint64_t blocks_skipped = 0;
-  // Individual predicate evaluations (per value or per run).
+  // Individual predicate evaluations (per value or per run). Tail rows are
+  // evaluated before the delete mask, as stored rows are.
   uint64_t predicate_evals = 0;
   // Values copied out of column representations (DS3 gathers, decompression
   // for tuple construction).

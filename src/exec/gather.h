@@ -29,7 +29,7 @@ Status ForEachCoveringBlock(const codec::ColumnReader* reader,
                             const position::PositionSet& sel,
                             ExecStats* stats, PerBlock&& per_block) {
   position::RunCursor runs(sel);
-  for (uint64_t b : runs.Blocks(reader->meta().block_start_pos)) {
+  for (uint64_t b : runs.Blocks(reader->block_start_pos())) {
     CSTORE_ASSIGN_OR_RETURN(codec::EncodedBlock blk, reader->FetchBlock(b));
     ++stats->blocks_fetched;
     const std::span<const position::Range> clipped =

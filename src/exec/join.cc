@@ -26,40 +26,20 @@ Status JoinBuildTable::PinPayload(ExecStats* stats) {
     payload_mini_.AddBlock(
         std::make_shared<codec::EncodedBlock>(std::move(blk)));
   }
-  // The snapshot's tail blocks, uncompressed views over its payload tail
-  // values, extend the mini-column (their start positions sit right after
-  // the read store, keeping blocks ascending).
-  const write::WriteSnapshot* snap =
-      spec_.snapshot != nullptr && spec_.snapshot->has_state()
-          ? spec_.snapshot.get()
-          : nullptr;
-  if (snap != nullptr) {
-    for (const auto& blk : snap->tail_blocks(spec_.snap_payload_index)) {
-      payload_mini_.AddBlock(blk);
-    }
-  }
   return Status::OK();
 }
 
 Status JoinBuildTable::DoBuild(ExecStats* stats) {
   const codec::ColumnReader* key = spec_.right_key;
-  // A null or empty snapshot builds the exact pre-write-path table.
-  const write::WriteSnapshot* snap =
-      spec_.snapshot != nullptr && spec_.snapshot->has_state()
-          ? spec_.snapshot.get()
-          : nullptr;
-  const Position base = key->num_values();
-  const uint64_t tail = snap != nullptr ? snap->tail_rows() : 0;
-  // Every read-store and tail row may enter the table: the sizing bound.
-  const size_t rows = base + tail;
-
-  // Read-store rows enter the table at the snapshot's live positions (deletes
-  // masked out), each column read in one walk that skips the blocks whose
-  // rows are all deleted.
+  // Every row may enter the table: the sizing bound.
+  const Position rows = key->num_values();
+  // Rows enter the table at the snapshot's live positions (deletes masked
+  // out), each column read in one walk that skips the blocks whose rows
+  // are all deleted.
   const position::PositionSet live =
-      snap != nullptr && snap->has_deletes()
-          ? snap->LiveSet(0, base)
-          : position::PositionSet::All(0, base);
+      spec_.snapshot != nullptr && spec_.snapshot->has_deletes()
+          ? spec_.snapshot->LiveSet(0, rows)
+          : position::PositionSet::All(0, rows);
 
   switch (spec_.mode) {
     case JoinRightMode::kMaterialized: {
@@ -85,18 +65,8 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
       for (size_t i = 0; i < keys.size(); ++i) {
         payloads_.Insert(keys[i], payloads[i]);
       }
-      uint64_t built = keys.size();
-      // Write-store tail rows join the build exactly like read-store rows;
-      // deleted tail positions are skipped.
-      for (uint64_t i = 0; i < tail; ++i) {
-        const Position p = base + i;
-        if (snap->IsDeleted(p)) continue;
-        payloads_.Insert(snap->tail_values(spec_.snap_key_index)[i],
-                         snap->tail_values(spec_.snap_payload_index)[i]);
-        ++built;
-      }
-      stats->tuples_constructed += built;
-      stats->values_gathered += 2 * built;
+      stats->tuples_constructed += keys.size();
+      stats->values_gathered += 2 * keys.size();
       break;
     }
     case JoinRightMode::kMultiColumn:
@@ -112,12 +82,6 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
             blk.view.ForEachValueInRanges(
                 runs, [&](Position p, Value v) { positions_.Insert(v, p); });
           }));
-      // Tail rows: key → tail position.
-      for (uint64_t i = 0; i < tail; ++i) {
-        const Position p = base + i;
-        if (snap->IsDeleted(p)) continue;
-        positions_.Insert(snap->tail_values(spec_.snap_key_index)[i], p);
-      }
       if (spec_.mode == JoinRightMode::kMultiColumn) {
         CSTORE_RETURN_IF_ERROR(PinPayload(stats));
       }
@@ -125,17 +89,6 @@ Status JoinBuildTable::DoBuild(ExecStats* stats) {
     }
   }
   return Status::OK();
-}
-
-Result<Value> JoinBuildTable::FetchPayload(Position pos) const {
-  const Position base = spec_.right_payload->num_values();
-  if (pos >= base) {
-    // A write-store position: served from the snapshot's tail (deleted
-    // positions never enter the table, so no mask check is needed here).
-    CSTORE_CHECK(spec_.snapshot != nullptr);
-    return spec_.snapshot->TailValueAt(spec_.snap_payload_index, pos);
-  }
-  return spec_.right_payload->ValueAt(pos);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,15 +149,14 @@ Status JoinProbeOp::ProbeChunk(const MultiColumnChunk& chunk,
   if (left_pos_.empty()) return Status::OK();
 
   // Left payload: positions are sorted, so this is a cheap in-order merge
-  // gather of the payload column. Write-store tail chunks carry the payload
-  // as a mini-column (tail positions have no reader blocks to fetch).
+  // gather of the payload column.
   left_vals_.clear();
   position::PosList pl;
   for (Position p : left_pos_) pl.Append(p);
   const position::PositionSet sel = position::PositionSet::FromList(
       left_pos_.front(), left_pos_.back() + 1, std::move(pl));
   CSTORE_RETURN_IF_ERROR(GatherColumnValues(
-      sel, chunk.FindMini(1), spec_.left_payload, stats_, &left_vals_));
+      sel, /*mini=*/nullptr, spec_.left_payload, stats_, &left_vals_));
   CSTORE_CHECK(left_vals_.size() == left_pos_.size());
 
   // Right payload for the single-column mode: the positions are out of

@@ -7,11 +7,10 @@
 //       table (FlatMap) over the inner table, constructed once per query
 //       before any probe runs (one build task of the executor, on a pool
 //       worker or on the caller's thread) and then shared
-//       read-only by every probe morsel. The build merges the inner table's
-//       WriteSnapshot when one is attached: deleted positions are masked
-//       out and write-store tail rows are folded into the table (and, for
-//       kMultiColumn, the snapshot's tail blocks, uncompressed views over
-//       its tail values, extend the pinned payload mini-column).
+//       read-only by every probe morsel. Over the inner table's
+//       WriteSnapshot the build reads the snapshot's readers, whose blocks
+//       run on over the write-store tail, in one walk masked by the
+//       snapshot's live positions.
 //   JoinProbeOp — the probe phase: consumes one morsel's outer-side stream
 //       (positions + key mini-column for JoinLeftMode::kLate, constructed
 //       tuples for kEarly), probes the built table, and emits joined
@@ -36,8 +35,8 @@
 // The outer (left, probe) side always arrives as a stream built by the
 // planner: a DS1 scan of the join key (kLate) or an SPC scan of key +
 // payload (kEarly), each restricted to the morsel's scan range and, under a
-// write-carrying snapshot, delete-masked and extended with the write-store
-// tail leaf. Sorted left positions are cheap to gather payloads for (an
+// write-carrying snapshot, reading the snapshot's readers and delete-masked.
+// Sorted left positions are cheap to gather payloads for (an
 // in-order merge); unsorted right positions are not — the asymmetry the
 // paper calls out.
 
@@ -92,16 +91,13 @@ inline const char* JoinRightModeName(JoinRightMode m) {
 class JoinBuildTable {
  public:
   struct Spec {
+    // The inner columns: the snapshot's readers when `snapshot` is set.
     const codec::ColumnReader* right_key = nullptr;
     const codec::ColumnReader* right_payload = nullptr;
     JoinRightMode mode = JoinRightMode::kMaterialized;
-    // Inner table's write snapshot (optional). When it carries state, the
-    // build masks its deleted positions and merges its write-store tail
-    // rows; `snap_key_index` / `snap_payload_index` locate the key and
-    // payload columns in the snapshot's schema.
+    // Inner table's write snapshot (optional): the build masks its deleted
+    // positions, and the table keeps it, and so its readers, alive.
     std::shared_ptr<const write::WriteSnapshot> snapshot;
-    size_t snap_key_index = 0;
-    size_t snap_payload_index = 0;
   };
 
   /// Builds the table in one pass. Build-side work — blocks fetched, inner
@@ -120,21 +116,22 @@ class JoinBuildTable {
   }
 
   /// kMultiColumn: extracts the payload at `pos` from the pinned
-  /// mini-column (read-store blocks + snapshot tail blocks).
+  /// mini-column.
   Value PayloadAt(Position pos) const { return payload_mini_.ValueAt(pos); }
 
   /// kSingleColumn: fetches the payload at `pos` — an independent
-  /// out-of-order block lookup through the buffer pool for read-store
-  /// positions, a tail-row access for write-store positions.
-  Result<Value> FetchPayload(Position pos) const;
+  /// out-of-order block lookup.
+  Result<Value> FetchPayload(Position pos) const {
+    return spec_.right_payload->ValueAt(pos);
+  }
 
  private:
   explicit JoinBuildTable(const Spec& spec)
       : spec_(spec), payload_mini_(/*column=*/1) {}
 
   Status DoBuild(ExecStats* stats);
-  /// kMultiColumn: pins the payload column's blocks (plus the snapshot's
-  /// tail blocks) into payload_mini_, ascending.
+  /// kMultiColumn: pins every block of the payload column into
+  /// payload_mini_, ascending.
   Status PinPayload(ExecStats* stats);
 
   Spec spec_;
@@ -155,7 +152,7 @@ class JoinProbeOp : public TupleOp {
     MultiColumnOp* pos_input = nullptr;  // kLate: positions + key mini
     TupleOp* tuple_input = nullptr;      // kEarly: (key, payload) tuples
     // kLate: the outer payload column, merge-gathered at matching
-    // positions (tail chunks carry it as a mini-column instead).
+    // positions.
     const codec::ColumnReader* left_payload = nullptr;
   };
 

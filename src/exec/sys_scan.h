@@ -1,13 +1,12 @@
 // The system.* virtual-table scan source.
 //
-// The engine already has a leaf that serves in-memory rows through the
-// standard block machinery: the write-store tail scan (ws_scan) consumes a
-// WriteSnapshot whose tail rows are viewed as uncompressed blocks in
-// place. A virtual table is exactly that snapshot with base_rows = 0 —
-// *every* row lives in the tail, no column file is ever read. The
-// planner, predicates, delete masks, aggregates, and all four
-// materialization strategies work unchanged; WsScanPos / WsScanTuple are
-// the "sys scan" leaves.
+// The engine already serves in-memory rows through the standard block
+// machinery: a WriteSnapshot's column readers read its tail rows as
+// uncompressed blocks in place, after the read store's. A virtual table is
+// exactly that snapshot with base_rows = 0 — *every* row lives in the
+// tail, no column file is ever read. The planner, predicates, delete
+// masks, aggregates, and all four materialization strategies work
+// unchanged; their own leaves are the "sys scan".
 //
 // This module owns the system schema (table names, column layouts, which
 // columns are dictionary-encoded strings — see util/string_dict.h) and the

@@ -1,12 +1,16 @@
 // WindowCursor walks a column in fixed windows of kChunkPositions positions,
-// fetching (through the buffer pool) the blocks that overlap each window.
+// fetching the blocks that overlap each window: through the buffer pool, or
+// from memory for a write snapshot's tail blocks.
 // All position-producing operators share this discipline so their chunks
 // align.
 //
 // A cursor may be restricted to a sub-range of the position space (a
 // morsel). The restriction must start on a window boundary so that a
 // restricted cursor visits exactly the windows the full scan would — this is
-// what makes morsel-parallel runs chunk-identical to serial ones.
+// what makes morsel-parallel runs chunk-identical to serial ones. The one
+// other start is where a write snapshot reader's read store ends (the scan
+// of a tail without an index, see plan/planner.cc): its first window is
+// clipped there, and the rest stay on the grid.
 
 #ifndef CSTORE_EXEC_WINDOW_CURSOR_H_
 #define CSTORE_EXEC_WINDOW_CURSOR_H_
@@ -33,18 +37,16 @@ class WindowCursor {
         window_(window_positions),
         total_(std::min<Position>(scan_range.end, reader->num_values())),
         begin_(std::min<Position>(scan_range.begin, total_)) {
-    // A range starting past the column (e.g. a write-store tail morsel) is
-    // simply exhausted; alignment only matters for ranges that will scan.
-    CSTORE_DCHECK(begin_ % window_ == 0 || begin_ >= total_)
+    // A range starting past the column is simply exhausted; alignment only
+    // matters for ranges that will scan.
+    CSTORE_DCHECK(begin_ % window_ == 0 || begin_ >= total_ ||
+                  begin_ == reader->meta().num_values)
         << "scan range must start on a window boundary";
   }
 
   bool done() const { return begin_ >= total_; }
   Position begin() const { return begin_; }
-  Position end() const {
-    Position e = begin_ + window_;
-    return e < total_ ? e : total_;
-  }
+  Position end() const { return std::min(GridEnd(), total_); }
 
   /// Index range [first, last] of blocks overlapping the current window.
   void BlockRange(uint64_t* first, uint64_t* last) const {
@@ -68,9 +70,12 @@ class WindowCursor {
     return blocks;
   }
 
-  void Advance() { begin_ += window_; }
+  void Advance() { begin_ = GridEnd(); }
 
  private:
+  /// The window boundary after begin_.
+  Position GridEnd() const { return (begin_ / window_ + 1) * window_; }
+
   const codec::ColumnReader* reader_;
   Position window_;
   Position total_;

@@ -9,20 +9,6 @@ namespace exec {
 
 namespace {
 
-/// [begin, end) of the snapshot tail restricted to `scan_range`.
-void TailRange(const write::WriteSnapshot& snap, position::Range scan_range,
-               Position* begin, Position* end) {
-  *begin = std::max<Position>(snap.base_rows(), scan_range.begin);
-  *end = std::min<Position>(snap.total_rows(), scan_range.end);
-  if (*end < *begin) *end = *begin;
-}
-
-/// End of the kChunkPositions-grid window containing `pos`, clamped.
-Position WindowEnd(Position pos, Position end) {
-  Position we = (pos / kChunkPositions + 1) * kChunkPositions;
-  return std::min(we, end);
-}
-
 /// The snapshot's sorted delete list from `begin` on, walked by one cursor
 /// while a scan's positions ascend: one binary search per chunk instead of
 /// one per row.
@@ -45,105 +31,6 @@ class DeleteCursor {
 };
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// WsScanPos
-// ---------------------------------------------------------------------------
-
-WsScanPos::WsScanPos(std::shared_ptr<const write::WriteSnapshot> snapshot,
-                     std::vector<WsScanColumn> columns, ExecStats* stats,
-                     position::Range scan_range)
-    : snapshot_(std::move(snapshot)),
-      columns_(std::move(columns)),
-      stats_(stats) {
-  TailRange(*snapshot_, scan_range, &cur_, &end_);
-}
-
-Result<bool> WsScanPos::NextImpl(MultiColumnChunk* out) {
-  if (cur_ >= end_) return false;
-  const Position wb = cur_;
-  const Position we = WindowEnd(wb, end_);
-  const Position base = snapshot_->base_rows();
-
-  position::SetBuilder builder(wb, we);
-  DeleteCursor deletes(*snapshot_, wb);
-  for (Position p = wb; p < we; ++p) {
-    if (deletes.Deleted(p)) continue;
-    bool pass = true;
-    for (const WsScanColumn& col : columns_) {
-      if (!col.pred) continue;
-      ++stats_->predicate_evals;
-      if (!col.pred->Eval(snapshot_->tail_values(col.snap_index)[p - base])) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) builder.Add(p);
-  }
-
-  out->begin = wb;
-  out->end = we;
-  out->desc = std::move(builder).Build().Compacted();
-  out->minis.clear();
-  // Attach every scanned column as an in-memory uncompressed mini-column so
-  // downstream value access (Merge, LateAgg) never falls back to a reader —
-  // write-store positions are beyond every reader's block range.
-  for (const WsScanColumn& col : columns_) {
-    MiniColumn mini(col.column);
-    for (const auto& blk : snapshot_->tail_blocks(col.snap_index)) {
-      if (blk->view.end_pos() <= wb || blk->view.start_pos() >= we) continue;
-      mini.AddBlock(blk);
-    }
-    out->minis.push_back(std::move(mini));
-  }
-  cur_ = we;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// WsScanTuple
-// ---------------------------------------------------------------------------
-
-WsScanTuple::WsScanTuple(std::shared_ptr<const write::WriteSnapshot> snapshot,
-                         std::vector<WsScanColumn> columns, ExecStats* stats,
-                         position::Range scan_range)
-    : snapshot_(std::move(snapshot)),
-      columns_(std::move(columns)),
-      stats_(stats) {
-  TailRange(*snapshot_, scan_range, &cur_, &end_);
-}
-
-Result<bool> WsScanTuple::NextImpl(TupleChunk* out) {
-  if (cur_ >= end_) return false;
-  const Position wb = cur_;
-  const Position we = WindowEnd(wb, end_);
-  const Position base = snapshot_->base_rows();
-  const size_t k = columns_.size();
-
-  out->Reset(static_cast<uint32_t>(k));
-  row_buf_.resize(k);
-  DeleteCursor deletes(*snapshot_, wb);
-  for (Position p = wb; p < we; ++p) {
-    if (deletes.Deleted(p)) continue;
-    bool pass = true;
-    for (const WsScanColumn& col : columns_) {
-      Value v = snapshot_->tail_values(col.snap_index)[p - base];
-      if (col.pred) {
-        ++stats_->predicate_evals;
-        if (!col.pred->Eval(v)) {
-          pass = false;
-          break;
-        }
-      }
-      row_buf_[col.column] = v;
-    }
-    if (!pass) continue;
-    out->AppendTuple(p, row_buf_.data());
-  }
-  stats_->tuples_constructed += out->num_tuples();
-  cur_ = we;
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // Delete masks
@@ -193,15 +80,6 @@ Result<bool> DeleteMaskTupleOp::NextImpl(TupleChunk* out) {
 // ---------------------------------------------------------------------------
 
 Result<bool> ConcatPosOp::NextImpl(MultiColumnChunk* out) {
-  if (!first_done_) {
-    CSTORE_ASSIGN_OR_RETURN(bool has, first_->Next(out));
-    if (has) return true;
-    first_done_ = true;
-  }
-  return second_->Next(out);
-}
-
-Result<bool> ConcatTupleOp::NextImpl(TupleChunk* out) {
   if (!first_done_) {
     CSTORE_ASSIGN_OR_RETURN(bool has, first_->Next(out));
     if (has) return true;

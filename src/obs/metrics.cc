@@ -84,11 +84,6 @@ void MetricsRegistry::RegisterCallback(const std::string& name,
   if (!help.empty()) e.help = help;
 }
 
-void MetricsRegistry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.clear();
-}
-
 void AppendSample(std::string* out, const std::string& name, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), " %.6g\n", value);

@@ -163,10 +163,6 @@ class MetricsRegistry {
   /// :count :sum rows. Callbacks are evaluated inside the call.
   std::vector<Sample> Samples() const;
 
-  /// Testing hook: forgets every metric (pointers from Get* dangle — only
-  /// for tests that own the whole registry lifecycle).
-  void ResetForTest();
-
  private:
   struct Entry {
     std::string help;

@@ -72,7 +72,6 @@ Result<exec::MultiColumnOp*> LateLeaf(const SelectionQuery& query, uint32_t c,
 Result<exec::MultiColumnOp*> BuildLatePositionStream(
     const SelectionQuery& query, Strategy strategy, const PlanConfig& config,
     Plan* plan) {
-  CSTORE_RETURN_IF_ERROR(CheckStrategy(query, strategy, config));
   const size_t nf = query.num_filters();
   if (nf == 0) {
     // Nothing to filter: every position of every window qualifies, which
@@ -162,117 +161,95 @@ Result<exec::TupleOp*> BuildEarlyTupleStream(const SelectionQuery& query,
 
 // --- Write-store integration ------------------------------------------------
 
-/// True when the plan must merge write-store state: a snapshot is attached
+/// True when the plan must see write-store state: a snapshot is attached
 /// and it actually holds deletes or tail rows (an empty snapshot builds the
 /// exact pre-write-path plan, keeping the serial path bit-identical).
 bool HasWriteState(const PlanConfig& config) {
   return config.snapshot != nullptr && config.snapshot->has_state();
 }
 
-/// Checks the snapshot matches the readers' generation.
-Status CheckSnapshotGeneration(const SelectionQuery& query,
-                               const write::WriteSnapshot& snap) {
-  if (snap.base_rows() != query.columns[0].reader->num_values()) {
-    return Status::InvalidArgument(
-        "write snapshot generation mismatch: snapshot has " +
-        std::to_string(snap.base_rows()) + " read-store rows, reader has " +
-        std::to_string(query.columns[0].reader->num_values()));
+/// The query a plan instance reads: `query` itself without write state,
+/// else a copy in `*swapped` over the snapshot's readers (WriteSnapshot::
+/// ReaderFor checks each column against the snapshot), whose blocks run
+/// on past the read store over the snapshot's tail rows.
+Result<const SelectionQuery*> InstanceQuery(const SelectionQuery& query,
+                                            const PlanConfig& config,
+                                            SelectionQuery* swapped) {
+  if (!HasWriteState(config)) return &query;
+  *swapped = query;
+  for (SelectionQuery::Column& col : swapped->columns) {
+    CSTORE_ASSIGN_OR_RETURN(col.reader, config.snapshot->ReaderFor(col.reader));
   }
-  return Status::OK();
+  return swapped;
 }
 
-/// Maps each scan column, in plan order, to its snapshot schema column
-/// (readers are keyed by storage file). Only needed when a tail leaf is
-/// built.
-Result<std::vector<exec::WsScanColumn>> WsColumnsFor(
-    const SelectionQuery& query, const write::WriteSnapshot& snap) {
-  const std::vector<uint32_t> order = query.PlanOrder();
-  std::vector<exec::WsScanColumn> cols;
-  cols.reserve(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    const codec::ColumnReader* reader = query.columns[order[i]].reader;
-    int idx = snap.ColumnIndexForFile(reader->name());
-    if (idx < 0) {
-      return Status::InvalidArgument(
-          "column file '" + reader->name() +
-          "' is not part of the write snapshot's table");
+/// True when an LM plan over `query` is built twice: the snapshot has tail
+/// rows, and the index answers a filter, but over the read store only.
+bool SplitsAtTail(const SelectionQuery& query, const PlanConfig& config) {
+  if (config.snapshot == nullptr || config.snapshot->tail_rows() == 0) {
+    return false;
+  }
+  for (size_t i = 0; i < query.num_filters(); ++i) {
+    if (UsesIndex(config, query.columns[query.filter(i)])) return true;
+  }
+  return false;
+}
+
+/// The LM position stream over the instance query, its deleted positions
+/// masked. A plan that SplitsAtTail reads the morsel's read-store part off
+/// the index and its tail part without it, where DS1 leaves scan the tail
+/// blocks.
+Result<exec::MultiColumnOp*> LatePositions(const SelectionQuery& query,
+                                           Strategy strategy,
+                                           const PlanConfig& config,
+                                           Plan* plan) {
+  CSTORE_RETURN_IF_ERROR(CheckStrategy(query, strategy, config));
+  const write::WriteSnapshot* snap = config.snapshot.get();
+  exec::MultiColumnOp* stream = nullptr;
+  if (!SplitsAtTail(query, config)) {
+    CSTORE_ASSIGN_OR_RETURN(
+        stream, BuildLatePositionStream(query, strategy, config, plan));
+  } else {
+    // A morsel wholly on one side builds that side's half alone.
+    const Position base = snap->base_rows();
+    if (config.scan_range.begin < base) {
+      PlanConfig stored = config;
+      stored.scan_range.end = std::min(config.scan_range.end, base);
+      CSTORE_ASSIGN_OR_RETURN(
+          stream, BuildLatePositionStream(query, strategy, stored, plan));
     }
-    cols.push_back(exec::WsScanColumn{order[i], static_cast<size_t>(idx),
-                                      StepPredicate(query, order, i)});
+    if (config.scan_range.end > base || stream == nullptr) {
+      PlanConfig tail = config;
+      tail.scan_range.begin = std::max(config.scan_range.begin, base);
+      tail.use_sorted_index = false;
+      CSTORE_ASSIGN_OR_RETURN(
+          exec::MultiColumnOp * tail_stream,
+          BuildLatePositionStream(query, strategy, tail, plan));
+      stream = stream == nullptr ? tail_stream
+                                 : plan->Own(std::make_unique<exec::ConcatPosOp>(
+                                       stream, tail_stream));
+    }
   }
-  return cols;
+  if (snap != nullptr && snap->has_deletes()) {
+    stream = plan->Own(std::make_unique<exec::DeleteMaskOp>(
+        stream, config.snapshot, &plan->stats()));
+  }
+  return stream;
 }
 
-/// True when the morsel `scan_range` overlaps the snapshot's tail rows.
-bool RangeTouchesTail(const write::WriteSnapshot& snap,
-                      position::Range scan_range) {
-  return snap.tail_rows() > 0 && scan_range.end > snap.base_rows() &&
-         scan_range.begin < snap.total_rows();
-}
-
-/// Wraps an LM position stream with the snapshot's delete mask and appends
-/// the write-store tail leaf scanning `cols`. The caller has validated the
-/// snapshot against its readers and checked HasWriteState.
-exec::MultiColumnOp* ApplyWriteStatePosCols(exec::MultiColumnOp* stream,
-                                            std::vector<exec::WsScanColumn>
-                                                cols,
-                                            const PlanConfig& config,
-                                            Plan* plan) {
-  const auto& snap = config.snapshot;
-  if (snap->has_deletes()) {
+/// The EM tuple stream over the instance query, its deleted positions
+/// masked.
+Result<exec::TupleOp*> EarlyTuples(const SelectionQuery& query,
+                                   Strategy strategy, const PlanConfig& config,
+                                   Plan* plan) {
+  CSTORE_ASSIGN_OR_RETURN(
+      exec::TupleOp * stream,
+      BuildEarlyTupleStream(query, strategy, config, plan));
+  if (config.snapshot != nullptr && config.snapshot->has_deletes()) {
     stream = plan->Own(
-        std::make_unique<exec::DeleteMaskOp>(stream, snap, &plan->stats()));
-  }
-  if (RangeTouchesTail(*snap, config.scan_range)) {
-    exec::MultiColumnOp* tail = plan->Own(std::make_unique<exec::WsScanPos>(
-        snap, std::move(cols), &plan->stats(), config.scan_range));
-    stream = plan->Own(std::make_unique<exec::ConcatPosOp>(stream, tail));
+        std::make_unique<exec::DeleteMaskTupleOp>(stream, config.snapshot));
   }
   return stream;
-}
-
-/// EM counterpart of ApplyWriteStatePosCols.
-exec::TupleOp* ApplyWriteStateTupleCols(exec::TupleOp* stream,
-                                        std::vector<exec::WsScanColumn> cols,
-                                        const PlanConfig& config,
-                                        Plan* plan) {
-  const auto& snap = config.snapshot;
-  if (snap->has_deletes()) {
-    stream =
-        plan->Own(std::make_unique<exec::DeleteMaskTupleOp>(stream, snap));
-  }
-  if (RangeTouchesTail(*snap, config.scan_range)) {
-    exec::TupleOp* tail = plan->Own(std::make_unique<exec::WsScanTuple>(
-        snap, std::move(cols), &plan->stats(), config.scan_range));
-    stream = plan->Own(std::make_unique<exec::ConcatTupleOp>(stream, tail));
-  }
-  return stream;
-}
-
-/// Selection-query front end: validates the snapshot generation, maps the
-/// scan columns to snapshot schema columns, and applies the shared wiring.
-/// No-op without write state.
-Result<exec::MultiColumnOp*> ApplyWriteStatePos(exec::MultiColumnOp* stream,
-                                                const SelectionQuery& query,
-                                                const PlanConfig& config,
-                                                Plan* plan) {
-  if (!HasWriteState(config)) return stream;
-  CSTORE_RETURN_IF_ERROR(CheckSnapshotGeneration(query, *config.snapshot));
-  CSTORE_ASSIGN_OR_RETURN(std::vector<exec::WsScanColumn> cols,
-                          WsColumnsFor(query, *config.snapshot));
-  return ApplyWriteStatePosCols(stream, std::move(cols), config, plan);
-}
-
-/// EM counterpart of ApplyWriteStatePos.
-Result<exec::TupleOp*> ApplyWriteStateTuple(exec::TupleOp* stream,
-                                            const SelectionQuery& query,
-                                            const PlanConfig& config,
-                                            Plan* plan) {
-  if (!HasWriteState(config)) return stream;
-  CSTORE_RETURN_IF_ERROR(CheckSnapshotGeneration(query, *config.snapshot));
-  CSTORE_ASSIGN_OR_RETURN(std::vector<exec::WsScanColumn> cols,
-                          WsColumnsFor(query, *config.snapshot));
-  return ApplyWriteStateTupleCols(stream, std::move(cols), config, plan);
 }
 
 }  // namespace
@@ -302,27 +279,25 @@ Result<std::unique_ptr<Plan>> BuildSelectionPlan(const SelectionQuery& query,
                                                  Strategy strategy,
                                                  const PlanConfig& config) {
   CSTORE_RETURN_IF_ERROR(ValidateSelection(query));
+  SelectionQuery swapped;
+  CSTORE_ASSIGN_OR_RETURN(const SelectionQuery* q,
+                          InstanceQuery(query, config, &swapped));
   auto plan = std::make_unique<Plan>();
 
   if (IsLate(strategy)) {
     CSTORE_ASSIGN_OR_RETURN(
         exec::MultiColumnOp * stream,
-        BuildLatePositionStream(query, strategy, config, plan.get()));
-    CSTORE_ASSIGN_OR_RETURN(
-        stream, ApplyWriteStatePos(stream, query, config, plan.get()));
+        LatePositions(*q, strategy, config, plan.get()));
     std::vector<exec::MergeOp::OutputColumn> outs;
-    outs.reserve(query.columns.size());
-    for (uint32_t c = 0; c < query.columns.size(); ++c) {
-      outs.push_back(exec::MergeOp::OutputColumn{c, query.columns[c].reader});
+    outs.reserve(q->columns.size());
+    for (uint32_t c = 0; c < q->columns.size(); ++c) {
+      outs.push_back(exec::MergeOp::OutputColumn{c, q->columns[c].reader});
     }
     plan->SetRoot(plan->Own(std::make_unique<exec::MergeOp>(
         stream, std::move(outs), &plan->stats())));
   } else {
-    CSTORE_ASSIGN_OR_RETURN(
-        exec::TupleOp * stream,
-        BuildEarlyTupleStream(query, strategy, config, plan.get()));
-    CSTORE_ASSIGN_OR_RETURN(
-        stream, ApplyWriteStateTuple(stream, query, config, plan.get()));
+    CSTORE_ASSIGN_OR_RETURN(exec::TupleOp * stream,
+                            EarlyTuples(*q, strategy, config, plan.get()));
     plan->SetRoot(stream);
   }
   return plan;
@@ -332,27 +307,25 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
                                            Strategy strategy,
                                            const PlanConfig& config) {
   CSTORE_RETURN_IF_ERROR(ValidateSelection(query.selection));
-  const auto& cols = query.selection.columns;
-  if ((!query.global && query.group_index >= cols.size()) ||
-      query.agg_index >= cols.size()) {
+  if ((!query.global && query.group_index >= query.selection.columns.size()) ||
+      query.agg_index >= query.selection.columns.size()) {
     return Status::InvalidArgument("group/agg index out of range");
   }
+  SelectionQuery swapped;
+  CSTORE_ASSIGN_OR_RETURN(const SelectionQuery* q,
+                          InstanceQuery(query.selection, config, &swapped));
   auto plan = std::make_unique<Plan>();
 
   if (IsLate(strategy)) {
     CSTORE_ASSIGN_OR_RETURN(
         exec::MultiColumnOp * stream,
-        BuildLatePositionStream(query.selection, strategy, config,
-                                plan.get()));
-    CSTORE_ASSIGN_OR_RETURN(
-        stream,
-        ApplyWriteStatePos(stream, query.selection, config, plan.get()));
+        LatePositions(*q, strategy, config, plan.get()));
     // The aggregator consumes positions + mini-columns directly; no tuples
     // are constructed below it.
     uint32_t gidx = query.global ? query.agg_index : query.group_index;
     auto source = [&](uint32_t c) {
-      return exec::LateAggOp::ColumnSource{c, cols[c].reader,
-                                           !query.selection.is_filter(c)};
+      return exec::LateAggOp::ColumnSource{c, q->columns[c].reader,
+                                           !q->is_filter(c)};
     };
     exec::LateAggOp::ColumnSource group = source(gidx);
     exec::LateAggOp::ColumnSource agg = source(query.agg_index);
@@ -361,12 +334,8 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
     plan->SetRoot(root);
     plan->SetAggOp(root);
   } else {
-    CSTORE_ASSIGN_OR_RETURN(
-        exec::TupleOp * stream,
-        BuildEarlyTupleStream(query.selection, strategy, config, plan.get()));
-    CSTORE_ASSIGN_OR_RETURN(
-        stream,
-        ApplyWriteStateTuple(stream, query.selection, config, plan.get()));
+    CSTORE_ASSIGN_OR_RETURN(exec::TupleOp * stream,
+                            EarlyTuples(*q, strategy, config, plan.get()));
     exec::HashAggOp* root = plan->Own(std::make_unique<exec::HashAggOp>(
         stream, query.global ? query.agg_index : query.group_index,
         query.agg_index, query.func, query.global));
@@ -375,31 +344,6 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
   }
   return plan;
 }
-
-namespace {
-
-/// Locates `reader`'s column in `snap`'s schema (readers are keyed by
-/// storage file) and checks the generation matches.
-Result<size_t> SnapColumnFor(const write::WriteSnapshot& snap,
-                             const codec::ColumnReader* reader,
-                             const char* side) {
-  if (snap.base_rows() != reader->num_values()) {
-    return Status::InvalidArgument(
-        std::string(side) + " join snapshot generation mismatch: snapshot "
-        "has " + std::to_string(snap.base_rows()) +
-        " read-store rows, reader has " +
-        std::to_string(reader->num_values()));
-  }
-  int idx = snap.ColumnIndexForFile(reader->name());
-  if (idx < 0) {
-    return Status::InvalidArgument(
-        "column file '" + reader->name() + "' is not part of the " + side +
-        " join table's write snapshot");
-  }
-  return static_cast<size_t>(idx);
-}
-
-}  // namespace
 
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
                                                  exec::JoinRightMode mode) {
@@ -419,12 +363,10 @@ Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
   spec.mode = mode;
   if (query.right_snapshot != nullptr && query.right_snapshot->has_state()) {
     spec.snapshot = query.right_snapshot;
-    CSTORE_ASSIGN_OR_RETURN(
-        spec.snap_key_index,
-        SnapColumnFor(*query.right_snapshot, query.right_key, "inner"));
-    CSTORE_ASSIGN_OR_RETURN(
-        spec.snap_payload_index,
-        SnapColumnFor(*query.right_snapshot, query.right_payload, "inner"));
+    CSTORE_ASSIGN_OR_RETURN(spec.right_key,
+                            spec.snapshot->ReaderFor(query.right_key));
+    CSTORE_ASSIGN_OR_RETURN(spec.right_payload,
+                            spec.snapshot->ReaderFor(query.right_payload));
   }
   return spec;
 }
@@ -432,22 +374,16 @@ Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
 Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
                                             const PlanConfig& config,
                                             const exec::JoinBuildTable& table) {
-  // Outer-side write state: the probe stream masks the snapshot's deletes
-  // and extends over its write-store tail, exactly like a scan. Tail chunks
-  // attach the payload as a mini-column too — write-store positions have no
-  // reader blocks for the probe to merge-gather.
-  const bool outer_state = HasWriteState(config);
-  std::vector<exec::WsScanColumn> outer_cols;
-  if (outer_state) {
-    const auto& snap = config.snapshot;
-    CSTORE_ASSIGN_OR_RETURN(size_t key_idx,
-                            SnapColumnFor(*snap, query.left_key, "outer"));
-    CSTORE_ASSIGN_OR_RETURN(
-        size_t payload_idx,
-        SnapColumnFor(*snap, query.left_payload, "outer"));
-    outer_cols = {{0, key_idx, query.left_pred},
-                  {1, payload_idx, codec::Predicate::True()}};
+  // The outer side reads the outer snapshot's readers, tail rows included,
+  // and masks its deletes, exactly like a scan.
+  const codec::ColumnReader* left_key = query.left_key;
+  const codec::ColumnReader* left_payload = query.left_payload;
+  const auto& snap = config.snapshot;
+  if (HasWriteState(config)) {
+    CSTORE_ASSIGN_OR_RETURN(left_key, snap->ReaderFor(left_key));
+    CSTORE_ASSIGN_OR_RETURN(left_payload, snap->ReaderFor(left_payload));
   }
+  const bool masked = snap != nullptr && snap->has_deletes();
 
   auto plan = std::make_unique<Plan>();
   exec::JoinProbeOp::Spec spec;
@@ -455,26 +391,26 @@ Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,
     // The outer tuples are constructed before the join (row-store style):
     // scan key + payload, filter on the key, emit (key, payload) rows.
     std::vector<exec::SpcScan::Input> inputs = {
-        {query.left_key, query.left_pred},
-        {query.left_payload, codec::Predicate::True()},
+        {left_key, query.left_pred},
+        {left_payload, codec::Predicate::True()},
     };
     exec::TupleOp* stream = plan->Own(std::make_unique<exec::SpcScan>(
         std::move(inputs), &plan->stats(), config.scan_range));
-    if (outer_state) {
-      stream = ApplyWriteStateTupleCols(stream, std::move(outer_cols),
-                                        config, plan.get());
+    if (masked) {
+      stream =
+          plan->Own(std::make_unique<exec::DeleteMaskTupleOp>(stream, snap));
     }
     spec.tuple_input = stream;
   } else {
     exec::MultiColumnOp* stream = plan->Own(std::make_unique<exec::DS1Scan>(
-        query.left_key, /*column=*/0, query.left_pred,
+        left_key, /*column=*/0, query.left_pred,
         /*attach_mini=*/true, &plan->stats(), config.scan_range));
-    if (outer_state) {
-      stream = ApplyWriteStatePosCols(stream, std::move(outer_cols), config,
-                                      plan.get());
+    if (masked) {
+      stream = plan->Own(
+          std::make_unique<exec::DeleteMaskOp>(stream, snap, &plan->stats()));
     }
     spec.pos_input = stream;
-    spec.left_payload = query.left_payload;
+    spec.left_payload = left_payload;
   }
   plan->SetRoot(plan->Own(
       std::make_unique<exec::JoinProbeOp>(spec, table, &plan->stats())));

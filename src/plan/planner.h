@@ -118,6 +118,15 @@ Status CheckStrategy(const SelectionQuery& query, Strategy strategy,
 /// plans DS3-gather them in the MERGE, EM-pipelined fetches them with DS4s
 /// after its last filter, and SPC reads them only in windows where a row
 /// passed. Output tuples hold the columns in `query.columns` order.
+///
+/// Over a config.snapshot with write state, every plan builder reads the
+/// snapshot's readers instead of the query's: one lookup per column per
+/// plan instance, whose blocks cover the tail rows too. Since the index
+/// answers over the read store only, an LM plan with an index-answered
+/// filter over tail rows is built twice and concatenated: with the index
+/// over the morsel's read-store part, without it over its tail part, which
+/// starts mid-window at base_rows. Deleted positions are masked after the
+/// leaves.
 Result<std::unique_ptr<Plan>> BuildSelectionPlan(const SelectionQuery& query,
                                                  Strategy strategy,
                                                  const PlanConfig& config);
@@ -130,17 +139,17 @@ Result<std::unique_ptr<Plan>> BuildAggPlan(const AggQuery& query,
                                            const PlanConfig& config);
 
 /// Validates the join query and assembles the build-phase spec: the
-/// inner-side readers, mode, and — when JoinQuery::right_snapshot carries
-/// pending rows or deletes — the snapshot column mapping the build merges.
-/// Every join's build (PlanTemplate::BuildJoinTable) starts from it,
-/// before any probe plan exists.
+/// inner-side readers and mode — when JoinQuery::right_snapshot carries
+/// pending rows or deletes, the snapshot and its readers. Every join's
+/// build (PlanTemplate::BuildJoinTable) starts from it, before any probe
+/// plan exists.
 Result<exec::JoinBuildTable::Spec> JoinBuildSpec(const JoinQuery& query,
                                                  exec::JoinRightMode mode);
 
 /// Builds the join plan's probe side with the chosen inner-table
-/// representation: the outer stream (DS1 or SPC leaf, delete-masked and
-/// extended over the write-store tail when config.snapshot carries state,
-/// restricted to config.scan_range) feeding a JoinProbeOp over `table`,
+/// representation: the outer stream (DS1 or SPC leaf over config.snapshot's
+/// readers and delete-masked when it carries state, restricted to
+/// config.scan_range) feeding a JoinProbeOp over `table`,
 /// the query's built hash table (its build ran JoinBuildSpec, which
 /// validated `query`). `table` must outlive the plan.
 Result<std::unique_ptr<Plan>> BuildJoinPlan(const JoinQuery& query,

@@ -86,9 +86,9 @@ struct JoinQuery {
   // Outer-side materialization (Section 4.3 discusses both).
   exec::JoinLeftMode left_mode = exec::JoinLeftMode::kLate;
   // Inner (right) table's write snapshot. When it carries pending rows or
-  // deletes, the hash build masks the deleted positions and merges the
-  // write-store tail rows, so the join sees exactly this state of R. Null
-  // (or empty) builds from the read store alone. The *outer* table's
+  // deletes, the hash build reads its readers, tail rows included, and
+  // masks the deleted positions, so the join sees exactly this state of R.
+  // Null (or empty) builds from the read store alone. The *outer* table's
   // snapshot rides in PlanConfig::snapshot, like every scanned table's.
   std::shared_ptr<const write::WriteSnapshot> right_snapshot;
 };
@@ -137,16 +137,19 @@ struct PlanConfig {
   position::Range scan_range = exec::kFullScanRange;
 
   // --- Write-store snapshot ----------------------------------------------
-  // When set, the built plan sees exactly this snapshot's state: scans mask
-  // its deleted positions and append its write-store tail rows (served from
-  // an uncompressed in-memory window) after the read store, extending the
-  // position space to snapshot->total_rows(). Null (the default) scans the
-  // read store alone — bit-identical to the pre-write-path engine. Captured
-  // at plan-build/submit time so concurrent writers never perturb an
-  // in-flight query. For joins this is the *outer* (left, probed) table's
-  // snapshot — probe morsels extend over its write-store tail exactly like
-  // scan morsels do; the inner table's snapshot is
-  // JoinQuery::right_snapshot (merged into the hash build).
+  // When set, the built plan sees exactly this snapshot's state: its
+  // operators read the snapshot's column readers (WriteSnapshot::
+  // ReaderFor), whose blocks run on past the read store over its
+  // write-store tail rows, extending the position space to
+  // snapshot->total_rows(), and a delete mask after the leaves drops its
+  // deleted positions. Null (the default) scans the read store alone —
+  // bit-identical to the pre-write-path engine. Captured at
+  // plan-build/submit time so concurrent writers never perturb an
+  // in-flight query; plans borrow its readers, so it must outlive them, as
+  // the PlanTemplate that holds it does. For joins this is the *outer*
+  // (left, probed) table's snapshot — probe morsels cover its tail rows
+  // exactly like scan morsels do; the inner table's snapshot is
+  // JoinQuery::right_snapshot (read by the hash build).
   std::shared_ptr<const write::WriteSnapshot> snapshot;
 
   // --- Observability ------------------------------------------------------

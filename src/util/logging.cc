@@ -47,11 +47,6 @@ LogMessageSink::~LogMessageSink() {
 
 }  // namespace logging_internal
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(
-      logging_internal::g_log_level.load(std::memory_order_relaxed));
-}
-
 void SetLogLevel(LogLevel level) {
   logging_internal::g_log_level.store(static_cast<int>(level),
                                       std::memory_order_relaxed);

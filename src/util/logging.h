@@ -25,8 +25,7 @@ namespace util {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Process-wide minimum level actually emitted.
-LogLevel GetLogLevel();
+/// Sets the process-wide minimum level actually emitted.
 void SetLogLevel(LogLevel level);
 
 /// Parses "debug" / "info" / "warn" / "error" (case-insensitive);

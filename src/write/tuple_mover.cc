@@ -77,7 +77,7 @@ Status TupleMover::CompactEligible(uint64_t threshold) {
         }
         return first_error;
       },
-      options_.priority);
+      /*priority=*/1);
   return ticket.Wait().status;
 }
 

@@ -38,9 +38,6 @@ class TupleMover {
     uint64_t threshold_rows = 4096;
     // Poll cadence of the trigger thread.
     int poll_millis = 25;
-    // Scheduler priority of compaction jobs (1 = lowest: one morsel-claim
-    // slot per rotation).
-    int priority = 1;
   };
 
   /// How the mover talks to the database without a dependency cycle

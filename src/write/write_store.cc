@@ -26,13 +26,6 @@ position::PositionSet WriteSnapshot::LiveSet(Position begin,
   return std::move(builder).Build();
 }
 
-int WriteSnapshot::ColumnIndexForFile(const std::string& file) const {
-  for (size_t i = 0; i < files_.size(); ++i) {
-    if (files_[i] == file) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 int WriteSnapshot::ColumnIndexForName(const std::string& name) const {
   for (size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) return static_cast<int>(i);
@@ -40,9 +33,33 @@ int WriteSnapshot::ColumnIndexForName(const std::string& name) const {
   return -1;
 }
 
+Result<const codec::ColumnReader*> WriteSnapshot::ReaderFor(
+    const codec::ColumnReader* stored) const {
+  const auto file = std::find(files_.begin(), files_.end(), stored->name());
+  if (file == files_.end()) {
+    return Status::InvalidArgument("column file '" + stored->name() +
+                                   "' is not part of the write snapshot's "
+                                   "table");
+  }
+  if (stored->num_values() != base_rows_) {
+    return Status::InvalidArgument(
+        "write snapshot generation mismatch: snapshot has " +
+        std::to_string(base_rows_) + " read-store rows, column '" +
+        stored->name() + "' has " + std::to_string(stored->num_values()));
+  }
+  if (tail_rows_ == 0) return stored;
+  const size_t c = static_cast<size_t>(file - files_.begin());
+  TailReader& tail = readers_[c];
+  std::call_once(tail.built, [&] {
+    tail.reader = codec::ColumnReader::WithTail(*stored, tail_blocks_[c]);
+  });
+  return tail.reader.get();
+}
+
 void WriteSnapshot::BuildTailBlocks() {
   const uint64_t per_block = codec::kUncompressedValuesPerBlock;
   tail_blocks_.resize(names_.size());
+  readers_ = std::make_unique<TailReader[]>(names_.size());
   for (size_t c = 0; c < names_.size(); ++c) {
     const Value* values = tail_values_[c].data();
     tail_blocks_[c].reserve((tail_rows_ + per_block - 1) / per_block);

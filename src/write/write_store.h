@@ -25,14 +25,14 @@
 // The snapshot also views its row tail as *uncompressed blocks* of
 // kUncompressedValuesPerBlock values each: BlockViews that point straight
 // into the snapshot's own tail values (no copy, no page, never touching the
-// buffer pool). The scan tail operators hand these to the regular
-// mini-column machinery, so Merge / LateAgg consume write-store rows
-// through the exact same BlockView code path as disk-resident data.
+// buffer pool). Each column's snapshot reader (ReaderFor) serves the read
+// store's blocks followed by these, so every strategy's operators scan,
+// gather and join write-store rows exactly as they do stored rows; the
+// write store reaches them only as more positions and a delete list.
 
 #ifndef CSTORE_WRITE_WRITE_STORE_H_
 #define CSTORE_WRITE_WRITE_STORE_H_
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,7 +41,6 @@
 #include "codec/column_reader.h"
 #include "position/position_set.h"
 #include "util/common.h"
-#include "util/logging.h"
 #include "util/status.h"
 
 namespace cstore {
@@ -72,10 +71,6 @@ class WriteSnapshot {
   /// Sorted, deduplicated deleted positions visible to this snapshot.
   const std::vector<Position>& deleted() const { return deleted_; }
 
-  bool IsDeleted(Position p) const {
-    return std::binary_search(deleted_.begin(), deleted_.end(), p);
-  }
-
   /// True when any visible delete falls in [begin, end).
   bool AnyDeletedIn(Position begin, Position end) const;
 
@@ -89,25 +84,22 @@ class WriteSnapshot {
   /// Storage file of each column in the generation this snapshot saw.
   const std::vector<std::string>& column_files() const { return files_; }
 
-  /// Schema index of the column stored in `file` (readers are keyed by
-  /// file, so this is how plan builders map scan columns to tail data);
-  /// -1 when unknown.
-  int ColumnIndexForFile(const std::string& file) const;
+  /// Schema index of the column named `name`; -1 when unknown.
   int ColumnIndexForName(const std::string& name) const;
+
+  /// The reader plans over this snapshot read `stored`'s column with:
+  /// `stored` itself when the snapshot has no tail rows, otherwise
+  /// `stored`'s blocks followed by the column's tail_blocks(), built on the
+  /// first request (thread-safe) and owned by the snapshot.
+  /// InvalidArgument when `stored` is not one of the table's column files
+  /// (readers are keyed by file) or belongs to another generation.
+  Result<const codec::ColumnReader*> ReaderFor(
+      const codec::ColumnReader* stored) const;
 
   /// Tail values of schema column `c` (tail_rows() entries; logical
   /// position of entry i is base_rows() + i).
   const std::vector<Value>& tail_values(size_t c) const {
     return tail_values_[c];
-  }
-
-  /// Value of schema column `c` at logical position `pos`, which must be a
-  /// tail position (base_rows() <= pos < total_rows()). Point access for
-  /// consumers resolving individual write-store positions — e.g. a join's
-  /// out-of-order inner payload fetch.
-  Value TailValueAt(size_t c, Position pos) const {
-    CSTORE_DCHECK(pos >= base_rows_ && pos < total_rows());
-    return tail_values_[c][pos - base_rows_];
   }
 
   /// The tail of schema column `c` as uncompressed EncodedBlocks (start_pos
@@ -149,6 +141,13 @@ class WriteSnapshot {
   // Uncompressed views over tail_values_, which never changes once they
   // are built.
   std::vector<std::vector<std::shared_ptr<codec::EncodedBlock>>> tail_blocks_;
+  // ReaderFor's reader of each schema column, built on its first request
+  // (call_once, so later requests take no lock).
+  struct TailReader {
+    std::once_flag built;
+    std::unique_ptr<codec::ColumnReader> reader;
+  };
+  std::unique_ptr<TailReader[]> readers_;
 };
 
 /// The mutable per-table write store: an append-only uncompressed insert

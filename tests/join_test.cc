@@ -510,8 +510,8 @@ class JoinWriteTest : public JoinTest {
 
 TEST_F(JoinWriteTest, JoinUnderWritesMatchesBruteForce) {
   // Outer read store: exactly 3 chunk windows, so inserted tail rows start
-  // on a window boundary and a one-window morsel is *pure tail* — the probe
-  // path's WsScan leaf runs as its own morsel at 4 workers.
+  // on a window boundary and a one-window morsel is *pure tail* — at 4
+  // workers the probe's leaf reads only tail blocks in its own morsel.
   const size_t n_orders = 3 * kChunkPositions;
   const size_t n_cust = 6000;
   Random rng(31);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -145,17 +146,22 @@ class WriteTest : public ::testing::Test {
   }
 
   /// Runs the selection for every strategy × worker count and checks each
-  /// result against `expected` (tuples, checksum).
+  /// result against `expected` (tuples, checksum). `filter_order`, when
+  /// set, is the plan's filter order; `morsel_positions` sizes its morsels.
   void CheckSelectionAllStrategies(
       const std::shared_ptr<const write::WriteSnapshot>& snap,
       const std::vector<codec::Predicate>& preds,
-      std::pair<uint64_t, uint64_t> expected, const char* context) {
+      std::pair<uint64_t, uint64_t> expected, const char* context,
+      std::optional<std::vector<uint32_t>> filter_order = std::nullopt,
+      Position morsel_positions = exec::kDefaultMorselPositions) {
     std::vector<const codec::ColumnReader*> readers = BindColumns(*snap);
     plan::SelectionQuery query = MakeSelection(readers, preds);
+    query.filter_order = std::move(filter_order);
     for (plan::Strategy s : plan::kAllStrategies) {
       for (int workers : kWorkerCounts) {
         plan::PlanConfig config;
         config.num_workers = workers;
+        config.morsel_positions = morsel_positions;
         config.snapshot = snap;
         auto r = api::Connection(db_.get()).Query(
             plan::PlanTemplate::Selection(query, s, config));
@@ -169,15 +175,19 @@ class WriteTest : public ::testing::Test {
     }
   }
 
-  /// Runs SELECT g, SUM(a) GROUP BY g for every strategy × worker count.
+  /// Runs SELECT g, SUM(a) GROUP BY g for every strategy × worker count;
+  /// `filter_order` and `morsel_positions` as above.
   void CheckAggAllStrategies(
       const std::shared_ptr<const write::WriteSnapshot>& snap,
       const std::vector<codec::Predicate>& preds, uint32_t group_index,
       uint32_t agg_index, std::pair<uint64_t, uint64_t> expected,
-      const char* context) {
+      const char* context,
+      std::optional<std::vector<uint32_t>> filter_order = std::nullopt,
+      Position morsel_positions = exec::kDefaultMorselPositions) {
     std::vector<const codec::ColumnReader*> readers = BindColumns(*snap);
     plan::AggQuery query;
     query.selection = MakeSelection(readers, preds);
+    query.selection.filter_order = std::move(filter_order);
     query.group_index = group_index;
     query.agg_index = agg_index;
     query.func = exec::AggFunc::kSum;
@@ -185,6 +195,7 @@ class WriteTest : public ::testing::Test {
       for (int workers : kWorkerCounts) {
         plan::PlanConfig config;
         config.num_workers = workers;
+        config.morsel_positions = morsel_positions;
         config.snapshot = snap;
         auto r = api::Connection(db_.get()).Query(
             plan::PlanTemplate::Agg(query, s, config));
@@ -511,6 +522,25 @@ TEST_F(WriteTest, MultiBlockTailIsReadInPlace) {
   CheckAggAllStrategies(snap, preds, 1, 2, ref.ExpectedGroupSum(preds, 1, 2),
                         "tail-agg");
 
+  // An index range on the sorted k that ends in the tail, where k keeps
+  // ascending: LM plans take the read-store part off the index and scan
+  // the tail. One-window morsels put base_rows inside a morsel, mid-window.
+  // d is output-only.
+  const std::vector<codec::Predicate> range_preds = {
+      codec::Predicate::Between(kBase - 5000, kBase + 12000),
+      codec::Predicate::Between(5, 30), codec::Predicate::LessThan(90),
+      codec::Predicate::True()};
+  for (const std::vector<uint32_t>& order :
+       {std::vector<uint32_t>{0, 1, 2}, std::vector<uint32_t>{1, 0, 2}}) {
+    const char* context = order[0] == 0 ? "index-first" : "index-second";
+    CheckSelectionAllStrategies(snap, range_preds,
+                                ref.ExpectedSelection(range_preds), context,
+                                order, kChunkPositions);
+    CheckAggAllStrategies(snap, range_preds, 1, 2,
+                          ref.ExpectedGroupSum(range_preds, 1, 2), context,
+                          order, kChunkPositions);
+  }
+
   // ORDER BY v DESC LIMIT 1000 WHERE g BETWEEN 5 AND 30: ties broken by
   // position.
   const std::vector<codec::Predicate> sort_preds = {
@@ -549,22 +579,44 @@ TEST_F(WriteTest, MultiBlockTailIsReadInPlace) {
     }
   }
 
-  // A right-multicolumn join whose inner side is this table: outer keys
-  // o.key hit read-store and tail rows of t.k, deleted ones included.
+  // A join whose inner side is this table, in every right and left mode:
+  // outer keys o.key hit read-store and tail rows of t.k, deleted ones
+  // included. The outer table has a tail and deletes of its own, and the
+  // outer filter keeps keys from kBase - 30000 on.
   constexpr size_t kOuter = 20000;
+  constexpr size_t kOuterTail = 9000;
+  RefTable oref(2);
   std::vector<Value> okey(kOuter);
   std::vector<Value> opay(kOuter);
   for (size_t i = 0; i < kOuter; ++i) {
     okey[i] = static_cast<Value>(rng.Uniform(kBase + kTail + 100));
     opay[i] = static_cast<Value>(i);
+    oref.Append({{okey[i], opay[i]}});
   }
   MakeTable("o", {{"key", codec::Encoding::kUncompressed, okey},
                   {"payload", codec::Encoding::kUncompressed, opay}});
+  std::vector<std::vector<Value>> otail;
+  for (size_t i = 0; i < kOuterTail; ++i) {
+    otail.push_back({static_cast<Value>(rng.Uniform(kBase + kTail + 100)),
+                     static_cast<Value>(kOuter + i)});
+  }
+  ASSERT_OK(db_->Insert("o", otail));
+  oref.Append(otail);
+  // Deletes in the outer read store and in its tail.
+  for (const codec::Predicate& gone :
+       {codec::Predicate::Between(100, 900),
+        codec::Predicate::Between(kOuter + 2000, kOuter + 2500)}) {
+    ASSERT_OK_AND_ASSIGN(uint64_t n, db_->DeleteWhere("o", {{"payload", gone}}));
+    EXPECT_EQ(n, oref.DeleteWhere(1, gone));
+  }
+  const codec::Predicate outer_pred =
+      codec::Predicate::GreaterEqual(kBase - 30000);
   std::multiset<std::pair<Value, Value>> expected;
-  for (size_t i = 0; i < kOuter; ++i) {
-    const size_t pos = static_cast<size_t>(okey[i]);  // t.k == position
+  for (size_t i = 0; i < oref.rows(); ++i) {
+    if (oref.deleted[i] || !outer_pred.Eval(oref.cols[0][i])) continue;
+    const size_t pos = static_cast<size_t>(oref.cols[0][i]);  // t.k == pos
     if (pos < ref.rows() && !ref.deleted[pos]) {
-      expected.emplace(opay[i], ref.cols[2][pos]);
+      expected.emplace(oref.cols[1][i], ref.cols[2][pos]);
     }
   }
   plan::JoinQuery join;
@@ -572,23 +624,35 @@ TEST_F(WriteTest, MultiBlockTailIsReadInPlace) {
   ASSERT_OK_AND_ASSIGN(join.left_payload, db_->GetColumn("o_payload"));
   ASSERT_OK_AND_ASSIGN(join.right_key, db_->GetColumn("t_k"));
   ASSERT_OK_AND_ASSIGN(join.right_payload, db_->GetColumn("t_v"));
+  join.left_pred = outer_pred;
   join.right_snapshot = snap;
   ASSERT_OK_AND_ASSIGN(auto outer_snap, db_->SnapshotTable("o"));
-  for (int workers : kWorkerCounts) {
-    plan::PlanConfig config;
-    config.num_workers = workers;
-    config.snapshot = outer_snap;
-    ASSERT_OK_AND_ASSIGN(
-        api::QueryResult r,
-        api::Connection(db_.get()).Query(plan::PlanTemplate::Join(
-            join, exec::JoinRightMode::kMultiColumn, config)));
-    std::multiset<std::pair<Value, Value>> got;
-    for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
-      got.emplace(r.tuples.value(i, 0), r.tuples.value(i, 1));
+  ASSERT_EQ(outer_snap->tail_rows(), kOuterTail);
+  for (exec::JoinRightMode mode :
+       {exec::JoinRightMode::kMaterialized, exec::JoinRightMode::kMultiColumn,
+        exec::JoinRightMode::kSingleColumn}) {
+    for (exec::JoinLeftMode left :
+         {exec::JoinLeftMode::kLate, exec::JoinLeftMode::kEarly}) {
+      join.left_mode = left;
+      for (int workers : kWorkerCounts) {
+        plan::PlanConfig config;
+        config.num_workers = workers;
+        config.morsel_positions = kChunkPositions;
+        config.snapshot = outer_snap;
+        ASSERT_OK_AND_ASSIGN(api::QueryResult r,
+                             api::Connection(db_.get()).Query(
+                                 plan::PlanTemplate::Join(join, mode, config)));
+        std::multiset<std::pair<Value, Value>> got;
+        for (size_t i = 0; i < r.tuples.num_tuples(); ++i) {
+          got.emplace(r.tuples.value(i, 0), r.tuples.value(i, 1));
+        }
+        EXPECT_TRUE(got == expected)
+            << exec::JoinRightModeName(mode) << " left "
+            << (left == exec::JoinLeftMode::kLate ? "late" : "early")
+            << " workers=" << workers << " got " << got.size()
+            << " expected " << expected.size();
+      }
     }
-    EXPECT_TRUE(got == expected) << "workers=" << workers << " got "
-                                 << got.size() << " expected "
-                                 << expected.size();
   }
 }
 
@@ -709,9 +773,15 @@ TEST_F(WriteTest, SqlInsertDeleteSelect) {
                        conn.Query("SELECT b, SUM(a) FROM s GROUP BY b"));
   ASSERT_EQ(agg.stats.output_tuples, sums.size());
 
-  // DELETE FROM without WHERE empties the table.
+  // DELETE FROM without WHERE empties the table: it marks every live row
+  // and reads no column.
+  uint64_t live = 0;
+  for (size_t i = 0; i < ref.rows(); ++i) live += ref.deleted[i] ? 0 : 1;
   ASSERT_OK_AND_ASSIGN(api::QueryResult wipe, conn.Query("DELETE FROM s"));
-  EXPECT_GT(wipe.rows_affected, 0u);
+  EXPECT_EQ(wipe.rows_affected, live);
+  EXPECT_EQ(wipe.stats.exec.values_gathered, 0u);
+  EXPECT_EQ(wipe.stats.exec.tuples_constructed, 0u);
+  EXPECT_EQ(wipe.stats.exec.blocks_fetched, 0u);
   ASSERT_OK_AND_ASSIGN(api::QueryResult none, conn.Query("SELECT a FROM s"));
   EXPECT_EQ(none.stats.output_tuples, 0u);
 
